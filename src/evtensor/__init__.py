@@ -22,7 +22,6 @@ from .evaluation import (
 )
 from .events import (
     NOISE_LABEL,
-    Event,
     EventStream,
     EventTensor,
     bin_to_tensor,
@@ -42,7 +41,6 @@ from .synth import ObjectSpec, SceneSpec, describe, generate, load_scene_spec, t
 from .tensor_ops import (
     FactorTriple,
     f3tn_contract,
-    fold,
     frob_dist,
     frob_norm,
     partial_contract_pair,
@@ -52,7 +50,6 @@ from .tensor_ops import (
 __all__ = [
     "NOISE_LABEL",
     "DenoiseReport",
-    "Event",
     "EventStream",
     "EventTensor",
     "FactorTriple",
@@ -70,7 +67,6 @@ __all__ = [
     "extract_features",
     "f3tn_contract",
     "filter_events",
-    "fold",
     "frob_dist",
     "frob_norm",
     "generate",

@@ -6,12 +6,15 @@ writes a JSON echo of its fully resolved configuration next to its first
 output, and reruns with identical flags produce byte-identical data files
 (wall-clock timing goes to stderr, never into data outputs, except for the
 sweep results CSV whose schema includes a seconds column).
+
+Every file flag takes a path, read or written as UTF-8. BLAS worker threads
+are capped through the environment (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``
+set before the command starts); the CLI has no thread flag of its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import sys
@@ -30,13 +33,9 @@ from .denoise import (
 from .evaluation import (
     TASK_NOISE,
     TASK_OBJECTS,
-    auc,
-    binary_task,
-    extract_features,
+    classify_factors,
     save_model,
     sweep_lambdas,
-    temporal_split,
-    train_svm,
     write_results_csv,
 )
 from .events import (
@@ -168,21 +167,15 @@ def cmd_classify(args) -> int:
         logger.error("classification needs a label column in %s", args.events)
         return 1
     tensor = bin_to_tensor(stream, n_bins)
-    feats = temporal_split(extract_features(stream, tensor, factors))
-    mask, y = binary_task(feats.labels, args.task)
-    tr = mask & feats.is_train
-    te = mask & ~feats.is_train
-    y_tr = y[feats.is_train[mask]]
-    y_te = y[~feats.is_train[mask]]
-    model = train_svm(feats.features[tr], y_tr,
-                      reg_lambda=args.svm_lambda, epochs=args.svm_epochs)
-    value = auc(model.decision_scores(feats.features[te]), y_te)
+    value, model, n_train, n_test = classify_factors(
+        stream, tensor, factors, args.task,
+        svm_lambda=args.svm_lambda, svm_epochs=args.svm_epochs)
     report = "\n".join([
         f"task: {args.task}",
         f"auc: {value:.17g}",
-        f"train events: {len(y_tr)}",
-        f"test events: {len(y_te)}",
-        f"feature length: {feats.features.shape[1]}",
+        f"train events: {n_train}",
+        f"test events: {n_test}",
+        f"feature length: {len(model.weights)}",
     ]) + "\n"
     Path(args.report).write_text(report, encoding="utf-8")
     if args.model:
@@ -231,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for info, -vv for debug (logs go to stderr)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (default: library default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a labeled synthetic scene CSV")
@@ -293,29 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _thread_cap(threads):
-    if threads is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        logger.warning("threadpoolctl not installed; --threads ignored")
-        yield
-        return
-    with threadpool_limits(limits=threads):
-        yield
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        with _thread_cap(args.threads):
-            return args.func(args)
+        return args.func(args)
     except BrokenPipeError:
         return 0
     except Exception as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .events import NOISE_LABEL, EventStream, EventTensor, bin_indices
+from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
 from .tensor_ops import FactorTriple
 
 logger = logging.getLogger(__name__)
@@ -32,15 +32,7 @@ def score_events(stream: EventStream, tensor: EventTensor,
     g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y], vectorized over all
     events at O(M * f^2) memory.
     """
-    ii, jj, nn = factors.dims
-    rows, cols, n_bins = tensor.dims
-    if (rows, cols, n_bins) != (ii, jj, nn):
-        raise ConsistencyError(
-            f"factor dims {(ii, jj, nn)} disagree with tensor dims {(rows, cols, n_bins)}"
-        )
-    frames = bin_indices(stream.t, tensor.bin_edges)
-    if stream.i.max() >= ii or stream.j.max() >= jj or frames.max() >= nn:
-        raise ConsistencyError("event coordinates exceed factor dimensions")
+    frames = event_frames(stream, tensor, factors.dims)
     a = factors.g_i[stream.i]                      # (M, x, y)
     b = factors.g_j[:, stream.j, :].transpose(1, 0, 2)  # (M, x, z)
     c = factors.g_n[:, :, frames].transpose(2, 0, 1)    # (M, y, z)
@@ -126,17 +118,13 @@ def quantile_threshold(scores: np.ndarray, quantile: float = DEFAULT_QUANTILE) -
 
 def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> None:
     """Per-event report rows: t,i,j[,label],score,kept."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            write_report_csv(stream, report, fh)
-            return
-    fh = path_or_fh
     has_labels = stream.has_labels
-    fh.write("t,i,j,label,score,kept\n" if has_labels else "t,i,j,score,kept\n")
-    for k in range(len(stream)):
-        cells = [str(int(stream.t[k])), str(int(stream.i[k])), str(int(stream.j[k]))]
-        if has_labels:
-            cells.append(str(int(stream.labels[k])))
-        cells.append("%.17g" % report.scores[k])
-        cells.append("1" if report.kept[k] else "0")
-        fh.write(",".join(cells) + "\n")
+    with open_text(path_or_fh, "w") as fh:
+        fh.write("t,i,j,label,score,kept\n" if has_labels else "t,i,j,score,kept\n")
+        for k in range(len(stream)):
+            cells = [str(int(stream.t[k])), str(int(stream.i[k])), str(int(stream.j[k]))]
+            if has_labels:
+                cells.append(str(int(stream.labels[k])))
+            cells.append("%.17g" % report.scores[k])
+            cells.append("1" if report.kept[k] else "0")
+            fh.write(",".join(cells) + "\n")

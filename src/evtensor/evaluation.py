@@ -6,6 +6,8 @@ coordinates -- row i of the matricized g_i, row j of the matricized g_j,
 row n of the matricized g_n -- length 3*f^2 total. Frames are split
 temporally (first 60% train, rest test), a linear SVM is trained on
 standardized features, and ranking quality is scored with AUC.
+`classify_factors` is that post-solve step; the CLI's classify command and
+the regularization sweep both call it.
 
 The regularization sweep reruns the whole pipeline per (lambda1, lambda2)
 grid point and summarizes sensitivity with the AUC gap,
@@ -22,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import ConsistencyError, ProtocolError
-from .events import NOISE_LABEL, EventStream, EventTensor, bin_indices
+from .errors import ProtocolError
+from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
 from .solver import SolverConfig, solve
 from .tensor_ops import FactorTriple, matricize_factor
 
@@ -65,15 +67,7 @@ def extract_features(stream: EventStream, tensor: EventTensor,
     at n], each slice vectorized with the shared latent-pair flattening."""
     if not stream.has_labels:
         raise ProtocolError("feature extraction requires a labeled stream")
-    ii, jj, nn = factors.dims
-    rows, cols, n_bins = tensor.dims
-    if (rows, cols, n_bins) != (ii, jj, nn):
-        raise ConsistencyError(
-            f"factor dims {(ii, jj, nn)} disagree with tensor dims {(rows, cols, n_bins)}"
-        )
-    frames = bin_indices(stream.t, tensor.bin_edges)
-    if stream.i.max() >= ii or stream.j.max() >= jj or frames.max() >= nn:
-        raise ConsistencyError("event coordinates exceed factor dimensions")
+    frames = event_frames(stream, tensor, factors.dims)
     mat_i = matricize_factor(factors.g_i, "i")
     mat_j = matricize_factor(factors.g_j, "j")
     mat_n = matricize_factor(factors.g_n, "n")
@@ -82,7 +76,7 @@ def extract_features(stream: EventStream, tensor: EventTensor,
         features=features,
         labels=stream.labels.copy(),
         frames=frames,
-        n_frames=nn,
+        n_frames=factors.dims[2],
     )
 
 
@@ -199,11 +193,11 @@ def auc_gap(aucs) -> float:
     return 100.0 * (highest - min(values)) / highest
 
 
-def evaluate_pipeline(tensor: EventTensor, stream: EventStream, cfg: SolverConfig,
-                      task: str = TASK_OBJECTS, train_fraction: float = 0.6,
-                      svm_lambda: float = 1e-3, svm_epochs: int = 500):
-    """Decompose, extract features, split, train, score. Returns (auc, state, model)."""
-    factors, state = solve(tensor, cfg)
+def classify_factors(stream: EventStream, tensor: EventTensor, factors: FactorTriple,
+                     task: str = TASK_OBJECTS, train_fraction: float = 0.6,
+                     svm_lambda: float = 1e-3, svm_epochs: int = 500):
+    """Extract features from fitted factors, split, train, score.
+    Returns (auc, model, train event count, test event count)."""
     feats = temporal_split(extract_features(stream, tensor, factors), train_fraction)
     # derive the task mapping from the full label set so train and test share it
     mask, y = binary_task(feats.labels, task)
@@ -215,7 +209,7 @@ def evaluate_pipeline(tensor: EventTensor, stream: EventStream, cfg: SolverConfi
         raise ProtocolError("task selection emptied a partition")
     model = train_svm(feats.features[tr], y_tr, reg_lambda=svm_lambda, epochs=svm_epochs)
     value = auc(model.decision_scores(feats.features[te]), y_te)
-    return value, state, model
+    return value, model, len(y_tr), len(y_te)
 
 
 @dataclass
@@ -264,8 +258,8 @@ def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
     for lambda1, lambda2 in grid:
         start = time.perf_counter()
         try:
-            cfg = replace(base_cfg, lambda1=lambda1, lambda2=lambda2)
-            value, state, _ = evaluate_pipeline(tensor, stream, cfg, task=task)
+            factors, state = solve(tensor, replace(base_cfg, lambda1=lambda1, lambda2=lambda2))
+            value = classify_factors(stream, tensor, factors, task)[0]
             cells.append(SweepCell(
                 lambda1=lambda1, lambda2=lambda2, auc=value,
                 converged=state.converged, iters=state.s,
@@ -283,45 +277,35 @@ def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
 
 def write_results_csv(result: SweepResult, path_or_fh) -> None:
     """Results CSV: one row per grid cell plus gap summary comment lines."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            write_results_csv(result, fh)
-            return
-    fh = path_or_fh
-    fh.write("lambda1,lambda2,auc,converged,iters,seconds\n")
-    for c in result.cells:
-        fh.write("%g,%g,%.17g,%s,%d,%.3f\n"
-                 % (c.lambda1, c.lambda2, c.auc, str(c.converged).lower(), c.iters, c.seconds))
-    fh.write("# overall_gap_percent: %.6g\n" % result.overall_gap())
-    for axis in ("lambda1", "lambda2"):
-        held = "lambda2" if axis == "lambda1" else "lambda1"
-        for value, gap in result.axis_gaps(axis):
-            fh.write("# gap_percent_varying_%s[%s=%g]: %.6g\n" % (axis, held, value, gap))
+    with open_text(path_or_fh, "w") as fh:
+        fh.write("lambda1,lambda2,auc,converged,iters,seconds\n")
+        for c in result.cells:
+            fh.write("%g,%g,%.17g,%s,%d,%.3f\n"
+                     % (c.lambda1, c.lambda2, c.auc, str(c.converged).lower(), c.iters, c.seconds))
+        fh.write("# overall_gap_percent: %.6g\n" % result.overall_gap())
+        for axis in ("lambda1", "lambda2"):
+            held = "lambda2" if axis == "lambda1" else "lambda1"
+            for value, gap in result.axis_gaps(axis):
+                fh.write("# gap_percent_varying_%s[%s=%g]: %.6g\n" % (axis, held, value, gap))
 
 
 def save_model(model: SvmModel, path_or_fh) -> None:
     """Plain-text model file: weights, bias, standardization vectors."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            save_model(model, fh)
-            return
-    fh = path_or_fh
-    fh.write("weights " + " ".join("%.17g" % v for v in model.weights) + "\n")
-    fh.write("bias %.17g\n" % model.bias)
-    fh.write("mean " + " ".join("%.17g" % v for v in model.mean) + "\n")
-    fh.write("std " + " ".join("%.17g" % v for v in model.std) + "\n")
-    fh.write("reg_lambda %.17g\n" % model.reg_lambda)
-    fh.write("epochs %d\n" % model.epochs)
+    with open_text(path_or_fh, "w") as fh:
+        fh.write("weights " + " ".join("%.17g" % v for v in model.weights) + "\n")
+        fh.write("bias %.17g\n" % model.bias)
+        fh.write("mean " + " ".join("%.17g" % v for v in model.mean) + "\n")
+        fh.write("std " + " ".join("%.17g" % v for v in model.std) + "\n")
+        fh.write("reg_lambda %.17g\n" % model.reg_lambda)
+        fh.write("epochs %d\n" % model.epochs)
 
 
 def load_model(path_or_fh) -> SvmModel:
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "r", encoding="utf-8") as fh:
-            return load_model(fh)
     fields = {}
-    for line in path_or_fh:
-        name, _, rest = line.partition(" ")
-        fields[name] = rest.split()
+    with open_text(path_or_fh) as fh:
+        for line in fh:
+            name, _, rest = line.partition(" ")
+            fields[name] = rest.split()
     return SvmModel(
         weights=np.array(fields["weights"], dtype=np.float64),
         bias=float(fields["bias"][0]),

@@ -10,17 +10,23 @@ when at least one event hit pixel (i, j) during bin n.
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
 accepted and ignored.
+
+Every reader and writer in the package takes a path (``str`` or any
+``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
+is used as is; :func:`open_text` is that one rule. Inline CSV text is read by
+wrapping it in ``io.StringIO``.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyStreamError, EventParseError, GeometryError
+from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
 
 logger = logging.getLogger(__name__)
 
@@ -29,14 +35,15 @@ NOISE_LABEL = -1
 _KNOWN_COLUMNS = ("t", "i", "j", "label", "polarity")
 
 
-@dataclass(frozen=True)
-class Event:
-    """One sensor event."""
-
-    i: int
-    j: int
-    t: int
-    label: int | None = None
+@contextlib.contextmanager
+def open_text(path_or_fh, mode: str = "r"):
+    """Open a ``str``/``os.PathLike`` path as UTF-8 text (closed on exit);
+    pass any other object through as an already open text stream."""
+    if isinstance(path_or_fh, (str, os.PathLike)):
+        with open(path_or_fh, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield path_or_fh
 
 
 @dataclass
@@ -127,58 +134,53 @@ class EventTensor:
 def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     """Parse the canonical event CSV into a validated, time-sorted stream.
 
-    `source` is a path, a text stream, or bytes. Raises EventParseError with
-    the offending line number on malformed records, GeometryError on
-    out-of-bounds coordinates, EmptyStreamError when no events are present.
+    `source` is a path or a text stream (wrap inline text in io.StringIO).
+    Raises EventParseError with the offending line number on malformed
+    records, GeometryError on out-of-bounds coordinates, EmptyStreamError
+    when no events are present.
     """
-    if isinstance(source, (str, bytes)) and not _looks_like_inline_csv(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_events(fh, geometry)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
+    with open_text(source) as fh:
+        header_line = fh.readline()
+        if not header_line.strip():
+            raise EmptyStreamError("empty source: no header, no events")
+        columns = [c.strip().lower() for c in header_line.strip().split(",")]
+        for c in columns:
+            if c not in _KNOWN_COLUMNS:
+                raise EventParseError(
+                    1, f"unknown column {c!r} (expected t,i,j[,label][,polarity])")
+        for required in ("t", "i", "j"):
+            if required not in columns:
+                raise EventParseError(1, f"missing required column {required!r}")
+        idx = {c: k for k, c in enumerate(columns)}
+        want_label = "label" in idx
 
-    header_line = source.readline()
-    if not header_line.strip():
-        raise EmptyStreamError("empty source: no header, no events")
-    columns = [c.strip().lower() for c in header_line.strip().split(",")]
-    for c in columns:
-        if c not in _KNOWN_COLUMNS:
-            raise EventParseError(1, f"unknown column {c!r} (expected t,i,j[,label][,polarity])")
-    for required in ("t", "i", "j"):
-        if required not in columns:
-            raise EventParseError(1, f"missing required column {required!r}")
-    idx = {c: k for k, c in enumerate(columns)}
-    want_label = "label" in idx
-
-    tt, ii, jj, labels = [], [], [], []
-    for line_no, line in enumerate(source, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise EventParseError(line_no, f"expected {len(columns)} fields, got {len(parts)}")
-        try:
-            t = int(parts[idx["t"]])
-            i = int(parts[idx["i"]])
-            j = int(parts[idx["j"]])
-            label = int(parts[idx["label"]]) if want_label else None
-        except ValueError as exc:
-            raise EventParseError(line_no, f"non-integer field ({exc})") from None
-        if t < 0:
-            raise EventParseError(line_no, f"negative timestamp {t}")
-        rows, cols = geometry
-        if not (0 <= i < rows):
-            raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")
-        if not (0 <= j < cols):
-            raise GeometryError(f"line {line_no}: j={j} outside geometry cols [0, {cols})")
-        tt.append(t)
-        ii.append(i)
-        jj.append(j)
-        if want_label:
-            labels.append(label)
+        tt, ii, jj, labels = [], [], [], []
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != len(columns):
+                raise EventParseError(line_no, f"expected {len(columns)} fields, got {len(parts)}")
+            try:
+                t = int(parts[idx["t"]])
+                i = int(parts[idx["i"]])
+                j = int(parts[idx["j"]])
+                label = int(parts[idx["label"]]) if want_label else None
+            except ValueError as exc:
+                raise EventParseError(line_no, f"non-integer field ({exc})") from None
+            if t < 0:
+                raise EventParseError(line_no, f"negative timestamp {t}")
+            rows, cols = geometry
+            if not (0 <= i < rows):
+                raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")
+            if not (0 <= j < cols):
+                raise GeometryError(f"line {line_no}: j={j} outside geometry cols [0, {cols})")
+            tt.append(t)
+            ii.append(i)
+            jj.append(j)
+            if want_label:
+                labels.append(label)
 
     if not tt:
         raise EmptyStreamError("source contains a header but zero events")
@@ -189,27 +191,17 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     )
 
 
-def _looks_like_inline_csv(source) -> bool:
-    if isinstance(source, bytes):
-        return not source or b"\n" in source or b"," in source
-    return not source or "\n" in source or "," in source
-
-
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
     """Write a stream in the canonical CSV format (label column when present)."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            write_events_csv(stream, fh)
-            return
-    fh = path_or_fh
-    if stream.has_labels:
-        fh.write("t,i,j,label\n")
-        for t, i, j, lab in zip(stream.t, stream.i, stream.j, stream.labels):
-            fh.write(f"{t},{i},{j},{lab}\n")
-    else:
-        fh.write("t,i,j\n")
-        for t, i, j in zip(stream.t, stream.i, stream.j):
-            fh.write(f"{t},{i},{j}\n")
+    with open_text(path_or_fh, "w") as fh:
+        if stream.has_labels:
+            fh.write("t,i,j,label\n")
+            for t, i, j, lab in zip(stream.t, stream.i, stream.j, stream.labels):
+                fh.write(f"{t},{i},{j},{lab}\n")
+        else:
+            fh.write("t,i,j\n")
+            for t, i, j in zip(stream.t, stream.i, stream.j):
+                fh.write(f"{t},{i},{j}\n")
 
 
 def compute_bin_edges(t_min: int, t_max: int, n_bins: int) -> np.ndarray:
@@ -253,31 +245,38 @@ def tensor_density(tensor: EventTensor) -> float:
     return float(np.count_nonzero(tensor.data)) / tensor.data.size
 
 
+def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
+    """Bin index of each event, after checking that the tensor and every event
+    coordinate fit factors of the given (I, J, N) dims."""
+    if tensor.dims != dims:
+        raise ConsistencyError(f"factor dims {dims} disagree with tensor dims {tensor.dims}")
+    frames = bin_indices(stream.t, tensor.bin_edges)
+    if stream.i.max() >= dims[0] or stream.j.max() >= dims[1] or frames.max() >= dims[2]:
+        raise ConsistencyError("event coordinates exceed factor dimensions")
+    return frames
+
+
 def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
     """Debug/oracle dump: header ``I J N`` then the 0/1 values in
-    (n outer, i middle, j inner) order."""
+    (n outer, i middle, j inner) order, one space-separated line per (n, i)."""
     data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            write_tensor_dump(data, fh)
-            return
-    fh = path_or_fh
+    if data.size and (data.min() < 0 or data.max() > 1):
+        raise ValueError("a tensor dump holds only 0/1 entries")
     rows, cols, n_bins = data.shape
-    fh.write(f"{rows} {cols} {n_bins}\n")
-    flat = data.transpose(2, 0, 1).reshape(n_bins * rows, cols)
-    for row in flat:
-        fh.write(" ".join(str(int(v)) for v in row))
-        fh.write("\n")
+    # one ASCII byte per character: digit, space, digit, ..., digit, newline
+    text = np.full((n_bins * rows, 2 * cols), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = data.transpose(2, 0, 1).reshape(n_bins * rows, cols) + ord("0")
+    text[:, -1] = ord("\n")
+    with open_text(path_or_fh, "w") as fh:
+        fh.write(f"{rows} {cols} {n_bins}\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def read_tensor_dump(path_or_fh) -> np.ndarray:
     """Inverse of :func:`write_tensor_dump`; returns the uint8 data array."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "r", encoding="utf-8") as fh:
-            return read_tensor_dump(fh)
-    fh = path_or_fh
-    rows, cols, n_bins = (int(v) for v in fh.readline().split())
-    values = np.array(fh.read().split(), dtype=np.uint8)
+    with open_text(path_or_fh) as fh:
+        rows, cols, n_bins = (int(v) for v in fh.readline().split())
+        values = np.array(fh.read().split(), dtype=np.uint8)
     if values.size != rows * cols * n_bins:
         raise ValueError(f"dump holds {values.size} values, expected {rows * cols * n_bins}")
     return np.ascontiguousarray(values.reshape(n_bins, rows, cols).transpose(1, 2, 0))

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
-from .events import EventTensor
+from .events import EventTensor, open_text
 from .tensor_ops import (
     FactorTriple,
     f3tn_contract,
@@ -263,32 +263,24 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
 def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
     """Text checkpoint: header ``I J N f``, then the three matricized factors
     (one row per line, 17 significant digits -- exact float64 round-trip)."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            save_checkpoint(factors, fh)
-            return
-    fh = path_or_fh
     ii, jj, nn = factors.dims
-    fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
-    for mode in ("i", "j", "n"):
-        mat = matricize_factor(factors.factor(mode), mode)
-        for row in mat:
-            fh.write(" ".join("%.17g" % v for v in row))
-            fh.write("\n")
+    with open_text(path_or_fh, "w") as fh:
+        fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
+        for mode in ("i", "j", "n"):
+            np.savetxt(fh, matricize_factor(factors.factor(mode), mode), fmt="%.17g")
 
 
 def load_checkpoint(path_or_fh) -> FactorTriple:
-    """Inverse of :func:`save_checkpoint`."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "r", encoding="utf-8") as fh:
-            return load_checkpoint(fh)
-    fh = path_or_fh
-    ii, jj, nn, f = (int(v) for v in fh.readline().split())
-    rows = [np.array(fh.readline().split(), dtype=np.float64)
-            for _ in range(ii + jj + nn)]
-    mat = np.vstack(rows)
-    if mat.shape != (ii + jj + nn, f * f):
-        raise ValueError(f"checkpoint body shape {mat.shape} disagrees with header")
+    """Inverse of :func:`save_checkpoint`. A missing or short row raises
+    ValueError naming its line and the row count the header promises."""
+    with open_text(path_or_fh) as fh:
+        ii, jj, nn, f = (int(v) for v in fh.readline().split())
+        rows = [fh.readline().split() for _ in range(ii + jj + nn)]
+    for k, row in enumerate(rows):
+        if len(row) != f * f:
+            raise ValueError(f"checkpoint line {k + 2} holds {len(row)} of {f * f} values; "
+                             f"the header promises {len(rows)} factor rows")
+    mat = np.array(rows, dtype=np.float64)
     return FactorTriple(
         g_i=unmatricize_factor(mat[:ii], "i", f),
         g_j=unmatricize_factor(mat[ii:ii + jj], "j", f),
@@ -299,13 +291,9 @@ def load_checkpoint(path_or_fh) -> FactorTriple:
 def write_trace_csv(state: SolverState, path_or_fh, metadata: dict | None = None) -> None:
     """Trace export: ``s,f,objective,rel_change`` rows, preceded by optional
     ``# key: value`` comment headers."""
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            write_trace_csv(state, fh, metadata)
-            return
-    fh = path_or_fh
-    for key in sorted(metadata or {}):
-        fh.write(f"# {key}: {metadata[key]}\n")
-    fh.write("s,f,objective,rel_change\n")
-    for rec in state.trace:
-        fh.write("%d,%d,%.17g,%.17g\n" % (rec.s, rec.f, rec.objective, rec.rel_change))
+    with open_text(path_or_fh, "w") as fh:
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key}: {metadata[key]}\n")
+        fh.write("s,f,objective,rel_change\n")
+        for rec in state.trace:
+            fh.write("%d,%d,%.17g,%.17g\n" % (rec.s, rec.f, rec.objective, rec.rel_change))

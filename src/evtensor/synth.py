@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import NOISE_LABEL, EventStream, compute_bin_edges
+from .events import NOISE_LABEL, EventStream, compute_bin_edges, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -220,12 +220,8 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
         prob = 0.8
     """
     parser = configparser.ConfigParser()
-    if isinstance(path_or_fh, str):
-        read = parser.read(path_or_fh)
-        if not read:
-            raise FileNotFoundError(f"scene file not found: {path_or_fh}")
-    else:
-        parser.read_file(path_or_fh)
+    with open_text(path_or_fh) as fh:
+        parser.read_file(fh)
     if "scene" not in parser:
         raise ValueError("scene file lacks a [scene] section")
     sc = parser["scene"]

@@ -115,21 +115,6 @@ def unfold(tensor: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def fold(matrix: np.ndarray, dims: tuple[int, int, int], mode: str) -> np.ndarray:
-    """Exact inverse of :func:`unfold` for the given target dims."""
-    ii, jj, nn = dims
-    expect = {"i": (ii, nn * jj), "j": (jj, nn * ii), "n": (nn, jj * ii)}
-    if mode not in expect:
-        raise ValueError(f"unknown mode {mode!r}")
-    if matrix.shape != expect[mode]:
-        raise ShapeError(f"mode-{mode} fold expects shape {expect[mode]}, got {matrix.shape}")
-    if mode == "i":
-        return matrix.reshape(ii, nn, jj).transpose(0, 2, 1)
-    if mode == "j":
-        return matrix.reshape(jj, nn, ii).transpose(2, 0, 1)
-    return matrix.reshape(nn, jj, ii).transpose(2, 1, 0)
-
-
 def matricize_factor(g: np.ndarray, mode: str) -> np.ndarray:
     """Flatten a factor's two latent axes into columns (first-listed index fastest)."""
     if g.ndim != 3:

@@ -51,6 +51,23 @@ def unfold_bruteforce(tensor, mode):
     return out
 
 
+def fold(matrix, dims, mode):
+    """Exact inverse of the declared unfolding layouts for the given target dims."""
+    from evtensor.errors import ShapeError
+
+    ii, jj, nn = dims
+    expect = {"i": (ii, nn * jj), "j": (jj, nn * ii), "n": (nn, jj * ii)}
+    if mode not in expect:
+        raise ValueError(f"unknown mode {mode!r}")
+    if matrix.shape != expect[mode]:
+        raise ShapeError(f"mode-{mode} fold expects shape {expect[mode]}, got {matrix.shape}")
+    if mode == "i":
+        return matrix.reshape(ii, nn, jj).transpose(0, 2, 1)
+    if mode == "j":
+        return matrix.reshape(jj, nn, ii).transpose(2, 0, 1)
+    return matrix.reshape(nn, jj, ii).transpose(2, 1, 0)
+
+
 def auc_bruteforce(scores, labels):
     """All-pairs Mann-Whitney count: wins 1, ties 1/2, over P*N pairs."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -21,7 +21,7 @@ DAVIS = (346, 260)
 
 
 def test_parse_two_events():
-    stream = parse_events("t,i,j\n100,5,7\n200,5,8\n", DAVIS)
+    stream = parse_events(io.StringIO("t,i,j\n100,5,7\n200,5,8\n"), DAVIS)
     assert len(stream) == 2
     assert stream.t_min == 100 and stream.t_max == 200
     np.testing.assert_array_equal(stream.j, [7, 8])
@@ -30,57 +30,57 @@ def test_parse_two_events():
 
 def test_parse_empty_source():
     with pytest.raises(EmptyStreamError):
-        parse_events("", DAVIS)
+        parse_events(io.StringIO(""), DAVIS)
     with pytest.raises(EmptyStreamError):
-        parse_events("t,i,j\n", DAVIS)
+        parse_events(io.StringIO("t,i,j\n"), DAVIS)
 
 
 def test_parse_out_of_geometry():
     with pytest.raises(GeometryError):
-        parse_events("t,i,j\n100,400,7\n", DAVIS)
+        parse_events(io.StringIO("t,i,j\n100,400,7\n"), DAVIS)
 
 
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(EventParseError) as err:
-        parse_events("t,i,j\n100,5,7\n200,x,8\n", DAVIS)
+        parse_events(io.StringIO("t,i,j\n100,5,7\n200,x,8\n"), DAVIS)
     assert err.value.line_no == 3
 
 
 def test_parse_wrong_field_count():
     with pytest.raises(EventParseError):
-        parse_events("t,i,j\n100,5\n", DAVIS)
+        parse_events(io.StringIO("t,i,j\n100,5\n"), DAVIS)
 
 
 def test_parse_unknown_column():
     with pytest.raises(EventParseError):
-        parse_events("t,i,q\n100,5,7\n", DAVIS)
+        parse_events(io.StringIO("t,i,q\n100,5,7\n"), DAVIS)
 
 
 def test_parse_sorts_by_time():
-    stream = parse_events("t,i,j\n300,1,1\n100,2,2\n200,3,3\n", DAVIS)
+    stream = parse_events(io.StringIO("t,i,j\n300,1,1\n100,2,2\n200,3,3\n"), DAVIS)
     np.testing.assert_array_equal(stream.t, [100, 200, 300])
     np.testing.assert_array_equal(stream.i, [2, 3, 1])
 
 
 def test_parse_label_and_polarity_columns():
-    stream = parse_events("t,i,j,label,polarity\n10,1,2,0,1\n20,3,4,-1,0\n", DAVIS)
+    stream = parse_events(io.StringIO("t,i,j,label,polarity\n10,1,2,0,1\n20,3,4,-1,0\n"), DAVIS)
     assert stream.has_labels
     np.testing.assert_array_equal(stream.labels, [0, -1])
 
-    no_label = parse_events("t,i,j,polarity\n10,1,2,1\n20,3,4,0\n", DAVIS)
+    no_label = parse_events(io.StringIO("t,i,j,polarity\n10,1,2,1\n20,3,4,0\n"), DAVIS)
     assert not no_label.has_labels
 
 
 def test_parse_duplicates_retained():
-    stream = parse_events("t,i,j\n100,5,7\n100,5,7\n", DAVIS)
+    stream = parse_events(io.StringIO("t,i,j\n100,5,7\n100,5,7\n"), DAVIS)
     assert len(stream) == 2
 
 
 def test_csv_roundtrip():
-    stream = parse_events("t,i,j,label\n100,5,7,0\n200,5,8,-1\n", DAVIS)
+    stream = parse_events(io.StringIO("t,i,j,label\n100,5,7,0\n200,5,8,-1\n"), DAVIS)
     buf = io.StringIO()
     write_events_csv(stream, buf)
-    again = parse_events(buf.getvalue(), DAVIS)
+    again = parse_events(io.StringIO(buf.getvalue()), DAVIS)
     np.testing.assert_array_equal(again.t, stream.t)
     np.testing.assert_array_equal(again.labels, stream.labels)
 

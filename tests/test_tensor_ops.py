@@ -7,7 +7,6 @@ from evtensor.errors import ShapeError
 from evtensor.tensor_ops import (
     FactorTriple,
     f3tn_contract,
-    fold,
     frob_dist,
     frob_norm,
     matricize_factor,
@@ -17,7 +16,7 @@ from evtensor.tensor_ops import (
     unmatricize_factor,
 )
 
-from oracles import contract_bruteforce, random_factors, unfold_bruteforce
+from oracles import contract_bruteforce, fold, random_factors, unfold_bruteforce
 
 
 def test_contract_rank1_is_outer_product():
