@@ -43,8 +43,6 @@ from .tensor_ops import (
     f3tn_contract,
     frob_dist,
     frob_norm,
-    partial_contract_pair,
-    unfold,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "load_scene_spec",
     "objective",
     "parse_events",
-    "partial_contract_pair",
     "quantile_threshold",
     "save_checkpoint",
     "score_events",
@@ -84,6 +81,5 @@ __all__ = [
     "tensor_density",
     "train_svm",
     "two_object_scene",
-    "unfold",
     "write_events_csv",
 ]

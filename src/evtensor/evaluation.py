@@ -156,12 +156,9 @@ def train_svm(features: np.ndarray, targets: np.ndarray,
     for t in range(1, epochs + 1):
         lr = 1.0 / (reg_lambda * (t + 1))
         margins = y * (z @ w + b)
-        viol = margins < 1.0
-        grad_w = reg_lambda * w
-        grad_b = 0.0
-        if viol.any():
-            grad_w = grad_w - (y[viol, None] * z[viol]).sum(axis=0) / n
-            grad_b = -y[viol].sum() / n
+        yv = np.where(margins < 1.0, y, 0.0)  # hinge subgradient: margin violators only
+        grad_w = reg_lambda * w - (yv @ z) / n
+        grad_b = -yv.sum() / n
         w = w - lr * grad_w
         b = b - lr * grad_b
     return SvmModel(weights=w, bias=b, mean=mean, std=std,

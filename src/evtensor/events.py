@@ -276,7 +276,11 @@ def read_tensor_dump(path_or_fh) -> np.ndarray:
     """Inverse of :func:`write_tensor_dump`; returns the uint8 data array."""
     with open_text(path_or_fh) as fh:
         rows, cols, n_bins = (int(v) for v in fh.readline().split())
-        values = np.array(fh.read().split(), dtype=np.uint8)
+        body = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
+    # the digits sit at the even columns of 2*cols-byte lines
+    values = body[0::2] - np.uint8(ord("0"))
     if values.size != rows * cols * n_bins:
         raise ValueError(f"dump holds {values.size} values, expected {rows * cols * n_bins}")
+    if values.size and values.max() > 1:
+        raise ValueError("a tensor dump holds only 0/1 digits, one space apart")
     return np.ascontiguousarray(values.reshape(n_bins, rows, cols).transpose(1, 2, 0))

@@ -6,8 +6,8 @@ block updates per sweep, each a strongly convex subproblem anchored to the
 previous iterate:
 
   1..3. For each mode m in (i, j, n), with H_m the partial contraction of the
-        other two (freshest) factors and X_m the mode-m unfolding of X, the
-        matricized factor solves the SPD system
+        other two (freshest) factors and X_m the mode-m unfolding of X (both
+        laid out as in tensor_ops), the matricized factor solves the SPD system
 
             G_m (H_m H_m^T + lambda2 Id) = X_m H_m^T + lambda2 G_m_old + lambda1 Q
 
@@ -24,6 +24,18 @@ whenever the relative change of X drops below `grow_tol`; the run converges
 when it drops below `conv_tol`. An iteration that grew the rank skips the
 convergence check (the same small relative change would otherwise terminate
 the run at low rank), except when the rank is already capped.
+
+Per sweep at rank f, no unfolding of X and no H_m is formed: H_m H_m^T comes
+from per-factor Grams (tensor_ops.pair_gram, O((I+J+N) f^4 + f^6)) and X_m
+H_m^T from X's own layout (tensor_ops.pair_rhs, O(IJN f^2) per mode). The only
+other full-size passes are the reconstruction in the X blend, ||X_old|| and
+||X_new - X_old||: since X_new - R = lambda2 (X_old - X_new), the trace
+objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2. A `clamp_x`
+run breaks that identity and pays a second contraction for it.
+
+The linear algebra is numpy's only, so one OpenBLAS thread pool does it all:
+SciPy's linalg loads a second OpenBLAS, and on a 2-core host the two pools
+contend enough to make a reference-scale factor solve about 10x slower.
 """
 
 from __future__ import annotations
@@ -32,7 +44,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .events import EventTensor, open_text
@@ -42,8 +53,8 @@ from .tensor_ops import (
     frob_dist,
     frob_norm,
     matricize_factor,
-    pair_contraction,
-    unfold,
+    pair_gram,
+    pair_rhs,
     unmatricize_factor,
 )
 
@@ -100,7 +111,7 @@ class SolverState:
     factors: FactorTriple
     s: int
     rng: np.random.Generator
-    observed: np.ndarray | None = None  # E as float64, kept for clamp_x
+    observed: np.ndarray | None = None  # E as float64, kept only for clamp_x
     trace: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
 
@@ -127,13 +138,15 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
 
 
 def init_state(e, cfg: SolverConfig) -> SolverState:
-    """X starts as E cast to real; rank starts at max(1, f_max - 5); factors
-    are filled i.i.d. uniform on [0, init_scale] from the seeded generator."""
+    """X starts as E cast to real (E itself is kept only for clamp_x); rank
+    starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
+    [0, init_scale] from the seeded generator."""
     data = _as_array(e)
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
     factors = _random_factors(rng, data.shape, f0, cfg.init_scale)
-    return SolverState(x=data.copy(), factors=factors, s=0, rng=rng, observed=data)
+    return SolverState(x=data.copy(), factors=factors, s=0, rng=rng,
+                       observed=data if cfg.clamp_x else None)
 
 
 def quasi_identity(rows: int, cols: int) -> np.ndarray:
@@ -147,19 +160,17 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[Fac
     factors = state.factors
     f = factors.rank
     g_old = matricize_factor(factors.factor(mode), mode)
-    h = pair_contraction(factors, mode)
-    x_mat = unfold(state.x, mode)
 
-    a = h @ h.T
+    a = pair_gram(factors, mode)
     a[np.diag_indices_from(a)] += cfg.lambda2
-    rhs = x_mat @ h.T + cfg.lambda2 * g_old
+    rhs = pair_rhs(state.x, factors, mode) + cfg.lambda2 * g_old
     if cfg.lambda1 != 0.0:
         rhs += cfg.lambda1 * quasi_identity(*rhs.shape)
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(rhs)):
         raise NumericalError(state.s, f"non-finite values entering the mode-{mode} solve")
 
     try:
-        factorization = cho_factor(a, lower=True)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         # lambda2 > 0 makes A positive definite in exact arithmetic; a one-shot
         # diagonal jitter guards roundoff
@@ -167,8 +178,9 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[Fac
         a[np.diag_indices_from(a)] += jitter
         logger.warning("mode-%s factorization failed at s=%d, retrying with jitter %g",
                        mode, state.s, jitter)
-        factorization = cho_factor(a, lower=True)
-    g_new = cho_solve(factorization, rhs.T).T
+        low = np.linalg.cholesky(a)
+    # A = L L^T and A is symmetric, so G A = rhs is L L^T G^T = rhs^T
+    g_new = np.linalg.solve(low.T, np.linalg.solve(low, rhs.T)).T
 
     residual = frob_norm(g_new @ a - rhs) / (1.0 + frob_norm(rhs))
     updated = replace(factors, **{f"g_{mode}": unmatricize_factor(g_new, mode, f)})
@@ -176,8 +188,12 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[Fac
 
 
 def blend_x(reconstruction: np.ndarray, x_old: np.ndarray, lambda2: float) -> np.ndarray:
-    """Elementwise convex blend (reconstruction + lambda2 * x_old) / (1 + lambda2)."""
-    return (reconstruction + lambda2 * x_old) / (1.0 + lambda2)
+    """Elementwise convex blend (reconstruction + lambda2 * x_old) / (1 + lambda2),
+    with one full-size temporary."""
+    out = lambda2 * x_old
+    out += reconstruction
+    out /= 1.0 + lambda2
+    return out
 
 
 def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -233,15 +249,10 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
         state.x = x_new
 
         grew = rel_change < cfg.grow_tol and state.f < cfg.f_max
-        record = TraceRecord(
-            s=state.s,
-            f=state.f,
-            objective=objective(state),
-            rel_change=rel_change,
-            max_residual=max_residual,
-            grew=grew,
-        )
-        state.trace.append(record)
+        # unclamped, X_new - R = lambda2 * (X_old - X_new), so no second contraction
+        obj = objective(state) if cfg.clamp_x else 0.5 * (cfg.lambda2 * delta) ** 2
+        state.trace.append(TraceRecord(s=state.s, f=state.f, objective=obj, rel_change=rel_change,
+                                       max_residual=max_residual, grew=grew))
         if grew:
             grow_rank(state, cfg)
             logger.debug("s=%d rank grown to %d (rel_change=%.3e)", state.s, state.f, rel_change)

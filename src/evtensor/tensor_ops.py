@@ -14,17 +14,22 @@ Everything here is a pure function over float64 numpy arrays. The unfolding
 and latent-pair flattening conventions are fixed here once; the solver and
 feature extraction depend on them being mutually consistent:
 
-    unfold(T, 'i') is I x (J*N) with column n*J + j   (j fastest)
-    unfold(T, 'j') is J x (I*N) with column n*I + i   (i fastest)
-    unfold(T, 'n') is N x (I*J) with column j*I + i   (i fastest)
+    X_i, the mode-i unfolding, is I x (J*N) with column n*J + j   (j fastest)
+    X_j is J x (I*N) with column n*I + i                          (i fastest)
+    X_n is N x (I*J) with column j*I + i                          (i fastest)
 
     matricize_factor flattens the two latent axes of a factor with the
     first-listed index fastest: (x,y) -> y*f + x for mode i, (x,z) -> z*f + x
     for mode j, (y,z) -> z*f + y for mode n.
 
-With those layouts, for every mode m:
+With H_m the f^2 x (product of the other two dims) partial contraction of the
+two factors other than g_m, summed over their shared latent index, and R the
+reconstruction, for every mode m:
 
-    unfold(contract(factors), m) == matricize_factor(g_m, m) @ pair_contraction
+    R_m == matricize_factor(g_m, m) @ H_m
+
+The solver never forms X_m or H_m: pair_gram gives H_m H_m^T from per-factor
+Grams and pair_rhs gives X_m H_m^T from X's own (I, J, N) layout.
 """
 
 from __future__ import annotations
@@ -58,13 +63,9 @@ class FactorTriple:
         return (self.g_i.shape[0], self.g_j.shape[1], self.g_n.shape[2])
 
     def factor(self, mode: str) -> np.ndarray:
-        if mode == "i":
-            return self.g_i
-        if mode == "j":
-            return self.g_j
-        if mode == "n":
-            return self.g_n
-        raise ValueError(f"unknown mode {mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        return getattr(self, f"g_{mode}")
 
 
 def validate_factors(g_i: np.ndarray, g_j: np.ndarray, g_n: np.ndarray) -> int:
@@ -101,20 +102,6 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
     return out.reshape(ii, jj, nn)
 
 
-def unfold(tensor: np.ndarray, mode: str) -> np.ndarray:
-    """Matricize a 3rd-order tensor along one mode (layouts in module docstring)."""
-    if tensor.ndim != 3:
-        raise ShapeError(f"expected a 3rd-order tensor, got ndim={tensor.ndim}")
-    ii, jj, nn = tensor.shape
-    if mode == "i":
-        return tensor.transpose(0, 2, 1).reshape(ii, nn * jj)
-    if mode == "j":
-        return tensor.transpose(1, 2, 0).reshape(jj, nn * ii)
-    if mode == "n":
-        return tensor.transpose(2, 1, 0).reshape(nn, jj * ii)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def matricize_factor(g: np.ndarray, mode: str) -> np.ndarray:
     """Flatten a factor's two latent axes into columns (first-listed index fastest)."""
     if g.ndim != 3:
@@ -145,57 +132,62 @@ def unmatricize_factor(m: np.ndarray, mode: str, f: int) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def partial_contract_pair(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """Contract the two factors complementary to `mode` over their shared latent index.
+# mode -> the pair of other factors, each as (name, data axis, latent axis
+# shared with the other one); the first one's open latent axis is H_m's fastest row index
+PAIRS = {"i": (("g_j", 1, 2), ("g_n", 2, 1)),
+         "j": (("g_i", 0, 2), ("g_n", 2, 0)),
+         "n": (("g_i", 0, 1), ("g_j", 1, 0))}
 
-    `mode` names the omitted factor; the remaining pair is passed in canonical
-    order (mode 'i': a=g_j, b=g_n; mode 'j': a=g_i, b=g_n; mode 'n': a=g_i,
-    b=g_j). Returns the f^2 x (product of the two open data dims) matrix H_m
-    satisfying unfold(reconstruction, m) == matricize_factor(g_m, m) @ H_m.
-    """
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError("partial contraction expects two 3rd-order factors")
-    if mode == "i":
-        # a=(x,j,z), b=(y,z,n); rows (x,y) x-fastest, cols (j,n) j-fastest
-        f, jj, fz = a.shape
-        fy, fz2, nn = b.shape
-        if not (f == fz == fy == fz2):
-            raise ShapeError(f"latent dims disagree: g_j {a.shape}, g_n {b.shape}")
-        h = np.einsum("xjz,yzn->yxnj", a, b)
-        return h.reshape(f * f, nn * jj)
-    if mode == "j":
-        # a=(i,x,y), b=(y,z,n); rows (x,z) x-fastest, cols (i,n) i-fastest
-        ii, f, fy = a.shape
-        fy2, fz, nn = b.shape
-        if not (f == fy == fy2 == fz):
-            raise ShapeError(f"latent dims disagree: g_i {a.shape}, g_n {b.shape}")
-        h = np.einsum("ixy,yzn->zxni", a, b)
-        return h.reshape(f * f, nn * ii)
+
+def _latent_gram(g: np.ndarray, data_axis: int, shared_axis: int) -> np.ndarray:
+    """A factor's Gram over its data axis, as the (p, p') x (s, s') matrix with
+    p its open latent axis and s the latent axis it shares."""
+    m = g.transpose(data_axis, 3 - data_axis - shared_axis, shared_axis)
+    d, f, _ = m.shape
+    m = m.reshape(d, f * f)
+    return (m.T @ m).reshape(f, f, f, f).transpose(0, 2, 1, 3).reshape(f * f, f * f)
+
+
+def pair_gram(factors: FactorTriple, mode: str) -> np.ndarray:
+    """H_m H_m^T from the two other factors' own Grams, O((I+J+N) f^4 + f^6),
+    without forming H_m: for mode i, (H_i H_i^T)[(x,y),(x',y')] =
+    sum_{z,z'} Gram(g_j)[x,z,x',z'] Gram(g_n)[y,z,y',z']."""
+    if mode not in PAIRS:
+        raise ValueError(f"unknown mode {mode!r}")
+    f = factors.rank
+    a, b = (_latent_gram(getattr(factors, name), data, shared)
+            for name, data, shared in PAIRS[mode])
+    out = (a @ b.T).reshape(f, f, f, f)  # (p, p', q, q'); rows (p, q) p fastest
+    return out.transpose(2, 0, 3, 1).reshape(f * f, f * f)
+
+
+def pair_rhs(x: np.ndarray, factors: FactorTriple, mode: str) -> np.ndarray:
+    """X_m H_m^T, read from X's (I, J, N) layout with no unfolding or H_m:
+    modes i and j first contract n against g_n (one I*J*N*f^2 matmul), mode n
+    contracts the (i, j) pair of g_i and g_j against X's rows."""
+    f = factors.rank
+    ii, jj, nn = factors.dims
+    if x.shape != (ii, jj, nn):
+        raise ShapeError(f"X has shape {x.shape}, the factors {(ii, jj, nn)}")
+    rows = x.reshape(ii * jj, nn)
     if mode == "n":
-        # a=(i,x,y), b=(x,j,z); rows (y,z) y-fastest, cols (i,j) i-fastest
-        ii, f, fy = a.shape
-        fx, jj, fz = b.shape
-        if not (f == fy == fx == fz):
-            raise ShapeError(f"latent dims disagree: g_i {a.shape}, g_j {b.shape}")
-        h = np.einsum("ixy,xjz->zyji", a, b)
-        return h.reshape(f * f, jj * ii)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def pair_contraction(factors: FactorTriple, mode: str) -> np.ndarray:
-    """The mode-m partial contraction of a triple's other two factors."""
-    if mode == "i":
-        return partial_contract_pair(factors.g_j, factors.g_n, "i")
-    if mode == "j":
-        return partial_contract_pair(factors.g_i, factors.g_n, "j")
-    if mode == "n":
-        return partial_contract_pair(factors.g_i, factors.g_j, "n")
-    raise ValueError(f"unknown mode {mode!r}")
+        # p[(i,j), z*f + y] = sum_x g_i[i,x,y] g_j[x,j,z]
+        p = np.tensordot(factors.g_i, factors.g_j, axes=(1, 0)).transpose(0, 2, 3, 1)
+        return rows.T @ p.reshape(ii * jj, f * f)
+    if mode not in ("i", "j"):
+        raise ValueError(f"unknown mode {mode!r}")
+    # t[i,j,y,z] = sum_n x[i,j,n] g_n[y,z,n]
+    t = (rows @ factors.g_n.reshape(f * f, nn).T).reshape(ii, jj, f, f)
+    if mode == "i":  # sum over (j, z) against g_j -> (i, y, x): column y*f + x
+        return np.tensordot(t, factors.g_j, axes=([1, 3], [1, 2])).reshape(ii, f * f)
+    # sum over (i, y) against g_i -> (j, z, x): column z*f + x
+    return np.tensordot(t, factors.g_i, axes=([0, 2], [0, 2])).reshape(jj, f * f)
 
 
 def frob_norm(t: np.ndarray) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(t, dtype=np.float64))))
+    """Frobenius norm: sqrt of one BLAS dot of the entries with themselves."""
+    v = np.ascontiguousarray(t, dtype=np.float64).ravel()
+    return float(np.sqrt(np.dot(v, v)))
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

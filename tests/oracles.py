@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here is deliberately naive -- literal loops over the defining
-formulas -- and shares no code with the library paths it checks.
+formulas, or explicit unfoldings and partial contractions that the library
+no longer builds -- and shares no code with the library paths it checks.
 """
 
 import numpy as np
@@ -66,6 +67,72 @@ def fold(matrix, dims, mode):
     if mode == "j":
         return matrix.reshape(jj, nn, ii).transpose(2, 0, 1)
     return matrix.reshape(nn, jj, ii).transpose(2, 1, 0)
+
+
+def unfold(tensor: np.ndarray, mode: str) -> np.ndarray:
+    """Matricize a 3rd-order tensor along one mode (layouts in the tensor_ops docstring)."""
+    from evtensor.errors import ShapeError
+
+    if tensor.ndim != 3:
+        raise ShapeError(f"expected a 3rd-order tensor, got ndim={tensor.ndim}")
+    ii, jj, nn = tensor.shape
+    if mode == "i":
+        return tensor.transpose(0, 2, 1).reshape(ii, nn * jj)
+    if mode == "j":
+        return tensor.transpose(1, 2, 0).reshape(jj, nn * ii)
+    if mode == "n":
+        return tensor.transpose(2, 1, 0).reshape(nn, jj * ii)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def partial_contract_pair(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """Contract the two factors complementary to `mode` over their shared latent index.
+
+    `mode` names the omitted factor; the remaining pair is passed in canonical
+    order (mode 'i': a=g_j, b=g_n; mode 'j': a=g_i, b=g_n; mode 'n': a=g_i,
+    b=g_j). Returns the f^2 x (product of the two open data dims) matrix H_m
+    satisfying unfold(reconstruction, m) == matricize_factor(g_m, m) @ H_m.
+    """
+    from evtensor.errors import ShapeError
+
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError("partial contraction expects two 3rd-order factors")
+    if mode == "i":
+        # a=(x,j,z), b=(y,z,n); rows (x,y) x-fastest, cols (j,n) j-fastest
+        f, jj, fz = a.shape
+        fy, fz2, nn = b.shape
+        if not (f == fz == fy == fz2):
+            raise ShapeError(f"latent dims disagree: g_j {a.shape}, g_n {b.shape}")
+        h = np.einsum("xjz,yzn->yxnj", a, b)
+        return h.reshape(f * f, nn * jj)
+    if mode == "j":
+        # a=(i,x,y), b=(y,z,n); rows (x,z) x-fastest, cols (i,n) i-fastest
+        ii, f, fy = a.shape
+        fy2, fz, nn = b.shape
+        if not (f == fy == fy2 == fz):
+            raise ShapeError(f"latent dims disagree: g_i {a.shape}, g_n {b.shape}")
+        h = np.einsum("ixy,yzn->zxni", a, b)
+        return h.reshape(f * f, nn * ii)
+    if mode == "n":
+        # a=(i,x,y), b=(x,j,z); rows (y,z) y-fastest, cols (i,j) i-fastest
+        ii, f, fy = a.shape
+        fx, jj, fz = b.shape
+        if not (f == fy == fx == fz):
+            raise ShapeError(f"latent dims disagree: g_i {a.shape}, g_j {b.shape}")
+        h = np.einsum("ixy,xjz->zyji", a, b)
+        return h.reshape(f * f, jj * ii)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def pair_contraction(factors, mode: str) -> np.ndarray:
+    """The mode-m partial contraction of a triple's other two factors."""
+    if mode == "i":
+        return partial_contract_pair(factors.g_j, factors.g_n, "i")
+    if mode == "j":
+        return partial_contract_pair(factors.g_i, factors.g_n, "j")
+    if mode == "n":
+        return partial_contract_pair(factors.g_i, factors.g_j, "n")
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def auc_bruteforce(scores, labels):

@@ -208,3 +208,30 @@ def test_tensor_dump_order_is_n_outer_i_middle_j_inner():
     write_tensor_dump(EventTensor(data=data, bin_edges=edges), stream_buf)
     body = stream_buf.getvalue().split("\n", 1)[1].split()
     assert [int(v) for v in body] == [0, 0, 1, 0, 0, 0, 0, 0]
+
+
+def _dump_text(data) -> str:
+    buf = io.StringIO()
+    write_tensor_dump(data, buf)
+    return buf.getvalue()
+
+
+def test_tensor_dump_roundtrip_random_tensor():
+    data = np.random.default_rng(4).integers(0, 2, size=(5, 7, 3), dtype=np.uint8)
+    got = read_tensor_dump(io.StringIO(_dump_text(data)))
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, data)
+
+
+@pytest.mark.parametrize("cut", [2, 3, 16])
+def test_truncated_tensor_dump_raises(cut):
+    text = _dump_text(np.ones((3, 4, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="dump holds .* values, expected 24"):
+        read_tensor_dump(io.StringIO(text[:-cut]))
+
+
+def test_tensor_dump_with_a_foreign_character_raises():
+    text = _dump_text(np.ones((2, 2, 2), dtype=np.uint8))
+    header, body = text.split("\n", 1)
+    with pytest.raises(ValueError, match="0/1 digits"):
+        read_tensor_dump(io.StringIO(header + "\n" + body.replace("1", "7", 1)))

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import evtensor.solver as solver_module
 from evtensor.errors import NumericalError
 from evtensor.events import EventStream, bin_to_tensor
 from evtensor.solver import (
@@ -26,11 +27,15 @@ from evtensor.tensor_ops import (
     frob_dist,
     frob_norm,
     matricize_factor,
-    pair_contraction,
-    unfold,
 )
 
-from oracles import objective_bruteforce, random_factors, scalar_rank1_factor_update
+from oracles import (
+    objective_bruteforce,
+    pair_contraction,
+    random_factors,
+    scalar_rank1_factor_update,
+    unfold,
+)
 
 
 def make_state(e, cfg):
@@ -409,6 +414,45 @@ def test_max_residual_tracked_in_trace():
     cfg = SolverConfig(f_max=3, s_max=25, seed=0)
     _, state = solve(e, cfg)
     assert all(r.max_residual <= 1e-8 for r in state.trace)
+
+
+def _solve_recording_blends(monkeypatch, e, cfg):
+    """Solve while keeping each sweep's X_old, X_new and factors at the X update;
+    returns the state, the explicit 0.5 ||X_new - R||^2 and the closed form
+    0.5 (lambda2 ||X_new - X_old||)^2 of every sweep."""
+    seen = []
+
+    def recording_update_x(state, cfg):
+        x_new = update_x(state, cfg)
+        seen.append((state.x, x_new, state.factors))
+        return x_new
+
+    monkeypatch.setattr(solver_module, "update_x", recording_update_x)
+    _, state = solve(e, cfg)
+    assert len(seen) == len(state.trace)
+    explicit = [objective(SolverState(x=x_new, factors=fac, s=0, rng=None))
+                for _, x_new, fac in seen]
+    closed = [0.5 * (cfg.lambda2 * frob_dist(x_new, x_old)) ** 2 for x_old, x_new, _ in seen]
+    return state, explicit, closed
+
+
+def test_unclamped_trace_objective_is_the_explicit_half_squared_distance(monkeypatch):
+    e = (np.random.default_rng(21).random((7, 6, 5)) < 0.3).astype(float)
+    cfg = SolverConfig(f_max=4, lambda1=0.1, lambda2=0.2, s_max=60, seed=3)
+    state, explicit, _ = _solve_recording_blends(monkeypatch, e, cfg)
+    assert any(r.grew for r in state.trace)
+    for rec, expected in zip(state.trace, explicit):
+        assert rec.objective == pytest.approx(expected, rel=1e-10)
+
+
+def test_clamped_trace_objective_is_computed_explicitly(monkeypatch):
+    e = (np.random.default_rng(22).random((7, 6, 5)) < 0.3).astype(float)
+    cfg = SolverConfig(f_max=3, lambda2=0.2, s_max=20, seed=3, clamp_x=True)
+    state, explicit, closed = _solve_recording_blends(monkeypatch, e, cfg)
+    assert [r.objective for r in state.trace] == explicit
+    # the re-clamp breaks X_new - R = lambda2 * (X_old - X_new): the closed
+    # form would misreport a clamped run
+    assert closed != pytest.approx(explicit, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,20 @@ from evtensor.tensor_ops import (
     frob_dist,
     frob_norm,
     matricize_factor,
-    pair_contraction,
-    partial_contract_pair,
-    unfold,
+    pair_gram,
+    pair_rhs,
     unmatricize_factor,
 )
 
-from oracles import contract_bruteforce, fold, random_factors, unfold_bruteforce
+from oracles import (
+    contract_bruteforce,
+    fold,
+    pair_contraction,
+    partial_contract_pair,
+    random_factors,
+    unfold,
+    unfold_bruteforce,
+)
 
 
 def test_contract_rank1_is_outer_product():
@@ -186,3 +193,51 @@ def test_norm_invariant_under_balanced_rescaling():
     assert frob_norm(f3tn_contract(rescaled)) == pytest.approx(
         frob_norm(f3tn_contract(factors)), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# pair_gram / pair_rhs against the explicit H_m and X_m of the oracles
+
+
+def _assert_close(got, expected):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 3, 6])
+def test_pair_gram_equals_explicit_gram(mode, f):
+    factors = random_factors(np.random.default_rng(f), (7, 5, 4), f)
+    h = pair_contraction(factors, mode)
+    _assert_close(pair_gram(factors, mode), h @ h.T)
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 3, 6])
+def test_pair_rhs_equals_unfolded_product(mode, f):
+    rng = np.random.default_rng(10 + f)
+    factors = random_factors(rng, (7, 5, 4), f)
+    x = rng.normal(size=(7, 5, 4))
+    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ pair_contraction(factors, mode).T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    f=st.integers(1, 4),
+    mode=st.sampled_from("ijn"),
+    seed=st.integers(0, 2**16),
+)
+def test_pair_gram_and_rhs_property(dims, f, mode, seed):
+    rng = np.random.default_rng(seed)
+    factors = random_factors(rng, dims, f)
+    x = rng.normal(size=dims)
+    h = pair_contraction(factors, mode)
+    _assert_close(pair_gram(factors, mode), h @ h.T)
+    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ h.T)
+
+
+def test_pair_rhs_shape_mismatch():
+    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
+    with pytest.raises(ShapeError):
+        pair_rhs(np.zeros((3, 4, 6)), factors, "i")
