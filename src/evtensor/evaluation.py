@@ -148,7 +148,8 @@ def train_svm(features: np.ndarray, targets: np.ndarray,
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0.0] = 1.0  # constant dims carry no signal; avoid divide-by-zero
-    z = (features - mean) / std
+    z = features - mean
+    z /= std
 
     n, d = z.shape
     w = np.zeros(d)

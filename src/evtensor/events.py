@@ -119,7 +119,7 @@ class EventTensor:
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.int64)
         if self.data.ndim != 3:
             raise ValueError("event tensor must be 3rd-order")
-        if not np.isin(self.data, (0, 1)).all():
+        if not ((self.data == 0) | (self.data == 1)).all():
             raise ValueError("event tensor entries must be exactly 0 or 1")
         if len(self.bin_edges) != self.data.shape[2] + 1:
             raise ValueError("bin_edges must have N+1 entries")

@@ -27,11 +27,17 @@ the run at low rank), except when the rank is already capped.
 
 Per sweep at rank f, no unfolding of X and no H_m is formed: H_m H_m^T comes
 from per-factor Grams (tensor_ops.pair_gram, O((I+J+N) f^4 + f^6)) and X_m
-H_m^T from X's own layout (tensor_ops.pair_rhs, O(IJN f^2) per mode). The only
-other full-size passes are the reconstruction in the X blend, ||X_old|| and
-||X_new - X_old||: since X_new - R = lambda2 (X_old - X_new), the trace
-objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2. A `clamp_x`
-run breaks that identity and pays a second contraction for it.
+H_m^T from X's own layout (tensor_ops.pair_rhs, O(IJN f^2) per mode). Outside
+the factor solves a sweep allocates one full-size buffer and makes six
+full-size passes: the reconstruction R is written into the buffer, which is
+turned in place into D = X_new - X_old = (R - X_old) / (1 + lambda2), whose
+norm is the step ||X_new - X_old||, and adding X_old back makes it X_new;
+||X_old|| is the sixth. The X step and the stop check thus share the
+reconstruction's buffer, and X_old is never written. Since
+X_new - R = lambda2 (X_old - X_new), the trace objective 0.5 ||X_new - R||^2
+is 0.5 (lambda2 ||X_new - X_old||)^2. A `clamp_x` run breaks that identity: it
+pays an explicit difference for the step and a second contraction for the
+objective.
 
 The linear algebra is numpy's only, so one OpenBLAS thread pool does it all:
 SciPy's linalg loads a second OpenBLAS, and on a 2-core host the two pools
@@ -120,14 +126,6 @@ class SolverState:
         return self.factors.rank
 
 
-def _as_array(e) -> np.ndarray:
-    data = e.data if isinstance(e, EventTensor) else e
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError("expected a 3rd-order tensor")
-    return data
-
-
 def _random_factors(rng, dims, f, scale) -> FactorTriple:
     ii, jj, nn = dims
     return FactorTriple(
@@ -138,15 +136,18 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
 
 
 def init_state(e, cfg: SolverConfig) -> SolverState:
-    """X starts as E cast to real (E itself is kept only for clamp_x); rank
-    starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
+    """X starts as a float64 copy of E (E itself is kept only for clamp_x);
+    rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
     [0, init_scale] from the seeded generator."""
-    data = _as_array(e)
+    data = e.data if isinstance(e, EventTensor) else e
+    x = np.array(data, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError("expected a 3rd-order tensor")
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
-    factors = _random_factors(rng, data.shape, f0, cfg.init_scale)
-    return SolverState(x=data.copy(), factors=factors, s=0, rng=rng,
-                       observed=data if cfg.clamp_x else None)
+    factors = _random_factors(rng, x.shape, f0, cfg.init_scale)
+    return SolverState(x=x, factors=factors, s=0, rng=rng,
+                       observed=np.asarray(data, dtype=np.float64) if cfg.clamp_x else None)
 
 
 def quasi_identity(rows: int, cols: int) -> np.ndarray:
@@ -187,23 +188,21 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[Fac
     return updated, residual
 
 
-def blend_x(reconstruction: np.ndarray, x_old: np.ndarray, lambda2: float) -> np.ndarray:
-    """Elementwise convex blend (reconstruction + lambda2 * x_old) / (1 + lambda2),
-    with one full-size temporary."""
-    out = lambda2 * x_old
-    out += reconstruction
-    out /= 1.0 + lambda2
-    return out
-
-
-def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Blend update for the target tensor, optionally re-clamping observed 1s."""
-    x_new = blend_x(f3tn_contract(state.factors), state.x, cfg.lambda2)
+def update_x(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarray, float]:
+    """X_new = (R + lambda2 X_old) / (1 + lambda2), observed 1s re-clamped under
+    clamp_x, and the step ||X_new - X_old||. The reconstruction R's buffer
+    becomes X_new - X_old, then X_new; state.x is not written."""
+    if cfg.clamp_x and state.observed is None:
+        raise ValueError("clamp_x requires the observed tensor on the state")
+    x_new = f3tn_contract(state.factors)
+    x_new -= state.x
+    x_new /= 1.0 + cfg.lambda2
+    step = frob_norm(x_new)
+    x_new += state.x
     if cfg.clamp_x:
-        if state.observed is None:
-            raise ValueError("clamp_x requires the observed tensor on the state")
         x_new[state.observed == 1.0] = 1.0
-    return x_new
+        step = frob_dist(x_new, state.x)
+    return x_new, step
 
 
 def grow_rank(state: SolverState, cfg: SolverConfig) -> SolverState:
@@ -243,8 +242,7 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
             state.factors, residual = update_factor(state, mode, cfg)
             max_residual = max(max_residual, residual)
         x_old_norm = frob_norm(state.x)
-        x_new = update_x(state, cfg)
-        delta = frob_dist(x_new, state.x)
+        x_new, delta = update_x(state, cfg)
         rel_change = delta / x_old_norm if x_old_norm > 0 else delta
         state.x = x_new
 

@@ -160,6 +160,15 @@ def objective_bruteforce(x, g_i, g_j, g_n):
     return 0.5 * acc
 
 
+def blend_x(reconstruction: np.ndarray, x_old: np.ndarray, lambda2: float) -> np.ndarray:
+    """Elementwise convex blend (reconstruction + lambda2 * x_old) / (1 + lambda2),
+    with one full-size temporary."""
+    out = lambda2 * x_old
+    out += reconstruction
+    out /= 1.0 + lambda2
+    return out
+
+
 def scalar_rank1_factor_update(x_mat, h_row, g_old_col, lambda1, lambda2):
     """f=1 factor update: each row of the matricized factor is one division.
 

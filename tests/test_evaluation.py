@@ -221,6 +221,37 @@ def test_svm_rerun_bitwise_identical():
     assert m1.bias == m2.bias
 
 
+def _svm_weights_dividing_a_fresh_difference(features, targets, reg_lambda=1e-3, epochs=500):
+    """train_svm's loop with its standardization written as one expression,
+    (features - mean) / std."""
+    y = np.where(targets == targets.max(), 1.0, -1.0)
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    z = (features - mean) / std
+    n, d = z.shape
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(1, epochs + 1):
+        lr = 1.0 / (reg_lambda * (t + 1))
+        margins = y * (z @ w + b)
+        yv = np.where(margins < 1.0, y, 0.0)
+        w = w - lr * (reg_lambda * w - (yv @ z) / n)
+        b = b - lr * (-yv.sum() / n)
+    return w, b
+
+
+def test_svm_in_place_standardization_is_bit_identical():
+    rng = np.random.default_rng(12)
+    x = rng.normal(loc=3.0, scale=[0.5, 2.0, 7.0, 1e-3, 40.0], size=(300, 5))
+    x[:, 1] = 4.0  # a constant dimension
+    y = (x[:, 0] + 0.3 * rng.normal(size=300) > 3.0).astype(int)
+    model = train_svm(x, y)
+    w, b = _svm_weights_dividing_a_fresh_difference(x, y)
+    np.testing.assert_array_equal(model.weights, w)
+    assert model.bias == b
+
+
 def test_svm_concatenated_duplicate_set_matches():
     # full-batch means duplication changes nothing but summation blocking
     rng = np.random.default_rng(1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
     EventStream,
+    EventTensor,
     bin_to_tensor,
     compute_bin_edges,
     parse_events,
@@ -235,3 +236,18 @@ def test_tensor_dump_with_a_foreign_character_raises():
     header, body = text.split("\n", 1)
     with pytest.raises(ValueError, match="0/1 digits"):
         read_tensor_dump(io.StringIO(header + "\n" + body.replace("1", "7", 1)))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_event_tensor_rejects_entries_other_than_0_and_1(bad):
+    data = np.zeros((2, 3, 4))
+    data[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="exactly 0 or 1"):
+        EventTensor(data=data, bin_edges=np.arange(5))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+def test_event_tensor_accepts_0_1_data_of_any_dtype(dtype):
+    data = (np.random.default_rng(0).random((2, 3, 4)) < 0.5).astype(dtype)
+    tensor = EventTensor(data=data, bin_edges=np.arange(5))
+    np.testing.assert_array_equal(tensor.data, data)

@@ -5,11 +5,10 @@ import pytest
 
 import evtensor.solver as solver_module
 from evtensor.errors import NumericalError
-from evtensor.events import EventStream, bin_to_tensor
+from evtensor.events import EventStream, EventTensor, bin_to_tensor
 from evtensor.solver import (
     SolverConfig,
     SolverState,
-    blend_x,
     grow_rank,
     init_state,
     load_checkpoint,
@@ -30,6 +29,7 @@ from evtensor.tensor_ops import (
 )
 
 from oracles import (
+    blend_x,
     objective_bruteforce,
     pair_contraction,
     random_factors,
@@ -87,6 +87,29 @@ def test_init_x_is_e_as_float():
     assert state.x.dtype == np.float64
     np.testing.assert_array_equal(state.x, e.astype(np.float64))
     assert (state.factors.g_i >= 0).all() and (state.factors.g_i <= 0.1).all()
+
+
+@pytest.mark.parametrize("as_event_tensor", [False, True])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
+    e = (np.random.default_rng(3).random((3, 4, 5)) < 0.3).astype(dtype)
+    before = e.copy()
+    source = EventTensor(data=e, bin_edges=np.arange(6)) if as_event_tensor else e
+    state = init_state(source, SolverConfig())
+    assert state.x.dtype == np.float64
+    np.testing.assert_array_equal(state.x, e.astype(np.float64))
+    assert state.observed is None
+    state.x[...] = 7.0
+    np.testing.assert_array_equal(e, before)
+
+
+def test_init_keeps_e_for_clamp_x():
+    e = (np.random.default_rng(4).random((3, 4, 5)) < 0.3).astype(np.uint8)
+    state = init_state(e, SolverConfig(clamp_x=True))
+    assert state.observed.dtype == np.float64
+    np.testing.assert_array_equal(state.observed, e.astype(np.float64))
+    state.x[...] = 7.0
+    np.testing.assert_array_equal(state.observed, e.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +178,7 @@ def test_sweep_is_gauss_seidel_in_mode_order():
     manual = init_state(e, cfg)
     for mode in "ijn":
         manual.factors, _ = update_factor(manual, mode, cfg)
-    manual_x = update_x(manual, cfg)
+    manual_x, _ = update_x(manual, cfg)
     factors, state = solve(e, cfg)
     np.testing.assert_array_equal(factors.g_i, manual.factors.g_i)
     np.testing.assert_array_equal(factors.g_j, manual.factors.g_j)
@@ -209,10 +232,10 @@ def test_update_x_clamps_observed_when_enabled():
     e[1, 1, 1] = 1.0
     cfg = SolverConfig(clamp_x=True, lambda2=0.5, seed=0)
     state = init_state(e, cfg)
-    x_new = update_x(state, cfg)
+    x_new, _ = update_x(state, cfg)
     assert x_new[1, 1, 1] == 1.0
     cfg_off = SolverConfig(clamp_x=False, lambda2=0.5, seed=0)
-    x_plain = update_x(init_state(e, cfg_off), cfg_off)
+    x_plain, _ = update_x(init_state(e, cfg_off), cfg_off)
     assert x_plain[1, 1, 1] != 1.0
 
 
@@ -221,10 +244,49 @@ def test_update_x_is_entrywise_convex_combination():
     e = np.random.default_rng(6).uniform(size=(4, 4, 4))
     state = init_state(e, cfg)
     recon = f3tn_contract(state.factors)
-    x_new = update_x(state, cfg)
+    x_new, _ = update_x(state, cfg)
     lo = np.minimum(recon, state.x)
     hi = np.maximum(recon, state.x)
     assert (x_new >= lo - 1e-12).all() and (x_new <= hi + 1e-12).all()
+
+
+def _sweep_states(cfg, sweeps=6, seed=11):
+    """(state, x_new, step) at the X update of each of the first sweeps of a
+    solve, with the factors updated and X advanced by hand."""
+    e = (np.random.default_rng(seed).random((7, 6, 5)) < 0.3).astype(float)
+    state = init_state(e, cfg)
+    for _ in range(sweeps):
+        for mode in "ijn":
+            state.factors, _ = update_factor(state, mode, cfg)
+        x_old = state.x.copy()
+        x_new, step = update_x(state, cfg)
+        yield state, x_old, x_new, step
+        state.x = x_new
+
+
+@pytest.mark.parametrize("lambda2", [0.1, 0.4, 3.0])
+def test_update_x_matches_the_blend_oracle(lambda2):
+    cfg = SolverConfig(f_max=3, lambda2=lambda2, seed=2)
+    for state, x_old, x_new, _ in _sweep_states(cfg):
+        expected = blend_x(f3tn_contract(state.factors), x_old, lambda2)
+        np.testing.assert_allclose(x_new, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("clamp_x", [False, True])
+def test_update_x_step_is_the_distance_moved(clamp_x):
+    cfg = SolverConfig(f_max=3, lambda2=0.2, seed=5, clamp_x=clamp_x)
+    for state, x_old, x_new, step in _sweep_states(cfg):
+        assert step == pytest.approx(frob_dist(x_new, x_old), rel=1e-12)
+        if clamp_x:
+            assert (x_new[state.observed == 1.0] == 1.0).all()
+
+
+@pytest.mark.parametrize("clamp_x", [False, True])
+def test_update_x_leaves_x_old_untouched(clamp_x):
+    cfg = SolverConfig(f_max=3, lambda2=0.2, seed=5, clamp_x=clamp_x)
+    for state, x_old, x_new, _ in _sweep_states(cfg):
+        assert not np.shares_memory(x_new, state.x)
+        np.testing.assert_array_equal(state.x, x_old)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +485,9 @@ def _solve_recording_blends(monkeypatch, e, cfg):
     seen = []
 
     def recording_update_x(state, cfg):
-        x_new = update_x(state, cfg)
+        x_new, step = update_x(state, cfg)
         seen.append((state.x, x_new, state.factors))
-        return x_new
+        return x_new, step
 
     monkeypatch.setattr(solver_module, "update_x", recording_update_x)
     _, state = solve(e, cfg)
