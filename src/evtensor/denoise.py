@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
+from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, format_rows, open_text
 from .tensor_ops import FactorTriple
 
 logger = logging.getLogger(__name__)
@@ -117,14 +117,15 @@ def quantile_threshold(scores: np.ndarray, quantile: float = DEFAULT_QUANTILE) -
 
 
 def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> None:
-    """Per-event report rows: t,i,j[,label],score,kept."""
-    has_labels = stream.has_labels
+    """Per-event report rows: t,i,j[,label],score,kept. A report whose scores
+    or kept mask do not align with the stream raises ConsistencyError before
+    anything is written."""
+    if len(report.scores) != len(stream) or len(report.kept) != len(stream):
+        raise ConsistencyError("the report is not aligned with the event stream")
+    labels = (stream.labels,) if stream.has_labels else ()
+    columns = (stream.t, stream.i, stream.j, *labels,
+               report.scores, np.asarray(report.kept, dtype=bool))
+    header = "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n"
+    text = header + format_rows("%d," * (3 + len(labels)) + "%.17g,%d\n", columns)
     with open_text(path_or_fh, "w") as fh:
-        fh.write("t,i,j,label,score,kept\n" if has_labels else "t,i,j,score,kept\n")
-        for k in range(len(stream)):
-            cells = [str(int(stream.t[k])), str(int(stream.i[k])), str(int(stream.j[k]))]
-            if has_labels:
-                cells.append(str(int(stream.labels[k])))
-            cells.append("%.17g" % report.scores[k])
-            cells.append("1" if report.kept[k] else "0")
-            fh.write(",".join(cells) + "\n")
+        fh.write(text)

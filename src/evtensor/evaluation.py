@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ProtocolError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
@@ -176,7 +175,16 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ProtocolError("AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    # average ranks: each run of tied sorted scores at positions [start, end)
+    # shares the rank (start + 1 + end) / 2
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -9,7 +9,13 @@ when at least one event hit pixel (i, j) during bin n.
 
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
-accepted and ignored.
+accepted and ignored. :func:`parse_events` decodes the body as one int64
+array and checks it column by column. Input that this decode or these checks
+refuse is read line by line instead: any malformed, negative-time or
+out-of-geometry record, and also whitespace-only lines, spellings that only
+Python's ``int()`` takes (``1_000``) and a polarity field that is not an
+integer, which that path accepts. The writers format all rows with one
+``%``-format.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -22,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +145,12 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     Raises EventParseError with the offending line number on malformed
     records, GeometryError on out-of-bounds coordinates, EmptyStreamError
     when no events are present.
+
+    The body is decoded with one ``np.loadtxt`` call. Where that decode or the
+    column checks after it refuse the body, :func:`_parse_lines` reads it
+    line by line. That path is kept because it is the only one that runs on
+    such input: it names the offending line, and it accepts the inputs the
+    module docstring lists.
     """
     with open_text(source) as fh:
         header_line = fh.readline()
@@ -151,36 +164,59 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         for required in ("t", "i", "j"):
             if required not in columns:
                 raise EventParseError(1, f"missing required column {required!r}")
-        idx = {c: k for k, c in enumerate(columns)}
-        want_label = "label" in idx
+        lines = fh.readlines()
 
-        tt, ii, jj, labels = [], [], [], []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise EventParseError(line_no, f"expected {len(columns)} fields, got {len(parts)}")
-            try:
-                t = int(parts[idx["t"]])
-                i = int(parts[idx["i"]])
-                j = int(parts[idx["j"]])
-                label = int(parts[idx["label"]]) if want_label else None
-            except ValueError as exc:
-                raise EventParseError(line_no, f"non-integer field ({exc})") from None
-            if t < 0:
-                raise EventParseError(line_no, f"negative timestamp {t}")
-            rows, cols = geometry
-            if not (0 <= i < rows):
-                raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")
-            if not (0 <= j < cols):
-                raise GeometryError(f"line {line_no}: j={j} outside geometry cols [0, {cols})")
-            tt.append(t)
-            ii.append(i)
-            jj.append(j)
-            if want_label:
-                labels.append(label)
+    try:
+        with warnings.catch_warnings():
+            # a body without events is reported by _parse_lines as EmptyStreamError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy parses a float such as 1.5 into an int64 with only a
+            # DeprecationWarning; the line-by-line path rejects it
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        body = None
+    if body is not None and body.shape[1] == len(columns):
+        fields = dict(zip(columns, np.ascontiguousarray(body.T)))
+        t, i, j = fields["t"], fields["i"], fields["j"]
+        rows, cols = geometry
+        if t.min() >= 0 and i.min() >= 0 and i.max() < rows and j.min() >= 0 and j.max() < cols:
+            return EventStream(i=i, j=j, t=t, geometry=geometry, labels=fields.get("label"))
+    return _parse_lines(lines, columns, geometry)
+
+
+def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
+    """Line-by-line reading of the CSV body after its `columns` header: the
+    first bad line, counted from the header's line 1, raises its typed error."""
+    idx = {c: k for k, c in enumerate(columns)}
+    want_label = "label" in idx
+    tt, ii, jj, labels = [], [], [], []
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise EventParseError(line_no, f"expected {len(columns)} fields, got {len(parts)}")
+        try:
+            t = int(parts[idx["t"]])
+            i = int(parts[idx["i"]])
+            j = int(parts[idx["j"]])
+            label = int(parts[idx["label"]]) if want_label else None
+        except ValueError as exc:
+            raise EventParseError(line_no, f"non-integer field ({exc})") from None
+        if t < 0:
+            raise EventParseError(line_no, f"negative timestamp {t}")
+        rows, cols = geometry
+        if not (0 <= i < rows):
+            raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")
+        if not (0 <= j < cols):
+            raise GeometryError(f"line {line_no}: j={j} outside geometry cols [0, {cols})")
+        tt.append(t)
+        ii.append(i)
+        jj.append(j)
+        if want_label:
+            labels.append(label)
 
     if not tt:
         raise EmptyStreamError("source contains a header but zero events")
@@ -191,17 +227,23 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     )
 
 
+def format_rows(row: str, columns) -> str:
+    """Every row of the equal-length `columns` through the %-format `row`, as
+    one string. The cells go to one ``%`` as Python objects, so integers stay
+    exact and floats format as Python floats."""
+    cells = np.column_stack([np.asarray(c).astype(object) for c in columns])
+    return (row * len(cells)) % tuple(cells.ravel().tolist())
+
+
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
     """Write a stream in the canonical CSV format (label column when present)."""
+    if stream.has_labels:
+        header, columns = "t,i,j,label\n", (stream.t, stream.i, stream.j, stream.labels)
+    else:
+        header, columns = "t,i,j\n", (stream.t, stream.i, stream.j)
+    text = header + format_rows(",".join(["%d"] * len(columns)) + "\n", columns)
     with open_text(path_or_fh, "w") as fh:
-        if stream.has_labels:
-            fh.write("t,i,j,label\n")
-            for t, i, j, lab in zip(stream.t, stream.i, stream.j, stream.labels):
-                fh.write(f"{t},{i},{j},{lab}\n")
-        else:
-            fh.write("t,i,j\n")
-            for t, i, j in zip(stream.t, stream.i, stream.j):
-                fh.write(f"{t},{i},{j}\n")
+        fh.write(text)
 
 
 def compute_bin_edges(t_min: int, t_max: int, n_bins: int) -> np.ndarray:

@@ -39,9 +39,10 @@ is 0.5 (lambda2 ||X_new - X_old||)^2. A `clamp_x` run breaks that identity: it
 pays an explicit difference for the step and a second contraction for the
 objective.
 
-The linear algebra is numpy's only, so one OpenBLAS thread pool does it all:
-SciPy's linalg loads a second OpenBLAS, and on a 2-core host the two pools
-contend enough to make a reference-scale factor solve about 10x slower.
+The package imports no SciPy at all, so the linear algebra is numpy's only
+and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
+OpenBLAS, and on a 2-core host the two pools contend enough to make a
+reference-scale factor solve about 10x slower.
 """
 
 from __future__ import annotations

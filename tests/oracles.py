@@ -194,3 +194,34 @@ def random_factors(rng, dims, f, lo=-1.0, hi=1.0):
         g_j=rng.uniform(lo, hi, size=(f, jj, f)),
         g_n=rng.uniform(lo, hi, size=(f, f, nn)),
     )
+
+
+def write_events_csv(stream, path_or_fh) -> None:
+    """Row-at-a-time event CSV writer: one f-string per event."""
+    from evtensor.events import open_text
+
+    with open_text(path_or_fh, "w") as fh:
+        if stream.has_labels:
+            fh.write("t,i,j,label\n")
+            for t, i, j, lab in zip(stream.t, stream.i, stream.j, stream.labels):
+                fh.write(f"{t},{i},{j},{lab}\n")
+        else:
+            fh.write("t,i,j\n")
+            for t, i, j in zip(stream.t, stream.i, stream.j):
+                fh.write(f"{t},{i},{j}\n")
+
+
+def write_report_csv(stream, report, path_or_fh) -> None:
+    """Row-at-a-time denoise report writer: one list of cells per event."""
+    from evtensor.events import open_text
+
+    has_labels = stream.has_labels
+    with open_text(path_or_fh, "w") as fh:
+        fh.write("t,i,j,label,score,kept\n" if has_labels else "t,i,j,score,kept\n")
+        for k in range(len(stream)):
+            cells = [str(int(stream.t[k])), str(int(stream.i[k])), str(int(stream.j[k]))]
+            if has_labels:
+                cells.append(str(int(stream.labels[k])))
+            cells.append("%.17g" % report.scores[k])
+            cells.append("1" if report.kept[k] else "0")
+            fh.write(",".join(cells) + "\n")

@@ -15,6 +15,7 @@ from evtensor.solver import SolverConfig, solve
 from evtensor.synth import ObjectSpec, SceneSpec, generate
 from evtensor.tensor_ops import f3tn_contract
 
+import oracles
 from oracles import random_factors
 
 
@@ -162,3 +163,30 @@ def test_report_csv_layout():
     assert lines[0] == "t,i,j,label,score,kept"
     assert len(lines) == 3
     assert lines[1].endswith(",1")
+
+
+@pytest.mark.parametrize("labels", [None, [0, NOISE_LABEL, 3, NOISE_LABEL, -5]],
+                         ids=["unlabelled", "labelled"])
+def test_report_csv_bytes_equal_the_row_writer(labels):
+    stream = EventStream(i=[0, 1, 2, 3, 3], j=[1, 0, 2, 3, 3], t=[0, 10, 2**45, 40, 40],
+                         geometry=(4, 4), labels=labels)
+    scores = np.array([0.0, -0.0, 5e-324, 1e-300, 1.7e308])
+    _, report = filter_events(stream, scores, 1e-300)
+    fast, rows = io.StringIO(), io.StringIO()
+    write_report_csv(stream, report, fast)
+    oracles.write_report_csv(stream, report, rows)
+    assert fast.getvalue() == rows.getvalue()
+    assert "-0," in fast.getvalue() and "4.9406564584124654e-324" in fast.getvalue()
+
+
+@pytest.mark.parametrize("field", ["scores", "kept"])
+@pytest.mark.parametrize("resize", [lambda a: a[:-1], lambda a: np.r_[a, a[:1]]],
+                         ids=["shorter", "longer"])
+def test_report_csv_rejects_a_misaligned_report(tmp_path, field, resize):
+    stream, tensor, factors = small_setup()
+    _, report = filter_events(stream, score_events(stream, tensor, factors), 0.0)
+    setattr(report, field, resize(getattr(report, field)))
+    path = tmp_path / "report.csv"
+    with pytest.raises(ConsistencyError):
+        write_report_csv(stream, report, path)
+    assert not path.exists()

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evtensor
 from evtensor.errors import ConsistencyError, ProtocolError
 from evtensor.evaluation import (
     FeatureMatrix,
@@ -340,6 +345,26 @@ def test_auc_complement_without_ties():
     scores = rng.permutation(20).astype(float)  # distinct
     labels = np.r_[np.ones(10, dtype=int), np.zeros(10, dtype=int)]
     assert auc(scores, labels) + auc(-scores, labels) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scores", [[np.nan, 1.0, 2.0, 0.5], [0.0, 1.0, 2.0, np.nan]])
+def test_auc_of_nan_scores_is_nan(scores):
+    assert np.isnan(auc(scores, [1, 0, 1, 0]))
+
+
+def test_auc_counts_signed_zeros_as_a_tie():
+    scores, labels = [0.0, -0.0, 1.0, -1.0, -0.0], [1, 0, 1, 0, 1]
+    assert auc(scores, labels) == auc_bruteforce(scores, labels)
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = Path(evtensor.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import evtensor, evtensor.cli; print('scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, str(src)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from evtensor.events import (
     write_events_csv,
     write_tensor_dump,
 )
+
+import oracles
 
 DAVIS = (346, 260)
 
@@ -84,6 +88,114 @@ def test_csv_roundtrip():
     again = parse_events(io.StringIO(buf.getvalue()), DAVIS)
     np.testing.assert_array_equal(again.t, stream.t)
     np.testing.assert_array_equal(again.labels, stream.labels)
+
+
+def test_parse_counts_line_numbers_across_blank_lines():
+    with pytest.raises(EventParseError) as err:
+        parse_events(io.StringIO("t,i,j\n1,2,3\n\n4,x,6\n"), DAVIS)
+    assert err.value.line_no == 4
+
+
+def test_parse_skips_whitespace_only_lines():
+    stream = parse_events(io.StringIO("t,i,j\n1,2,3\n   \n\t\n4,5,6\n"), DAVIS)
+    np.testing.assert_array_equal(stream.t, [1, 4])
+    np.testing.assert_array_equal(stream.i, [2, 5])
+
+
+def test_parse_accepts_spellings_that_int_takes():
+    stream = parse_events(io.StringIO("t,i,j\n1_000,+5, 7 \n"), DAVIS)
+    assert (stream.t[0], stream.i[0], stream.j[0]) == (1000, 5, 7)
+
+
+@pytest.mark.parametrize("bad", ["-5", "1.5", "1e3", ""])
+def test_parse_rejects_a_timestamp_with_its_line(bad):
+    with pytest.raises(EventParseError) as err:
+        parse_events(io.StringIO(f"t,i,j\n1,2,3\n{bad},2,3\n4,5,6\n"), DAVIS)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,400,3", "line 3: i=400 outside geometry rows [0, 346)"),
+    ("2,-1,3", "line 3: i=-1 outside geometry rows [0, 346)"),
+    ("2,3,260", "line 3: j=260 outside geometry cols [0, 260)"),
+])
+def test_parse_geometry_error_names_the_line(row, message):
+    with pytest.raises(GeometryError, match=re.escape(message)):
+        parse_events(io.StringIO(f"t,i,j\n1,2,3\n{row}\n"), DAVIS)
+
+
+def test_parse_rejects_one_extra_field_on_every_row():
+    with pytest.raises(EventParseError) as err:
+        parse_events(io.StringIO("t,i,j\n1,2,3,4\n5,6,7,8\n"), DAVIS)
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["stream", "file"])
+def test_parse_crlf_and_a_last_line_without_newline(tmp_path, as_file):
+    text = "t,i,j,label\r\n10,1,2,0\r\n20,3,4,-1"
+    if as_file:
+        source = tmp_path / "crlf.csv"
+        source.write_bytes(text.encode("ascii"))
+    else:
+        source = io.StringIO(text)
+    stream = parse_events(source, DAVIS)
+    np.testing.assert_array_equal(stream.t, [10, 20])
+    np.testing.assert_array_equal(stream.j, [2, 4])
+    np.testing.assert_array_equal(stream.labels, [0, -1])
+
+
+def test_parse_permuted_header_ignores_text_polarity():
+    stream = parse_events(io.StringIO("j,label,t,i,polarity\n7,1,20,5,on\n8,-1,10,6,off\n"), DAVIS)
+    np.testing.assert_array_equal(stream.t, [10, 20])
+    np.testing.assert_array_equal(stream.i, [6, 5])
+    np.testing.assert_array_equal(stream.j, [8, 7])
+    np.testing.assert_array_equal(stream.labels, [-1, 1])
+
+
+@pytest.mark.parametrize("text", ["t,i,j\n", "t,i,j", "t,i,j\n\n\n", "t,i,j\n  \n"])
+def test_parse_header_only_raises_without_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyStreamError):
+            parse_events(io.StringIO(text), DAVIS)
+
+
+@st.composite
+def event_streams(draw):
+    m = draw(st.integers(1, 30))
+    ints = st.lists(st.integers(0, 2**40), min_size=m, max_size=m)
+    labelled = draw(st.booleans())
+    return EventStream(
+        i=draw(st.lists(st.integers(0, DAVIS[0] - 1), min_size=m, max_size=m)),
+        j=draw(st.lists(st.integers(0, DAVIS[1] - 1), min_size=m, max_size=m)),
+        t=draw(ints),
+        geometry=DAVIS,
+        labels=draw(st.lists(st.integers(-1, 5), min_size=m, max_size=m)) if labelled else None,
+    )
+
+
+@given(event_streams())
+@settings(max_examples=50, deadline=None)
+def test_csv_write_parse_roundtrip(stream):
+    buf = io.StringIO()
+    write_events_csv(stream, buf)
+    again = parse_events(io.StringIO(buf.getvalue()), DAVIS)
+    for name in ("t", "i", "j"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(stream, name))
+    assert again.has_labels == stream.has_labels
+    if stream.has_labels:
+        np.testing.assert_array_equal(again.labels, stream.labels)
+
+
+@pytest.mark.parametrize("labels", [None, [0, 1, -1, -1, 0], [-7, -1, 2**40, 3, -(2**40)]],
+                         ids=["unlabelled", "labelled", "negative-labels"])
+def test_write_events_csv_bytes_equal_the_row_writer(labels):
+    stream = EventStream(i=[0, 5, 345, 7, 7], j=[259, 0, 3, 3, 3], t=[0, 1, 2**45, 99, 99],
+                         geometry=DAVIS, labels=labels)
+    fast, rows = io.StringIO(), io.StringIO()
+    write_events_csv(stream, fast)
+    oracles.write_events_csv(stream, rows)
+    assert fast.getvalue() == rows.getvalue()
 
 
 def test_single_event_with_declared_range():
