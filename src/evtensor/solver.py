@@ -27,17 +27,24 @@ the run at low rank), except when the rank is already capped.
 
 Per sweep at rank f, no unfolding of X and no H_m is formed: H_m H_m^T comes
 from per-factor Grams (tensor_ops.pair_gram, O((I+J+N) f^4 + f^6)) and X_m
-H_m^T from X's own layout (tensor_ops.pair_rhs, O(IJN f^2) per mode). Outside
-the factor solves a sweep allocates one full-size buffer and makes six
-full-size passes: the reconstruction R is written into the buffer, which is
-turned in place into D = X_new - X_old = (R - X_old) / (1 + lambda2), whose
-norm is the step ||X_new - X_old||, and adding X_old back makes it X_new;
-||X_old|| is the sixth. The X step and the stop check thus share the
-reconstruction's buffer, and X_old is never written. Since
-X_new - R = lambda2 (X_old - X_new), the trace objective 0.5 ||X_new - R||^2
-is 0.5 (lambda2 ||X_new - X_old||)^2. A `clamp_x` run breaks that identity: it
-pays an explicit difference for the step and a second contraction for the
-objective.
+H_m^T from X's own layout (tensor_ops.pair_rhs). A sweep makes three
+I*J*N*f^2 products:
+
+  - the mode-i right-hand side, one batched matmul of g_j against X;
+  - V = g_i^T X (tensor_ops.gi_x_product), taken once after the mode-i update
+    and shared by modes j and n, which finish from it in O(J*N*f^3) each
+    (g_i does not change between those two updates);
+  - the reconstruction R, written into one recycled full-size buffer.
+
+That buffer is the previous sweep's X_old, so after the first sweep an
+unclamped solve allocates no full-size array. R is turned in place into
+D = X_new - X_old = (R - X_old) / (1 + lambda2), whose norm is the step
+||X_new - X_old||, and adding X_old back makes it X_new; with ||X_old|| that is
+five more full-size passes. The X step and the stop check thus share the reconstruction's buffer,
+and the live X is never written. Since X_new - R = lambda2 (X_old - X_new),
+the trace objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2.
+A `clamp_x` run breaks that identity: it pays an explicit difference for the
+step and a second contraction for the objective.
 
 The package imports no SciPy at all, so the linear algebra is numpy's only
 and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
@@ -59,6 +66,7 @@ from .tensor_ops import (
     f3tn_contract,
     frob_dist,
     frob_norm,
+    gi_x_product,
     matricize_factor,
     pair_gram,
     pair_rhs,
@@ -151,23 +159,21 @@ def init_state(e, cfg: SolverConfig) -> SolverState:
                        observed=np.asarray(data, dtype=np.float64) if cfg.clamp_x else None)
 
 
-def quasi_identity(rows: int, cols: int) -> np.ndarray:
-    """Rectangular matrix with ones exactly on matching row/column indices."""
-    return np.eye(rows, cols)
-
-
-def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[FactorTriple, float]:
+def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
+                  gi_x: np.ndarray | None = None) -> tuple[FactorTriple, float]:
     """Solve the mode-m subproblem; returns the updated triple and the solve
-    residual ||G A - rhs||_F / (1 + ||rhs||_F)."""
+    residual ||G A - rhs||_F / (1 + ||rhs||_F). Modes j and n reuse `gi_x`,
+    tensor_ops.gi_x_product of state.x and the current g_i, when given."""
     factors = state.factors
     f = factors.rank
     g_old = matricize_factor(factors.factor(mode), mode)
 
     a = pair_gram(factors, mode)
     a[np.diag_indices_from(a)] += cfg.lambda2
-    rhs = pair_rhs(state.x, factors, mode) + cfg.lambda2 * g_old
+    rhs = pair_rhs(state.x, factors, mode, gi_x) + cfg.lambda2 * g_old
     if cfg.lambda1 != 0.0:
-        rhs += cfg.lambda1 * quasi_identity(*rhs.shape)
+        # lambda1 Q, with Q the rectangular quasi-identity (ones where row == column)
+        rhs[np.diag_indices(min(rhs.shape))] += cfg.lambda1
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(rhs)):
         raise NumericalError(state.s, f"non-finite values entering the mode-{mode} solve")
 
@@ -189,13 +195,17 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig) -> tuple[Fac
     return updated, residual
 
 
-def update_x(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarray, float]:
+def update_x(state: SolverState, cfg: SolverConfig,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """X_new = (R + lambda2 X_old) / (1 + lambda2), observed 1s re-clamped under
-    clamp_x, and the step ||X_new - X_old||. The reconstruction R's buffer
-    becomes X_new - X_old, then X_new; state.x is not written."""
+    clamp_x, and the step ||X_new - X_old||. The reconstruction R is written
+    into `out` (a fresh array when None), which becomes X_new - X_old, then
+    X_new; state.x is not written, so `out` must not share its memory."""
     if cfg.clamp_x and state.observed is None:
         raise ValueError("clamp_x requires the observed tensor on the state")
-    x_new = f3tn_contract(state.factors)
+    if out is not None and np.shares_memory(out, state.x):
+        raise ValueError("update_x cannot write X_new into the memory of X_old")
+    x_new = f3tn_contract(state.factors, out=out)
     x_new -= state.x
     x_new /= 1.0 + cfg.lambda2
     step = frob_norm(x_new)
@@ -237,15 +247,19 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
     a run that exhausts s_max returns normally with `converged=False`."""
     cfg = cfg or SolverConfig()
     state = init_state(e, cfg)
+    spare = None  # the previous sweep's X_old, the buffer of the next R
     while state.s < cfg.s_max:
-        max_residual = 0.0
-        for mode in ("i", "j", "n"):
-            state.factors, residual = update_factor(state, mode, cfg)
-            max_residual = max(max_residual, residual)
+        state.factors, res_i = update_factor(state, "i", cfg)
+        # modes j and n both contract X with the fresh g_i: one product for both
+        gi_x = gi_x_product(state.x, state.factors.g_i)
+        state.factors, res_j = update_factor(state, "j", cfg, gi_x)
+        state.factors, res_n = update_factor(state, "n", cfg, gi_x)
+        del gi_x  # free before the X update's buffers
+        max_residual = max(0.0, res_i, res_j, res_n)
         x_old_norm = frob_norm(state.x)
-        x_new, delta = update_x(state, cfg)
+        x_new, delta = update_x(state, cfg, out=spare)
         rel_change = delta / x_old_norm if x_old_norm > 0 else delta
-        state.x = x_new
+        spare, state.x = state.x, x_new
 
         grew = rel_change < cfg.grow_tol and state.f < cfg.f_max
         # unclamped, X_new - R = lambda2 * (X_old - X_new), so no second contraction

@@ -91,31 +91,34 @@ class SceneSpec:
             raise ValueError("a scene with no objects and no noise would be empty")
 
 
-def _footprint_pixels(pos, footprint, geometry):
-    """Integer pixels of the L-inf ball around pos, clipped to the sensor.
-    Returns (pixels inside, count clipped away)."""
+def _footprint_offsets(footprint):
+    """(di, dj) offsets of the L-inf ball of radius `footprint`, di outer and
+    dj inner."""
+    r = np.arange(-footprint, footprint + 1)
+    return np.repeat(r, r.size), np.tile(r, r.size)
+
+
+def _footprint_pixels(pos, offsets, geometry):
+    """Pixels of the footprint around pos that lie on the sensor, as row and
+    column arrays in offset order, and the count clipped away."""
     rows, cols = geometry
-    ci = int(round(pos[0]))
-    cj = int(round(pos[1]))
-    pix = []
-    clipped = 0
-    for di in range(-footprint, footprint + 1):
-        for dj in range(-footprint, footprint + 1):
-            i, j = ci + di, cj + dj
-            if 0 <= i < rows and 0 <= j < cols:
-                pix.append((i, j))
-            else:
-                clipped += 1
-    return pix, clipped
+    i = int(round(pos[0])) + offsets[0]
+    j = int(round(pos[1])) + offsets[1]
+    inside = (i >= 0) & (i < rows) & (j >= 0) & (j < cols)
+    return i[inside], j[inside], inside.size - int(np.count_nonzero(inside))
 
 
 def generate(spec: SceneSpec) -> EventStream:
     """Emit the scene as a labeled, time-sorted stream. Fully deterministic
-    given the spec (per-frame substreams spawned from the scene seed)."""
+    given the spec (per-frame substreams spawned from the scene seed).
+
+    Per frame and object, one draw decides which footprint pixels fire and one
+    draws the fired events' timestamps, in pixel order."""
     edges = compute_bin_edges(0, spec.duration_us, spec.n_frames)
     frame_rngs = [np.random.default_rng(s) for s in
                   np.random.SeedSequence(spec.seed).spawn(spec.n_frames)]
     rows, cols = spec.geometry
+    offsets = [_footprint_offsets(obj.footprint) for obj in spec.objects]
     ev_i, ev_j, ev_t, ev_label = [], [], [], []
     warned = set()
 
@@ -124,35 +127,35 @@ def generate(spec: SceneSpec) -> EventStream:
         lo, hi = int(edges[n]), int(edges[n + 1])
         midpoint = n + 0.5
         for obj_id, obj in enumerate(spec.objects):
-            pix, clipped = _footprint_pixels(obj.position(midpoint), obj.footprint,
-                                             spec.geometry)
+            pix_i, pix_j, clipped = _footprint_pixels(obj.position(midpoint), offsets[obj_id],
+                                                      spec.geometry)
             if clipped and obj_id not in warned:
                 warned.add(obj_id)
                 logger.warning(
                     "object %d footprint leaves the sensor at frame %d; clipping",
                     obj_id, n,
                 )
-            if not pix:
+            if not pix_i.size:
                 continue
-            fires = rng.random(len(pix)) < obj.prob
-            for (i, j), fired in zip(pix, fires):
-                if fired:
-                    ev_i.append(i)
-                    ev_j.append(j)
-                    ev_t.append(int(rng.integers(lo, hi)))
-                    ev_label.append(obj_id)
+            fires = rng.random(pix_i.size) < obj.prob
+            n_fired = int(np.count_nonzero(fires))
+            if n_fired:
+                ev_i.append(pix_i[fires])
+                ev_j.append(pix_j[fires])
+                ev_t.append(rng.integers(lo, hi, size=n_fired))
+                ev_label.append(np.full(n_fired, obj_id))
         n_noise = int(rng.poisson(spec.noise_per_frame))
         if n_noise:
-            ev_i.extend(int(v) for v in rng.integers(0, rows, size=n_noise))
-            ev_j.extend(int(v) for v in rng.integers(0, cols, size=n_noise))
-            ev_t.extend(int(v) for v in rng.integers(lo, hi, size=n_noise))
-            ev_label.extend([NOISE_LABEL] * n_noise)
+            ev_i.append(rng.integers(0, rows, size=n_noise))
+            ev_j.append(rng.integers(0, cols, size=n_noise))
+            ev_t.append(rng.integers(lo, hi, size=n_noise))
+            ev_label.append(np.full(n_noise, NOISE_LABEL))
 
     if not ev_t:
         raise ValueError("scene produced zero events; raise probabilities or noise rate")
     return EventStream(
-        i=np.array(ev_i), j=np.array(ev_j), t=np.array(ev_t),
-        geometry=spec.geometry, labels=np.array(ev_label),
+        i=np.concatenate(ev_i), j=np.concatenate(ev_j), t=np.concatenate(ev_t),
+        geometry=spec.geometry, labels=np.concatenate(ev_label),
         t_min=0, t_max=spec.duration_us,
     )
 
@@ -178,10 +181,10 @@ def describe(spec: SceneSpec) -> SceneSummary:
         midpoint = n + 0.5
         obj_prob: dict[tuple[int, int], float] = {}
         for obj in spec.objects:
-            pix, _ = _footprint_pixels(obj.position(midpoint), obj.footprint,
-                                       spec.geometry)
-            expected_events += obj.prob * len(pix)
-            for p in pix:
+            pix_i, pix_j, _ = _footprint_pixels(obj.position(midpoint),
+                                                _footprint_offsets(obj.footprint), spec.geometry)
+            expected_events += obj.prob * pix_i.size
+            for p in zip(pix_i.tolist(), pix_j.tolist()):
                 keep = obj_prob.get(p, 1.0)
                 obj_prob[p] = keep * (1.0 - obj.prob)
         # footprint cells: miss if all covering objects miss and noise misses

@@ -29,7 +29,11 @@ reconstruction, for every mode m:
     R_m == matricize_factor(g_m, m) @ H_m
 
 The solver never forms X_m or H_m: pair_gram gives H_m H_m^T from per-factor
-Grams and pair_rhs gives X_m H_m^T from X's own (I, J, N) layout.
+Grams and pair_rhs gives X_m H_m^T from X's own (I, J, N) layout. Mode i is
+one batched matmul of g_j against X's (J, N) slices, then g_n over (z, n).
+Modes j and n both start from gi_x_product, V = matricize_factor(g_i, "i")^T
+X_(I, J*N), and finish with g_n over (y, n) or g_j over (x, j) in O(J*N*f^3),
+so a solver sweep computes V once for the two of them.
 """
 
 from __future__ import annotations
@@ -86,8 +90,9 @@ def validate_factors(g_i: np.ndarray, g_j: np.ndarray, g_n: np.ndarray) -> int:
     return f
 
 
-def f3tn_contract(factors: FactorTriple) -> np.ndarray:
-    """Full reconstruction of the (I, J, N) tensor from the factor triple.
+def f3tn_contract(factors: FactorTriple, out: np.ndarray | None = None) -> np.ndarray:
+    """Full reconstruction of the (I, J, N) tensor from the factor triple,
+    written into `out` (a C-contiguous float64 (I, J, N) array) when given.
 
     Contracts g_j and g_n over z first (cost f^3*J*N), then folds in g_i
     (cost I*f^2*J*N) -- cheapest order for f much smaller than I, J, N.
@@ -98,8 +103,12 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
     # (x,j,z) x (y,z,n) -> (x,j,y,n), then pair up (x,y) against g_i's (x,y)
     t = np.tensordot(g_j, g_n, axes=(2, 1))
     t = t.transpose(0, 2, 1, 3).reshape(f * f, jj * nn)
-    out = g_i.reshape(ii, f * f) @ t
-    return out.reshape(ii, jj, nn)
+    if out is None:
+        return (g_i.reshape(ii, f * f) @ t).reshape(ii, jj, nn)
+    if out.shape != (ii, jj, nn) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous float64 array of shape {(ii, jj, nn)}")
+    np.matmul(g_i.reshape(ii, f * f), t, out=out.reshape(ii, jj * nn))
+    return out
 
 
 def matricize_factor(g: np.ndarray, mode: str) -> np.ndarray:
@@ -161,27 +170,45 @@ def pair_gram(factors: FactorTriple, mode: str) -> np.ndarray:
     return out.transpose(2, 0, 3, 1).reshape(f * f, f * f)
 
 
-def pair_rhs(x: np.ndarray, factors: FactorTriple, mode: str) -> np.ndarray:
-    """X_m H_m^T, read from X's (I, J, N) layout with no unfolding or H_m:
-    modes i and j first contract n against g_n (one I*J*N*f^2 matmul), mode n
-    contracts the (i, j) pair of g_i and g_j against X's rows."""
+def gi_x_product(x: np.ndarray, g_i: np.ndarray) -> np.ndarray:
+    """The (f^2, J*N) product V = matricize_factor(g_i, "i")^T X_(I, J*N), one
+    I*J*N*f^2 matmul: V[y*f + x, j*N + n] = sum_i g_i[i,x,y] x[i,j,n]. The
+    mode-j and mode-n right-hand sides both start from it."""
+    ii, jj, nn = x.shape
+    return matricize_factor(g_i, "i").T @ x.reshape(ii, jj * nn)
+
+
+def pair_rhs(x: np.ndarray, factors: FactorTriple, mode: str,
+             gi_x: np.ndarray | None = None) -> np.ndarray:
+    """X_m H_m^T, read from X's (I, J, N) layout with no unfolding or H_m.
+
+    Mode i is one batched matmul of g_j against X's (J, N) slices, then g_n
+    over (z, n). Modes j and n contract `gi_x`, the gi_x_product of X and
+    factors.g_i, with g_n over (y, n) or with g_j over (x, j), each
+    O(J*N*f^3); it is computed here when not given. A caller that passes it
+    must have taken it from the current g_i."""
     f = factors.rank
     ii, jj, nn = factors.dims
     if x.shape != (ii, jj, nn):
         raise ShapeError(f"X has shape {x.shape}, the factors {(ii, jj, nn)}")
-    rows = x.reshape(ii * jj, nn)
-    if mode == "n":
-        # p[(i,j), z*f + y] = sum_x g_i[i,x,y] g_j[x,j,z]
-        p = np.tensordot(factors.g_i, factors.g_j, axes=(1, 0)).transpose(0, 2, 3, 1)
-        return rows.T @ p.reshape(ii * jj, f * f)
-    if mode not in ("i", "j"):
+    if mode == "i":
+        # w[i, x*f + z, n] = sum_j g_j[x,j,z] x[i,j,n]
+        w = factors.g_j.transpose(0, 2, 1).reshape(f * f, jj) @ x
+        # sum over (z, n) against g_n -> (i, x, y): column y*f + x
+        p = w.reshape(ii, f, f * nn) @ factors.g_n.reshape(f, f * nn).T
+        return p.transpose(0, 2, 1).reshape(ii, f * f)
+    if mode not in ("j", "n"):
         raise ValueError(f"unknown mode {mode!r}")
-    # t[i,j,y,z] = sum_n x[i,j,n] g_n[y,z,n]
-    t = (rows @ factors.g_n.reshape(f * f, nn).T).reshape(ii, jj, f, f)
-    if mode == "i":  # sum over (j, z) against g_j -> (i, y, x): column y*f + x
-        return np.tensordot(t, factors.g_j, axes=([1, 3], [1, 2])).reshape(ii, f * f)
-    # sum over (i, y) against g_i -> (j, z, x): column z*f + x
-    return np.tensordot(t, factors.g_i, axes=([0, 2], [0, 2])).reshape(jj, f * f)
+    if gi_x is None:
+        gi_x = gi_x_product(x, factors.g_i)
+    v = gi_x.reshape(f, f * jj, nn)  # (y, (x, j), n)
+    if mode == "j":
+        # per y, sum over n against g_n[y]; then over y -> (x, j, z): column z*f + x
+        p = (v @ factors.g_n.transpose(0, 2, 1)).sum(axis=0)
+        return p.reshape(f, jj, f).transpose(1, 2, 0).reshape(jj, f * f)
+    # sum over (x, j) against g_j -> (y, z, n): column z*f + y
+    p = factors.g_j.reshape(f * jj, f).T @ v
+    return p.transpose(2, 1, 0).reshape(nn, f * f)
 
 
 def frob_norm(t: np.ndarray) -> float:

@@ -13,7 +13,6 @@ from evtensor.solver import (
     init_state,
     load_checkpoint,
     objective,
-    quasi_identity,
     save_checkpoint,
     solve,
     update_factor,
@@ -25,6 +24,7 @@ from evtensor.tensor_ops import (
     f3tn_contract,
     frob_dist,
     frob_norm,
+    gi_x_product,
     matricize_factor,
 )
 
@@ -32,6 +32,7 @@ from oracles import (
     blend_x,
     objective_bruteforce,
     pair_contraction,
+    quasi_identity,
     random_factors,
     scalar_rank1_factor_update,
     unfold,
@@ -206,6 +207,20 @@ def test_residual_bound_on_random_problem():
         assert residual <= 1e-8
 
 
+@pytest.mark.parametrize("mode", "jn")
+@pytest.mark.parametrize("lambda1", [0.0, 0.3])
+def test_update_factor_with_the_shared_product_is_bit_identical(mode, lambda1):
+    cfg = SolverConfig(f_max=6, lambda1=lambda1, lambda2=0.2, seed=12)
+    e = (np.random.default_rng(12).random((9, 7, 5)) < 0.3).astype(float)
+    state = init_state(e, cfg)
+    state.factors = random_factors(np.random.default_rng(13), (9, 7, 5), 4, lo=0.0)
+    shared = gi_x_product(state.x, state.factors.g_i)
+    with_shared, res_shared = update_factor(state, mode, cfg, shared)
+    without, res = update_factor(state, mode, cfg)
+    np.testing.assert_array_equal(with_shared.factor(mode), without.factor(mode))
+    assert res_shared == res
+
+
 # ---------------------------------------------------------------------------
 # update_x
 
@@ -287,6 +302,51 @@ def test_update_x_leaves_x_old_untouched(clamp_x):
     for state, x_old, x_new, _ in _sweep_states(cfg):
         assert not np.shares_memory(x_new, state.x)
         np.testing.assert_array_equal(state.x, x_old)
+
+
+def test_update_x_refuses_to_write_over_x_old():
+    cfg = SolverConfig(f_max=2, seed=1)
+    state = init_state(np.random.default_rng(1).uniform(size=(4, 3, 5)), cfg)
+    before = state.x.copy()
+    for out in (state.x, state.x[...], state.x.reshape(-1).reshape(4, 3, 5)):
+        with pytest.raises(ValueError):
+            update_x(state, cfg, out=out)
+    np.testing.assert_array_equal(state.x, before)
+
+
+def test_update_x_into_out_is_bit_identical():
+    cfg = SolverConfig(f_max=3, lambda2=0.3, seed=2)
+    state = init_state(np.random.default_rng(2).uniform(size=(5, 4, 6)), cfg)
+    out = np.full(state.x.shape, np.nan)
+    x_new, step = update_x(state, cfg, out=out)
+    expected, expected_step = update_x(state, cfg)
+    assert x_new is out
+    np.testing.assert_array_equal(x_new, expected)
+    assert step == expected_step
+
+
+def test_solve_recycles_x_old_without_aliasing(monkeypatch):
+    # from the second sweep on, the X update writes into the previous X_old;
+    # it must never be handed the live X, and X_new must still be the blend
+    cfg = SolverConfig(f_max=3, lambda2=0.2, s_max=6, conv_tol=1e-12, grow_tol=1e-11, seed=4)
+    e = (np.random.default_rng(4).random((7, 6, 5)) < 0.3).astype(float)
+    outs = []
+
+    def checking_update_x(state, cfg, out=None):
+        assert out is None or not np.shares_memory(out, state.x)
+        expected = blend_x(f3tn_contract(state.factors), state.x, cfg.lambda2)
+        x_old = state.x.copy()
+        x_new, step = update_x(state, cfg, out=out)
+        assert out is None or x_new is out
+        np.testing.assert_array_equal(state.x, x_old)
+        np.testing.assert_allclose(x_new, expected, rtol=1e-14)
+        outs.append(out)
+        return x_new, step
+
+    monkeypatch.setattr(solver_module, "update_x", checking_update_x)
+    _, state = solve(e, cfg)
+    assert state.s == 6
+    assert outs[0] is None and all(out is not None for out in outs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +544,10 @@ def _solve_recording_blends(monkeypatch, e, cfg):
     0.5 (lambda2 ||X_new - X_old||)^2 of every sweep."""
     seen = []
 
-    def recording_update_x(state, cfg):
-        x_new, step = update_x(state, cfg)
-        seen.append((state.x, x_new, state.factors))
+    def recording_update_x(state, cfg, out=None):
+        x_new, step = update_x(state, cfg, out=out)
+        # solve recycles X_old as the next sweep's buffer, so keep copies
+        seen.append((state.x.copy(), x_new.copy(), state.factors))
         return x_new, step
 
     monkeypatch.setattr(solver_module, "update_x", recording_update_x)

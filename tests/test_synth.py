@@ -1,6 +1,7 @@
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,10 @@ from evtensor.synth import (
     scene_spec_to_ini,
     two_object_scene,
 )
+
+from oracles import generate_loop
+
+DAVIS_SCENE = Path(__file__).resolve().parents[1] / "perfbench" / "scenes" / "davis.cfg"
 
 
 def static_object(prob=1.0, footprint=0, start=(5.0, 5.0)):
@@ -192,3 +197,44 @@ def test_trajectory_positions():
                      radius=2.0, freq=0.25)
     pi, pj = sin.position(1.0)
     assert pi == pytest.approx(1.0) and pj == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-(frame, object) draws against the event-at-a-time oracle
+
+
+CLIPPED_SCENE = SceneSpec(
+    geometry=(16, 16), n_frames=8, duration_us=8000,
+    objects=(ObjectSpec(kind="circular", start=(8.0, 8.0), radius=9.0,
+                        freq=0.125, footprint=1, prob=1.0),
+             ObjectSpec(kind="linear", start=(0.0, 15.0), velocity=(0.5, 0.0),
+                        footprint=2, prob=0.7)),
+    noise_per_frame=1.5, seed=3,
+)
+SINUSOIDAL_SCENE = SceneSpec(
+    geometry=(24, 20), n_frames=15, duration_us=15_000,
+    objects=(ObjectSpec(kind="sinusoidal", start=(4.0, 10.0), velocity=(1.1, 0.0),
+                        radius=4.0, freq=0.2, phase=0.3, footprint=1, prob=0.6),),
+    noise_per_frame=0.7, seed=12,
+)
+
+
+@pytest.mark.parametrize("scene", ["two_objects", "davis", "clipped", "sinusoidal"])
+def test_generate_equals_the_event_loop_oracle(scene):
+    spec = {"two_objects": two_object_scene,
+            "davis": lambda: load_scene_spec(DAVIS_SCENE),
+            "clipped": lambda: CLIPPED_SCENE,
+            "sinusoidal": lambda: SINUSOIDAL_SCENE}[scene]()
+    got, expected = generate(spec), generate_loop(spec)
+    for name in ("t", "i", "j", "labels"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+        assert getattr(got, name).dtype == np.int64
+    assert (got.t_min, got.t_max) == (expected.t_min, expected.t_max)
+
+
+def test_clipping_warns_once_per_object(caplog):
+    with caplog.at_level("WARNING", logger="evtensor.synth"):
+        generate(CLIPPED_SCENE)
+    warnings = [rec.getMessage() for rec in caplog.records if "clipping" in rec.getMessage()]
+    assert len(warnings) == 2
+    assert {w.split()[1] for w in warnings} == {"0", "1"}

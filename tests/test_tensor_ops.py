@@ -9,6 +9,7 @@ from evtensor.tensor_ops import (
     f3tn_contract,
     frob_dist,
     frob_norm,
+    gi_x_product,
     matricize_factor,
     pair_gram,
     pair_rhs,
@@ -241,3 +242,52 @@ def test_pair_rhs_shape_mismatch():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ShapeError):
         pair_rhs(np.zeros((3, 4, 6)), factors, "i")
+
+
+UNEVEN_DIMS = [(3, 8, 5), (9, 2, 6), (4, 6, 11)]
+
+
+@pytest.mark.parametrize("dims", UNEVEN_DIMS)
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 3, 6])
+def test_pair_rhs_equals_unfolded_product_on_uneven_shapes(dims, mode, f):
+    rng = np.random.default_rng(20 + f)
+    factors = random_factors(rng, dims, f)
+    x = rng.normal(size=dims)
+    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ pair_contraction(factors, mode).T)
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 4)] + UNEVEN_DIMS)
+@pytest.mark.parametrize("mode", "jn")
+@pytest.mark.parametrize("f", [1, 3, 6])
+def test_pair_rhs_with_the_shared_product_is_bit_identical(dims, mode, f):
+    rng = np.random.default_rng(30 + f)
+    factors = random_factors(rng, dims, f)
+    x = rng.normal(size=dims)
+    shared = gi_x_product(x, factors.g_i)
+    assert shared.shape == (f * f, dims[1] * dims[2])
+    np.testing.assert_array_equal(pair_rhs(x, factors, mode, shared), pair_rhs(x, factors, mode))
+
+
+def test_pair_rhs_unknown_mode():
+    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
+    with pytest.raises(ValueError):
+        pair_rhs(np.zeros((3, 4, 5)), factors, "k")
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 4)] + UNEVEN_DIMS)
+@pytest.mark.parametrize("f", [1, 3])
+def test_f3tn_contract_into_out_is_bit_identical(dims, f):
+    factors = random_factors(np.random.default_rng(f), dims, f)
+    out = np.full(dims, np.nan)
+    got = f3tn_contract(factors, out=out)
+    assert got is out
+    np.testing.assert_array_equal(out, f3tn_contract(factors))
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 4, 6)), np.zeros((3, 4, 5), dtype=np.float32),
+                                 np.zeros((3, 5, 4)).transpose(0, 2, 1)])
+def test_f3tn_contract_rejects_an_unusable_out(bad):
+    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
+    with pytest.raises(ShapeError):
+        f3tn_contract(factors, out=bad)
