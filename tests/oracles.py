@@ -292,3 +292,27 @@ def generate_loop(spec):
         geometry=spec.geometry, labels=np.array(ev_label),
         t_min=0, t_max=spec.duration_us,
     )
+
+
+def extract_features(stream, tensor, factors):
+    """The dense per-event feature matrix that `extract_features` built before
+    it kept its features gathered: one materialized (M, 3*f^2) row per
+    labeled event, [g_i slice at i | g_j slice at j | g_n slice at n]."""
+    from evtensor.errors import ProtocolError
+    from evtensor.evaluation import FeatureMatrix
+    from evtensor.events import event_frames
+    from evtensor.tensor_ops import matricize_factor
+
+    if not stream.has_labels:
+        raise ProtocolError("feature extraction requires a labeled stream")
+    frames = event_frames(stream, tensor, factors.dims)
+    mat_i = matricize_factor(factors.g_i, "i")
+    mat_j = matricize_factor(factors.g_j, "j")
+    mat_n = matricize_factor(factors.g_n, "n")
+    features = np.hstack([mat_i[stream.i], mat_j[stream.j], mat_n[frames]])
+    return FeatureMatrix(
+        features=features,
+        labels=stream.labels.copy(),
+        frames=frames,
+        n_frames=factors.dims[2],
+    )

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtensor
-from evtensor.errors import ConsistencyError, ProtocolError
+from evtensor import evaluation
+from evtensor.errors import ConsistencyError, ProtocolError, ShapeError
 from evtensor.evaluation import (
     FeatureMatrix,
+    GatheredFeatures,
     auc,
     auc_gap,
     binary_task,
@@ -23,9 +25,11 @@ from evtensor.evaluation import (
     write_results_csv,
 )
 from evtensor.events import EventStream, bin_to_tensor
-from evtensor.solver import SolverConfig
+from evtensor.solver import SolverConfig, solve
+from evtensor.synth import generate, two_object_scene
 from evtensor.tensor_ops import matricize_factor
 
+import oracles
 from oracles import auc_bruteforce, random_factors
 
 
@@ -119,6 +123,51 @@ def test_unrelated_factor_rows_leave_features_unchanged():
     perturbed = extract_features(stream, tensor,
                                  FactorTriple(g_i=g_i, g_j=factors.g_j, g_n=factors.g_n))
     np.testing.assert_array_equal(perturbed.features, feats.features)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_gathered_features_densify_to_the_dense_oracle(f):
+    stream, tensor, factors = fitted_pieces(f=f)
+    feats = extract_features(stream, tensor, factors)
+    dense = oracles.extract_features(stream, tensor, factors).features
+    assert isinstance(feats.features, GatheredFeatures)
+    assert feats.features.shape == dense.shape
+    assert len(feats.features) == len(dense)
+    np.testing.assert_array_equal(np.asarray(feats.features), dense)
+
+
+def test_gathered_features_index_like_the_dense_array():
+    stream, tensor, factors = fitted_pieces(f=2)
+    gathered = extract_features(stream, tensor, factors).features
+    dense = oracles.extract_features(stream, tensor, factors).features
+    m = len(dense)
+    mask = np.arange(m) % 3 != 1
+    for key in (mask, np.array([5, 0, 5, m - 1]), slice(3, 17, 2), slice(None)):
+        picked = gathered[key]
+        assert isinstance(picked, GatheredFeatures)
+        assert picked.shape == dense[key].shape
+        np.testing.assert_array_equal(np.asarray(picked), dense[key])
+    for key in (0, 7, -1, np.int64(m - 2)):
+        np.testing.assert_array_equal(gathered[key], dense[key])
+    np.testing.assert_array_equal(gathered[mask][3], dense[mask][3])
+    assert np.asarray(gathered, dtype=np.float32).dtype == np.float32
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        # numpy 2 passes copy= to __array__; the suite errors on the
+        # DeprecationWarning it gives for an __array__ without that keyword
+        np.testing.assert_array_equal(np.array(gathered, copy=True), dense)
+        with pytest.raises(ValueError):
+            np.asarray(gathered, copy=False)
+
+
+@pytest.mark.parametrize("f,gathered", [(1, False), (2, False), (3, True), (6, True)])
+def test_width_rule_keeps_only_wide_features_gathered(f, gathered):
+    # mean block width f^2: gathering loses to the dense loop at f <= 2
+    stream, tensor, factors = fitted_pieces(f=f)
+    feats = extract_features(stream, tensor, factors).features
+    chosen = evaluation._dense_unless_wide(feats)
+    assert isinstance(chosen, GatheredFeatures) == gathered
+    if not gathered:
+        np.testing.assert_array_equal(chosen, np.asarray(feats))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +306,21 @@ def test_svm_in_place_standardization_is_bit_identical():
     assert model.bias == b
 
 
+def test_svm_shape_mismatches_name_both_sizes():
+    stream, tensor, factors = fitted_pieces(f=3)
+    gathered = extract_features(stream, tensor, factors).features
+    y = np.arange(len(gathered)) % 2
+    for features in (gathered, np.asarray(gathered)):
+        with pytest.raises(ShapeError, match=f"{len(y)} feature rows but {len(y) - 1} targets"):
+            train_svm(features, y[:-1])
+    narrower = extract_features(stream, tensor,
+                                random_factors(np.random.default_rng(3), tensor.dims, 2))
+    model = train_svm(narrower.features, y, epochs=5)
+    for features in (gathered, np.asarray(gathered)):
+        with pytest.raises(ShapeError, match="27 columns, the model has 12 weights"):
+            model.decision_scores(features)
+
+
 def test_svm_concatenated_duplicate_set_matches():
     # full-batch means duplication changes nothing but summation blocking
     rng = np.random.default_rng(1)
@@ -291,6 +355,63 @@ def test_model_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.mean, model.mean)
     np.testing.assert_array_equal(loaded.std, model.std)
     assert loaded.bias == model.bias
+
+
+@pytest.mark.parametrize("keep,missing", [(1, "bias"), (2, "mean"), (3, "std")])
+def test_truncated_model_file_names_the_missing_field(tmp_path, keep, missing):
+    rng = np.random.default_rng(5)
+    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), epochs=5)
+    path = tmp_path / "svm.model"
+    save_model(model, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep]))
+    with pytest.raises(ValueError, match=f"no '{missing}' field"):
+        load_model(str(path))
+
+
+def test_model_file_with_a_short_std_row_is_rejected(tmp_path):
+    rng = np.random.default_rng(5)
+    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), epochs=5)
+    path = tmp_path / "svm.model"
+    save_model(model, str(path))
+    text = path.read_text()
+    std_line = next(line for line in text.splitlines() if line.startswith("std "))
+    path.write_text(text.replace(std_line, std_line.rsplit(" ", 1)[0]))
+    with pytest.raises(ShapeError, match="3 weights, 3 means and 2 stds"):
+        load_model(str(path))
+
+
+# ---------------------------------------------------------------------------
+# gathered against dense training on the reference scene
+
+
+@pytest.fixture(scope="module")
+def ref_scene_fit():
+    spec = two_object_scene()
+    stream = generate(spec)
+    tensor = bin_to_tensor(stream, spec.n_frames)
+    factors, _ = solve(tensor, SolverConfig(s_max=100))
+    return stream, tensor, factors
+
+
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_gathered_svm_matches_dense_oracle_on_reference_scene(ref_scene_fit, task):
+    stream, tensor, factors = ref_scene_fit
+    assert factors.g_i.shape[1] >= 3  # wide enough for the gathered path
+    gathered = temporal_split(extract_features(stream, tensor, factors))
+    dense = temporal_split(oracles.extract_features(stream, tensor, factors))
+    mask, y = binary_task(gathered.labels, task)
+    tr, te = mask & gathered.is_train, mask & ~gathered.is_train
+    y_tr, y_te = y[gathered.is_train[mask]], y[~gathered.is_train[mask]]
+    assert isinstance(evaluation._dense_unless_wide(gathered.features[tr]), GatheredFeatures)
+    m_g = train_svm(gathered.features[tr], y_tr)
+    m_d = train_svm(dense.features[tr], y_tr)
+    np.testing.assert_array_equal(m_g.mean, m_d.mean)
+    np.testing.assert_array_equal(m_g.std, m_d.std)
+    np.testing.assert_allclose(m_g.weights, m_d.weights, rtol=1e-9)
+    assert m_g.bias == pytest.approx(m_d.bias, rel=1e-9)
+    assert (auc(m_g.decision_scores(gathered.features[te]), y_te)
+            == auc(m_d.decision_scores(dense.features[te]), y_te))
 
 
 # ---------------------------------------------------------------------------
