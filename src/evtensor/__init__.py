@@ -33,17 +33,11 @@ from .solver import (
     SolverConfig,
     SolverState,
     load_checkpoint,
-    objective,
     save_checkpoint,
     solve,
 )
 from .synth import ObjectSpec, SceneSpec, describe, generate, load_scene_spec, two_object_scene
-from .tensor_ops import (
-    FactorTriple,
-    f3tn_contract,
-    frob_dist,
-    frob_norm,
-)
+from .tensor_ops import FactorTriple, f3tn_contract, frob_norm
 
 __all__ = [
     "NOISE_LABEL",
@@ -65,12 +59,10 @@ __all__ = [
     "extract_features",
     "f3tn_contract",
     "filter_events",
-    "frob_dist",
     "frob_norm",
     "generate",
     "load_checkpoint",
     "load_scene_spec",
-    "objective",
     "parse_events",
     "quantile_threshold",
     "save_checkpoint",

@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +31,8 @@ from .denoise import (
     write_report_csv,
 )
 from .evaluation import (
+    SVM_EPOCHS,
+    SVM_LAMBDA,
     TASK_NOISE,
     TASK_OBJECTS,
     classify_factors,
@@ -49,6 +51,21 @@ from .solver import SolverConfig, load_checkpoint, save_checkpoint, solve, write
 from .synth import generate, load_scene_spec, scene_spec_to_ini
 
 logger = logging.getLogger("evtensor")
+
+# one flag per SolverConfig field, named after it; its type and default come
+# from the field, only the help text is kept here
+SOLVER_FLAG_HELP = {
+    "f_max": "maximal latent rank",
+    "lambda1": "weight of the quasi-identity Q added as lambda1*Q to each factor "
+               "solve's right-hand side, a diagonal reward rather than an L1 penalty; "
+               "0 gives the FCTN ablation",
+    "lambda2": "L2/proximal coefficient",
+    "s_max": "iteration cap",
+    "grow_tol": "relative-change threshold for rank growth",
+    "conv_tol": "relative-change threshold for convergence",
+    "seed": "solver seed",
+    "init_scale": "factor initialization magnitude",
+}
 
 
 def _parse_geometry(text: str) -> tuple[int, int]:
@@ -79,34 +96,13 @@ def _echo_config(args: argparse.Namespace, primary_output: str) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        f_max=args.f_max,
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        s_max=args.s_max,
-        grow_tol=args.grow_tol,
-        conv_tol=args.conv_tol,
-        seed=args.seed,
-        init_scale=args.init_scale,
-        clamp_x=args.clamp_x,
-    )
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--f-max", type=int, default=6, help="maximal latent rank (default 6)")
-    p.add_argument("--lambda1", type=float, default=0.1,
-                   help="L1 coefficient; 0 gives the FCTN ablation (default 0.1)")
-    p.add_argument("--lambda2", type=float, default=0.1,
-                   help="L2/proximal coefficient (default 0.1)")
-    p.add_argument("--s-max", type=int, default=1000, help="iteration cap (default 1000)")
-    p.add_argument("--grow-tol", type=float, default=1e-2,
-                   help="relative-change threshold for rank growth (default 1e-2)")
-    p.add_argument("--conv-tol", type=float, default=1e-3,
-                   help="relative-change threshold for convergence (default 1e-3)")
-    p.add_argument("--init-scale", type=float, default=0.1,
-                   help="factor initialization magnitude (default 0.1)")
-    p.add_argument("--clamp-x", action="store_true",
-                   help="re-clamp observed 1-entries into X after each blend update")
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help=SOLVER_FLAG_HELP[f.name] + " (default %(default)s)")
 
 
 def cmd_gen(args) -> int:
@@ -245,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--checkpoint", required=True, help="output factor checkpoint")
     p.add_argument("--trace", required=True, help="output trace CSV")
-    p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -255,8 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)
     p.add_argument("--report", required=True, help="output report file")
     p.add_argument("--model", default=None, help="optional output model file")
-    p.add_argument("--svm-lambda", type=float, default=1e-3)
-    p.add_argument("--svm-epochs", type=int, default=500)
+    p.add_argument("--svm-lambda", type=float, default=SVM_LAMBDA,
+                   help="L2 coefficient of the SVM (default %(default)s)")
+    p.add_argument("--svm-epochs", type=int, default=SVM_EPOCHS,
+                   help="SVM training epochs (default %(default)s)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("denoise", help="filter low-reconstruction events")
@@ -264,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tau", type=float, default=None, help="absolute score threshold")
     p.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE,
-                   help="quantile threshold when --tau is not given (default 0.2)")
+                   help="quantile threshold when --tau is not given (default %(default)s)")
     p.add_argument("--out", required=True, help="filtered event CSV")
     p.add_argument("--report", required=True, help="per-event report CSV")
     p.set_defaults(func=cmd_denoise)
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2-grid", type=_parse_grid, required=True, metavar="A,B,...")
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)
     p.add_argument("--out", required=True, help="results CSV")
-    p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -55,6 +55,9 @@ logger = logging.getLogger(__name__)
 TASK_OBJECTS = "objects"
 TASK_NOISE = "noise"
 
+TRAIN_FRACTION = 0.6  # leading share of the frames that trains the SVM
+SVM_LAMBDA = 1e-3     # L2 coefficient of the hinge loss
+SVM_EPOCHS = 500      # full-batch subgradient steps
 
 DENSE_MAX_BLOCK_WIDTH = 4  # f <= 2; see the module docstring for the measured crossover
 
@@ -106,18 +109,6 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def train(self) -> tuple[GatheredFeatures | np.ndarray, np.ndarray]:
-        if self.is_train is None:
-            raise ProtocolError("temporal_split has not been applied")
-        return self.features[self.is_train], self.labels[self.is_train]
-
-    @property
-    def test(self) -> tuple[GatheredFeatures | np.ndarray, np.ndarray]:
-        if self.is_train is None:
-            raise ProtocolError("temporal_split has not been applied")
-        return self.features[~self.is_train], self.labels[~self.is_train]
-
 
 def extract_features(stream: EventStream, tensor: EventTensor,
                      factors: FactorTriple) -> FeatureMatrix:
@@ -137,7 +128,8 @@ def extract_features(stream: EventStream, tensor: EventTensor,
     )
 
 
-def temporal_split(features: FeatureMatrix, train_fraction: float = 0.6) -> FeatureMatrix:
+def temporal_split(features: FeatureMatrix,
+                   train_fraction: float = TRAIN_FRACTION) -> FeatureMatrix:
     """Tag events in frames 0 .. ceil(train_fraction * N) - 1 as train, the
     rest as test. Label-blind by construction: assignment depends only on the
     frame index."""
@@ -245,7 +237,7 @@ def _column_stats(features) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
-              reg_lambda: float = 1e-3, epochs: int = 500) -> SvmModel:
+              reg_lambda: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS) -> SvmModel:
     """Deterministic full-batch subgradient descent on the L2-regularized
     hinge loss. Features are standardized per dimension with train statistics;
     the bias is left unregularized. Full-batch updates mean a duplicated
@@ -317,8 +309,8 @@ def auc_gap(aucs) -> float:
 
 
 def classify_factors(stream: EventStream, tensor: EventTensor, factors: FactorTriple,
-                     task: str = TASK_OBJECTS, train_fraction: float = 0.6,
-                     svm_lambda: float = 1e-3, svm_epochs: int = 500):
+                     task: str = TASK_OBJECTS, train_fraction: float = TRAIN_FRACTION,
+                     svm_lambda: float = SVM_LAMBDA, svm_epochs: int = SVM_EPOCHS):
     """Extract features from fitted factors, split, train, score.
     Returns (auc, model, train event count, test event count)."""
     feats = temporal_split(extract_features(stream, tensor, factors), train_fraction)

@@ -157,10 +157,12 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         if not header_line.strip():
             raise EmptyStreamError("empty source: no header, no events")
         columns = [c.strip().lower() for c in header_line.strip().split(",")]
-        for c in columns:
+        for k, c in enumerate(columns):
             if c not in _KNOWN_COLUMNS:
                 raise EventParseError(
                     1, f"unknown column {c!r} (expected t,i,j[,label][,polarity])")
+            if c in columns[:k]:
+                raise EventParseError(1, f"duplicate column {c!r}")
         for required in ("t", "i", "j"):
             if required not in columns:
                 raise EventParseError(1, f"missing required column {required!r}")

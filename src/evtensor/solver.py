@@ -16,8 +16,7 @@ previous iterate:
         stated -- no soft-thresholding.
 
   4.    X blends the reconstruction with its own previous value:
-        X_new = (reconstruction + lambda2 * X_old) / (1 + lambda2),
-        optionally re-clamping entries observed as 1 in E (`clamp_x`).
+        X_new = (reconstruction + lambda2 * X_old) / (1 + lambda2).
 
 The latent rank starts at max(1, f_max - 5) and grows by one (up to f_max)
 whenever the relative change of X drops below `grow_tol`; the run converges
@@ -36,15 +35,13 @@ I*J*N*f^2 products:
     (g_i does not change between those two updates);
   - the reconstruction R, written into one recycled full-size buffer.
 
-That buffer is the previous sweep's X_old, so after the first sweep an
-unclamped solve allocates no full-size array. R is turned in place into
+That buffer is the previous sweep's X_old, so after the first sweep a solve
+allocates no full-size array. R is turned in place into
 D = X_new - X_old = (R - X_old) / (1 + lambda2), whose norm is the step
 ||X_new - X_old||, and adding X_old back makes it X_new; with ||X_old|| that is
 five more full-size passes. The X step and the stop check thus share the reconstruction's buffer,
 and the live X is never written. Since X_new - R = lambda2 (X_old - X_new),
 the trace objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2.
-A `clamp_x` run breaks that identity: it pays an explicit difference for the
-step and a second contraction for the objective.
 
 The package imports no SciPy at all, so the linear algebra is numpy's only
 and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
@@ -64,7 +61,6 @@ from .events import EventTensor, open_text
 from .tensor_ops import (
     FactorTriple,
     f3tn_contract,
-    frob_dist,
     frob_norm,
     gi_x_product,
     matricize_factor,
@@ -88,9 +84,12 @@ class SolverConfig:
     conv_tol: float = 1e-3
     seed: int = 0
     init_scale: float = 0.1
-    clamp_x: bool = False
 
     def __post_init__(self):
+        # NaN passes every comparison below and inf the sign checks
+        for name in ("lambda1", "lambda2", "grow_tol", "conv_tol", "init_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f_max < 1:
             raise ValueError("f_max must be >= 1")
         if self.lambda1 < 0:
@@ -126,7 +125,6 @@ class SolverState:
     factors: FactorTriple
     s: int
     rng: np.random.Generator
-    observed: np.ndarray | None = None  # E as float64, kept only for clamp_x
     trace: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
 
@@ -145,9 +143,9 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
 
 
 def init_state(e, cfg: SolverConfig) -> SolverState:
-    """X starts as a float64 copy of E (E itself is kept only for clamp_x);
-    rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
-    [0, init_scale] from the seeded generator."""
+    """X starts as a float64 copy of E; rank starts at max(1, f_max - 5);
+    factors are filled i.i.d. uniform on [0, init_scale] from the seeded
+    generator."""
     data = e.data if isinstance(e, EventTensor) else e
     x = np.array(data, dtype=np.float64)
     if x.ndim != 3:
@@ -155,8 +153,7 @@ def init_state(e, cfg: SolverConfig) -> SolverState:
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
     factors = _random_factors(rng, x.shape, f0, cfg.init_scale)
-    return SolverState(x=x, factors=factors, s=0, rng=rng,
-                       observed=np.asarray(data, dtype=np.float64) if cfg.clamp_x else None)
+    return SolverState(x=x, factors=factors, s=0, rng=rng)
 
 
 def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
@@ -197,12 +194,10 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
 
 def update_x(state: SolverState, cfg: SolverConfig,
              out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """X_new = (R + lambda2 X_old) / (1 + lambda2), observed 1s re-clamped under
-    clamp_x, and the step ||X_new - X_old||. The reconstruction R is written
-    into `out` (a fresh array when None), which becomes X_new - X_old, then
-    X_new; state.x is not written, so `out` must not share its memory."""
-    if cfg.clamp_x and state.observed is None:
-        raise ValueError("clamp_x requires the observed tensor on the state")
+    """X_new = (R + lambda2 X_old) / (1 + lambda2) and the step
+    ||X_new - X_old||. The reconstruction R is written into `out` (a fresh
+    array when None), which becomes X_new - X_old, then X_new; state.x is not
+    written, so `out` must not share its memory."""
     if out is not None and np.shares_memory(out, state.x):
         raise ValueError("update_x cannot write X_new into the memory of X_old")
     x_new = f3tn_contract(state.factors, out=out)
@@ -210,9 +205,6 @@ def update_x(state: SolverState, cfg: SolverConfig,
     x_new /= 1.0 + cfg.lambda2
     step = frob_norm(x_new)
     x_new += state.x
-    if cfg.clamp_x:
-        x_new[state.observed == 1.0] = 1.0
-        step = frob_dist(x_new, state.x)
     return x_new, step
 
 
@@ -236,11 +228,6 @@ def grow_rank(state: SolverState, cfg: SolverConfig) -> SolverState:
     return state
 
 
-def objective(state: SolverState) -> float:
-    """Half the squared Frobenius distance between X and the reconstruction."""
-    return 0.5 * frob_dist(state.x, f3tn_contract(state.factors)) ** 2
-
-
 def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState]:
     """Run the full alternating schedule on an event tensor (or raw 3rd-order
     array). Returns the final factors and the state carrying the sweep trace;
@@ -262,8 +249,8 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
         spare, state.x = state.x, x_new
 
         grew = rel_change < cfg.grow_tol and state.f < cfg.f_max
-        # unclamped, X_new - R = lambda2 * (X_old - X_new), so no second contraction
-        obj = objective(state) if cfg.clamp_x else 0.5 * (cfg.lambda2 * delta) ** 2
+        # X_new - R = lambda2 * (X_old - X_new), so no second contraction
+        obj = 0.5 * (cfg.lambda2 * delta) ** 2
         state.trace.append(TraceRecord(s=state.s, f=state.f, objective=obj, rel_change=rel_change,
                                        max_residual=max_residual, grew=grew))
         if grew:

@@ -215,10 +215,3 @@ def frob_norm(t: np.ndarray) -> float:
     """Frobenius norm: sqrt of one BLAS dot of the entries with themselves."""
     v = np.ascontiguousarray(t, dtype=np.float64).ravel()
     return float(np.sqrt(np.dot(v, v)))
-
-
-def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance between two same-shaped arrays."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return frob_norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))

@@ -160,6 +160,23 @@ def objective_bruteforce(x, g_i, g_j, g_n):
     return 0.5 * acc
 
 
+def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius distance between two same-shaped arrays."""
+    from evtensor.errors import ShapeError
+    from evtensor.tensor_ops import frob_norm
+
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return frob_norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+
+
+def objective(state) -> float:
+    """Half the squared Frobenius distance between X and the reconstruction."""
+    from evtensor.tensor_ops import f3tn_contract
+
+    return 0.5 * frob_dist(state.x, f3tn_contract(state.factors)) ** 2
+
+
 def blend_x(reconstruction: np.ndarray, x_old: np.ndarray, lambda2: float) -> np.ndarray:
     """Elementwise convex blend (reconstruction + lambda2 * x_old) / (1 + lambda2),
     with one full-size temporary."""

@@ -1,5 +1,7 @@
 """The CLI end to end, and the path handling every reader and writer shares."""
 
+import argparse
+import dataclasses
 import hashlib
 import io
 from pathlib import Path
@@ -10,6 +12,8 @@ import pytest
 from evtensor import cli
 from evtensor.denoise import filter_events, write_report_csv
 from evtensor.evaluation import (
+    SVM_EPOCHS,
+    SVM_LAMBDA,
     SweepCell,
     SweepResult,
     load_model,
@@ -30,19 +34,19 @@ from evtensor.synth import load_scene_spec, scene_spec_to_ini, two_object_scene
 
 from oracles import random_factors
 
-SCENE = Path(__file__).resolve().parents[1] / "scenes" / "two_objects.cfg"
 SMALL_SOLVE = ["--s-max", "4", "--f-max", "2"]
 
 
 def run_pipeline(work: Path) -> dict[str, int]:
     """All six subcommands on the reference scene; returns each exit code."""
     p = {name: str(work / name) for name in (
-        "events.csv", "tensor.txt", "ckpt.txt", "trace.csv", "objects.txt", "model.txt",
-        "filtered.csv", "report.csv", "sweep.csv")}
+        "scene.cfg", "events.csv", "tensor.txt", "ckpt.txt", "trace.csv", "objects.txt",
+        "model.txt", "filtered.csv", "report.csv", "sweep.csv")}
     binning = ["--events", p["events.csv"], "--geometry", "64x48", "--frames", "60"]
     fitted = ["--events", p["events.csv"], "--checkpoint", p["ckpt.txt"]]
+    Path(p["scene.cfg"]).write_text(scene_spec_to_ini(two_object_scene()), encoding="utf-8")
     argvs = {
-        "gen": ["gen", "--spec", str(SCENE), "--out", p["events.csv"]],
+        "gen": ["gen", "--spec", p["scene.cfg"], "--out", p["events.csv"]],
         "bin": ["bin", *binning, "--out", p["tensor.txt"]],
         "decompose": ["decompose", *binning, "--checkpoint", p["ckpt.txt"],
                       "--trace", p["trace.csv"], *SMALL_SOLVE],
@@ -201,5 +205,47 @@ def test_truncated_checkpoint_names_the_missing_line():
         load_checkpoint(io.StringIO("".join(lines)))
 
 
-def test_scene_file_is_the_reference_scene():
-    assert load_scene_spec(str(SCENE)) == two_object_scene()
+# ---------------------------------------------------------------------------
+# flags and their defaults
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command", ["decompose", "sweep"])
+def test_solver_flags_mirror_the_solver_config_fields(command):
+    actions = _subparser(command)._actions
+    config_fields = dataclasses.fields(SolverConfig)
+    assert len(config_fields) == 8
+    for field in config_fields:
+        (action,) = [a for a in actions if a.dest == field.name]
+        assert action.option_strings == ["--" + field.name.replace("_", "-")]
+        assert action.default == field.default
+        assert action.type is type(field.default)
+    argv = {"decompose": ["--checkpoint", "c", "--trace", "t"],
+            "sweep": ["--lambda1-grid", "0", "--lambda2-grid", "0.1", "--out", "o"]}[command]
+    args = cli.build_parser().parse_args(
+        [command, "--events", "e", "--geometry", "2x2", "--frames", "1", *argv])
+    assert cli._solver_config(args) == SolverConfig()
+
+
+def test_svm_flags_default_to_the_evaluation_constants():
+    actions = {a.dest: a for a in _subparser("classify")._actions}
+    assert actions["svm_lambda"].default == SVM_LAMBDA
+    assert actions["svm_epochs"].default == SVM_EPOCHS
+
+
+@pytest.mark.parametrize("command", ["decompose", "sweep"])
+def test_non_finite_solver_setting_exits_1(tmp_path, caplog, command):
+    events = str(tmp_path / "events.csv")
+    write_events_csv(STREAM, events)
+    out = tmp_path / "out.txt"
+    argv = {"decompose": ["--checkpoint", str(out), "--trace", str(tmp_path / "trace.csv")],
+            "sweep": ["--lambda1-grid", "0", "--lambda2-grid", "0.1", "--out", str(out)]}[command]
+    assert cli.main([command, "--events", events, "--geometry", "3x2", "--frames", "4",
+                     *argv, "--conv-tol", "nan"]) == 1
+    assert "conv_tol must be finite" in caplog.text
+    assert not out.exists()

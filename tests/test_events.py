@@ -152,6 +152,15 @@ def test_parse_permuted_header_ignores_text_polarity():
     np.testing.assert_array_equal(stream.labels, [-1, 1])
 
 
+@pytest.mark.parametrize("header, column", [("t,i,j,i", "i"), ("t,t,i,j", "t")])
+def test_parse_rejects_a_duplicate_column(header, column):
+    # without the check the last copy wins: 5,1,2,3 under t,i,j,i reads i = 3
+    with pytest.raises(EventParseError) as err:
+        parse_events(io.StringIO(f"{header}\n5,1,2,3\n"), DAVIS)
+    assert err.value.line_no == 1
+    assert str(err.value) == f"line 1: duplicate column {column!r}"
+
+
 @pytest.mark.parametrize("text", ["t,i,j\n", "t,i,j", "t,i,j\n\n\n", "t,i,j\n  \n"])
 def test_parse_header_only_raises_without_warning(text):
     with warnings.catch_warnings():

@@ -7,7 +7,6 @@ from evtensor.errors import ShapeError
 from evtensor.tensor_ops import (
     FactorTriple,
     f3tn_contract,
-    frob_dist,
     frob_norm,
     gi_x_product,
     matricize_factor,
@@ -19,6 +18,7 @@ from evtensor.tensor_ops import (
 from oracles import (
     contract_bruteforce,
     fold,
+    frob_dist,
     pair_contraction,
     partial_contract_pair,
     random_factors,
