@@ -150,6 +150,7 @@ def cmd_decompose(args) -> int:
     print(f"final rank: {state.f}")
     print(f"iterations: {state.s}")
     print(f"final rel_change: {last.rel_change:.6g}")
+    print(f"final fit: {last.fit:.6g}")
     print(f"converged: {str(state.converged).lower()}")
     logger.info("decomposition took %.2f s", elapsed)
     return 0

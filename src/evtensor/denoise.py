@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, format_rows, open_text
-from .tensor_ops import FactorTriple
+from .tensor_ops import FactorTriple, cell_values
 
 logger = logging.getLogger(__name__)
 
@@ -32,11 +32,7 @@ def score_events(stream: EventStream, tensor: EventTensor,
     g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y], vectorized over all
     events at O(M * f^2) memory.
     """
-    frames = event_frames(stream, tensor, factors.dims)
-    a = factors.g_i[stream.i]                      # (M, x, y)
-    b = factors.g_j[:, stream.j, :].transpose(1, 0, 2)  # (M, x, z)
-    c = factors.g_n[:, :, frames].transpose(2, 0, 1)    # (M, y, z)
-    return np.einsum("mxy,mxz,myz->m", a, b, c, optimize=True)
+    return cell_values(factors, stream.i, stream.j, event_frames(stream, tensor, factors.dims))
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Proximal alternating solver for the elastic-net regularized 3-factor network.
 
-Fits a factor triple to a binary event tensor E by relaxing the completion
+Fits a factor triple to an event tensor E by relaxing the completion
 objective through a target tensor X (initialized to E) and alternating four
 block updates per sweep, each a strongly convex subproblem anchored to the
 previous iterate:
@@ -15,8 +15,9 @@ previous iterate:
         index == column index). The lambda1 term is applied literally as
         stated -- no soft-thresholding.
 
-  4.    X blends the reconstruction with its own previous value:
-        X_new = (reconstruction + lambda2 * X_old) / (1 + lambda2).
+  4.    X blends the reconstruction R_s of the sweep's factors F_s with its
+        own previous value: X_{s+1} = alpha R_s + beta X_s, with
+        alpha = 1 / (1 + lambda2) and beta = lambda2 / (1 + lambda2).
 
 The latent rank starts at max(1, f_max - 5) and grows by one (up to f_max)
 whenever the relative change of X drops below `grow_tol`; the run converges
@@ -24,24 +25,48 @@ when it drops below `conv_tol`. An iteration that grew the rank skips the
 convergence check (the same small relative change would otherwise terminate
 the run at low rank), except when the rank is already capped.
 
-Per sweep at rank f, no unfolding of X and no H_m is formed: H_m H_m^T comes
-from per-factor Grams (tensor_ops.pair_gram, O((I+J+N) f^4 + f^6)) and X_m
-H_m^T from X's own layout (tensor_ops.pair_rhs). A sweep makes three
-I*J*N*f^2 products:
+X is never formed. Unrolling step 4 from X_0 = E gives it exactly as
 
-  - the mode-i right-hand side, one batched matmul of g_j against X;
-  - V = g_i^T X (tensor_ops.gi_x_product), taken once after the mode-i update
-    and shared by modes j and n, which finish from it in O(J*N*f^3) each
-    (g_i does not change between those two updates);
-  - the reconstruction R, written into one recycled full-size buffer.
+    X_s = beta^s E + sum_{k<s} alpha beta^(s-1-k) R(F_k),
 
-That buffer is the previous sweep's X_old, so after the first sweep a solve
-allocates no full-size array. R is turned in place into
-D = X_new - X_old = (R - X_old) / (1 + lambda2), whose norm is the step
-||X_new - X_old||, and adding X_old back makes it X_new; with ||X_old|| that is
-five more full-size passes. The X step and the stop check thus share the reconstruction's buffer,
-and the live X is never written. Since X_new - R = lambda2 (X_old - X_new),
-the trace objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2.
+so a RelaxedTarget holds E's nonzeros with weight beta^s and a stack of the
+past factor triples with their weights, zero-padded to the current rank
+(padding leaves R(F_k) unchanged). A term leaves once its weight falls below
+2^-53 alpha, and E once beta^s < 2^-53: each is then below the rounding unit
+of the newest term, so the answers stay within roundoff. At lambda2 = 0.1
+(beta = 1/11) that is at most 16 terms, and E leaves after 16 sweeps. At
+large lambda2 the memory is long: 26 terms at lambda2 = 0.3, 54 at 1, 128 at
+3. There is no dense fallback: the CLI default and every benchmark workload
+use lambda2 = 0.1.
+
+Per sweep at rank f with K history terms, X_m H_m^T is the sum of
+  - E's part (tensor_ops.coo_rhs): the mode's pair table, O(f^3) per column
+    over J*N, I*N or I*J columns, gathered at the nonzeros and segment-summed
+    by row, O(nnz f^2), with sort plans made once per solve;
+  - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
+    from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
+so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2 and holds
+no (I, J, N) array. H_m H_m^T comes from per-factor Grams (tensor_ops.pair_gram).
+
+The step and the stop check have closed forms. ||X_{s+1} - X_s|| =
+alpha ||R_s - X_s||, with
+  - ||R||^2 = <G_n, G_n pair_gram(F, n)>,
+  - <R, X_s> = <G_n, P_n>, P_n the mode-n product the last update used,
+  - ||X_{s+1}||^2 = alpha^2 ||R||^2 + 2 alpha beta <R, X_s> + beta^2 ||X_s||^2
+    from ||X_0||^2 = sum e^2.
+The difference subtracts terms of size ||X||^2, so the step resolves about
+1e-8 of ||X|| (a dense pass resolved about 1e-16); growth and convergence
+tolerances sit far above that. Since X_new - R = lambda2 (X_old - X_new), the
+trace objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2.
+Each sweep also records the fit ||R - E|| / ||E|| from ||R||^2 - 2 <R, E> +
+||E||^2; <R, E> is <G_n, E_n H_n^T> while E is in X and the per-cell sum
+tensor_ops.cell_values over the nonzeros after.
+
+The cost grows with the memory. On the 64x48x60 reference scene (200
+sweeps; 2 vCPUs, 2 BLAS threads, medians of 3) a dense-X solve took 0.30,
+0.27, 0.29 and 0.36 s at lambda2 = 0.1, 0.3, 1 and 3, this one 0.26, 0.25,
+0.70 and 1.55 s. On the 260x346x100 DAVIS-scale scene (15 sweeps) it was
+faster at each of them: 0.70 -> 0.21 s at lambda2 = 0.1.
 
 The package imports no SciPy at all, so the linear algebra is numpy's only
 and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
@@ -52,6 +77,7 @@ reference-scale factor solve about 10x slower.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,19 +85,25 @@ import numpy as np
 from .errors import NumericalError
 from .events import EventTensor, open_text
 from .tensor_ops import (
+    MODES,
+    CooPlan,
+    CooTensor,
+    FactorStack,
     FactorTriple,
-    f3tn_contract,
+    cell_values,
+    coo_plan,
+    coo_rhs,
     frob_norm,
-    gi_x_product,
+    history_rhs,
     matricize_factor,
     pair_gram,
-    pair_rhs,
     unmatricize_factor,
 )
 
 logger = logging.getLogger(__name__)
 
 GROW_NOISE_FACTOR = 0.01  # rank-expansion fill magnitude relative to init_scale
+TAIL_WEIGHT = 2.0 ** -53  # a term of X leaves once its weight falls below this share
 
 
 @dataclass(frozen=True)
@@ -86,6 +118,11 @@ class SolverConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
+        # a fractional cap lets the rank pass it: growth runs while f < f_max
+        for name in ("f_max", "s_max", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # NaN passes every comparison below and inf the sign checks
         for name in ("lambda1", "lambda2", "grow_tol", "conv_tol", "init_scale"):
             if not np.isfinite(getattr(self, name)):
@@ -109,7 +146,8 @@ class SolverConfig:
 @dataclass
 class TraceRecord:
     """One sweep of the solve loop. `f` is the rank in effect during the sweep;
-    `grew` marks sweeps whose ending triggered a rank expansion."""
+    `grew` marks sweeps whose ending triggered a rank expansion; `fit` is
+    ||R - E|| / ||E|| for the sweep's factors (||R|| when E is zero)."""
 
     s: int
     f: int
@@ -117,11 +155,63 @@ class TraceRecord:
     rel_change: float
     max_residual: float = 0.0
     grew: bool = False
+    fit: float = float("nan")
+
+
+def _pad(stack: FactorStack, f: int) -> FactorStack:
+    """The stack at rank f, new latent slices zero, so each R(F_k) is unchanged."""
+    r = stack.rank
+    if r == f:
+        return stack
+    k, ii, jj, nn = len(stack), stack.g_i.shape[1], stack.g_j.shape[2], stack.g_n.shape[3]
+    g_i, g_j, g_n = np.zeros((k, ii, f, f)), np.zeros((k, f, jj, f)), np.zeros((k, f, f, nn))
+    g_i[:, :, :r, :r] = stack.g_i
+    g_j[:, :r, :, :r] = stack.g_j
+    g_n[:, :r, :r, :] = stack.g_n
+    return FactorStack(g_i=g_i, g_j=g_j, g_n=g_n)
+
+
+@dataclass
+class RelaxedTarget:
+    """X_s = e_weight E + sum_k weights[k] R(history[k]), exactly and without
+    its cells: E as its nonzeros with one sort plan per mode, the past factor
+    triples stacked oldest first."""
+
+    e: CooTensor
+    plans: dict[str, CooPlan]
+    sq_norm: float
+    history: FactorStack
+    weights: np.ndarray
+    e_weight: float = 1.0
+
+    def product(self, factors: FactorTriple, mode: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """X_m H_m^T and, while E is part of X, E_m H_m^T (else None)."""
+        p = history_rhs(_pad(self.history, factors.rank), self.weights, factors, mode)
+        if not self.e_weight:
+            return p, None
+        p_e = coo_rhs(self.e, factors, mode, self.plans[mode])
+        p += self.e_weight * p_e
+        return p, p_e
+
+    def advance(self, factors: FactorTriple, alpha: float, beta: float,
+                r_sq: float, r_x: float) -> None:
+        """X <- alpha R(factors) + beta X, given ||R||^2 and <R, X>; drops the
+        terms whose weight fell below TAIL_WEIGHT alpha (E: TAIL_WEIGHT)."""
+        self.sq_norm = alpha * alpha * r_sq + 2.0 * alpha * beta * r_x + beta * beta * self.sq_norm
+        self.e_weight *= beta
+        if self.e_weight < TAIL_WEIGHT:
+            self.e_weight, self.plans = 0.0, {}
+        weights = self.weights * beta
+        keep = weights >= TAIL_WEIGHT * alpha
+        old = _pad(self.history, factors.rank)
+        self.history = FactorStack(*(np.concatenate([getattr(old, g)[keep], getattr(factors, g)[None]])
+                                     for g in ("g_i", "g_j", "g_n")))
+        self.weights = np.append(weights[keep], alpha)
 
 
 @dataclass
 class SolverState:
-    x: np.ndarray
+    target: RelaxedTarget
     factors: FactorTriple
     s: int
     rng: np.random.Generator
@@ -143,31 +233,36 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
 
 
 def init_state(e, cfg: SolverConfig) -> SolverState:
-    """X starts as a float64 copy of E; rank starts at max(1, f_max - 5);
-    factors are filled i.i.d. uniform on [0, init_scale] from the seeded
-    generator."""
-    data = e.data if isinstance(e, EventTensor) else e
-    x = np.array(data, dtype=np.float64)
-    if x.ndim != 3:
+    """The target starts as E, read as its nonzeros (no float copy of E);
+    rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
+    [0, init_scale] from the seeded generator."""
+    data = np.asarray(e.data if isinstance(e, EventTensor) else e)
+    if data.ndim != 3:
         raise ValueError("expected a 3rd-order tensor")
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
-    factors = _random_factors(rng, x.shape, f0, cfg.init_scale)
-    return SolverState(x=x, factors=factors, s=0, rng=rng)
+    factors = _random_factors(rng, data.shape, f0, cfg.init_scale)
+    coo = CooTensor.from_dense(data)
+    empty = FactorStack(*(np.zeros((0, *g.shape)) for g in (factors.g_i, factors.g_j, factors.g_n)))
+    target = RelaxedTarget(e=coo, plans={m: coo_plan(coo, m) for m in MODES},
+                           sq_norm=coo.sq_norm, history=empty, weights=np.zeros(0))
+    return SolverState(target=target, factors=factors, s=0, rng=rng)
 
 
 def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
-                  gi_x: np.ndarray | None = None) -> tuple[FactorTriple, float]:
+                  product: np.ndarray | None = None) -> tuple[FactorTriple, float]:
     """Solve the mode-m subproblem; returns the updated triple and the solve
-    residual ||G A - rhs||_F / (1 + ||rhs||_F). Modes j and n reuse `gi_x`,
-    tensor_ops.gi_x_product of state.x and the current g_i, when given."""
+    residual ||G A - rhs||_F / (1 + ||rhs||_F). `product` is X_m H_m^T for
+    the current factors, taken from state.target when not given."""
     factors = state.factors
     f = factors.rank
     g_old = matricize_factor(factors.factor(mode), mode)
+    if product is None:
+        product, _ = state.target.product(factors, mode)
 
     a = pair_gram(factors, mode)
     a[np.diag_indices_from(a)] += cfg.lambda2
-    rhs = pair_rhs(state.x, factors, mode, gi_x) + cfg.lambda2 * g_old
+    rhs = product + cfg.lambda2 * g_old
     if cfg.lambda1 != 0.0:
         # lambda1 Q, with Q the rectangular quasi-identity (ones where row == column)
         rhs[np.diag_indices(min(rhs.shape))] += cfg.lambda1
@@ -190,22 +285,6 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
     residual = frob_norm(g_new @ a - rhs) / (1.0 + frob_norm(rhs))
     updated = replace(factors, **{f"g_{mode}": unmatricize_factor(g_new, mode, f)})
     return updated, residual
-
-
-def update_x(state: SolverState, cfg: SolverConfig,
-             out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """X_new = (R + lambda2 X_old) / (1 + lambda2) and the step
-    ||X_new - X_old||. The reconstruction R is written into `out` (a fresh
-    array when None), which becomes X_new - X_old, then X_new; state.x is not
-    written, so `out` must not share its memory."""
-    if out is not None and np.shares_memory(out, state.x):
-        raise ValueError("update_x cannot write X_new into the memory of X_old")
-    x_new = f3tn_contract(state.factors, out=out)
-    x_new -= state.x
-    x_new /= 1.0 + cfg.lambda2
-    step = frob_norm(x_new)
-    x_new += state.x
-    return x_new, step
 
 
 def grow_rank(state: SolverState, cfg: SolverConfig) -> SolverState:
@@ -234,25 +313,37 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
     a run that exhausts s_max returns normally with `converged=False`."""
     cfg = cfg or SolverConfig()
     state = init_state(e, cfg)
-    spare = None  # the previous sweep's X_old, the buffer of the next R
+    target, e_coo = state.target, state.target.e
+    e_sq = e_coo.sq_norm
+    alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
     while state.s < cfg.s_max:
         state.factors, res_i = update_factor(state, "i", cfg)
-        # modes j and n both contract X with the fresh g_i: one product for both
-        gi_x = gi_x_product(state.x, state.factors.g_i)
-        state.factors, res_j = update_factor(state, "j", cfg, gi_x)
-        state.factors, res_n = update_factor(state, "n", cfg, gi_x)
-        del gi_x  # free before the X update's buffers
+        state.factors, res_j = update_factor(state, "j", cfg)
+        # mode n's product also serves the closed forms: H_n does not change in its update
+        p_n, p_e = target.product(state.factors, "n")
+        state.factors, res_n = update_factor(state, "n", cfg, p_n)
         max_residual = max(0.0, res_i, res_j, res_n)
-        x_old_norm = frob_norm(state.x)
-        x_new, delta = update_x(state, cfg, out=spare)
-        rel_change = delta / x_old_norm if x_old_norm > 0 else delta
-        spare, state.x = state.x, x_new
+
+        g_n = matricize_factor(state.factors.g_n, "n")
+        r_sq = float(np.vdot(g_n, g_n @ pair_gram(state.factors, "n")))
+        r_x = float(np.vdot(g_n, p_n))
+        if p_e is not None:
+            r_e = float(np.vdot(g_n, p_e))
+        else:
+            r_e = float(np.dot(e_coo.values, cell_values(state.factors, e_coo.i, e_coo.j, e_coo.n)))
+        x_norm = math.sqrt(max(target.sq_norm, 0.0))
+        delta = alpha * math.sqrt(max(r_sq - 2.0 * r_x + target.sq_norm, 0.0))
+        rel_change = delta / x_norm if x_norm > 0 else delta
+        fit = math.sqrt(max(r_sq - 2.0 * r_e + e_sq, 0.0))
+        if e_sq > 0:
+            fit /= math.sqrt(e_sq)
+        target.advance(state.factors, alpha, beta, r_sq, r_x)
 
         grew = rel_change < cfg.grow_tol and state.f < cfg.f_max
-        # X_new - R = lambda2 * (X_old - X_new), so no second contraction
+        # X_new - R = lambda2 * (X_old - X_new)
         obj = 0.5 * (cfg.lambda2 * delta) ** 2
         state.trace.append(TraceRecord(s=state.s, f=state.f, objective=obj, rel_change=rel_change,
-                                       max_residual=max_residual, grew=grew))
+                                       max_residual=max_residual, grew=grew, fit=fit))
         if grew:
             grow_rank(state, cfg)
             logger.debug("s=%d rank grown to %d (rel_change=%.3e)", state.s, state.f, rel_change)

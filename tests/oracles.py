@@ -333,3 +333,159 @@ def extract_features(stream, tensor, factors):
         frames=frames,
         n_frames=factors.dims[2],
     )
+
+
+# ---------------------------------------------------------------------------
+# the dense-X solve: X as a float64 (I, J, N) array, blended and measured cell
+# by cell. The library keeps X as E's nonzeros plus a history of factor
+# triples; this is the reference it must match.
+
+
+def gi_x_product(x: np.ndarray, g_i: np.ndarray) -> np.ndarray:
+    """The (f^2, J*N) product V = matricize_factor(g_i, "i")^T X_(I, J*N), one
+    I*J*N*f^2 matmul: V[y*f + x, j*N + n] = sum_i g_i[i,x,y] x[i,j,n]. The
+    mode-j and mode-n right-hand sides both start from it."""
+    from evtensor.tensor_ops import matricize_factor
+
+    ii, jj, nn = x.shape
+    return matricize_factor(g_i, "i").T @ x.reshape(ii, jj * nn)
+
+
+def pair_rhs(x: np.ndarray, factors, mode: str,
+             gi_x: np.ndarray | None = None) -> np.ndarray:
+    """X_m H_m^T, read from X's (I, J, N) layout with no unfolding or H_m.
+
+    Mode i is one batched matmul of g_j against X's (J, N) slices, then g_n
+    over (z, n). Modes j and n contract `gi_x`, the gi_x_product of X and
+    factors.g_i, with g_n over (y, n) or with g_j over (x, j), each
+    O(J*N*f^3); it is computed here when not given. A caller that passes it
+    must have taken it from the current g_i."""
+    from evtensor.errors import ShapeError
+
+    f = factors.rank
+    ii, jj, nn = factors.dims
+    if x.shape != (ii, jj, nn):
+        raise ShapeError(f"X has shape {x.shape}, the factors {(ii, jj, nn)}")
+    if mode == "i":
+        # w[i, x*f + z, n] = sum_j g_j[x,j,z] x[i,j,n]
+        w = factors.g_j.transpose(0, 2, 1).reshape(f * f, jj) @ x
+        # sum over (z, n) against g_n -> (i, x, y): column y*f + x
+        p = w.reshape(ii, f, f * nn) @ factors.g_n.reshape(f, f * nn).T
+        return p.transpose(0, 2, 1).reshape(ii, f * f)
+    if mode not in ("j", "n"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if gi_x is None:
+        gi_x = gi_x_product(x, factors.g_i)
+    v = gi_x.reshape(f, f * jj, nn)  # (y, (x, j), n)
+    if mode == "j":
+        # per y, sum over n against g_n[y]; then over y -> (x, j, z): column z*f + x
+        p = (v @ factors.g_n.transpose(0, 2, 1)).sum(axis=0)
+        return p.reshape(f, jj, f).transpose(1, 2, 0).reshape(jj, f * f)
+    # sum over (x, j) against g_j -> (y, z, n): column z*f + y
+    p = factors.g_j.reshape(f * jj, f).T @ v
+    return p.transpose(2, 1, 0).reshape(nn, f * f)
+
+
+class DenseState:
+    """The solver state with X as a dense float64 array."""
+
+    def __init__(self, x, factors, s=0, rng=None):
+        self.x = x
+        self.factors = factors
+        self.s = s
+        self.rng = rng
+        self.trace = []
+        self.converged = False
+
+    @property
+    def f(self) -> int:
+        return self.factors.rank
+
+
+def init_dense_state(e, cfg) -> DenseState:
+    """X starts as a float64 copy of E; the factors and generator are the
+    library's start at the same seed."""
+    from evtensor.events import EventTensor
+    from evtensor.solver import init_state
+
+    start = init_state(e, cfg)
+    x = np.array(e.data if isinstance(e, EventTensor) else e, dtype=np.float64)
+    return DenseState(x=x, factors=start.factors, s=0, rng=start.rng)
+
+
+def update_x(state, cfg, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """X_new = (R + lambda2 X_old) / (1 + lambda2) and the step
+    ||X_new - X_old||. The reconstruction R is written into `out` (a fresh
+    array when None), which becomes X_new - X_old, then X_new; state.x is not
+    written, so `out` must not share its memory."""
+    from evtensor.tensor_ops import f3tn_contract, frob_norm
+
+    if out is not None and np.shares_memory(out, state.x):
+        raise ValueError("update_x cannot write X_new into the memory of X_old")
+    x_new = f3tn_contract(state.factors, out=out)
+    x_new -= state.x
+    x_new /= 1.0 + cfg.lambda2
+    step = frob_norm(x_new)
+    x_new += state.x
+    return x_new, step
+
+
+def solve_dense(e, cfg=None):
+    """The solve schedule with a dense X: the library's factor solves and rank
+    growth, fed right-hand sides from the dense pair_rhs, and the X update,
+    step and stop check taken cell by cell. Each TraceRecord's fit is the
+    dense ||f3tn_contract(F) - E|| / ||E||."""
+    from evtensor.events import EventTensor
+    from evtensor.solver import SolverConfig, TraceRecord, grow_rank, update_factor
+    from evtensor.tensor_ops import f3tn_contract, frob_norm
+
+    cfg = cfg or SolverConfig()
+    state = init_dense_state(e, cfg)
+    e_dense = np.array(e.data if isinstance(e, EventTensor) else e, dtype=np.float64)
+    e_norm = frob_norm(e_dense)
+    spare = None  # the previous sweep's X_old, the buffer of the next R
+    while state.s < cfg.s_max:
+        state.factors, res_i = update_factor(state, "i", cfg,
+                                             pair_rhs(state.x, state.factors, "i"))
+        # modes j and n both contract X with the fresh g_i: one product for both
+        gi_x = gi_x_product(state.x, state.factors.g_i)
+        state.factors, res_j = update_factor(state, "j", cfg,
+                                             pair_rhs(state.x, state.factors, "j", gi_x))
+        state.factors, res_n = update_factor(state, "n", cfg,
+                                             pair_rhs(state.x, state.factors, "n", gi_x))
+        del gi_x  # free before the X update's buffers
+        max_residual = max(0.0, res_i, res_j, res_n)
+        fit = frob_dist(f3tn_contract(state.factors), e_dense)
+        fit = fit / e_norm if e_norm > 0 else fit
+        x_old_norm = frob_norm(state.x)
+        x_new, delta = update_x(state, cfg, out=spare)
+        rel_change = delta / x_old_norm if x_old_norm > 0 else delta
+        spare, state.x = state.x, x_new
+
+        grew = rel_change < cfg.grow_tol and state.f < cfg.f_max
+        # X_new - R = lambda2 * (X_old - X_new), so no second contraction
+        obj = 0.5 * (cfg.lambda2 * delta) ** 2
+        state.trace.append(TraceRecord(s=state.s, f=state.f, objective=obj, rel_change=rel_change,
+                                       max_residual=max_residual, grew=grew, fit=fit))
+        if grew:
+            grow_rank(state, cfg)
+        elif rel_change < cfg.conv_tol:
+            state.converged = True
+            state.s += 1
+            break
+        state.s += 1
+    return state.factors, state
+
+
+def dense_target(target) -> np.ndarray:
+    """The library's RelaxedTarget as the dense X it stands for."""
+    from evtensor.tensor_ops import FactorTriple, f3tn_contract
+
+    e = target.e
+    x = np.zeros(e.dims)
+    x[e.i, e.j, e.n] = target.e_weight * e.values
+    for k, w in enumerate(target.weights):
+        triple = FactorTriple(g_i=target.history.g_i[k], g_j=target.history.g_j[k],
+                              g_n=target.history.g_n[k])
+        x += w * f3tn_contract(triple)
+    return x

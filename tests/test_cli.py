@@ -98,6 +98,17 @@ def test_rerun_is_byte_identical(pipeline_dir):
     assert _without_seconds((work / "sweep.csv").read_text()) == _without_seconds(sweep_before)
 
 
+def test_decompose_prints_the_final_fit(pipeline_dir, tmp_path, capsys):
+    work, _ = pipeline_dir
+    binning = ["--events", str(work / "events.csv"), "--geometry", "64x48", "--frames", "60"]
+    assert cli.main(["decompose", *binning, "--checkpoint", str(tmp_path / "ckpt.txt"),
+                     "--trace", str(tmp_path / "trace.csv"), *SMALL_SOLVE]) == 0
+    tensor = bin_to_tensor(parse_events(work / "events.csv", (64, 48)), 60)
+    _, state = solve(tensor, SolverConfig(s_max=4, f_max=2))
+    assert f"final fit: {state.trace[-1].fit:.6g}" in capsys.readouterr().out.splitlines()
+    assert 0.0 < state.trace[-1].fit < 2.0
+
+
 def test_classify_exits_1_when_the_task_empties_a_partition(tmp_path, caplog):
     # both objects fire only in the first half of the recording, so the
     # object task has no test events; noise spans the whole recording

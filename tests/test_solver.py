@@ -1,41 +1,48 @@
+import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import evtensor.solver as solver_module
+import oracles
 from evtensor.errors import NumericalError
 from evtensor.events import EventStream, EventTensor, bin_to_tensor
 from evtensor.solver import (
     SolverConfig,
-    SolverState,
     grow_rank,
     init_state,
     load_checkpoint,
     save_checkpoint,
     solve,
     update_factor,
-    update_x,
     write_trace_csv,
 )
+from evtensor.synth import ObjectSpec, SceneSpec, generate, two_object_scene
 from evtensor.tensor_ops import (
     FactorTriple,
     f3tn_contract,
     frob_norm,
-    gi_x_product,
     matricize_factor,
 )
 
 from oracles import (
+    DenseState,
     blend_x,
+    dense_target,
     frob_dist,
+    init_dense_state,
     objective,
     objective_bruteforce,
     pair_contraction,
+    pair_rhs,
     quasi_identity,
     random_factors,
     scalar_rank1_factor_update,
+    solve_dense,
     unfold,
+    update_x,
 )
 
 
@@ -68,6 +75,23 @@ def test_config_rejects_non_finite_values(name, value):
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
+@pytest.mark.parametrize("name", ["f_max", "s_max", "seed"])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SolverConfig(**{name: value})
+
+
+def test_fractional_rank_cap_is_refused_and_numpy_integers_pass():
+    # growth runs while f < f_max, so f_max = 2.5 used to end at rank 3
+    with pytest.raises(ValueError, match="f_max"):
+        SolverConfig(f_max=2.5, s_max=200)
+    cfg = SolverConfig(f_max=np.int64(3), s_max=np.int32(40), seed=np.uint8(2))
+    e = (np.random.default_rng(6).random((6, 6, 6)) < 0.3).astype(float)
+    _, state = solve(e, cfg)
+    assert max(r.f for r in state.trace) <= 3
+
+
 # ---------------------------------------------------------------------------
 # init_state
 
@@ -93,8 +117,10 @@ def test_init_is_seeded_deterministic():
 def test_init_x_is_e_as_float():
     e = (np.random.default_rng(1).random((3, 3, 3)) < 0.3).astype(np.uint8)
     state = init_state(e, SolverConfig())
-    assert state.x.dtype == np.float64
-    np.testing.assert_array_equal(state.x, e.astype(np.float64))
+    assert state.target.e.values.dtype == np.float64
+    assert state.target.e_weight == 1.0 and len(state.target.history) == 0
+    np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
+    assert state.target.sq_norm == float(e.sum())
     assert (state.factors.g_i >= 0).all() and (state.factors.g_i <= 0.1).all()
 
 
@@ -105,9 +131,9 @@ def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
     before = e.copy()
     source = EventTensor(data=e, bin_edges=np.arange(6)) if as_event_tensor else e
     state = init_state(source, SolverConfig())
-    assert state.x.dtype == np.float64
-    np.testing.assert_array_equal(state.x, e.astype(np.float64))
-    state.x[...] = 7.0
+    assert state.target.e.values.dtype == np.float64
+    np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
+    state.target.e.values[...] = 7.0
     np.testing.assert_array_equal(e, before)
 
 
@@ -161,7 +187,7 @@ def test_rank1_update_matches_scalar_oracle(mode):
     e = np.random.default_rng(8).uniform(size=(2, 2, 2))
     state = init_state(e, cfg)
     h = pair_contraction(state.factors, mode)
-    x_mat = unfold(state.x, mode)
+    x_mat = unfold(e, mode)  # X starts as E
     g_old = matricize_factor(state.factors.factor(mode), mode)[:, 0]
     expected = scalar_rank1_factor_update(x_mat, h[0], g_old, cfg.lambda1, cfg.lambda2)
     updated, _ = update_factor(state, mode, cfg)
@@ -177,20 +203,24 @@ def test_sweep_is_gauss_seidel_in_mode_order():
     manual = init_state(e, cfg)
     for mode in "ijn":
         manual.factors, _ = update_factor(manual, mode, cfg)
-    manual_x, _ = update_x(manual, cfg)
+    alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
+    recon = f3tn_contract(manual.factors)
     factors, state = solve(e, cfg)
     np.testing.assert_array_equal(factors.g_i, manual.factors.g_i)
     np.testing.assert_array_equal(factors.g_j, manual.factors.g_j)
     np.testing.assert_array_equal(factors.g_n, manual.factors.g_n)
-    np.testing.assert_array_equal(state.x, manual_x)
+    # the target holds the blend as beta E + alpha R
+    np.testing.assert_array_equal(dense_target(state.target), beta * e + alpha * recon)
+    np.testing.assert_allclose(dense_target(state.target), blend_x(recon, e, cfg.lambda2),
+                               rtol=1e-14)
 
 
 def test_update_factor_nonfinite_raises_with_iteration():
     cfg = SolverConfig(seed=0)
     e = np.random.default_rng(0).uniform(size=(3, 3, 3))
+    e[0, 0, 0] = np.inf
     state = init_state(e, cfg)
     state.s = 17
-    state.x[0, 0, 0] = np.inf
     with pytest.raises(NumericalError) as err:
         update_factor(state, "i", cfg)
     assert err.value.iteration == 17
@@ -212,7 +242,7 @@ def test_update_factor_with_the_shared_product_is_bit_identical(mode, lambda1):
     e = (np.random.default_rng(12).random((9, 7, 5)) < 0.3).astype(float)
     state = init_state(e, cfg)
     state.factors = random_factors(np.random.default_rng(13), (9, 7, 5), 4, lo=0.0)
-    shared = gi_x_product(state.x, state.factors.g_i)
+    shared, _ = state.target.product(state.factors, mode)
     with_shared, res_shared = update_factor(state, mode, cfg, shared)
     without, res = update_factor(state, mode, cfg)
     np.testing.assert_array_equal(with_shared.factor(mode), without.factor(mode))
@@ -220,7 +250,7 @@ def test_update_factor_with_the_shared_product_is_bit_identical(mode, lambda1):
 
 
 # ---------------------------------------------------------------------------
-# update_x
+# the dense X update of the solve_dense oracle
 
 
 def test_blend_degenerate_lambda2_zero():
@@ -243,7 +273,7 @@ def test_blend_is_midpoint_at_lambda2_one():
 def test_update_x_is_entrywise_convex_combination():
     cfg = SolverConfig(lambda2=0.4, seed=6)
     e = np.random.default_rng(6).uniform(size=(4, 4, 4))
-    state = init_state(e, cfg)
+    state = init_dense_state(e, cfg)
     recon = f3tn_contract(state.factors)
     x_new, _ = update_x(state, cfg)
     lo = np.minimum(recon, state.x)
@@ -255,10 +285,11 @@ def _sweep_states(cfg, sweeps=6, seed=11):
     """(state, x_new, step) at the X update of each of the first sweeps of a
     solve, with the factors updated and X advanced by hand."""
     e = (np.random.default_rng(seed).random((7, 6, 5)) < 0.3).astype(float)
-    state = init_state(e, cfg)
+    state = init_dense_state(e, cfg)
     for _ in range(sweeps):
         for mode in "ijn":
-            state.factors, _ = update_factor(state, mode, cfg)
+            state.factors, _ = update_factor(state, mode, cfg,
+                                             pair_rhs(state.x, state.factors, mode))
         x_old = state.x.copy()
         x_new, step = update_x(state, cfg)
         yield state, x_old, x_new, step
@@ -288,7 +319,7 @@ def test_update_x_leaves_x_old_untouched():
 
 def test_update_x_refuses_to_write_over_x_old():
     cfg = SolverConfig(f_max=2, seed=1)
-    state = init_state(np.random.default_rng(1).uniform(size=(4, 3, 5)), cfg)
+    state = init_dense_state(np.random.default_rng(1).uniform(size=(4, 3, 5)), cfg)
     before = state.x.copy()
     for out in (state.x, state.x[...], state.x.reshape(-1).reshape(4, 3, 5)):
         with pytest.raises(ValueError):
@@ -298,7 +329,7 @@ def test_update_x_refuses_to_write_over_x_old():
 
 def test_update_x_into_out_is_bit_identical():
     cfg = SolverConfig(f_max=3, lambda2=0.3, seed=2)
-    state = init_state(np.random.default_rng(2).uniform(size=(5, 4, 6)), cfg)
+    state = init_dense_state(np.random.default_rng(2).uniform(size=(5, 4, 6)), cfg)
     out = np.full(state.x.shape, np.nan)
     x_new, step = update_x(state, cfg, out=out)
     expected, expected_step = update_x(state, cfg)
@@ -325,8 +356,8 @@ def test_solve_recycles_x_old_without_aliasing(monkeypatch):
         outs.append(out)
         return x_new, step
 
-    monkeypatch.setattr(solver_module, "update_x", checking_update_x)
-    _, state = solve(e, cfg)
+    monkeypatch.setattr(oracles, "update_x", checking_update_x)
+    _, state = solve_dense(e, cfg)
     assert state.s == 6
     assert outs[0] is None and all(out is not None for out in outs[1:])
 
@@ -389,8 +420,7 @@ def test_objective_zero_at_exact_fit():
     cfg = SolverConfig(seed=2)
     rng = np.random.default_rng(2)
     factors = random_factors(rng, (3, 3, 3), 1, lo=0.0, hi=1.0)
-    state = SolverState(x=f3tn_contract(factors), factors=factors, s=0,
-                        rng=np.random.default_rng(0))
+    state = DenseState(x=f3tn_contract(factors), factors=factors)
     assert objective(state) == 0.0
 
 
@@ -398,7 +428,7 @@ def test_objective_zero_factors_is_half_norm_squared():
     x = np.random.default_rng(4).uniform(size=(3, 3, 3))
     factors = FactorTriple(g_i=np.zeros((3, 1, 1)), g_j=np.zeros((1, 3, 1)),
                            g_n=np.zeros((1, 1, 3)))
-    state = SolverState(x=x, factors=factors, s=0, rng=np.random.default_rng(0))
+    state = DenseState(x=x, factors=factors)
     assert objective(state) == pytest.approx(0.5 * frob_norm(x) ** 2, rel=1e-14)
 
 
@@ -406,7 +436,7 @@ def test_objective_matches_bruteforce():
     rng = np.random.default_rng(7)
     factors = random_factors(rng, (3, 2, 4), 2)
     x = rng.uniform(size=(3, 2, 4))
-    state = SolverState(x=x, factors=factors, s=0, rng=np.random.default_rng(0))
+    state = DenseState(x=x, factors=factors)
     expected = objective_bruteforce(x, factors.g_i, factors.g_j, factors.g_n)
     assert objective(state) == pytest.approx(expected, rel=1e-12)
 
@@ -438,7 +468,7 @@ def test_all_zero_input_terminates_finite():
     assert state.converged
     for g in (factors.g_i, factors.g_j, factors.g_n):
         assert np.isfinite(g).all()
-    assert np.isfinite(state.x).all()
+    assert np.isfinite(dense_target(state.target)).all()
     assert all(np.isfinite(r.rel_change) for r in state.trace)
 
 
@@ -521,8 +551,9 @@ def test_max_residual_tracked_in_trace():
 
 
 def _solve_recording_blends(monkeypatch, e, cfg):
-    """Solve while keeping each sweep's X_new and factors at the X update;
-    returns the state and the explicit 0.5 ||X_new - R||^2 of every sweep."""
+    """Run the solve_dense oracle while keeping each sweep's X_new and factors
+    at the X update; returns the state and the explicit 0.5 ||X_new - R||^2 of
+    every sweep."""
     seen = []
 
     def recording_update_x(state, cfg, out=None):
@@ -531,11 +562,10 @@ def _solve_recording_blends(monkeypatch, e, cfg):
         seen.append((x_new.copy(), state.factors))
         return x_new, step
 
-    monkeypatch.setattr(solver_module, "update_x", recording_update_x)
-    _, state = solve(e, cfg)
+    monkeypatch.setattr(oracles, "update_x", recording_update_x)
+    _, state = solve_dense(e, cfg)
     assert len(seen) == len(state.trace)
-    explicit = [objective(SolverState(x=x_new, factors=fac, s=0, rng=None))
-                for x_new, fac in seen]
+    explicit = [objective(DenseState(x=x_new, factors=fac)) for x_new, fac in seen]
     return state, explicit
 
 
@@ -545,6 +575,11 @@ def test_unclamped_trace_objective_is_the_explicit_half_squared_distance(monkeyp
     state, explicit = _solve_recording_blends(monkeypatch, e, cfg)
     assert any(r.grew for r in state.trace)
     for rec, expected in zip(state.trace, explicit):
+        assert rec.objective == pytest.approx(expected, rel=1e-10)
+    # the library's closed form (no dense X) gives the same objectives
+    _, sparse = solve(e, cfg)
+    assert len(sparse.trace) == len(explicit)
+    for rec, expected in zip(sparse.trace, explicit):
         assert rec.objective == pytest.approx(expected, rel=1e-10)
 
 
@@ -577,3 +612,133 @@ def test_trace_csv_format():
     assert len(lines) == 2 + len(state.trace)
     first = lines[2].split(",")
     assert int(first[0]) == 0 and int(first[1]) == state.trace[0].f
+
+
+# ---------------------------------------------------------------------------
+# the exact sparse-plus-history target against the dense-X solve
+
+
+def _assert_same_run(e, cfg):
+    """solve and the solve_dense oracle take the same path to the same factors."""
+    factors, state = solve(e, cfg)
+    dense_factors, dense = solve_dense(e, cfg)
+    assert (state.s, state.converged) == (dense.s, dense.converged)
+    assert [(r.s, r.f, r.grew) for r in state.trace] == [(r.s, r.f, r.grew) for r in dense.trace]
+    for name in ("g_i", "g_j", "g_n"):
+        # relative to each factor's largest entry: near-zero entries differ in
+        # their own leading digits by the same absolute roundoff
+        expected = getattr(dense_factors, name)
+        np.testing.assert_allclose(getattr(factors, name), expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+    return state, dense
+
+
+def _raw_sparse(seed, dims=(12, 10, 9), density=0.2):
+    """Non-binary values with empty rows, columns and frames."""
+    rng = np.random.default_rng(seed)
+    e = (rng.random(dims) < density) * rng.uniform(0.5, 3.0, size=dims)
+    e[[0, 5]] = 0.0
+    e[:, [3, 9]] = 0.0
+    e[:, :, [0, 4, 8]] = 0.0
+    return e
+
+
+def test_solve_matches_dense_on_the_reference_scene():
+    spec = two_object_scene()
+    tensor = bin_to_tensor(generate(spec), spec.n_frames)
+    state, _ = _assert_same_run(tensor, SolverConfig(s_max=200))
+    assert state.s == 200 and any(r.grew for r in state.trace)
+
+
+def test_solve_matches_dense_on_a_small_davis_like_scene():
+    # the DAVIS workload's two crossing objects and 20% noise on a 65x87 sensor
+    spec = SceneSpec(geometry=(65, 87), n_frames=25, duration_us=250_000, seed=3,
+                     noise_per_frame=7.2, objects=(
+                         ObjectSpec(kind="linear", start=(5.0, 5.0), velocity=(2.1, 3.0),
+                                    footprint=2, prob=0.8),
+                         ObjectSpec(kind="circular", start=(32.0, 43.0), radius=20.0,
+                                    freq=0.04, footprint=2, prob=0.8)))
+    tensor = bin_to_tensor(generate(spec), spec.n_frames)
+    _assert_same_run(tensor, SolverConfig(s_max=40))
+
+
+@pytest.mark.parametrize("lambda2", [0.1, 0.25, 1.0, 3.0])
+def test_solve_matches_dense_on_raw_values_with_empty_slices(lambda2):
+    # 150 sweeps outlast E and the history terms at lambda2 <= 1
+    cfg = SolverConfig(f_max=4, lambda2=lambda2, s_max=150, conv_tol=1e-12, grow_tol=2e-2, seed=1)
+    state, dense = _assert_same_run(_raw_sparse(8), cfg)
+    assert any(r.grew for r in state.trace)
+    x = dense_target(state.target)
+    np.testing.assert_allclose(x, dense.x, rtol=1e-10, atol=1e-10 * np.abs(dense.x).max())
+
+
+def test_solve_matches_dense_on_the_zero_tensor():
+    cfg = SolverConfig(f_max=3, lambda1=0.2, lambda2=0.1, seed=0)
+    state, dense = _assert_same_run(np.zeros((8, 8, 8)), cfg)
+    assert state.converged and dense.converged
+
+
+@pytest.mark.parametrize("lambda2, terms", [(0.1, 16), (0.3, 26), (1.0, 54), (3.0, 128)])
+def test_history_keeps_each_term_above_the_rounding_unit(lambda2, terms):
+    # a term stays while alpha beta^age >= 2^-53 alpha, E while beta^s >= 2^-53
+    cfg = SolverConfig(f_max=2, lambda2=lambda2, s_max=terms + 2, conv_tol=1e-12,
+                       grow_tol=1e-11, seed=0)
+    e = _raw_sparse(9)
+    for s_max, expected, e_in in ((terms - 1, terms - 1, True), (terms, terms, False),
+                                  (terms + 2, terms, False)):
+        _, state = solve(e, dataclasses.replace(cfg, s_max=s_max))
+        assert state.s == s_max
+        assert len(state.target.weights) == expected == len(state.target.history)
+        assert (state.target.e_weight > 0) == e_in and bool(state.target.plans) == e_in
+
+
+def _record_sweep_factors(monkeypatch) -> list[FactorTriple]:
+    """Keep the factors at the end of each sweep of later solves, before any
+    rank growth: the output of each mode-n update."""
+    fitted = []
+
+    def recording_update_factor(state, mode, cfg, product=None):
+        out = update_factor(state, mode, cfg, product)
+        if mode == "n":
+            fitted.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_module, "update_factor", recording_update_factor)
+    return fitted
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_trace_fit_is_the_dense_relative_error_at_every_sweep(monkeypatch, raw):
+    # 40 sweeps: <R, E> comes from the mode-n product for the first 16 and
+    # from the per-cell sum after E leaves X
+    fitted = _record_sweep_factors(monkeypatch)
+    e = _raw_sparse(10) if raw else (np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0
+    cfg = SolverConfig(f_max=3, s_max=40, conv_tol=1e-12, grow_tol=1e-2, seed=3)
+    _, state = solve(e, cfg)
+    assert state.s == 40 and state.target.e_weight == 0.0
+    assert len(fitted) == len(state.trace)
+    for rec, factors in zip(state.trace, fitted):
+        expected = frob_dist(f3tn_contract(factors), e) / frob_norm(e)
+        assert rec.fit == pytest.approx(expected, rel=1e-9)
+
+
+def test_trace_fit_of_the_zero_tensor_is_the_reconstruction_norm(monkeypatch):
+    fitted = _record_sweep_factors(monkeypatch)
+    _, state = solve(np.zeros((4, 5, 3)), SolverConfig(f_max=2, seed=1))
+    for rec, factors in zip(state.trace, fitted):
+        assert rec.fit == pytest.approx(frob_norm(f3tn_contract(factors)), rel=1e-9)
+
+
+def test_solve_allocates_less_than_one_dense_float_tensor():
+    # E as its nonzeros and the history as factor triples: no (I, J, N) float array
+    dims = (120, 160, 100)
+    e = (np.random.default_rng(0).random(dims) < 0.006).astype(np.uint8)
+    cfg = SolverConfig(f_max=10, s_max=6, seed=0)  # starts at rank 5
+    tracemalloc.start()
+    try:
+        _, state = solve(e, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.s == 6 and state.f >= 5
+    assert peak < 8 * e.size

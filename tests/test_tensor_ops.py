@@ -5,13 +5,19 @@ from hypothesis import strategies as st
 
 from evtensor.errors import ShapeError
 from evtensor.tensor_ops import (
+    CooTensor,
+    FactorStack,
     FactorTriple,
+    cell_values,
+    coo_plan,
+    coo_rhs,
+    cross_pair_gram,
     f3tn_contract,
     frob_norm,
-    gi_x_product,
+    history_rhs,
     matricize_factor,
     pair_gram,
-    pair_rhs,
+    pair_table,
     unmatricize_factor,
 )
 
@@ -197,7 +203,8 @@ def test_norm_invariant_under_balanced_rescaling():
 
 
 # ---------------------------------------------------------------------------
-# pair_gram / pair_rhs against the explicit H_m and X_m of the oracles
+# pair_gram and the sparse right-hand side against the explicit H_m and X_m of
+# the oracles; coo_rhs takes X in coordinate form
 
 
 def _assert_close(got, expected):
@@ -219,7 +226,8 @@ def test_pair_rhs_equals_unfolded_product(mode, f):
     rng = np.random.default_rng(10 + f)
     factors = random_factors(rng, (7, 5, 4), f)
     x = rng.normal(size=(7, 5, 4))
-    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ pair_contraction(factors, mode).T)
+    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode),
+                  unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -235,13 +243,13 @@ def test_pair_gram_and_rhs_property(dims, f, mode, seed):
     x = rng.normal(size=dims)
     h = pair_contraction(factors, mode)
     _assert_close(pair_gram(factors, mode), h @ h.T)
-    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ h.T)
+    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode), unfold(x, mode) @ h.T)
 
 
 def test_pair_rhs_shape_mismatch():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ShapeError):
-        pair_rhs(np.zeros((3, 4, 6)), factors, "i")
+        coo_rhs(CooTensor.from_dense(np.zeros((3, 4, 6))), factors, "i")
 
 
 UNEVEN_DIMS = [(3, 8, 5), (9, 2, 6), (4, 6, 11)]
@@ -254,7 +262,8 @@ def test_pair_rhs_equals_unfolded_product_on_uneven_shapes(dims, mode, f):
     rng = np.random.default_rng(20 + f)
     factors = random_factors(rng, dims, f)
     x = rng.normal(size=dims)
-    _assert_close(pair_rhs(x, factors, mode), unfold(x, mode) @ pair_contraction(factors, mode).T)
+    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode),
+                  unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
 @pytest.mark.parametrize("dims", [(7, 5, 4)] + UNEVEN_DIMS)
@@ -264,15 +273,17 @@ def test_pair_rhs_with_the_shared_product_is_bit_identical(dims, mode, f):
     rng = np.random.default_rng(30 + f)
     factors = random_factors(rng, dims, f)
     x = rng.normal(size=dims)
-    shared = gi_x_product(x, factors.g_i)
-    assert shared.shape == (f * f, dims[1] * dims[2])
-    np.testing.assert_array_equal(pair_rhs(x, factors, mode, shared), pair_rhs(x, factors, mode))
+    coo = CooTensor.from_dense(x)
+    # the sort plan a solve makes once and shares across its sweeps
+    shared = coo_plan(coo, mode)
+    assert shared.cols.shape == (x.size,) and shared.n_rows == dims["ijn".index(mode)]
+    np.testing.assert_array_equal(coo_rhs(coo, factors, mode, shared), coo_rhs(coo, factors, mode))
 
 
 def test_pair_rhs_unknown_mode():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ValueError):
-        pair_rhs(np.zeros((3, 4, 5)), factors, "k")
+        coo_rhs(CooTensor.from_dense(np.zeros((3, 4, 5))), factors, "k")
 
 
 @pytest.mark.parametrize("dims", [(7, 5, 4)] + UNEVEN_DIMS)
@@ -291,3 +302,145 @@ def test_f3tn_contract_rejects_an_unusable_out(bad):
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ShapeError):
         f3tn_contract(factors, out=bad)
+
+
+# ---------------------------------------------------------------------------
+# sparse E: coordinates, sort plans, pair tables and the per-cell sum
+
+
+def _sparse(rng, dims, density=0.3, binary=True):
+    x = (rng.random(dims) < density).astype(float)
+    if not binary:
+        x *= rng.normal(size=dims)
+    return x
+
+
+def test_coo_from_dense_keeps_c_order_and_values():
+    x = np.zeros((3, 4, 2), dtype=np.uint8)
+    x[2, 0, 1] = 1
+    x[0, 3, 0] = 1
+    x[0, 1, 1] = 1
+    coo = CooTensor.from_dense(x)
+    assert coo.dims == (3, 4, 2)
+    np.testing.assert_array_equal(np.stack([coo.i, coo.j, coo.n]), [[0, 0, 2], [1, 3, 0], [1, 0, 1]])
+    assert coo.values.dtype == np.float64 and coo.sq_norm == 3.0
+    raw = np.random.default_rng(0).normal(size=(3, 4, 2))
+    raw[1] = 0.0
+    coo = CooTensor.from_dense(raw)
+    np.testing.assert_array_equal(coo.values, raw[raw != 0])
+    assert coo.sq_norm == pytest.approx(float((raw ** 2).sum()), rel=1e-14)
+    with pytest.raises(ShapeError):
+        CooTensor.from_dense(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 3, 6])
+def test_coo_rhs_with_empty_rows_columns_and_frames(binary, mode, f):
+    # zeroed slices on every axis leave empty runs between non-empty ones and
+    # at both ends, the cases np.add.reduceat gets wrong when handed them
+    rng = np.random.default_rng(40 + f)
+    dims = (9, 7, 8)
+    x = _sparse(rng, dims, binary=binary)
+    x[[0, 3, 4, 8]] = 0.0
+    x[:, [0, 2, 6]] = 0.0
+    x[:, :, [1, 5, 7]] = 0.0
+    factors = random_factors(rng, dims, f)
+    expected = unfold(x, mode) @ pair_contraction(factors, mode).T
+    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode), expected)
+
+
+@pytest.mark.parametrize("mode", "ijn")
+def test_coo_rhs_of_the_zero_tensor_is_zero(mode):
+    dims = (4, 3, 5)
+    factors = random_factors(np.random.default_rng(1), dims, 2)
+    got = coo_rhs(CooTensor.from_dense(np.zeros(dims)), factors, mode)
+    assert got.shape == (dims["ijn".index(mode)], 4) and not got.any()
+
+
+def test_coo_rhs_rejects_another_modes_plan():
+    x = _sparse(np.random.default_rng(2), (4, 3, 5))
+    coo = CooTensor.from_dense(x)
+    factors = random_factors(np.random.default_rng(3), (4, 3, 5), 2)
+    with pytest.raises(ValueError):
+        coo_rhs(coo, factors, "j", coo_plan(coo, "i"))
+
+
+@pytest.mark.parametrize("mode", "ijn")
+def test_coo_plan_runs_cover_each_row_once(mode):
+    x = _sparse(np.random.default_rng(4), (6, 5, 7), density=0.2)
+    x[:, :, 3] = 0.0
+    x[2] = 0.0
+    plan = coo_plan(CooTensor.from_dense(x), mode)
+    axis = "ijn".index(mode)
+    counts = (x != 0).sum(axis=tuple(a for a in range(3) if a != axis))
+    np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
+    np.testing.assert_array_equal(np.diff(np.append(plan.starts, len(plan.cols))), counts[counts > 0])
+    assert plan.values is None
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 4])
+def test_pair_table_is_h_with_reordered_columns(mode, f):
+    dims = (5, 4, 3)
+    factors = random_factors(np.random.default_rng(f), dims, f)
+    ii, jj, nn = dims
+    h = pair_contraction(factors, mode)  # columns as in the unfolding
+    table = pair_table(factors, mode)
+    if mode == "i":  # unfolding column n*J + j, table column j*N + n
+        h = h.reshape(f * f, nn, jj).transpose(0, 2, 1)
+    elif mode == "j":  # n*I + i against i*N + n
+        h = h.reshape(f * f, nn, ii).transpose(0, 2, 1)
+    else:  # j*I + i against i*J + j
+        h = h.reshape(f * f, jj, ii).transpose(0, 2, 1)
+    _assert_close(table, h.reshape(f * f, -1))
+
+
+def _stack(triples):
+    return FactorStack(*(np.stack([getattr(t, g) for t in triples]) for g in ("g_i", "g_j", "g_n")))
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_cross_pair_gram_equals_explicit_cross_products(mode, f):
+    rng = np.random.default_rng(50 + f)
+    dims = (6, 5, 4)
+    past = [random_factors(rng, dims, f) for _ in range(3)]
+    factors = random_factors(rng, dims, f)
+    got = cross_pair_gram(_stack(past), factors, mode)
+    h = pair_contraction(factors, mode)
+    assert got.shape == (3, f * f, f * f)
+    for k, triple in enumerate(past):
+        _assert_close(got[k], pair_contraction(triple, mode) @ h.T)
+    # one term against itself is pair_gram
+    _assert_close(cross_pair_gram(_stack([factors]), factors, mode)[0], pair_gram(factors, mode))
+
+
+def test_cross_pair_gram_needs_one_rank():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ShapeError):
+        cross_pair_gram(_stack([random_factors(rng, (3, 3, 3), 2)]),
+                        random_factors(rng, (3, 3, 3), 3), "i")
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 3])
+def test_history_rhs_equals_the_weighted_dense_product(mode, f):
+    rng = np.random.default_rng(60 + f)
+    dims = (7, 4, 6)
+    past = [random_factors(rng, dims, f) for _ in range(4)]
+    weights = np.array([0.001, 0.01, 0.1, 0.9])
+    factors = random_factors(rng, dims, f)
+    x = sum(w * f3tn_contract(t) for w, t in zip(weights, past))
+    _assert_close(history_rhs(_stack(past), weights, factors, mode),
+                  unfold(x, mode) @ pair_contraction(factors, mode).T)
+
+
+@pytest.mark.parametrize("f", [1, 2, 4])
+def test_cell_values_equal_the_reconstruction_at_each_cell(f):
+    rng = np.random.default_rng(f)
+    factors = random_factors(rng, (5, 6, 7), f)
+    i, j, n = rng.integers(0, 5, 30), rng.integers(0, 6, 30), rng.integers(0, 7, 30)
+    np.testing.assert_allclose(cell_values(factors, i, j, n), f3tn_contract(factors)[i, j, n],
+                               rtol=1e-12, atol=1e-14)
+
