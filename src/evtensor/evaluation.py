@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ProtocolError, ShapeError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
 from .solver import SolverConfig, solve
-from .tensor_ops import FactorTriple, matricize_factor
+from .tensor_ops import MODES, FactorTriple, matricize_factor
 
 logger = logging.getLogger(__name__)
 
@@ -118,8 +118,7 @@ def extract_features(stream: EventStream, tensor: EventTensor,
     if not stream.has_labels:
         raise ProtocolError("feature extraction requires a labeled stream")
     frames = event_frames(stream, tensor, factors.dims)
-    tables = [matricize_factor(factors.g_i, "i"), matricize_factor(factors.g_j, "j"),
-              matricize_factor(factors.g_n, "n")]
+    tables = [matricize_factor(factors.factor(mode), mode) for mode in MODES]
     return FeatureMatrix(
         features=GatheredFeatures(tables, [stream.i, stream.j, frames]),
         labels=stream.labels.copy(),

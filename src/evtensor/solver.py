@@ -39,19 +39,23 @@ large lambda2 the memory is long: 26 terms at lambda2 = 0.3, 54 at 1, 128 at
 3. There is no dense fallback: the CLI default and every benchmark workload
 use lambda2 = 0.1.
 
-Per sweep at rank f with K history terms, X_m H_m^T is the sum of
+A sweep is one loop over the modes. For each mode it forms, for the current
+factors, X_m H_m^T (RelaxedTarget.product) and H_m H_m^T (tensor_ops.pair_gram,
+from per-factor Grams) and hands both to update_factor. With K history terms
+at rank f, X_m H_m^T is the sum of
   - E's part (tensor_ops.coo_rhs): the mode's pair table, O(f^3) per column
     over J*N, I*N or I*J columns, gathered at the nonzeros and segment-summed
-    by row, O(nnz f^2), with sort plans made once per solve;
+    by row, O(nnz f^2), in sort plans made once per E;
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
 so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2 and holds
-no (I, J, N) array. H_m H_m^T comes from per-factor Grams (tensor_ops.pair_gram).
+no (I, J, N) array.
 
-The step and the stop check have closed forms. ||X_{s+1} - X_s|| =
-alpha ||R_s - X_s||, with
-  - ||R||^2 = <G_n, G_n pair_gram(F, n)>,
-  - <R, X_s> = <G_n, P_n>, P_n the mode-n product the last update used,
+The step and the stop check have closed forms, from the product P_n and the
+Gram A_n the loop leaves behind: A_n depends on g_i and g_j only, so the
+mode-n update leaves it valid. ||X_{s+1} - X_s|| = alpha ||R_s - X_s||, with
+  - ||R||^2 = <G_n, G_n A_n>,
+  - <R, X_s> = <G_n, P_n>,
   - ||X_{s+1}||^2 = alpha^2 ||R||^2 + 2 alpha beta <R, X_s> + beta^2 ||X_s||^2
     from ||X_0||^2 = sum e^2.
 The difference subtracts terms of size ||X||^2, so the step resolves about
@@ -86,12 +90,10 @@ from .errors import NumericalError
 from .events import EventTensor, open_text
 from .tensor_ops import (
     MODES,
-    CooPlan,
     CooTensor,
     FactorStack,
     FactorTriple,
     cell_values,
-    coo_plan,
     coo_rhs,
     frob_norm,
     history_rhs,
@@ -160,25 +162,21 @@ class TraceRecord:
 
 def _pad(stack: FactorStack, f: int) -> FactorStack:
     """The stack at rank f, new latent slices zero, so each R(F_k) is unchanged."""
-    r = stack.rank
-    if r == f:
+    if stack.rank == f:
         return stack
-    k, ii, jj, nn = len(stack), stack.g_i.shape[1], stack.g_j.shape[2], stack.g_n.shape[3]
-    g_i, g_j, g_n = np.zeros((k, ii, f, f)), np.zeros((k, f, jj, f)), np.zeros((k, f, f, nn))
-    g_i[:, :, :r, :r] = stack.g_i
-    g_j[:, :r, :, :r] = stack.g_j
-    g_n[:, :r, :r, :] = stack.g_n
-    return FactorStack(g_i=g_i, g_j=g_j, g_n=g_n)
+    keep, grow = (0, 0), (0, f - stack.rank)
+    return FactorStack(np.pad(stack.g_i, (keep, keep, grow, grow)),
+                       np.pad(stack.g_j, (keep, grow, keep, grow)),
+                       np.pad(stack.g_n, (keep, grow, grow, keep)))
 
 
 @dataclass
 class RelaxedTarget:
     """X_s = e_weight E + sum_k weights[k] R(history[k]), exactly and without
-    its cells: E as its nonzeros with one sort plan per mode, the past factor
-    triples stacked oldest first."""
+    its cells: E as its nonzeros, the past factor triples stacked oldest
+    first."""
 
     e: CooTensor
-    plans: dict[str, CooPlan]
     sq_norm: float
     history: FactorStack
     weights: np.ndarray
@@ -189,7 +187,7 @@ class RelaxedTarget:
         p = history_rhs(_pad(self.history, factors.rank), self.weights, factors, mode)
         if not self.e_weight:
             return p, None
-        p_e = coo_rhs(self.e, factors, mode, self.plans[mode])
+        p_e = coo_rhs(self.e, factors, mode)
         p += self.e_weight * p_e
         return p, p_e
 
@@ -200,7 +198,7 @@ class RelaxedTarget:
         self.sq_norm = alpha * alpha * r_sq + 2.0 * alpha * beta * r_x + beta * beta * self.sq_norm
         self.e_weight *= beta
         if self.e_weight < TAIL_WEIGHT:
-            self.e_weight, self.plans = 0.0, {}
+            self.e_weight = 0.0
         weights = self.weights * beta
         keep = weights >= TAIL_WEIGHT * alpha
         old = _pad(self.history, factors.rank)
@@ -244,23 +242,19 @@ def init_state(e, cfg: SolverConfig) -> SolverState:
     factors = _random_factors(rng, data.shape, f0, cfg.init_scale)
     coo = CooTensor.from_dense(data)
     empty = FactorStack(*(np.zeros((0, *g.shape)) for g in (factors.g_i, factors.g_j, factors.g_n)))
-    target = RelaxedTarget(e=coo, plans={m: coo_plan(coo, m) for m in MODES},
-                           sq_norm=coo.sq_norm, history=empty, weights=np.zeros(0))
+    target = RelaxedTarget(e=coo, sq_norm=coo.sq_norm, history=empty, weights=np.zeros(0))
     return SolverState(target=target, factors=factors, s=0, rng=rng)
 
 
-def update_factor(state: SolverState, mode: str, cfg: SolverConfig,
-                  product: np.ndarray | None = None) -> tuple[FactorTriple, float]:
-    """Solve the mode-m subproblem; returns the updated triple and the solve
-    residual ||G A - rhs||_F / (1 + ||rhs||_F). `product` is X_m H_m^T for
-    the current factors, taken from state.target when not given."""
+def update_factor(state: SolverState, mode: str, cfg: SolverConfig, product: np.ndarray,
+                  gram: np.ndarray) -> tuple[FactorTriple, float]:
+    """Solve the mode-m subproblem given X_m H_m^T (`product`) and H_m H_m^T
+    (`gram`) for the current factors, writing neither; returns the updated
+    triple and the solve residual ||G A - rhs||_F / (1 + ||rhs||_F)."""
     factors = state.factors
     f = factors.rank
     g_old = matricize_factor(factors.factor(mode), mode)
-    if product is None:
-        product, _ = state.target.product(factors, mode)
-
-    a = pair_gram(factors, mode)
+    a = gram.copy()
     a[np.diag_indices_from(a)] += cfg.lambda2
     rhs = product + cfg.lambda2 * g_old
     if cfg.lambda1 != 0.0:
@@ -291,19 +285,13 @@ def grow_rank(state: SolverState, cfg: SolverConfig) -> SolverState:
     """Expand each factor by one slice along both latent axes (f <- min(f+1,
     f_max)); old entries are preserved, new ones filled with tiny seeded noise
     so the added directions are not stationary. No-op at the rank cap."""
-    f = state.f
+    f, old = state.f, state.factors
     if f >= cfg.f_max:
         return state
-    scale = cfg.init_scale * GROW_NOISE_FACTOR
-    ii, jj, nn = state.factors.dims
-    g = f + 1
-    g_i = state.rng.uniform(0.0, scale, size=(ii, g, g))
-    g_j = state.rng.uniform(0.0, scale, size=(g, jj, g))
-    g_n = state.rng.uniform(0.0, scale, size=(g, g, nn))
-    g_i[:, :f, :f] = state.factors.g_i
-    g_j[:f, :, :f] = state.factors.g_j
-    g_n[:f, :f, :] = state.factors.g_n
-    state.factors = FactorTriple(g_i=g_i, g_j=g_j, g_n=g_n)
+    state.factors = _random_factors(state.rng, old.dims, f + 1, cfg.init_scale * GROW_NOISE_FACTOR)
+    state.factors.g_i[:, :f, :f] = old.g_i
+    state.factors.g_j[:f, :, :f] = old.g_j
+    state.factors.g_n[:f, :f, :] = old.g_n
     return state
 
 
@@ -317,16 +305,18 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
     e_sq = e_coo.sq_norm
     alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
     while state.s < cfg.s_max:
-        state.factors, res_i = update_factor(state, "i", cfg)
-        state.factors, res_j = update_factor(state, "j", cfg)
-        # mode n's product also serves the closed forms: H_n does not change in its update
-        p_n, p_e = target.product(state.factors, "n")
-        state.factors, res_n = update_factor(state, "n", cfg, p_n)
-        max_residual = max(0.0, res_i, res_j, res_n)
+        max_residual = 0.0
+        for mode in MODES:
+            product, p_e = target.product(state.factors, mode)
+            gram = pair_gram(state.factors, mode)
+            state.factors, residual = update_factor(state, mode, cfg, product, gram)
+            max_residual = max(max_residual, residual)
 
+        # mode n's product and Gram serve the closed forms: H_n, built from
+        # g_i and g_j, does not change in the mode-n update
         g_n = matricize_factor(state.factors.g_n, "n")
-        r_sq = float(np.vdot(g_n, g_n @ pair_gram(state.factors, "n")))
-        r_x = float(np.vdot(g_n, p_n))
+        r_sq = float(np.vdot(g_n, g_n @ gram))
+        r_x = float(np.vdot(g_n, product))
         if p_e is not None:
             r_e = float(np.vdot(g_n, p_e))
         else:
@@ -368,7 +358,7 @@ def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
     ii, jj, nn = factors.dims
     with open_text(path_or_fh, "w") as fh:
         fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
-        for mode in ("i", "j", "n"):
+        for mode in MODES:
             np.savetxt(fh, matricize_factor(factors.factor(mode), mode), fmt="%.17g")
 
 
@@ -382,12 +372,8 @@ def load_checkpoint(path_or_fh) -> FactorTriple:
         if len(row) != f * f:
             raise ValueError(f"checkpoint line {k + 2} holds {len(row)} of {f * f} values; "
                              f"the header promises {len(rows)} factor rows")
-    mat = np.array(rows, dtype=np.float64)
-    return FactorTriple(
-        g_i=unmatricize_factor(mat[:ii], "i", f),
-        g_j=unmatricize_factor(mat[ii:ii + jj], "j", f),
-        g_n=unmatricize_factor(mat[ii + jj:], "n", f),
-    )
+    tables = np.split(np.array(rows, dtype=np.float64), [ii, ii + jj])
+    return FactorTriple(*(unmatricize_factor(t, mode, f) for t, mode in zip(tables, MODES)))
 
 
 def write_trace_csv(state: SolverState, path_or_fh, metadata: dict | None = None) -> None:

@@ -22,6 +22,10 @@ feature extraction depend on them being mutually consistent:
     first-listed index fastest: (x,y) -> y*f + x for mode i, (x,z) -> z*f + x
     for mode j, (y,z) -> z*f + y for mode n.
 
+    Two per-mode tables state the rest, so no function branches on the mode:
+    _LAYOUT, that flattening as one transpose to (data, slow latent, fast
+    latent), and PAIRS, the other two factors with their data and shared axes.
+
 With H_m the f^2 x (product of the other two dims) partial contraction of the
 two factors other than g_m, summed over their shared latent index, and R the
 reconstruction, for every mode m:
@@ -32,20 +36,20 @@ The solver forms no unfolding and no (I, J, N) array. Its data product
 X_m H_m^T is a weighted sum of two kinds of term, each exact:
 
   - an event tensor E given as its nonzeros (CooTensor). coo_rhs builds the
-    mode's pair table, H_m with its columns in (i, j, n) order
-    (pair_table, O(f^3) per column), gathers its columns at the nonzeros
-    into an (f^2, nnz) array and sums each row's run of them with one
-    np.add.reduceat along that contiguous axis; the runs come from a sort
-    plan (coo_plan) made once per E. Gathering rows of an (nnz, f^2) layout
-    instead took 3.3x as long at DAVIS scale (f = 6, 57.8k nonzeros, 90k
-    columns: 6.7 against 2.0 ms on 2 vCPUs).
+    mode's pair table, H_m with its columns in (i, j, n) order (pair_table,
+    one batched matmul, O(f^3) per column), gathers its columns at the
+    nonzeros into an (f^2, nnz) array and sums each row's run of them with
+    one np.add.reduceat along that contiguous axis; the runs come from the
+    sort plans CooTensor.from_dense makes once per E. Gathering rows of an
+    (nnz, f^2) layout instead took 3.3x as long at DAVIS scale (f = 6, 57.8k
+    nonzeros, 90k columns: 6.7 against 2.0 ms on 2 vCPUs).
   - past reconstructions R(F_k), given as their factor triples (FactorStack).
     R(F_k)_m H_m^T = G_m^k (H_m^k H_m^T), and H_m^k H_m^T comes from
-    cross-Grams of the factors (cross_pair_gram, pair_gram's construction for
-    two triples) in O((I+J+N) f^4 + f^6) per term; history_rhs sums them.
+    cross-Grams of the factors in O((I+J+N) f^4 + f^6) per term;
+    history_rhs sums them.
 
-pair_gram gives H_m H_m^T from per-factor Grams the same way, and
-cell_values reads R at single cells.
+pair_gram gives H_m H_m^T from per-factor Grams the same way, and the
+cross-Grams when given a second triple; cell_values reads R at single cells.
 """
 
 from __future__ import annotations
@@ -123,38 +127,35 @@ def f3tn_contract(factors: FactorTriple, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+# mode -> the transpose of its factor to (data, slow latent, fast latent): a
+# matricized factor's column is slow * f + fast, the first-listed index fastest
+_LAYOUT = {"i": (0, 2, 1), "j": (1, 2, 0), "n": (2, 1, 0)}
+_INVERSE = {mode: tuple(axes.index(k) for k in range(3)) for mode, axes in _LAYOUT.items()}
+_BATCHED = {mode: (0, *(1 + a for a in axes)) for mode, axes in _LAYOUT.items()}
+
+
 def matricize_factor(g: np.ndarray, mode: str) -> np.ndarray:
     """Flatten a factor's two latent axes into columns (first-listed index fastest)."""
     if g.ndim != 3:
         raise ShapeError("factor must be a 3rd-order array")
-    if mode == "i":
-        ii, f, _ = g.shape
-        return g.transpose(0, 2, 1).reshape(ii, f * f)
-    if mode == "j":
-        f, jj, _ = g.shape
-        return g.transpose(1, 2, 0).reshape(jj, f * f)
-    if mode == "n":
-        f, _, nn = g.shape
-        return g.transpose(2, 1, 0).reshape(nn, f * f)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in _LAYOUT:
+        raise ValueError(f"unknown mode {mode!r}")
+    m = g.transpose(_LAYOUT[mode])
+    return m.reshape(m.shape[0], m.shape[1] * m.shape[2])
 
 
 def unmatricize_factor(m: np.ndarray, mode: str, f: int) -> np.ndarray:
     """Inverse of :func:`matricize_factor`."""
     if m.ndim != 2 or m.shape[1] != f * f:
         raise ShapeError(f"expected a (*, {f * f}) matrix, got {m.shape}")
-    d = m.shape[0]
-    if mode == "i":
-        return np.ascontiguousarray(m.reshape(d, f, f).transpose(0, 2, 1))
-    if mode == "j":
-        return np.ascontiguousarray(m.reshape(d, f, f).transpose(2, 0, 1))
-    if mode == "n":
-        return np.ascontiguousarray(m.reshape(d, f, f).transpose(2, 1, 0))
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in _INVERSE:
+        raise ValueError(f"unknown mode {mode!r}")
+    return np.ascontiguousarray(m.reshape(len(m), f, f).transpose(_INVERSE[mode]))
 
 
-# mode -> the pair of other factors, each as (name, data axis, latent axis
-# shared with the other one); the first one's open latent axis is H_m's fastest row index
+# mode -> the pair of other factors in data-axis order, each as (name, data
+# axis, latent axis shared with the other one); the first one's open latent
+# axis is H_m's fastest row index
 PAIRS = {"i": (("g_j", 1, 2), ("g_n", 2, 1)),
          "j": (("g_i", 0, 2), ("g_n", 2, 0)),
          "n": (("g_i", 0, 1), ("g_j", 1, 0))}
@@ -188,13 +189,19 @@ def _pair_from_grams(a: np.ndarray, b: np.ndarray, f: int) -> np.ndarray:
     return out.transpose(axes).reshape(*out.shape[:-4], f * f, f * f)
 
 
-def pair_gram(factors: FactorTriple, mode: str) -> np.ndarray:
+def pair_gram(factors: FactorTriple | FactorStack, mode: str,
+              other: FactorTriple | None = None) -> np.ndarray:
     """H_m H_m^T from the two other factors' own Grams, O((I+J+N) f^4 + f^6),
     without forming H_m: for mode i, (H_i H_i^T)[(x,y),(x',y')] =
-    sum_{z,z'} Gram(g_j)[x,z,x',z'] Gram(g_n)[y,z,y',z']."""
+    sum_{z,z'} Gram(g_j)[x,z,x',z'] Gram(g_n)[y,z,y',z']. With `other`, the
+    cross-Gram H_m H_m(other)^T from each factor's Gram against other's;
+    `factors` may then be a FactorStack of K triples, giving (K, f^2, f^2)."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
-    a, b = (_latent_gram(getattr(factors, name), data, shared)
+    if other is not None and other.rank != factors.rank:
+        raise ShapeError(f"rank {factors.rank} differs from the other factors' {other.rank}")
+    a, b = (_latent_gram(getattr(factors, name), data, shared,
+                         None if other is None else getattr(other, name))
             for name, data, shared in PAIRS[mode])
     return _pair_from_grams(a, b, factors.rank)
 
@@ -216,65 +223,27 @@ class FactorStack:
         return self.g_i.shape[2]
 
 
-def cross_pair_gram(stack: FactorStack, factors: FactorTriple, mode: str) -> np.ndarray:
-    """(K, f^2, f^2): H_m^k H_m^T for each stacked triple k against `factors`,
-    pair_gram's construction over cross-Grams, O(K (I+J+N) f^4 + K f^6)."""
-    if mode not in PAIRS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if stack.rank != factors.rank:
-        raise ShapeError(f"stack rank {stack.rank} differs from the factors' {factors.rank}")
-    a, b = (_latent_gram(getattr(stack, name), data, shared, getattr(factors, name))
-            for name, data, shared in PAIRS[mode])
-    return _pair_from_grams(a, b, factors.rank)
-
-
 def history_rhs(stack: FactorStack, weights: np.ndarray, factors: FactorTriple,
                 mode: str) -> np.ndarray:
     """(sum_k weights[k] R(F_k))_m H_m^T for the stacked triples F_k, with
     R(F_k)_m = G_m^k H_m^k: sum_k weights[k] G_m^k (H_m^k H_m^T), from the
     cross-Grams and no cell of any R(F_k)."""
-    c = cross_pair_gram(stack, factors, mode)
+    c = pair_gram(stack, mode, factors)
     c *= np.asarray(weights, dtype=np.float64)[:, None, None]
-    g = getattr(stack, f"g_{mode}")
-    # matricize_factor's column order (first-listed latent index fastest), per term
-    g = {"i": g.transpose(0, 1, 3, 2), "j": g.transpose(0, 2, 3, 1),
-         "n": g.transpose(0, 3, 2, 1)}[mode]
+    # matricize_factor's layout, per term
+    g = getattr(stack, f"g_{mode}").transpose(_BATCHED[mode])
     g = g.reshape(*g.shape[:2], factors.rank ** 2)
     return np.tensordot(g, c, axes=([0, 2], [0, 1]))
 
 
 @dataclass(frozen=True)
-class CooTensor:
-    """The nonzero cells of an (I, J, N) tensor: coordinates and float64
-    values, in C order when built by from_dense."""
-
-    dims: tuple[int, int, int]
-    i: np.ndarray
-    j: np.ndarray
-    n: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_dense(cls, data) -> CooTensor:
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
-        coords = np.nonzero(data)
-        return cls(dims=tuple(int(d) for d in data.shape), i=coords[0], j=coords[1],
-                   n=coords[2], values=data[coords].astype(np.float64))
-
-    @property
-    def sq_norm(self) -> float:
-        return float(np.dot(self.values, self.values))
-
-
-@dataclass(frozen=True)
 class CooPlan:
-    """One mode's segment-sum plan over a CooTensor's nonzeros, sorted by that
-    mode's index: each nonzero's column in the mode's pair table, its value
-    (None when every value is 1), and where each non-empty row's run starts."""
+    """One axis's segment-sum plan over a CooTensor's nonzeros, sorted stably
+    by that axis's index so each row's run keeps C order: each nonzero's
+    column in the mode's pair table (the other two indices in C order), its
+    value (None when every value is 1), and where each non-empty row's run
+    starts."""
 
-    mode: str
     cols: np.ndarray
     values: np.ndarray | None
     starts: np.ndarray
@@ -282,61 +251,68 @@ class CooPlan:
     n_rows: int
 
 
-def coo_plan(coo: CooTensor, mode: str) -> CooPlan:
-    """Sort the nonzeros by their mode-m index, stably, so each row's run keeps
-    C order and reads its pair-table columns in increasing order."""
-    _, jj, nn = coo.dims
-    if mode == "i":
-        key, cols = coo.i, coo.j * nn + coo.n
-    elif mode == "j":
-        key, cols = coo.j, coo.i * nn + coo.n
-    elif mode == "n":
-        key, cols = coo.n, coo.i * jj + coo.j
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    values = None if np.all(coo.values == 1.0) else coo.values[order]
-    return CooPlan(mode=mode, cols=cols[order], values=values, starts=starts,
-                   rows=key[starts], n_rows=coo.dims[MODES.index(mode)])
+@dataclass(frozen=True)
+class CooTensor:
+    """The nonzero cells of an (I, J, N) tensor: coordinates and float64
+    values in C order, and a sort plan per mode."""
+
+    dims: tuple[int, int, int]
+    i: np.ndarray
+    j: np.ndarray
+    n: np.ndarray
+    values: np.ndarray
+    plans: dict[str, CooPlan]
+
+    @classmethod
+    def from_dense(cls, data) -> CooTensor:
+        data = np.asarray(data)
+        if data.ndim != 3:
+            raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
+        coords = np.nonzero(data)
+        dims = tuple(int(d) for d in data.shape)
+        values = data[coords].astype(np.float64)
+        ones = bool(np.all(values == 1.0))
+        plans = {}
+        for axis, mode in enumerate(MODES):
+            slow, fast = (a for a in range(3) if a != axis)
+            order = np.argsort(coords[axis], kind="stable")
+            key = coords[axis][order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            plans[mode] = CooPlan(cols=(coords[slow] * dims[fast] + coords[fast])[order],
+                                  values=None if ones else values[order], starts=starts,
+                                  rows=key[starts], n_rows=dims[axis])
+        return cls(dims, *coords, values, plans)
+
+    @property
+    def sq_norm(self) -> float:
+        return float(np.dot(self.values, self.values))
 
 
 def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
     """H_m itself with its columns reordered, (f^2, product of the two other
-    dims): rows in matricize_factor(g_m)'s column order, columns j*N + n for
-    mode i, i*N + n for mode j and i*J + j for mode n. One batched matmul,
-    O(f^3) per column, written in this layout directly."""
-    g_i, g_j, g_n = factors.g_i, factors.g_j, factors.g_n
-    f = factors.rank
-    ii, jj, nn = factors.dims
-    if mode == "i":
-        # per y: (x, j; z) @ (z; n) -> (y, x, j, n)
-        t = np.matmul(g_j.reshape(f * jj, f), g_n)
-    elif mode == "j":
-        # per z: (x, i; y) @ (y; n) -> (z, x, i, n)
-        t = np.matmul(g_i.transpose(1, 0, 2).reshape(f * ii, f), g_n.transpose(1, 0, 2))
-    elif mode == "n":
-        # per z: (y, i; x) @ (x; j) -> (z, y, i, j)
-        t = np.matmul(g_i.transpose(2, 0, 1).reshape(f * ii, f), g_j.transpose(2, 0, 1))
-    else:
+    dims): rows in matricize_factor(g_m)'s column order, columns the other two
+    indices in C order (j*N + n for mode i, i*N + n for mode j, i*J + j for
+    mode n). One batched matmul over the pair's shared latent axis, O(f^3)
+    per column, written in this layout directly: per open latent index of
+    the second factor, (open, data; shared) of the first @ (shared; data)."""
+    if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
-    return t.reshape(f * f, -1)
+    (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
+    f = factors.rank
+    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
+    b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
+    return np.matmul(a.reshape(-1, f), b).reshape(f * f, -1)
 
 
-def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str,
-            plan: CooPlan | None = None) -> np.ndarray:
+def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
     """E_m H_m^T from E's nonzeros alone, O(f^3 * (other dims) + nnz * f^2):
     the mode's pair table, its columns gathered at the nonzeros (scaled by
     their values) and summed per row with one np.add.reduceat along the
-    gathered axis. `plan` is coo_plan(coo, mode), built here when not given."""
+    gathered axis, in the runs of E's mode-m sort plan."""
     if coo.dims != factors.dims:
         raise ShapeError(f"E has shape {coo.dims}, the factors {factors.dims}")
-    if plan is None:
-        plan = coo_plan(coo, mode)
-    elif plan.mode != mode:
-        raise ValueError(f"a mode-{plan.mode} plan cannot give the mode-{mode} product")
     table = pair_table(factors, mode)
+    plan = coo.plans[mode]
     out = np.zeros((table.shape[0], plan.n_rows))
     if len(plan.starts):
         gathered = np.take(table, plan.cols, axis=1)
@@ -350,11 +326,12 @@ def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str,
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     """The reconstruction at the cells (i[k], j[k], n[k]), one f^3 sum per
     cell and no full tensor: sum over (x, y) of
-    g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y]."""
+    g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y], the products one
+    batched matmul."""
     a = factors.g_i[i]                          # (M, x, y)
     b = factors.g_j[:, j, :].transpose(1, 0, 2)  # (M, x, z)
-    c = factors.g_n[:, :, n].transpose(2, 0, 1)  # (M, y, z)
-    return np.einsum("mxy,mxz,myz->m", a, b, c, optimize=True)
+    c = factors.g_n[:, :, n].transpose(2, 1, 0)  # (M, z, y)
+    return np.einsum("mxy,mxy->m", a, b @ c)
 
 
 def frob_norm(t: np.ndarray) -> float:

@@ -437,7 +437,7 @@ def solve_dense(e, cfg=None):
     dense ||f3tn_contract(F) - E|| / ||E||."""
     from evtensor.events import EventTensor
     from evtensor.solver import SolverConfig, TraceRecord, grow_rank, update_factor
-    from evtensor.tensor_ops import f3tn_contract, frob_norm
+    from evtensor.tensor_ops import f3tn_contract, frob_norm, pair_gram
 
     cfg = cfg or SolverConfig()
     state = init_dense_state(e, cfg)
@@ -446,13 +446,16 @@ def solve_dense(e, cfg=None):
     spare = None  # the previous sweep's X_old, the buffer of the next R
     while state.s < cfg.s_max:
         state.factors, res_i = update_factor(state, "i", cfg,
-                                             pair_rhs(state.x, state.factors, "i"))
+                                             pair_rhs(state.x, state.factors, "i"),
+                                             pair_gram(state.factors, "i"))
         # modes j and n both contract X with the fresh g_i: one product for both
         gi_x = gi_x_product(state.x, state.factors.g_i)
         state.factors, res_j = update_factor(state, "j", cfg,
-                                             pair_rhs(state.x, state.factors, "j", gi_x))
+                                             pair_rhs(state.x, state.factors, "j", gi_x),
+                                             pair_gram(state.factors, "j"))
         state.factors, res_n = update_factor(state, "n", cfg,
-                                             pair_rhs(state.x, state.factors, "n", gi_x))
+                                             pair_rhs(state.x, state.factors, "n", gi_x),
+                                             pair_gram(state.factors, "n"))
         del gi_x  # free before the X update's buffers
         max_residual = max(0.0, res_i, res_j, res_n)
         fit = frob_dist(f3tn_contract(state.factors), e_dense)

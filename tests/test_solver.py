@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evtensor.solver as solver_module
+import evtensor.tensor_ops as tensor_ops_module
 import oracles
 from evtensor.errors import NumericalError
 from evtensor.events import EventStream, EventTensor, bin_to_tensor
@@ -25,6 +26,7 @@ from evtensor.tensor_ops import (
     f3tn_contract,
     frob_norm,
     matricize_factor,
+    pair_gram,
 )
 
 from oracles import (
@@ -48,6 +50,13 @@ from oracles import (
 
 def make_state(e, cfg):
     return init_state(e, cfg)
+
+
+def update(state, mode, cfg):
+    """update_factor fed the product and Gram a solve's loop forms for the
+    current factors."""
+    product, _ = state.target.product(state.factors, mode)
+    return update_factor(state, mode, cfg, product, pair_gram(state.factors, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ def test_proximal_fixed_point_exact(mode):
     state, cfg = zero_h_state(mode, lambda2=0.25)
     assert not pair_contraction(state.factors, mode).any()
     before = state.factors.factor(mode).copy()
-    updated, residual = update_factor(state, mode, cfg)
+    updated, residual = update(state, mode, cfg)
     np.testing.assert_array_equal(updated.factor(mode), before)
     assert residual < 1e-12
 
@@ -175,7 +184,7 @@ def test_zero_h_with_l1_adds_quasi_identity_offset(mode):
     lambda1, lambda2 = 0.3, 0.25
     state, cfg = zero_h_state(mode, lambda2=lambda2, lambda1=lambda1)
     before = matricize_factor(state.factors.factor(mode), mode)
-    updated, _ = update_factor(state, mode, cfg)
+    updated, _ = update(state, mode, cfg)
     after = matricize_factor(updated.factor(mode), mode)
     expected = before + (lambda1 / lambda2) * quasi_identity(*before.shape)
     np.testing.assert_allclose(after, expected, rtol=1e-14, atol=1e-15)
@@ -190,7 +199,7 @@ def test_rank1_update_matches_scalar_oracle(mode):
     x_mat = unfold(e, mode)  # X starts as E
     g_old = matricize_factor(state.factors.factor(mode), mode)[:, 0]
     expected = scalar_rank1_factor_update(x_mat, h[0], g_old, cfg.lambda1, cfg.lambda2)
-    updated, _ = update_factor(state, mode, cfg)
+    updated, _ = update(state, mode, cfg)
     got = matricize_factor(updated.factor(mode), mode)[:, 0]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
 
@@ -202,7 +211,7 @@ def test_sweep_is_gauss_seidel_in_mode_order():
     e = np.random.default_rng(2).uniform(size=(4, 4, 4))
     manual = init_state(e, cfg)
     for mode in "ijn":
-        manual.factors, _ = update_factor(manual, mode, cfg)
+        manual.factors, _ = update(manual, mode, cfg)
     alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
     recon = f3tn_contract(manual.factors)
     factors, state = solve(e, cfg)
@@ -222,7 +231,7 @@ def test_update_factor_nonfinite_raises_with_iteration():
     state = init_state(e, cfg)
     state.s = 17
     with pytest.raises(NumericalError) as err:
-        update_factor(state, "i", cfg)
+        update(state, "i", cfg)
     assert err.value.iteration == 17
 
 
@@ -231,7 +240,7 @@ def test_residual_bound_on_random_problem():
     e = np.random.default_rng(9).uniform(size=(8, 8, 8))
     state = init_state(e, cfg)
     for mode in "ijn":
-        state.factors, residual = update_factor(state, mode, cfg)
+        state.factors, residual = update(state, mode, cfg)
         assert residual <= 1e-8
 
 
@@ -242,11 +251,17 @@ def test_update_factor_with_the_shared_product_is_bit_identical(mode, lambda1):
     e = (np.random.default_rng(12).random((9, 7, 5)) < 0.3).astype(float)
     state = init_state(e, cfg)
     state.factors = random_factors(np.random.default_rng(13), (9, 7, 5), 4, lo=0.0)
+    # solve hands mode n's product and Gram on to the closed forms after the
+    # update, so update_factor must leave both as they were
     shared, _ = state.target.product(state.factors, mode)
-    with_shared, res_shared = update_factor(state, mode, cfg, shared)
-    without, res = update_factor(state, mode, cfg)
-    np.testing.assert_array_equal(with_shared.factor(mode), without.factor(mode))
-    assert res_shared == res
+    gram = pair_gram(state.factors, mode)
+    kept = shared.copy(), gram.copy()
+    first, res_first = update_factor(state, mode, cfg, shared, gram)
+    np.testing.assert_array_equal(shared, kept[0])
+    np.testing.assert_array_equal(gram, kept[1])
+    again, res_again = update_factor(state, mode, cfg, shared, gram)
+    np.testing.assert_array_equal(again.factor(mode), first.factor(mode))
+    assert res_again == res_first
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +304,8 @@ def _sweep_states(cfg, sweeps=6, seed=11):
     for _ in range(sweeps):
         for mode in "ijn":
             state.factors, _ = update_factor(state, mode, cfg,
-                                             pair_rhs(state.x, state.factors, mode))
+                                             pair_rhs(state.x, state.factors, mode),
+                                             pair_gram(state.factors, mode))
         x_old = state.x.copy()
         x_new, step = update_x(state, cfg)
         yield state, x_old, x_new, step
@@ -689,7 +705,7 @@ def test_history_keeps_each_term_above_the_rounding_unit(lambda2, terms):
         _, state = solve(e, dataclasses.replace(cfg, s_max=s_max))
         assert state.s == s_max
         assert len(state.target.weights) == expected == len(state.target.history)
-        assert (state.target.e_weight > 0) == e_in and bool(state.target.plans) == e_in
+        assert (state.target.e_weight > 0) == e_in
 
 
 def _record_sweep_factors(monkeypatch) -> list[FactorTriple]:
@@ -697,14 +713,32 @@ def _record_sweep_factors(monkeypatch) -> list[FactorTriple]:
     rank growth: the output of each mode-n update."""
     fitted = []
 
-    def recording_update_factor(state, mode, cfg, product=None):
-        out = update_factor(state, mode, cfg, product)
+    def recording_update_factor(state, mode, cfg, product, gram):
+        out = update_factor(state, mode, cfg, product, gram)
         if mode == "n":
             fitted.append(out[0])
         return out
 
     monkeypatch.setattr(solver_module, "update_factor", recording_update_factor)
     return fitted
+
+
+def test_a_sweep_builds_three_self_pair_grams(monkeypatch):
+    # one H_m H_m^T per mode; the closed forms reuse mode n's
+    calls = []
+
+    def counting_pair_gram(factors, mode, *args, **kwargs):
+        if not args and not kwargs:
+            calls.append(mode)
+        return pair_gram(factors, mode, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "pair_gram", counting_pair_gram)
+    monkeypatch.setattr(tensor_ops_module, "pair_gram", counting_pair_gram)
+    # 20 sweeps span two rank growths and E's exit from X
+    cfg = SolverConfig(f_max=3, s_max=20, conv_tol=1e-12, grow_tol=3e-2, seed=3)
+    _, state = solve((np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0, cfg)
+    assert state.s == 20 and state.f == 3 and state.target.e_weight == 0.0
+    assert calls == list("ijn") * state.s
 
 
 @pytest.mark.parametrize("raw", [False, True])

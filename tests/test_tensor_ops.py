@@ -9,9 +9,7 @@ from evtensor.tensor_ops import (
     FactorStack,
     FactorTriple,
     cell_values,
-    coo_plan,
     coo_rhs,
-    cross_pair_gram,
     f3tn_contract,
     frob_norm,
     history_rhs,
@@ -274,10 +272,13 @@ def test_pair_rhs_with_the_shared_product_is_bit_identical(dims, mode, f):
     factors = random_factors(rng, dims, f)
     x = rng.normal(size=dims)
     coo = CooTensor.from_dense(x)
-    # the sort plan a solve makes once and shares across its sweeps
-    shared = coo_plan(coo, mode)
+    # the sort plan E's CooTensor makes once and every sweep of a solve shares:
+    # reading it leaves it as it was
+    shared = coo.plans[mode]
     assert shared.cols.shape == (x.size,) and shared.n_rows == dims["ijn".index(mode)]
-    np.testing.assert_array_equal(coo_rhs(coo, factors, mode, shared), coo_rhs(coo, factors, mode))
+    first = coo_rhs(coo, factors, mode)
+    np.testing.assert_array_equal(coo_rhs(coo, factors, mode), first)
+    np.testing.assert_array_equal(coo_rhs(CooTensor.from_dense(x), factors, mode), first)
 
 
 def test_pair_rhs_unknown_mode():
@@ -358,20 +359,12 @@ def test_coo_rhs_of_the_zero_tensor_is_zero(mode):
     assert got.shape == (dims["ijn".index(mode)], 4) and not got.any()
 
 
-def test_coo_rhs_rejects_another_modes_plan():
-    x = _sparse(np.random.default_rng(2), (4, 3, 5))
-    coo = CooTensor.from_dense(x)
-    factors = random_factors(np.random.default_rng(3), (4, 3, 5), 2)
-    with pytest.raises(ValueError):
-        coo_rhs(coo, factors, "j", coo_plan(coo, "i"))
-
-
 @pytest.mark.parametrize("mode", "ijn")
 def test_coo_plan_runs_cover_each_row_once(mode):
     x = _sparse(np.random.default_rng(4), (6, 5, 7), density=0.2)
     x[:, :, 3] = 0.0
     x[2] = 0.0
-    plan = coo_plan(CooTensor.from_dense(x), mode)
+    plan = CooTensor.from_dense(x).plans[mode]
     axis = "ijn".index(mode)
     counts = (x != 0).sum(axis=tuple(a for a in range(3) if a != axis))
     np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
@@ -407,20 +400,20 @@ def test_cross_pair_gram_equals_explicit_cross_products(mode, f):
     dims = (6, 5, 4)
     past = [random_factors(rng, dims, f) for _ in range(3)]
     factors = random_factors(rng, dims, f)
-    got = cross_pair_gram(_stack(past), factors, mode)
+    got = pair_gram(_stack(past), mode, factors)
     h = pair_contraction(factors, mode)
     assert got.shape == (3, f * f, f * f)
     for k, triple in enumerate(past):
         _assert_close(got[k], pair_contraction(triple, mode) @ h.T)
     # one term against itself is pair_gram
-    _assert_close(cross_pair_gram(_stack([factors]), factors, mode)[0], pair_gram(factors, mode))
+    _assert_close(pair_gram(_stack([factors]), mode, factors)[0], pair_gram(factors, mode))
 
 
 def test_cross_pair_gram_needs_one_rank():
     rng = np.random.default_rng(5)
     with pytest.raises(ShapeError):
-        cross_pair_gram(_stack([random_factors(rng, (3, 3, 3), 2)]),
-                        random_factors(rng, (3, 3, 3), 3), "i")
+        pair_gram(_stack([random_factors(rng, (3, 3, 3), 2)]), "i",
+                  random_factors(rng, (3, 3, 3), 3))
 
 
 @pytest.mark.parametrize("mode", "ijn")
