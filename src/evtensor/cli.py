@@ -158,12 +158,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     factors = load_checkpoint(args.checkpoint)
-    rows, cols, n_bins = factors.dims
-    stream = parse_events(args.events, (rows, cols))
+    stream = parse_events(args.events, factors.dims[:2])
     if not stream.has_labels:
         logger.error("classification needs a label column in %s", args.events)
         return 1
-    tensor = bin_to_tensor(stream, n_bins)
+    tensor = bin_to_tensor(stream, factors.dims[2])
     value, model, n_train, n_test = classify_factors(
         stream, tensor, factors, args.task,
         svm_lambda=args.svm_lambda, svm_epochs=args.svm_epochs)
@@ -184,9 +183,8 @@ def cmd_classify(args) -> int:
 
 def cmd_denoise(args) -> int:
     factors = load_checkpoint(args.checkpoint)
-    rows, cols, n_bins = factors.dims
-    stream = parse_events(args.events, (rows, cols))
-    tensor = bin_to_tensor(stream, n_bins)
+    stream = parse_events(args.events, factors.dims[:2])
+    tensor = bin_to_tensor(stream, factors.dims[2])
     scores = score_events(stream, tensor, factors)
     tau = args.tau if args.tau is not None else quantile_threshold(scores, args.quantile)
     filtered, report = filter_events(stream, scores, tau)

@@ -53,6 +53,15 @@ def open_text(path_or_fh, mode: str = "r"):
         yield path_or_fh
 
 
+def _header_ints(fh, names: str) -> list[int]:
+    """Line 1 of a text artifact: one positive integer per name in `names`."""
+    line = fh.readline()
+    values = [int(v) if v.isdecimal() else 0 for v in line.split()]
+    if len(values) != len(names.split()) or 0 in values:
+        raise ValueError(f"line 1 must hold the positive integers {names}, got {line.strip()!r}")
+    return values
+
+
 @dataclass
 class EventStream:
     """A time-sorted event recording over a fixed sensor geometry.
@@ -319,7 +328,7 @@ def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
 def read_tensor_dump(path_or_fh) -> np.ndarray:
     """Inverse of :func:`write_tensor_dump`; returns the uint8 data array."""
     with open_text(path_or_fh) as fh:
-        rows, cols, n_bins = (int(v) for v in fh.readline().split())
+        rows, cols, n_bins = _header_ints(fh, "I J N")
         body = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
     # the digits sit at the even columns of 2*cols-byte lines
     values = body[0::2] - np.uint8(ord("0"))

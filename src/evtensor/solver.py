@@ -13,7 +13,9 @@ previous iterate:
 
         where Q is the rectangular quasi-identity (ones exactly where row
         index == column index). The lambda1 term is applied literally as
-        stated -- no soft-thresholding.
+        stated -- no soft-thresholding. A is symmetric, so G_m comes from one
+        LU solve of A G_m^T = rhs^T: numpy has no triangular solve, so a
+        Cholesky factor would cost two more general solves, not fewer.
 
   4.    X blends the reconstruction R_s of the sweep's factors F_s with its
         own previous value: X_{s+1} = alpha R_s + beta X_s, with
@@ -87,7 +89,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError
-from .events import EventTensor, open_text
+from .events import EventTensor, _header_ints, open_text
 from .tensor_ops import (
     MODES,
     CooTensor,
@@ -234,13 +236,10 @@ def init_state(e, cfg: SolverConfig) -> SolverState:
     """The target starts as E, read as its nonzeros (no float copy of E);
     rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
     [0, init_scale] from the seeded generator."""
-    data = np.asarray(e.data if isinstance(e, EventTensor) else e)
-    if data.ndim != 3:
-        raise ValueError("expected a 3rd-order tensor")
+    coo = CooTensor.from_dense(e.data if isinstance(e, EventTensor) else e)
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
-    factors = _random_factors(rng, data.shape, f0, cfg.init_scale)
-    coo = CooTensor.from_dense(data)
+    factors = _random_factors(rng, coo.dims, f0, cfg.init_scale)
     empty = FactorStack(*(np.zeros((0, *g.shape)) for g in (factors.g_i, factors.g_j, factors.g_n)))
     target = RelaxedTarget(e=coo, sq_norm=coo.sq_norm, history=empty, weights=np.zeros(0))
     return SolverState(target=target, factors=factors, s=0, rng=rng)
@@ -252,7 +251,6 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig, product: np.
     (`gram`) for the current factors, writing neither; returns the updated
     triple and the solve residual ||G A - rhs||_F / (1 + ||rhs||_F)."""
     factors = state.factors
-    f = factors.rank
     g_old = matricize_factor(factors.factor(mode), mode)
     a = gram.copy()
     a[np.diag_indices_from(a)] += cfg.lambda2
@@ -264,20 +262,13 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig, product: np.
         raise NumericalError(state.s, f"non-finite values entering the mode-{mode} solve")
 
     try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # lambda2 > 0 makes A positive definite in exact arithmetic; a one-shot
-        # diagonal jitter guards roundoff
-        jitter = 1e-12 * np.trace(a) / (f * f)
-        a[np.diag_indices_from(a)] += jitter
-        logger.warning("mode-%s factorization failed at s=%d, retrying with jitter %g",
-                       mode, state.s, jitter)
-        low = np.linalg.cholesky(a)
-    # A = L L^T and A is symmetric, so G A = rhs is L L^T G^T = rhs^T
-    g_new = np.linalg.solve(low.T, np.linalg.solve(low, rhs.T)).T
+        # A is symmetric, so G A = rhs is A G^T = rhs^T
+        g_new = np.linalg.solve(a, rhs.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(state.s, f"mode-{mode} solve failed: {exc}") from exc
 
     residual = frob_norm(g_new @ a - rhs) / (1.0 + frob_norm(rhs))
-    updated = replace(factors, **{f"g_{mode}": unmatricize_factor(g_new, mode, f)})
+    updated = replace(factors, **{f"g_{mode}": unmatricize_factor(g_new, mode, factors.rank)})
     return updated, residual
 
 
@@ -366,7 +357,7 @@ def load_checkpoint(path_or_fh) -> FactorTriple:
     """Inverse of :func:`save_checkpoint`. A missing or short row raises
     ValueError naming its line and the row count the header promises."""
     with open_text(path_or_fh) as fh:
-        ii, jj, nn, f = (int(v) for v in fh.readline().split())
+        ii, jj, nn, f = _header_ints(fh, "I J N f")
         rows = [fh.readline().split() for _ in range(ii + jj + nn)]
     for k, row in enumerate(rows):
         if len(row) != f * f:

@@ -49,7 +49,13 @@ X_m H_m^T is a weighted sum of two kinds of term, each exact:
     history_rhs sums them.
 
 pair_gram gives H_m H_m^T from per-factor Grams the same way, and the
-cross-Grams when given a second triple; cell_values reads R at single cells.
+cross-Grams when given a second triple.
+
+R is read through the pair tables only, as R_m = G_m @ pair_table(m):
+f3tn_contract in mode i, whose columns j*N + n are R's C order, and
+cell_values in mode j, row j of G_j against column i*N + n. Mode j is on
+purpose: the two sum in different orders, so checking per-cell scores against
+f3tn_contract compares two contraction orders, not one with itself.
 """
 
 from __future__ import annotations
@@ -72,7 +78,17 @@ class FactorTriple:
     g_n: np.ndarray
 
     def __post_init__(self):
-        validate_factors(self.g_i, self.g_j, self.g_n)
+        g_i, g_j, g_n = self.g_i, self.g_j, self.g_n
+        if g_i.ndim != 3 or g_j.ndim != 3 or g_n.ndim != 3:
+            raise ShapeError("factors must be 3rd-order arrays")
+        f = g_i.shape[1]
+        if f < 1:
+            raise ShapeError("latent rank must be >= 1")
+        if (g_i.shape[2], *g_j.shape[::2], *g_n.shape[:2]) != (f,) * 5:
+            raise ShapeError(f"rank mismatch: g_i {g_i.shape}, g_j {g_j.shape}, g_n {g_n.shape}")
+        for name, g in (("g_i", g_i), ("g_j", g_j), ("g_n", g_n)):
+            if not np.all(np.isfinite(g)):
+                raise ShapeError(f"{name} contains non-finite values")
 
     @property
     def rank(self) -> int:
@@ -86,45 +102,6 @@ class FactorTriple:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         return getattr(self, f"g_{mode}")
-
-
-def validate_factors(g_i: np.ndarray, g_j: np.ndarray, g_n: np.ndarray) -> int:
-    """Check shared rank and finiteness; returns the rank f."""
-    if g_i.ndim != 3 or g_j.ndim != 3 or g_n.ndim != 3:
-        raise ShapeError("factors must be 3rd-order arrays")
-    f = g_i.shape[1]
-    if f < 1:
-        raise ShapeError("latent rank must be >= 1")
-    if g_i.shape[2] != f or g_j.shape[0] != f or g_j.shape[2] != f \
-            or g_n.shape[0] != f or g_n.shape[1] != f:
-        raise ShapeError(
-            f"rank mismatch: g_i {g_i.shape}, g_j {g_j.shape}, g_n {g_n.shape}"
-        )
-    for name, g in (("g_i", g_i), ("g_j", g_j), ("g_n", g_n)):
-        if not np.all(np.isfinite(g)):
-            raise ShapeError(f"{name} contains non-finite values")
-    return f
-
-
-def f3tn_contract(factors: FactorTriple, out: np.ndarray | None = None) -> np.ndarray:
-    """Full reconstruction of the (I, J, N) tensor from the factor triple,
-    written into `out` (a C-contiguous float64 (I, J, N) array) when given.
-
-    Contracts g_j and g_n over z first (cost f^3*J*N), then folds in g_i
-    (cost I*f^2*J*N) -- cheapest order for f much smaller than I, J, N.
-    """
-    g_i, g_j, g_n = factors.g_i, factors.g_j, factors.g_n
-    f = factors.rank
-    ii, jj, nn = factors.dims
-    # (x,j,z) x (y,z,n) -> (x,j,y,n), then pair up (x,y) against g_i's (x,y)
-    t = np.tensordot(g_j, g_n, axes=(2, 1))
-    t = t.transpose(0, 2, 1, 3).reshape(f * f, jj * nn)
-    if out is None:
-        return (g_i.reshape(ii, f * f) @ t).reshape(ii, jj, nn)
-    if out.shape != (ii, jj, nn) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"out must be a C-contiguous float64 array of shape {(ii, jj, nn)}")
-    np.matmul(g_i.reshape(ii, f * f), t, out=out.reshape(ii, jj * nn))
-    return out
 
 
 # mode -> the transpose of its factor to (data, slow latent, fast latent): a
@@ -323,15 +300,20 @@ def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
     return out.T
 
 
+def f3tn_contract(factors: FactorTriple) -> np.ndarray:
+    """Full reconstruction of the (I, J, N) tensor from the factor triple:
+    R_i = G_i @ H_i, with H_i as mode i's pair table, whose columns j*N + n
+    are R's C order (O(f^3 J N) for the table, then O(I f^2 J N))."""
+    return (matricize_factor(factors.g_i, "i") @ pair_table(factors, "i")).reshape(factors.dims)
+
+
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
-    """The reconstruction at the cells (i[k], j[k], n[k]), one f^3 sum per
-    cell and no full tensor: sum over (x, y) of
-    g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y], the products one
-    batched matmul."""
-    a = factors.g_i[i]                          # (M, x, y)
-    b = factors.g_j[:, j, :].transpose(1, 0, 2)  # (M, x, z)
-    c = factors.g_n[:, :, n].transpose(2, 1, 0)  # (M, z, y)
-    return np.einsum("mxy,mxy->m", a, b @ c)
+    """The reconstruction at the cells (i[k], j[k], n[k]), O(f^2) per cell
+    after mode j's pair table: row j of G_j against column i*N + n of the
+    table, and no full tensor."""
+    cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
+    table = np.take(pair_table(factors, "j"), cols, axis=1)
+    return np.einsum("mk,km->m", matricize_factor(factors.g_j, "j")[j], table)
 
 
 def frob_norm(t: np.ndarray) -> float:

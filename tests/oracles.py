@@ -415,14 +415,17 @@ def init_dense_state(e, cfg) -> DenseState:
 
 def update_x(state, cfg, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """X_new = (R + lambda2 X_old) / (1 + lambda2) and the step
-    ||X_new - X_old||. The reconstruction R is written into `out` (a fresh
-    array when None), which becomes X_new - X_old, then X_new; state.x is not
+    ||X_new - X_old||. The reconstruction R is copied into `out` when given,
+    and that array becomes X_new - X_old, then X_new; state.x is not
     written, so `out` must not share its memory."""
     from evtensor.tensor_ops import f3tn_contract, frob_norm
 
     if out is not None and np.shares_memory(out, state.x):
         raise ValueError("update_x cannot write X_new into the memory of X_old")
-    x_new = f3tn_contract(state.factors, out=out)
+    x_new = f3tn_contract(state.factors)
+    if out is not None:
+        out[...] = x_new
+        x_new = out
     x_new -= state.x
     x_new /= 1.0 + cfg.lambda2
     step = frob_norm(x_new)

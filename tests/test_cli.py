@@ -216,6 +216,13 @@ def test_truncated_checkpoint_names_the_missing_line():
         load_checkpoint(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("header", ["", "30 20 10\n", "30 20 10 two\n", "30 20 0 2\n"],
+                         ids=["empty", "short", "non-integer", "zero"])
+def test_unreadable_checkpoint_header_names_line_1(header):
+    with pytest.raises(ValueError, match=r"line 1 must hold the positive integers I J N f"):
+        load_checkpoint(io.StringIO(header + "0.5 0.5 0.5 0.5\n"))
+
+
 # ---------------------------------------------------------------------------
 # flags and their defaults
 

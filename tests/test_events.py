@@ -359,6 +359,13 @@ def test_tensor_dump_with_a_foreign_character_raises():
         read_tensor_dump(io.StringIO(header + "\n" + body.replace("1", "7", 1)))
 
 
+@pytest.mark.parametrize("header", ["", "3 4\n", "3 4 x\n", "3 -4 2\n"],
+                         ids=["empty", "short", "non-integer", "negative"])
+def test_unreadable_tensor_dump_header_names_line_1(header):
+    with pytest.raises(ValueError, match=r"line 1 must hold the positive integers I J N,"):
+        read_tensor_dump(io.StringIO(header + "0 1 0 1\n"))
+
+
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
 def test_event_tensor_rejects_entries_other_than_0_and_1(bad):
     data = np.zeros((2, 3, 4))

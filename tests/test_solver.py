@@ -8,7 +8,7 @@ import pytest
 import evtensor.solver as solver_module
 import evtensor.tensor_ops as tensor_ops_module
 import oracles
-from evtensor.errors import NumericalError
+from evtensor.errors import NumericalError, ShapeError
 from evtensor.events import EventStream, EventTensor, bin_to_tensor
 from evtensor.solver import (
     SolverConfig,
@@ -111,6 +111,11 @@ def test_initial_rank_formula():
     assert init_state(e, SolverConfig(f_max=6)).f == 1
     assert init_state(e, SolverConfig(f_max=10)).f == 5
     assert init_state(e, SolverConfig(f_max=1)).f == 1
+
+
+def test_solve_rejects_a_matrix_naming_its_ndim():
+    with pytest.raises(ShapeError, match="ndim=2"):
+        solve(np.ones((4, 4)), SolverConfig(s_max=1))
 
 
 def test_init_is_seeded_deterministic():
@@ -233,6 +238,17 @@ def test_update_factor_nonfinite_raises_with_iteration():
     with pytest.raises(NumericalError) as err:
         update(state, "i", cfg)
     assert err.value.iteration == 17
+
+
+def test_update_factor_singular_system_raises_with_iteration_and_mode():
+    # a Gram of -lambda2 Id leaves A = 0, which no solve can factor
+    cfg = SolverConfig(f_max=2, seed=0)
+    state = init_state(np.random.default_rng(0).uniform(size=(3, 3, 3)), cfg)
+    state.s = 5
+    product, _ = state.target.product(state.factors, "j")
+    with pytest.raises(NumericalError, match="mode-j") as err:
+        update_factor(state, "j", cfg, product, -cfg.lambda2 * np.eye(state.f ** 2))
+    assert err.value.iteration == 5
 
 
 def test_residual_bound_on_random_problem():

@@ -287,24 +287,6 @@ def test_pair_rhs_unknown_mode():
         coo_rhs(CooTensor.from_dense(np.zeros((3, 4, 5))), factors, "k")
 
 
-@pytest.mark.parametrize("dims", [(7, 5, 4)] + UNEVEN_DIMS)
-@pytest.mark.parametrize("f", [1, 3])
-def test_f3tn_contract_into_out_is_bit_identical(dims, f):
-    factors = random_factors(np.random.default_rng(f), dims, f)
-    out = np.full(dims, np.nan)
-    got = f3tn_contract(factors, out=out)
-    assert got is out
-    np.testing.assert_array_equal(out, f3tn_contract(factors))
-
-
-@pytest.mark.parametrize("bad", [np.zeros((3, 4, 6)), np.zeros((3, 4, 5), dtype=np.float32),
-                                 np.zeros((3, 5, 4)).transpose(0, 2, 1)])
-def test_f3tn_contract_rejects_an_unusable_out(bad):
-    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
-    with pytest.raises(ShapeError):
-        f3tn_contract(factors, out=bad)
-
-
 # ---------------------------------------------------------------------------
 # sparse E: coordinates, sort plans, pair tables and the per-cell sum
 
@@ -434,6 +416,17 @@ def test_cell_values_equal_the_reconstruction_at_each_cell(f):
     rng = np.random.default_rng(f)
     factors = random_factors(rng, (5, 6, 7), f)
     i, j, n = rng.integers(0, 5, 30), rng.integers(0, 6, 30), rng.integers(0, 7, 30)
-    np.testing.assert_allclose(cell_values(factors, i, j, n), f3tn_contract(factors)[i, j, n],
-                               rtol=1e-12, atol=1e-14)
+    expected = contract_bruteforce(factors.g_i, factors.g_j, factors.g_n)
+    # the 30 cells, then the first 8 asked for four times each in a shuffled order, then none
+    pick = rng.permutation(np.repeat(np.arange(8), 4))
+    for cells in ((i, j, n), (i[pick], j[pick], n[pick]), (i[:0], j[:0], n[:0])):
+        np.testing.assert_allclose(cell_values(factors, *cells), expected[cells],
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_cell_values_reject_a_frame_past_the_last():
+    # i * N + n with n == N would name the next row's first frame
+    factors = random_factors(np.random.default_rng(0), (5, 6, 7), 2)
+    with pytest.raises(ValueError):
+        cell_values(factors, np.array([1]), np.array([0]), np.array([7]))
 
