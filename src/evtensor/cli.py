@@ -31,10 +31,9 @@ from .denoise import (
     write_report_csv,
 )
 from .evaluation import (
-    SVM_EPOCHS,
-    SVM_LAMBDA,
     TASK_NOISE,
     TASK_OBJECTS,
+    TRAIN_FRACTION,
     classify_factors,
     save_model,
     sweep_lambdas,
@@ -61,10 +60,7 @@ SOLVER_FLAG_HELP = {
                "0 gives the FCTN ablation",
     "lambda2": "L2/proximal coefficient",
     "s_max": "iteration cap",
-    "grow_tol": "relative-change threshold for rank growth",
-    "conv_tol": "relative-change threshold for convergence",
     "seed": "solver seed",
-    "init_scale": "factor initialization magnitude",
 }
 
 
@@ -163,9 +159,7 @@ def cmd_classify(args) -> int:
         logger.error("classification needs a label column in %s", args.events)
         return 1
     tensor = bin_to_tensor(stream, factors.dims[2])
-    value, model, n_train, n_test = classify_factors(
-        stream, tensor, factors, args.task,
-        svm_lambda=args.svm_lambda, svm_epochs=args.svm_epochs)
+    value, model, n_train, n_test = classify_factors(stream, tensor, factors, args.task)
     report = "\n".join([
         f"task: {args.task}",
         f"auc: {value:.17g}",
@@ -243,16 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("classify", help="AUC of a linear SVM on latent features")
+    p = sub.add_parser(
+        "classify", help="AUC of a linear SVM on latent features",
+        description=f"Train a linear SVM on the events of the first {TRAIN_FRACTION:.0%} of the "
+                    "frames and report its AUC on the rest. The split is fixed, so test events "
+                    "sit at frames, and for moving objects mostly at pixels, that no training "
+                    "event had: the objects AUC measures extrapolation.")
     p.add_argument("--events", required=True, help="labeled event CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)
     p.add_argument("--report", required=True, help="output report file")
     p.add_argument("--model", default=None, help="optional output model file")
-    p.add_argument("--svm-lambda", type=float, default=SVM_LAMBDA,
-                   help="L2 coefficient of the SVM (default %(default)s)")
-    p.add_argument("--svm-epochs", type=int, default=SVM_EPOCHS,
-                   help="SVM training epochs (default %(default)s)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("denoise", help="filter low-reconstruction events")

@@ -25,7 +25,11 @@ The latent rank starts at max(1, f_max - 5) and grows by one (up to f_max)
 whenever the relative change of X drops below `grow_tol`; the run converges
 when it drops below `conv_tol`. An iteration that grew the rank skips the
 convergence check (the same small relative change would otherwise terminate
-the run at low rank), except when the rank is already capped.
+the run at low rank), except when the rank is already capped. The factors
+start i.i.d. uniform on [0, `init_scale`]. These three are class constants of
+SolverConfig (grow_tol = 1e-2, conv_tol = 1e-3, init_scale = 0.1), not
+fields: the model is set by its rank and its two weights, and the stop
+thresholds and the initial scale are a fixed protocol.
 
 X is never formed. Unrolling step 4 from X_0 = E gives it exactly as
 
@@ -85,6 +89,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -116,10 +121,11 @@ class SolverConfig:
     lambda1: float = 0.1
     lambda2: float = 0.1
     s_max: int = 1000
-    grow_tol: float = 1e-2
-    conv_tol: float = 1e-3
     seed: int = 0
-    init_scale: float = 0.1
+    # fixed protocol, not fields: dataclasses skips ClassVar annotations
+    grow_tol: ClassVar[float] = 1e-2
+    conv_tol: ClassVar[float] = 1e-3
+    init_scale: ClassVar[float] = 0.1
 
     def __post_init__(self):
         # a fractional cap lets the rank pass it: growth runs while f < f_max
@@ -128,7 +134,7 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         # NaN passes every comparison below and inf the sign checks
-        for name in ("lambda1", "lambda2", "grow_tol", "conv_tol", "init_scale"):
+        for name in ("lambda1", "lambda2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.f_max < 1:
@@ -139,12 +145,6 @@ class SolverConfig:
             raise ValueError("lambda2 must be > 0")
         if self.s_max < 1:
             raise ValueError("s_max must be >= 1")
-        if self.grow_tol <= 0 or self.conv_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.grow_tol <= self.conv_tol:
-            raise ValueError("grow_tol must exceed conv_tol")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be > 0")
 
 
 @dataclass
@@ -354,15 +354,17 @@ def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
 
 
 def load_checkpoint(path_or_fh) -> FactorTriple:
-    """Inverse of :func:`save_checkpoint`. A missing or short row raises
-    ValueError naming its line and the row count the header promises."""
+    """Inverse of :func:`save_checkpoint`. The first missing or short row
+    raises ValueError naming its line and the row count the header promises;
+    no row past it is read, whatever the header promises."""
     with open_text(path_or_fh) as fh:
         ii, jj, nn, f = _header_ints(fh, "I J N f")
-        rows = [fh.readline().split() for _ in range(ii + jj + nn)]
-    for k, row in enumerate(rows):
-        if len(row) != f * f:
-            raise ValueError(f"checkpoint line {k + 2} holds {len(row)} of {f * f} values; "
-                             f"the header promises {len(rows)} factor rows")
+        rows = []
+        for k in range(ii + jj + nn):
+            rows.append(fh.readline().split())
+            if len(rows[-1]) != f * f:
+                raise ValueError(f"checkpoint line {k + 2} holds {len(rows[-1])} of {f * f} "
+                                 f"values; the header promises {ii + jj + nn} factor rows")
     tables = np.split(np.array(rows, dtype=np.float64), [ii, ii + jj])
     return FactorTriple(*(unmatricize_factor(t, mode, f) for t, mode in zip(tables, MODES)))
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import hashlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,6 @@ import pytest
 from evtensor import cli
 from evtensor.denoise import filter_events, write_report_csv
 from evtensor.evaluation import (
-    SVM_EPOCHS,
-    SVM_LAMBDA,
     SweepCell,
     SweepResult,
     load_model,
@@ -128,6 +127,19 @@ def test_classify_exits_1_when_the_task_empties_a_partition(tmp_path, caplog):
     assert not report.exists()
 
 
+def test_classify_exits_1_on_an_unlabeled_stream(tmp_path, caplog):
+    events = tmp_path / "events.csv"
+    write_events_csv(EventStream(i=STREAM.i, j=STREAM.j, t=STREAM.t, geometry=STREAM.geometry),
+                     events)
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(random_factors(np.random.default_rng(1), (3, 2, 4), 2), ckpt)
+    report = tmp_path / "objects.txt"
+    assert cli.main(["classify", "--events", str(events), "--checkpoint", str(ckpt),
+                     "--report", str(report)]) == 1
+    assert f"classification needs a label column in {events}" in caplog.text
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # readers and writers: str paths, pathlib.Path and odd file names
 
@@ -216,6 +228,18 @@ def test_truncated_checkpoint_names_the_missing_line():
         load_checkpoint(io.StringIO("".join(lines)))
 
 
+def test_checkpoint_without_rows_fails_at_line_2_whatever_the_header_promises():
+    # the rows are checked as they are read, not after reading all the header promises
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"line 2 holds 0 of 4 values.* 300002 factor rows"):
+            load_checkpoint(io.StringIO("300000 1 1 2\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("header", ["", "30 20 10\n", "30 20 10 two\n", "30 20 0 2\n"],
                          ids=["empty", "short", "non-integer", "zero"])
 def test_unreadable_checkpoint_header_names_line_1(header):
@@ -237,7 +261,7 @@ def _subparser(name: str) -> argparse.ArgumentParser:
 def test_solver_flags_mirror_the_solver_config_fields(command):
     actions = _subparser(command)._actions
     config_fields = dataclasses.fields(SolverConfig)
-    assert len(config_fields) == 8
+    assert len(config_fields) == 5
     for field in config_fields:
         (action,) = [a for a in actions if a.dest == field.name]
         assert action.option_strings == ["--" + field.name.replace("_", "-")]
@@ -250,10 +274,22 @@ def test_solver_flags_mirror_the_solver_config_fields(command):
     assert cli._solver_config(args) == SolverConfig()
 
 
-def test_svm_flags_default_to_the_evaluation_constants():
-    actions = {a.dest: a for a in _subparser("classify")._actions}
-    assert actions["svm_lambda"].default == SVM_LAMBDA
-    assert actions["svm_epochs"].default == SVM_EPOCHS
+REMOVED_FLAGS = [(command, flag) for command in ("decompose", "sweep")
+                 for flag in ("--grow-tol", "--conv-tol", "--init-scale")]
+REMOVED_FLAGS += [("classify", "--svm-lambda"), ("classify", "--svm-epochs")]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_fixed_protocol_values_have_no_flag(capsys, command, flag):
+    argv = {"decompose": ["--geometry", "2x2", "--frames", "1", "--checkpoint", "c",
+                          "--trace", "t"],
+            "sweep": ["--geometry", "2x2", "--frames", "1", "--lambda1-grid", "0",
+                      "--lambda2-grid", "0.1", "--out", "o"],
+            "classify": ["--checkpoint", "c", "--report", "r"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--events", "e", *argv, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decompose", "sweep"])
@@ -264,6 +300,6 @@ def test_non_finite_solver_setting_exits_1(tmp_path, caplog, command):
     argv = {"decompose": ["--checkpoint", str(out), "--trace", str(tmp_path / "trace.csv")],
             "sweep": ["--lambda1-grid", "0", "--lambda2-grid", "0.1", "--out", str(out)]}[command]
     assert cli.main([command, "--events", events, "--geometry", "3x2", "--frames", "4",
-                     *argv, "--conv-tol", "nan"]) == 1
-    assert "conv_tol must be finite" in caplog.text
+                     *argv, "--lambda2", "nan"]) == 1
+    assert "lambda2 must be finite" in caplog.text
     assert not out.exists()

@@ -70,14 +70,20 @@ def test_config_validation():
         SolverConfig(lambda1=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(lambda2=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(grow_tol=1e-3, conv_tol=1e-3)
-    with pytest.raises(ValueError):
-        SolverConfig(conv_tol=-1.0)
+
+
+@pytest.mark.parametrize("name, value", [("grow_tol", 1e-2), ("conv_tol", 1e-3),
+                                         ("init_scale", 0.1)])
+def test_stop_thresholds_and_init_scale_are_class_constants(name, value):
+    # a fixed protocol: read through any config, set by no caller
+    assert getattr(SolverConfig(), name) == value
+    assert name not in {f.name for f in dataclasses.fields(SolverConfig)}
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["lambda1", "lambda2", "grow_tol", "conv_tol", "init_scale"])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2"])
 def test_config_rejects_non_finite_values(name, value):
     # NaN slips past every comparison check, inf past the sign checks
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -373,7 +379,9 @@ def test_update_x_into_out_is_bit_identical():
 def test_solve_recycles_x_old_without_aliasing(monkeypatch):
     # from the second sweep on, the X update writes into the previous X_old;
     # it must never be handed the live X, and X_new must still be the blend
-    cfg = SolverConfig(f_max=3, lambda2=0.2, s_max=6, conv_tol=1e-12, grow_tol=1e-11, seed=4)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    monkeypatch.setattr(SolverConfig, "grow_tol", 1e-11)
+    cfg = SolverConfig(f_max=3, lambda2=0.2, s_max=6, seed=4)
     e = (np.random.default_rng(4).random((7, 6, 5)) < 0.3).astype(float)
     outs = []
 
@@ -504,11 +512,11 @@ def test_all_zero_input_terminates_finite():
     assert all(np.isfinite(r.rel_change) for r in state.trace)
 
 
-def test_pam_descent_between_non_growth_sweeps():
+def test_pam_descent_between_non_growth_sweeps(monkeypatch):
     rng = np.random.default_rng(13)
     e = rng.uniform(size=(10, 10, 10))
-    cfg = SolverConfig(f_max=4, lambda1=0.0, lambda2=0.1, s_max=80,
-                       conv_tol=1e-12, seed=13)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    cfg = SolverConfig(f_max=4, lambda1=0.0, lambda2=0.1, s_max=80, seed=13)
     _, state = solve(e, cfg)
     objs = [r.objective for r in state.trace]
     grew = [r.grew for r in state.trace]
@@ -695,9 +703,11 @@ def test_solve_matches_dense_on_a_small_davis_like_scene():
 
 
 @pytest.mark.parametrize("lambda2", [0.1, 0.25, 1.0, 3.0])
-def test_solve_matches_dense_on_raw_values_with_empty_slices(lambda2):
+def test_solve_matches_dense_on_raw_values_with_empty_slices(monkeypatch, lambda2):
     # 150 sweeps outlast E and the history terms at lambda2 <= 1
-    cfg = SolverConfig(f_max=4, lambda2=lambda2, s_max=150, conv_tol=1e-12, grow_tol=2e-2, seed=1)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    monkeypatch.setattr(SolverConfig, "grow_tol", 2e-2)
+    cfg = SolverConfig(f_max=4, lambda2=lambda2, s_max=150, seed=1)
     state, dense = _assert_same_run(_raw_sparse(8), cfg)
     assert any(r.grew for r in state.trace)
     x = dense_target(state.target)
@@ -711,10 +721,11 @@ def test_solve_matches_dense_on_the_zero_tensor():
 
 
 @pytest.mark.parametrize("lambda2, terms", [(0.1, 16), (0.3, 26), (1.0, 54), (3.0, 128)])
-def test_history_keeps_each_term_above_the_rounding_unit(lambda2, terms):
+def test_history_keeps_each_term_above_the_rounding_unit(monkeypatch, lambda2, terms):
     # a term stays while alpha beta^age >= 2^-53 alpha, E while beta^s >= 2^-53
-    cfg = SolverConfig(f_max=2, lambda2=lambda2, s_max=terms + 2, conv_tol=1e-12,
-                       grow_tol=1e-11, seed=0)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    monkeypatch.setattr(SolverConfig, "grow_tol", 1e-11)
+    cfg = SolverConfig(f_max=2, lambda2=lambda2, s_max=terms + 2, seed=0)
     e = _raw_sparse(9)
     for s_max, expected, e_in in ((terms - 1, terms - 1, True), (terms, terms, False),
                                   (terms + 2, terms, False)):
@@ -751,7 +762,9 @@ def test_a_sweep_builds_three_self_pair_grams(monkeypatch):
     monkeypatch.setattr(solver_module, "pair_gram", counting_pair_gram)
     monkeypatch.setattr(tensor_ops_module, "pair_gram", counting_pair_gram)
     # 20 sweeps span two rank growths and E's exit from X
-    cfg = SolverConfig(f_max=3, s_max=20, conv_tol=1e-12, grow_tol=3e-2, seed=3)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    monkeypatch.setattr(SolverConfig, "grow_tol", 3e-2)
+    cfg = SolverConfig(f_max=3, s_max=20, seed=3)
     _, state = solve((np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0, cfg)
     assert state.s == 20 and state.f == 3 and state.target.e_weight == 0.0
     assert calls == list("ijn") * state.s
@@ -763,7 +776,8 @@ def test_trace_fit_is_the_dense_relative_error_at_every_sweep(monkeypatch, raw):
     # from the per-cell sum after E leaves X
     fitted = _record_sweep_factors(monkeypatch)
     e = _raw_sparse(10) if raw else (np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0
-    cfg = SolverConfig(f_max=3, s_max=40, conv_tol=1e-12, grow_tol=1e-2, seed=3)
+    monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
+    cfg = SolverConfig(f_max=3, s_max=40, seed=3)
     _, state = solve(e, cfg)
     assert state.s == 40 and state.target.e_weight == 0.0
     assert len(fitted) == len(state.trace)
