@@ -22,18 +22,30 @@ full-batch epochs then costs O(3*n + (I+J+N)*d) instead of O(n*d):
 - margins: ``Zt @ w``, gathered at the three row indices and summed, where
   ``Zt`` is the standardized tables stacked block-diagonally,
   (I+J+N) x 3*f^2;
-- gradient: the per-row ``np.bincount`` of the violators' signed targets,
-  times ``Zt``.
+- gradient: the violators' signed targets summed per row of ``Zt`` (one
+  ``np.bincount``), times ``Zt``.
+
+The products run over the events in order of their frame, the g_n row (one
+stable argsort; the identity for a time-sorted stream). The frame block is
+then one run of events per frame: its gather is one ``np.repeat`` of the
+frame values over the runs, and its sums one ``np.add.reduceat`` over the
+same runs. The i and j blocks stay a gather and a bincount. Training this
+way is bit-identical to training in the caller's order. The margins are
+elementwise, and every summed target is -1, -0, 0 or +1, so each per-row
+sum and the bias gradient's total is a small integer, exact in float64 in
+any order. Only the standardization's mean and std depend on the order, and
+they are taken before the sort. `SvmModel.decision_scores` sorts the same
+way and returns its scores in the caller's order.
 
 A dense ndarray input, and gathered input whose mean block width
 3*f^2 / 3 is at most `DENSE_MAX_BLOCK_WIDTH`, take the dense loop (two GEMVs
-over the (n, d) matrix per epoch) instead: for narrow blocks the gathers and
-bincounts cost more than the GEMVs they replace. Per-epoch times on the
+over the (n, d) matrix per epoch) instead. Per-epoch times on the
 DAVIS-scale noise task's train split (n = 34,777, random factors, 2-vCPU
-host, two runs each), dense against gathered: f = 1 0.19-0.32 against
-0.66-0.73 ms, f = 2 0.50-0.56 against 0.59-0.64 ms, f = 3 0.90-1.03 against
-0.62-0.65 ms, f = 6 2.20-2.28 against 0.62-0.65 ms. The crossover lies
-between f = 2 and f = 3.
+host, three runs each), dense against gathered: f = 1 0.25-0.29 against
+0.38-0.58 ms, f = 2 0.59-0.62 against 0.45-0.53 ms, f = 3 1.07-1.18 against
+0.57-0.60 ms, f = 6 3.3-4.8 against 0.52-0.63 ms. The crossover lies between
+f = 1 and f = 2, yet f = 2 stays on the dense loop: the two loops sum in
+different orders, so moving it would change f = 2 answers in their last bits.
 
 The regularization sweep reruns the whole pipeline per (lambda1, lambda2)
 grid point and summarizes sensitivity with the AUC gap,
@@ -183,8 +195,10 @@ class SvmModel:
         if features.shape[-1] != len(self.weights):
             raise ShapeError(f"features have {features.shape[-1]} columns, "
                              f"the model has {len(self.weights)} weights")
-        matvec, _ = _standardized_products(features, self.mean, self.std)
-        return matvec(self.weights) + self.bias
+        matvec, _, order = _standardized_products(features, self.mean, self.std)
+        scores = np.empty(len(features))
+        scores[order] = matvec(self.weights) + self.bias
+        return scores
 
 
 def _dense_unless_wide(features):
@@ -197,35 +211,50 @@ def _dense_unless_wide(features):
 
 
 def _standardized_products(features, mean, std):
-    """(w -> z @ w, v -> v @ z) for z = (features - mean) / std.
+    """(w -> z @ w, v -> (v @ z, sum of v), order) for z = (features - mean) /
+    std with its rows taken in ``order``, which the caller applies to its own
+    per-event arrays.
 
-    Dense features build z; gathered ones standardize only their tables,
-    stacked block-diagonally into zt, so z = A @ zt for the (n, rows of zt)
-    0/1 matrix A with one 1 per block in each row.
+    Dense features build z and keep their order. Gathered ones standardize
+    only their tables, stacked block-diagonally into zt, so z = A @ zt for the
+    (n, rows of zt) 0/1 matrix A with one 1 per block in each row. Their
+    events are put in order of their last table's row (stably), so that block
+    is a run of events per row: one np.repeat gathers it and one
+    np.add.reduceat sums it. One np.bincount sums v @ A per row of zt: over
+    every other block's event rows, and over the last block's runs.
     """
     if not isinstance(features, GatheredFeatures):
         z = features - mean
         z /= std
-        return (lambda w: z @ w), (lambda v: v @ z)
+        return (lambda w: z @ w), (lambda v: (v @ z, v.sum())), slice(None)
     starts = np.cumsum([0] + [len(t) for t in features.tables])
     cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
     zt = np.zeros((starts[-1], cols[-1]))
     for table, r0, c0, c1 in zip(features.tables, starts, cols, cols[1:]):
         zt[r0:r0 + len(table), c0:c1] = (table - mean[c0:c1]) / std[c0:c1]
-    index = [r + r0 for r, r0 in zip(features.rows, starts)]
+    order = np.argsort(features.rows[-1], kind="stable")
+    *rows, last = (r[order] for r in features.rows)
+    counts = np.bincount(last, minlength=len(features.tables[-1]))
+    repeats = np.concatenate([np.zeros(starts[-2], dtype=counts.dtype), counts])
+    runs = np.flatnonzero(counts)
+    run_starts = (np.cumsum(counts) - counts)[runs]
+    bins = np.concatenate([r + r0 for r, r0 in zip(rows, starts)] + [runs + starts[-2]])
+    index = np.split(bins[:len(last) * len(rows)], len(rows))
 
     def matvec(w):
         s = zt @ w
         out = s[index[0]]
-        for rows in index[1:]:
-            out += s[rows]
+        for idx in index[1:]:
+            out += s[idx]
+        out += np.repeat(s, repeats)
         return out
 
     def rmatvec(v):
-        return np.concatenate([np.bincount(r, weights=v, minlength=len(t))
-                               for t, r in zip(features.tables, features.rows)]) @ zt
+        run_sums = np.add.reduceat(v, run_starts)
+        weights = np.concatenate([v] * len(index) + [run_sums])
+        return np.bincount(bins, weights=weights, minlength=len(zt)) @ zt, run_sums.sum()
 
-    return matvec, rmatvec
+    return matvec, rmatvec, order
 
 
 def _column_stats(features) -> tuple[np.ndarray, np.ndarray]:
@@ -254,22 +283,26 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
         raise ProtocolError("training set contains a single class")
     y = np.where(targets == classes.max(), 1.0, -1.0)
 
-    mean, std = _column_stats(features)
+    mean, std = _column_stats(features)  # before any reordering: these sums depend on event order
     std[std == 0.0] = 1.0  # constant dims carry no signal; avoid divide-by-zero
-    matvec, rmatvec = _standardized_products(features, mean, std)
+    matvec, rmatvec, order = _standardized_products(features, mean, std)
+    y = y[order]
 
     n, d = features.shape
     w = np.zeros(d)
     b = 0.0
     for t in range(1, epochs + 1):
         lr = 1.0 / (reg_lambda * (t + 1))
-        margins = y * (matvec(w) + b)
+        margins = matvec(w)
+        margins += b
+        margins *= y
         # hinge subgradient: margin violators only. As y is +-1 this is
         # np.where(margins < 1.0, y, 0.0) at a fifth of the cost; its -0.0
         # entries leave every sum below, and so w and b, bit-identical
         yv = y * (margins < 1.0)
-        grad_w = reg_lambda * w - rmatvec(yv) / n
-        grad_b = -yv.sum() / n
+        grad, total = rmatvec(yv)
+        grad_w = reg_lambda * w - grad / n
+        grad_b = -total / n
         w = w - lr * grad_w
         b = b - lr * grad_b
     return SvmModel(weights=w, bias=b, mean=mean, std=std,

@@ -356,7 +356,9 @@ def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
 def load_checkpoint(path_or_fh) -> FactorTriple:
     """Inverse of :func:`save_checkpoint`. The first missing or short row
     raises ValueError naming its line and the row count the header promises;
-    no row past it is read, whatever the header promises."""
+    no row past it is read, whatever the header promises. A line after the
+    promised rows raises too: the header's I, J and N split the rows among
+    the factors, and a header that does not end the file splits them wrongly."""
     with open_text(path_or_fh) as fh:
         ii, jj, nn, f = _header_ints(fh, "I J N f")
         rows = []
@@ -365,6 +367,9 @@ def load_checkpoint(path_or_fh) -> FactorTriple:
             if len(rows[-1]) != f * f:
                 raise ValueError(f"checkpoint line {k + 2} holds {len(rows[-1])} of {f * f} "
                                  f"values; the header promises {ii + jj + nn} factor rows")
+        if fh.readline():
+            raise ValueError(f"checkpoint line {ii + jj + nn + 2} follows the "
+                             f"{ii + jj + nn} factor rows the header promises")
     tables = np.split(np.array(rows, dtype=np.float64), [ii, ii + jj])
     return FactorTriple(*(unmatricize_factor(t, mode, f) for t, mode in zip(tables, MODES)))
 

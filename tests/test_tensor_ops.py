@@ -312,6 +312,10 @@ def test_coo_from_dense_keeps_c_order_and_values():
     coo = CooTensor.from_dense(raw)
     np.testing.assert_array_equal(coo.values, raw[raw != 0])
     assert coo.sq_norm == pytest.approx(float((raw ** 2).sum()), rel=1e-14)
+    view = raw.transpose(2, 0, 1)  # not C-contiguous: still its own C order
+    coo = CooTensor.from_dense(view)
+    np.testing.assert_array_equal(np.stack([coo.i, coo.j, coo.n]), np.nonzero(view))
+    np.testing.assert_array_equal(coo.values, view[view != 0])
     with pytest.raises(ShapeError):
         CooTensor.from_dense(np.zeros((2, 2)))
 
