@@ -28,9 +28,11 @@ def score_events(stream: EventStream, tensor: EventTensor,
                  factors: FactorTriple) -> np.ndarray:
     """Reconstruction value at each event's cell.
 
-    For an event at (i, j, n) the score is sum over (x, y) of
-    g_i[i, x, y] * (g_j[:, j, :] @ g_n[:, :, n].T)[x, y], vectorized over all
-    events at O(M * f^2) memory.
+    For an event at (i, j, n) the score is the reconstruction's entry there,
+    sum over (x, y, z) of g_i[i, x, y] * g_j[x, j, z] * g_n[y, z, n], read
+    by tensor_ops.cell_values: mode j's pair table, O(f^2 I N) memory, and
+    then blocks of events of at most tensor_ops.BLOCK_BYTES, so memory does
+    not grow with the number of events M.
     """
     return cell_values(factors, stream.i, stream.j, event_frames(stream, tensor, factors.dims))
 

@@ -34,8 +34,11 @@ way is bit-identical to training in the caller's order. The margins are
 elementwise, and every summed target is -1, -0, 0 or +1, so each per-row
 sum and the bias gradient's total is a small integer, exact in float64 in
 any order. Only the standardization's mean and std depend on the order, and
-they are taken before the sort. `SvmModel.decision_scores` sorts the same
-way and returns its scores in the caller's order.
+they are taken before the sort: per table, over its rows gathered a block of
+events at a time (at most tensor_ops.BLOCK_BYTES each), with the running
+column sums carried from block to block, bit for bit the dense matrix's.
+`SvmModel.decision_scores` sorts the same way and returns its scores in the
+caller's order.
 
 A dense ndarray input, and gathered input whose mean block width
 3*f^2 / 3 is at most `DENSE_MAX_BLOCK_WIDTH`, take the dense loop (two GEMVs
@@ -64,7 +67,7 @@ import numpy as np
 from .errors import ProtocolError, ShapeError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
 from .solver import SolverConfig, solve
-from .tensor_ops import MODES, FactorTriple, matricize_factor
+from .tensor_ops import MODES, FactorTriple, matricize_factor, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -258,13 +261,36 @@ def _standardized_products(features, mean, std):
 
 
 def _column_stats(features) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and std over the rows; the gathered form takes them one
-    table block at a time, which matches the dense matrix's bit for bit."""
+    """Per-column mean and std over the rows. The gathered form takes them
+    one table at a time, its rows gathered a block of events at a time, and
+    matches the dense matrix's bit for bit (see `_column_sum`)."""
     if not isinstance(features, GatheredFeatures):
         return features.mean(axis=0), features.std(axis=0)
-    blocks = (t[r] for t, r in zip(features.tables, features.rows))
-    means, stds = zip(*[(b.mean(axis=0), b.std(axis=0)) for b in blocks])
+    n = len(features)
+    means, stds = [], []
+    for table, rows in zip(features.tables, features.rows):
+        mean = _column_sum(table, rows) / n
+        means.append(mean)
+        stds.append(np.sqrt(_column_sum(table, rows, mean) / n))
     return np.concatenate(means), np.concatenate(stds)
+
+
+def _column_sum(table, rows, center=None) -> np.ndarray:
+    """Column sums of table[rows] (of (table[rows] - center)^2 with `center`),
+    gathered a block of at most BLOCK_BYTES at a time. numpy reduces a
+    C-contiguous array of two or more columns along axis 0 by adding its
+    rows in order, so reducing each block with the running sum as its first
+    row gives the whole array's sums, and so `mean` and `std`, bit for bit."""
+    total = None
+    for events in row_blocks(len(rows), 8 * table.shape[1]):
+        block = table[rows[events]]
+        if center is not None:
+            block -= center
+            block *= block
+        if total is not None:
+            block = np.concatenate([total[None], block])
+        total = np.add.reduce(block, axis=0)
+    return total
 
 
 def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,

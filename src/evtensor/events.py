@@ -123,6 +123,12 @@ class EventStream:
         return self.labels is not None
 
 
+def _is_binary(data: np.ndarray) -> bool:
+    """Every entry exactly 0 or 1: each nonzero entry (NaN included) equals 1.
+    It needs one bool temporary of data's size."""
+    return np.count_nonzero(data) == np.count_nonzero(data == 1)
+
+
 @dataclass
 class EventTensor:
     """Dense binary (I, J, N) tensor plus the bin edges that produced it."""
@@ -135,7 +141,7 @@ class EventTensor:
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.int64)
         if self.data.ndim != 3:
             raise ValueError("event tensor must be 3rd-order")
-        if not ((self.data == 0) | (self.data == 1)).all():
+        if not _is_binary(self.data):
             raise ValueError("event tensor entries must be exactly 0 or 1")
         if len(self.bin_edges) != self.data.shape[2] + 1:
             raise ValueError("bin_edges must have N+1 entries")
@@ -311,18 +317,22 @@ def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
 
 def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
     """Debug/oracle dump: header ``I J N`` then the 0/1 values in
-    (n outer, i middle, j inner) order, one space-separated line per (n, i)."""
+    (n outer, i middle, j inner) order, one space-separated line per (n, i).
+    Any entry other than exactly 0 or 1 (0.5, NaN, 2) raises ValueError
+    before anything is written. The text is built and written one frame at
+    a time."""
     data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
-    if data.size and (data.min() < 0 or data.max() > 1):
+    if not _is_binary(data):
         raise ValueError("a tensor dump holds only 0/1 entries")
     rows, cols, n_bins = data.shape
     # one ASCII byte per character: digit, space, digit, ..., digit, newline
-    text = np.full((n_bins * rows, 2 * cols), ord(" "), dtype=np.uint8)
-    text[:, 0::2] = data.transpose(2, 0, 1).reshape(n_bins * rows, cols) + ord("0")
+    text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
     text[:, -1] = ord("\n")
     with open_text(path_or_fh, "w") as fh:
         fh.write(f"{rows} {cols} {n_bins}\n")
-        fh.write(text.tobytes().decode("ascii"))
+        for n in range(n_bins):
+            text[:, 0::2] = data[:, :, n] + ord("0")
+            fh.write(text.tobytes().decode("ascii"))
 
 
 def read_tensor_dump(path_or_fh) -> np.ndarray:

@@ -50,12 +50,15 @@ factors, X_m H_m^T (RelaxedTarget.product) and H_m H_m^T (tensor_ops.pair_gram,
 from per-factor Grams) and hands both to update_factor. With K history terms
 at rank f, X_m H_m^T is the sum of
   - E's part (tensor_ops.coo_rhs): the mode's pair table, O(f^3) per column
-    over J*N, I*N or I*J columns, gathered at the nonzeros and segment-summed
-    by row, O(nnz f^2), in sort plans made once per E;
+    over only the columns of J*N, I*N or I*J that E's nonzeros touch,
+    gathered at the nonzeros and segment-summed by row, O(nnz f^2), a block
+    of table rows at a time, in sort plans made once per E;
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
-so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2 and holds
-no (I, J, N) array.
+so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2. It holds
+no (I, J, N) array and no (f^2, nnz) one: beside a pair table, the largest
+transients are one (f * data, data) slice of it and gathered blocks of at
+most tensor_ops.BLOCK_BYTES.
 
 The step and the stop check have closed forms, from the product P_n and the
 Gram A_n the loop leaves behind: A_n depends on g_i and g_j only, so the

@@ -37,12 +37,21 @@ X_m H_m^T is a weighted sum of two kinds of term, each exact:
 
   - an event tensor E given as its nonzeros (CooTensor). coo_rhs builds the
     mode's pair table, H_m with its columns in (i, j, n) order (pair_table,
-    one batched matmul, O(f^3) per column), gathers its columns at the
-    nonzeros into an (f^2, nnz) array and sums each row's run of them with
-    one np.add.reduceat along that contiguous axis; the runs come from the
-    sort plans CooTensor.from_dense makes once per E. Gathering rows of an
-    (nnz, f^2) layout instead took 3.3x as long at DAVIS scale (f = 6, 57.8k
-    nonzeros, 90k columns: 6.7 against 2.0 ms on 2 vCPUs).
+    O(f^3) per column), at only the columns E's nonzeros touch: the
+    ascending distinct columns CooTensor.from_dense records once per E in
+    the mode's sort plan (at DAVIS scale, f = 6, 57.8k nonzeros: 25,570 of
+    89,960 columns in mode n, 7.4 instead of 25.9 MB). It then gathers the
+    table's columns at the nonzeros and sums each row's run of them with
+    np.add.reduceat along that contiguous axis, a block of table rows at a
+    time: each gathered (rows, nnz) block holds at most BLOCK_BYTES, where
+    the whole (f^2, nnz) gather was 16.6 MB. Each table row's reduction is
+    the same as over the whole gather, so the sums are bit-identical.
+    Blocks run over table rows and not over nonzeros: a block of nonzeros
+    reads columns spread over the whole table, so every block streams all
+    of it again, where a block of rows reads only its own rows, once. At
+    DAVIS scale blocks of nonzeros took 1.4-2.6x as long per mode (mode n
+    15.0 against 33.3 ms on 2 vCPUs). Gathering rows of an (nnz, f^2)
+    layout instead took 3.3x as long (6.7 against 2.0 ms).
   - past reconstructions R(F_k), given as their factor triples (FactorStack).
     R(F_k)_m H_m^T = G_m^k (H_m^k H_m^T), and H_m^k H_m^T comes from
     cross-Grams of the factors in O((I+J+N) f^4 + f^6) per term;
@@ -56,6 +65,8 @@ f3tn_contract in mode i, whose columns j*N + n are R's C order, and
 cell_values in mode j, row j of G_j against column i*N + n. Mode j is on
 purpose: the two sum in different orders, so checking per-cell scores against
 f3tn_contract compares two contraction orders, not one with itself.
+cell_values, like coo_rhs's gather, works a block of cells at a time, so no
+product over events or nonzeros holds more than BLOCK_BYTES at once.
 """
 
 from __future__ import annotations
@@ -67,6 +78,19 @@ import numpy as np
 from .errors import ShapeError
 
 MODES = ("i", "j", "n")
+
+# the most bytes a per-nonzero or per-event block may hold
+BLOCK_BYTES = 2 << 20
+
+
+def row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Slices cutting range(n) into consecutive blocks of BLOCK_BYTES //
+    row_bytes rows, at least two, the last one taking what is left. A lone
+    last row joins the block before it: np.einsum sums the products of a
+    single cell in another order than those of several (cell_values)."""
+    step = max(2, BLOCK_BYTES // row_bytes)
+    starts = list(range(0, max(n - 1, 1), step))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 @dataclass(frozen=True)
@@ -216,11 +240,13 @@ def history_rhs(stack: FactorStack, weights: np.ndarray, factors: FactorTriple,
 @dataclass(frozen=True)
 class CooPlan:
     """One axis's segment-sum plan over a CooTensor's nonzeros, sorted stably
-    by that axis's index so each row's run keeps C order: each nonzero's
-    column in the mode's pair table (the other two indices in C order), its
+    by that axis's index so each row's run keeps C order: the ascending
+    distinct columns of the mode's pair table (the other two indices in C
+    order) that the nonzeros touch, each nonzero's position in them, its
     value (None when every value is 1), and where each non-empty row's run
     starts."""
 
+    used: np.ndarray
     cols: np.ndarray
     values: np.ndarray | None
     starts: np.ndarray
@@ -250,7 +276,7 @@ class CooTensor:
         # np.nonzero's cost. The coordinates are one block allocated before
         # the flat index: allocated after it, they raised davis peak RSS by 1 MB
         coords = np.empty((3, np.count_nonzero(data)), dtype=np.intp)
-        np.divmod(np.flatnonzero(data), dims[1] * dims[2], out=(coords[0], coords[1]))
+        np.divmod(np.flatnonzero(data != 0), dims[1] * dims[2], out=(coords[0], coords[1]))
         np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
         values = data[tuple(coords)].astype(np.float64)
         ones = bool(np.all(values == 1.0))
@@ -260,9 +286,10 @@ class CooTensor:
             order = np.argsort(coords[axis], kind="stable")
             key = coords[axis][order]
             starts = np.flatnonzero(np.diff(key, prepend=-1))
-            plans[mode] = CooPlan(cols=(coords[slow] * dims[fast] + coords[fast])[order],
-                                  values=None if ones else values[order], starts=starts,
-                                  rows=key[starts], n_rows=dims[axis])
+            used, cols = np.unique((coords[slow] * dims[fast] + coords[fast])[order],
+                                   return_inverse=True)
+            plans[mode] = CooPlan(used=used, cols=cols, values=None if ones else values[order],
+                                  starts=starts, rows=key[starts], n_rows=dims[axis])
         return cls(dims, *coords, values, plans)
 
     @property
@@ -270,38 +297,57 @@ class CooTensor:
         return float(np.dot(self.values, self.values))
 
 
-def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
+def pair_table(factors: FactorTriple, mode: str, used: np.ndarray | None = None) -> np.ndarray:
     """H_m itself with its columns reordered, (f^2, product of the two other
     dims): rows in matricize_factor(g_m)'s column order, columns the other two
     indices in C order (j*N + n for mode i, i*N + n for mode j, i*J + j for
-    mode n). One batched matmul over the pair's shared latent axis, O(f^3)
-    per column, written in this layout directly: per open latent index of
-    the second factor, (open, data; shared) of the first @ (shared; data)."""
+    mode n). With `used`, ascending distinct column indices, only those
+    columns, in that order. O(f^3) per column, written in this layout
+    directly, one open latent index q of the second factor at a time: the
+    rows q*f .. q*f + f - 1 are (open, data; shared) of the first @ (shared;
+    data) of the second at q, the BLAS calls one batched matmul makes, so
+    the table is bit-identical to it; no transient is larger than that one
+    (f * data, data) slice."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
     (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
     f = factors.rank
     a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
     b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
-    return np.matmul(a.reshape(-1, f), b).reshape(f * f, -1)
+    a = a.reshape(-1, f)
+    n_cols = a.shape[0] // f * b.shape[2]
+    out = np.empty((f, f, n_cols if used is None else len(used)))
+    block = None if used is None else np.empty((f, n_cols))
+    for q in range(f):
+        slab = out[q] if used is None else block
+        np.matmul(a, b[q], out=slab.reshape(len(a), -1))
+        if used is not None:
+            # used is in range, so "clip" clips nothing and writes straight
+            # into out; "raise" would gather into a buffer and copy it again
+            np.take(block, used, axis=1, out=out[q], mode="clip")
+    return out.reshape(f * f, -1)
 
 
 def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
-    """E_m H_m^T from E's nonzeros alone, O(f^3 * (other dims) + nnz * f^2):
-    the mode's pair table, its columns gathered at the nonzeros (scaled by
-    their values) and summed per row with one np.add.reduceat along the
-    gathered axis, in the runs of E's mode-m sort plan."""
+    """E_m H_m^T from E's nonzeros alone, O(f^3 * (used columns) + nnz * f^2):
+    the mode's pair table at the columns the nonzeros touch, its columns
+    gathered at the nonzeros (scaled by their values) and summed per row
+    with np.add.reduceat along the gathered axis, in the runs of E's mode-m
+    sort plan, a block of at most BLOCK_BYTES of table rows at a time."""
+    if mode not in PAIRS:
+        raise ValueError(f"unknown mode {mode!r}")
     if coo.dims != factors.dims:
         raise ShapeError(f"E has shape {coo.dims}, the factors {factors.dims}")
-    table = pair_table(factors, mode)
     plan = coo.plans[mode]
+    table = pair_table(factors, mode, plan.used)
     out = np.zeros((table.shape[0], plan.n_rows))
     if len(plan.starts):
-        gathered = np.take(table, plan.cols, axis=1)
-        if plan.values is not None:
-            gathered *= plan.values
-        # reduceat over the non-empty runs only: an empty one would read its neighbour
-        out[:, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
+        for rows in row_blocks(len(table), 8 * len(plan.cols)):
+            gathered = np.take(table[rows], plan.cols, axis=1)
+            if plan.values is not None:
+                gathered *= plan.values
+            # reduceat over the non-empty runs only: an empty one would read its neighbour
+            out[rows, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
     return out.T
 
 
@@ -315,10 +361,16 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     """The reconstruction at the cells (i[k], j[k], n[k]), O(f^2) per cell
     after mode j's pair table: row j of G_j against column i*N + n of the
-    table, and no full tensor."""
+    table, and no full tensor. The cells go a block at a time, the block's
+    two gathered (cells, f^2) operands at most BLOCK_BYTES together."""
     cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
-    table = np.take(pair_table(factors, "j"), cols, axis=1)
-    return np.einsum("mk,km->m", matricize_factor(factors.g_j, "j")[j], table)
+    j = np.asarray(j)
+    table = pair_table(factors, "j")
+    g_j = matricize_factor(factors.g_j, "j")
+    out = np.empty(len(cols))
+    for cells in row_blocks(len(cols), 16 * len(table)):
+        out[cells] = np.einsum("mk,km->m", g_j[j[cells]], np.take(table, cols[cells], axis=1))
+    return out
 
 
 def frob_norm(t: np.ndarray) -> float:

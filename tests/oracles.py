@@ -135,6 +135,61 @@ def pair_contraction(factors, mode: str) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+# ---------------------------------------------------------------------------
+# the sparse products as they ran before they were blocked: the batched pair
+# table over all its columns, one (f^2, nnz) gather, one einsum over every
+# cell, and the column statistics of each whole gathered table block. The
+# blocked library functions must match them bit for bit.
+
+# mode -> the other two factors as (name, data axis, shared latent axis)
+_PAIRS = {"i": (("g_j", 1, 2), ("g_n", 2, 1)),
+          "j": (("g_i", 0, 2), ("g_n", 2, 0)),
+          "n": (("g_i", 0, 1), ("g_j", 1, 0))}
+
+
+def pair_table_batched(factors, mode: str) -> np.ndarray:
+    """The mode's full pair table as one batched matmul over the second
+    factor's open latent index."""
+    (name_a, data_a, shared_a), (name_b, data_b, shared_b) = _PAIRS[mode]
+    f = factors.rank
+    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
+    b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
+    return np.matmul(a.reshape(-1, f), b).reshape(f * f, -1)
+
+
+def coo_rhs_unblocked(coo, factors, mode: str) -> np.ndarray:
+    """E_m H_m^T from the full pair table and one (f^2, nnz) gather at the
+    nonzeros' table columns, summed by one np.add.reduceat."""
+    table = pair_table_batched(factors, mode)
+    plan = coo.plans[mode]
+    out = np.zeros((table.shape[0], plan.n_rows))
+    if len(plan.starts):
+        gathered = np.take(table, plan.used[plan.cols], axis=1)
+        if plan.values is not None:
+            gathered *= plan.values
+        out[:, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
+    return out.T
+
+
+def cell_values_unblocked(factors, i, j, n) -> np.ndarray:
+    """The reconstruction at the given cells from one einsum over all of them:
+    row j of the mode-j matricized g_j against column i*N + n of mode j's
+    pair table."""
+    f = factors.rank
+    cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
+    table = np.take(pair_table_batched(factors, "j"), cols, axis=1)
+    g_j = factors.g_j.transpose(1, 2, 0).reshape(-1, f * f)
+    return np.einsum("mk,km->m", g_j[j], table)
+
+
+def column_stats_unblocked(features):
+    """Per-column mean and std of gathered features, each table block
+    gathered whole."""
+    blocks = (t[r] for t, r in zip(features.tables, features.rows))
+    means, stds = zip(*[(b.mean(axis=0), b.std(axis=0)) for b in blocks])
+    return np.concatenate(means), np.concatenate(stds)
+
+
 def auc_bruteforce(scores, labels):
     """All-pairs Mann-Whitney count: wins 1, ties 1/2, over P*N pairs."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -344,9 +399,7 @@ def train_svm_gathered(features, targets, reg_lambda=1e-3, epochs=500):
     classes = np.unique(targets)
     y = np.where(targets == classes.max(), 1.0, -1.0)
 
-    blocks = (t[r] for t, r in zip(features.tables, features.rows))
-    means, stds = zip(*[(b.mean(axis=0), b.std(axis=0)) for b in blocks])
-    mean, std = np.concatenate(means), np.concatenate(stds)
+    mean, std = column_stats_unblocked(features)
     std[std == 0.0] = 1.0
 
     starts = np.cumsum([0] + [len(t) for t in features.tables])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtensor
-from evtensor import evaluation
+from evtensor import evaluation, tensor_ops
 from evtensor.errors import ConsistencyError, ProtocolError, ShapeError
 from evtensor.evaluation import (
     FeatureMatrix,
@@ -445,6 +445,26 @@ def test_frame_sorted_svm_is_bit_identical_to_the_gathered_loop(ref_scene_fit, t
     features, y = _events_of(*_train_and_test_features(*ref_scene_fit, task)[:2], events)
     assert isinstance(evaluation._dense_unless_wide(features), GatheredFeatures)
     assert len(np.unique(y)) == 2
+    model = train_svm(features, y)
+    weights, bias, mean, std = oracles.train_svm_gathered(features, y)
+    np.testing.assert_array_equal(model.weights, weights)
+    assert model.bias == bias
+    np.testing.assert_array_equal(model.mean, mean)
+    np.testing.assert_array_equal(model.std, std)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000])
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_blocked_column_stats_train_the_svm_bit_identically(ref_scene_fit, monkeypatch, task,
+                                                            block_bytes):
+    # 1 byte: two events per block; 5000 bytes: a few dozen
+    features, y, _ = _train_and_test_features(*ref_scene_fit, task)
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    assert len(tensor_ops.row_blocks(len(features), 8 * features.tables[0].shape[1])) > 5
+    mean, std = oracles.column_stats_unblocked(features)
+    got_mean, got_std = evaluation._column_stats(features)
+    np.testing.assert_array_equal(got_mean, mean)
+    np.testing.assert_array_equal(got_std, std)
     model = train_svm(features, y)
     weights, bias, mean, std = oracles.train_svm_gathered(features, y)
     np.testing.assert_array_equal(model.weights, weights)

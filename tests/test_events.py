@@ -345,6 +345,22 @@ def test_tensor_dump_roundtrip_random_tensor():
     np.testing.assert_array_equal(got, data)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+def test_tensor_dump_of_0_1_data_of_any_dtype_is_the_uint8_dump(dtype):
+    data = np.random.default_rng(5).integers(0, 2, size=(4, 6, 5), dtype=np.uint8)
+    assert _dump_text(data.astype(dtype)) == _dump_text(data)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_tensor_dump_rejects_entries_other_than_0_and_1(bad):
+    data = np.zeros((2, 3, 4))
+    data[1, 2, 3] = bad
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="only 0/1 entries"):
+        write_tensor_dump(data, buf)
+    assert buf.getvalue() == ""
+
+
 @pytest.mark.parametrize("cut", [2, 3, 16])
 def test_truncated_tensor_dump_raises(cut):
     text = _dump_text(np.ones((3, 4, 2), dtype=np.uint8))

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtensor import tensor_ops
 from evtensor.errors import ShapeError
 from evtensor.tensor_ops import (
     CooTensor,
@@ -20,10 +23,13 @@ from evtensor.tensor_ops import (
 )
 
 from oracles import (
+    cell_values_unblocked,
     contract_bruteforce,
+    coo_rhs_unblocked,
     fold,
     frob_dist,
     pair_contraction,
+    pair_table_batched,
     partial_contract_pair,
     random_factors,
     unfold,
@@ -356,6 +362,15 @@ def test_coo_plan_runs_cover_each_row_once(mode):
     np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
     np.testing.assert_array_equal(np.diff(np.append(plan.starts, len(plan.cols))), counts[counts > 0])
     assert plan.values is None
+    # the table columns the nonzeros touch, ascending and each once, and each
+    # nonzero's position among them
+    slow, fast = (a for a in range(3) if a != axis)
+    touched = np.flatnonzero((x != 0).any(axis=axis).ravel())
+    np.testing.assert_array_equal(plan.used, touched)
+    coords = np.nonzero(x)
+    order = np.argsort(coords[axis], kind="stable")
+    np.testing.assert_array_equal(plan.used[plan.cols],
+                                  (coords[slow] * x.shape[fast] + coords[fast])[order])
 
 
 @pytest.mark.parametrize("mode", "ijn")
@@ -434,3 +449,96 @@ def test_cell_values_reject_a_frame_past_the_last():
     with pytest.raises(ValueError):
         cell_values(factors, np.array([1]), np.array([0]), np.array([7]))
 
+
+# ---------------------------------------------------------------------------
+# the blocked products against the unblocked ones they replaced, bit for bit
+
+
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", range(1, 7))
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_table_by_slices_is_bit_identical_to_the_batched_matmul(mode, f, seed):
+    # one matmul per open latent index of the second factor makes the BLAS
+    # calls the batched matmul makes, so the tables agree bit for bit at any
+    # BLAS thread count; CI runs this at one thread and at the default
+    rng = np.random.default_rng(seed)
+    dims = [(7, 5, 4), (3, 8, 5), (40, 60, 30)][seed % 3]
+    factors = random_factors(rng, dims, f)
+    full = pair_table_batched(factors, mode)
+    np.testing.assert_array_equal(pair_table(factors, mode), full)
+    used = np.flatnonzero(rng.random(full.shape[1]) < 0.3)
+    np.testing.assert_array_equal(pair_table(factors, mode, used), full[:, used])
+
+
+def _holey(rng, dims, binary):
+    # zeroed slices on every axis: empty runs between non-empty ones and at both ends
+    x = _sparse(rng, dims, binary=binary)
+    x[[0, 3, dims[0] - 1]] = 0.0
+    x[:, [0, 2, dims[1] - 1]] = 0.0
+    x[:, :, [1, dims[2] - 1]] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 100])
+@pytest.mark.parametrize("block_bytes", [1, 24, 2 << 20])
+def test_row_blocks_cover_the_rows_in_order_two_or_more_at_a_time(monkeypatch, n, block_bytes):
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    blocks = tensor_ops.row_blocks(n, 8)
+    step = max(2, block_bytes // 8)
+    np.testing.assert_array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+    sizes = [len(range(n)[b]) for b in blocks]
+    assert all(2 <= size <= step + 1 for size in sizes) or sizes == [n]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", [1, 2, 3, 6])
+def test_blocked_coo_rhs_is_bit_identical_to_one_gather(monkeypatch, block_bytes, binary, mode, f):
+    # 1 byte: two table rows per block; 5000: a few rows; 2 MiB: one block
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(70 + f)
+    dims = (9, 7, 8)
+    x = _holey(rng, dims, binary)
+    coo = CooTensor.from_dense(x)
+    assert len(coo.plans[mode].used) < x.size // dims["ijn".index(mode)]
+    factors = random_factors(rng, dims, f)
+    np.testing.assert_array_equal(coo_rhs(coo, factors, mode),
+                                  coo_rhs_unblocked(coo, factors, mode))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
+@pytest.mark.parametrize("f", [1, 2, 3, 6])
+def test_blocked_cell_values_are_bit_identical_to_one_einsum(monkeypatch, block_bytes, f):
+    # 1 byte: two cells per block; 5000: a few cells; 2 MiB: one block. A
+    # single cell is its own call's only block, summed as the unblocked einsum sums it
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(80 + f)
+    dims = (9, 7, 8)
+    factors = random_factors(rng, dims, f)
+    coo = CooTensor.from_dense(_holey(rng, dims, binary=True))
+    pick = rng.permutation(np.repeat(np.arange(10), 3))
+    for cells in ((coo.i, coo.j, coo.n), (coo.i[pick], coo.j[pick], coo.n[pick]),
+                  (coo.i[:1], coo.j[:1], coo.n[:1]), (coo.i[:0], coo.j[:0], coo.n[:0])):
+        np.testing.assert_array_equal(cell_values(factors, *cells),
+                                      cell_values_unblocked(factors, *cells))
+
+
+def test_coo_rhs_peak_memory_is_the_compressed_table_and_two_blocks():
+    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense) at f = 6. The full pair
+    # tables are 10.0, 7.5 and 25.9 MB and the whole (f^2, nnz) gather 16.6
+    # MB; the tables at E's columns stay, the largest transient beside them is
+    # one per-slice matmul (4.3 MB in mode n) or one gathered block
+    dims, f = (260, 346, 100), 6
+    rng = np.random.default_rng(0)
+    coo = CooTensor.from_dense((rng.random(dims) < 0.0064).astype(np.uint8))
+    factors = random_factors(rng, dims, f)
+    for mode in "ijn":
+        table_bytes = f * f * len(coo.plans[mode].used) * 8
+        tracemalloc.start()
+        try:
+            coo_rhs(coo, factors, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes + 2 * tensor_ops.BLOCK_BYTES + (1 << 20), mode
