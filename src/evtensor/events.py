@@ -14,8 +14,12 @@ array and checks it column by column. Input that this decode or these checks
 refuse is read line by line instead: any malformed, negative-time or
 out-of-geometry record, and also whitespace-only lines, spellings that only
 Python's ``int()`` takes (``1_000``) and a polarity field that is not an
-integer, which that path accepts. The writers format all rows with one
-``%``-format.
+integer, which that path accepts. :func:`write_events_csv` writes each
+integer column as decimal digit bytes from one ``divmod`` per place
+(:func:`format_int_rows`), byte for byte what ``%d`` gives; the denoise report
+keeps one ``%``-format per row (:func:`format_rows`) for its ``%.17g`` score.
+The tensor dump is a template of ``0`` digits with ``1`` written at each
+frame's nonzeros.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -124,8 +128,15 @@ class EventStream:
 
 
 def _is_binary(data: np.ndarray) -> bool:
-    """Every entry exactly 0 or 1: each nonzero entry (NaN included) equals 1.
-    It needs one bool temporary of data's size."""
+    """Every entry exactly 0 or 1. A bool array always is; an integer one when
+    its min and max lie in [0, 1], two reductions and no temporary. Any other
+    dtype compares counts: each nonzero entry (NaN included) must equal 1,
+    which needs one bool temporary of data's size and rejects 0.5 and NaN."""
+    kind = data.dtype.kind
+    if kind == "b" or data.size == 0:
+        return True
+    if kind in "ui":
+        return bool((kind == "u" or data.min() >= 0) and data.max() <= 1)
     return np.count_nonzero(data) == np.count_nonzero(data == 1)
 
 
@@ -252,13 +263,49 @@ def format_rows(row: str, columns) -> str:
     return (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
+def format_int_rows(columns) -> str:
+    """Every row of the equal-length int64 `columns`, comma-separated, one line
+    per row: byte for byte ``format_rows("%d,...,%d\\n", columns)``, at array
+    speed. Each column gets a field as wide as its widest number (sign
+    included) in one (rows, width) uint8 buffer; one ``divmod`` per place
+    writes its digits right-aligned and a negative number's sign before
+    them. The places left of a number stay 0 bytes, which one mask drops."""
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    n = len(columns[0])
+    fields = []
+    for c in columns:
+        neg = c < 0
+        # magnitudes as uint64, exact for iinfo(int64).min too
+        mag = c.astype(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+        has_neg = bool(neg.any())
+        width = (len(str(int(mag.max()))) if n else 1) + has_neg
+        fields.append((mag, neg if has_neg else None, width))
+    buf = np.zeros((n, sum(width + 1 for *_, width in fields)), dtype=np.uint8)
+    end = -1
+    for mag, neg, width in fields:
+        end += width + 1
+        buf[:, end] = ord(",")
+        # a place holds a digit if it is a number's last or a nonzero rest remains
+        live = np.ones(n, dtype=bool)
+        for place in range(end - 1, end - 1 - width, -1):
+            mag, digit = np.divmod(mag, np.uint64(10))
+            np.add(digit, ord("0"), out=buf[:, place], where=live, casting="unsafe")
+            more = mag > 0
+            if neg is not None:
+                buf[live & ~more & neg, place - 1] = ord("-")
+            live = more
+    buf[:, -1] = ord("\n")
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
     """Write a stream in the canonical CSV format (label column when present)."""
     if stream.has_labels:
         header, columns = "t,i,j,label\n", (stream.t, stream.i, stream.j, stream.labels)
     else:
         header, columns = "t,i,j\n", (stream.t, stream.i, stream.j)
-    text = header + format_rows(",".join(["%d"] * len(columns)) + "\n", columns)
+    text = header + format_int_rows(columns)
     with open_text(path_or_fh, "w") as fh:
         fh.write(text)
 
@@ -319,24 +366,46 @@ def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
     """Debug/oracle dump: header ``I J N`` then the 0/1 values in
     (n outer, i middle, j inner) order, one space-separated line per (n, i).
     Any entry other than exactly 0 or 1 (0.5, NaN, 2) raises ValueError
-    before anything is written. The text is built and written one frame at
-    a time."""
+    before anything is written.
+
+    The text is built from the nonzeros, one frame at a time: a frame's text
+    is an all-``0`` template with ``1`` written at that frame's nonzero cells,
+    which are reset once it is written. The nonzeros come from one scan of
+    the data in its C order, grouped by frame with one stable sort, so no
+    pass reads the data a frame at a time across its strides."""
     data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
     if not _is_binary(data):
         raise ValueError("a tensor dump holds only 0/1 entries")
     rows, cols, n_bins = data.shape
+    # one-byte 0/1 data is its own nonzero mask
+    nonzero = data.view(bool) if data.dtype.itemsize == 1 else data != 0
+    flat = np.flatnonzero(nonzero)
+    frame = flat % n_bins
+    # a stable sort on the narrowest dtype: numpy radix-sorts 8- and 16-bit keys
+    order = np.argsort(frame.astype(np.min_scalar_type(n_bins)), kind="stable")
+    # a cell's digit sits at byte 2 * (i * J + j) of its frame's text
+    digits = 2 * (flat // n_bins)[order]
+    # frame n's digits are digits[bounds[n]:bounds[n + 1]]
+    bounds = np.zeros(n_bins + 1, dtype=np.intp)
+    np.cumsum(np.bincount(frame, minlength=n_bins), out=bounds[1:])
     # one ASCII byte per character: digit, space, digit, ..., digit, newline
     text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = ord("0")
     text[:, -1] = ord("\n")
+    text = text.reshape(-1)
     with open_text(path_or_fh, "w") as fh:
         fh.write(f"{rows} {cols} {n_bins}\n")
         for n in range(n_bins):
-            text[:, 0::2] = data[:, :, n] + ord("0")
+            ones = digits[bounds[n]:bounds[n + 1]]
+            text[ones] = ord("1")
             fh.write(text.tobytes().decode("ascii"))
+            text[ones] = ord("0")
 
 
 def read_tensor_dump(path_or_fh) -> np.ndarray:
-    """Inverse of :func:`write_tensor_dump`; returns the uint8 data array."""
+    """Inverse of :func:`write_tensor_dump`; returns the uint8 data array.
+    Each of the I*N body lines must be 2J bytes: a 0/1 digit and a space,
+    J times, the last space a newline."""
     with open_text(path_or_fh) as fh:
         rows, cols, n_bins = _header_ints(fh, "I J N")
         body = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
@@ -344,6 +413,9 @@ def read_tensor_dump(path_or_fh) -> np.ndarray:
     values = body[0::2] - np.uint8(ord("0"))
     if values.size != rows * cols * n_bins:
         raise ValueError(f"dump holds {values.size} values, expected {rows * cols * n_bins}")
-    if values.size and values.max() > 1:
+    separators = np.full(cols, ord(" "), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if (body.size != 2 * values.size or values.max() > 1
+            or np.any(body[1::2].reshape(rows * n_bins, cols) != separators)):
         raise ValueError("a tensor dump holds only 0/1 digits, one space apart")
     return np.ascontiguousarray(values.reshape(n_bins, rows, cols).transpose(1, 2, 0))

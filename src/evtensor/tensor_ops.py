@@ -273,21 +273,36 @@ class CooTensor:
             raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
         dims = tuple(int(d) for d in data.shape)
         # (i, j, n) from the C-order flat index of the nonzeros, a scan at half
-        # np.nonzero's cost. The coordinates are one block allocated before
-        # the flat index: allocated after it, they raised davis peak RSS by 1 MB
+        # np.nonzero's cost, through numpy's bool path: one-byte 0/1 data is
+        # its own mask, viewed as bool; any other data is compared with 0.
+        # The coordinates are one block allocated before the flat index:
+        # allocated after it, they raised davis peak RSS by 1 MB
         coords = np.empty((3, np.count_nonzero(data)), dtype=np.intp)
-        np.divmod(np.flatnonzero(data != 0), dims[1] * dims[2], out=(coords[0], coords[1]))
+        kind = data.dtype.kind
+        own_mask = data.dtype.itemsize == 1 and (
+            kind == "b" or (kind in "ui" and data.size and data.min() >= 0 and data.max() <= 1))
+        mask = data.view(bool) if own_mask else data != 0
+        np.divmod(np.flatnonzero(mask), dims[1] * dims[2], out=(coords[0], coords[1]))
         np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
         values = data[tuple(coords)].astype(np.float64)
         ones = bool(np.all(values == 1.0))
         plans = {}
         for axis, mode in enumerate(MODES):
             slow, fast = (a for a in range(3) if a != axis)
-            order = np.argsort(coords[axis], kind="stable")
+            # a stable sort on the narrowest dtype: numpy radix-sorts 8- and
+            # 16-bit keys, and a stable order does not depend on the dtype
+            narrow = coords[axis].astype(np.min_scalar_type(dims[axis]))
+            order = np.argsort(narrow, kind="stable")
             key = coords[axis][order]
             starts = np.flatnonzero(np.diff(key, prepend=-1))
-            used, cols = np.unique((coords[slow] * dims[fast] + coords[fast])[order],
-                                   return_inverse=True)
+            # the touched columns marked over the table's width: ascending and
+            # distinct, and each nonzero's position among them from the marks'
+            # running count, what np.unique gives without its sort
+            col = (coords[slow] * dims[fast] + coords[fast])[order]
+            touched = np.zeros(dims[slow] * dims[fast], dtype=bool)
+            touched[col] = True
+            used = np.flatnonzero(touched)
+            cols = np.cumsum(touched)[col] - 1
             plans[mode] = CooPlan(used=used, cols=cols, values=None if ones else values[order],
                                   starts=starts, rows=key[starts], n_rows=dims[axis])
         return cls(dims, *coords, values, plans)
@@ -365,6 +380,10 @@ def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     two gathered (cells, f^2) operands at most BLOCK_BYTES together."""
     cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
     j = np.asarray(j)
+    if len(cols) == 1:
+        # np.einsum sums a lone cell's products in another order than those
+        # of several cells, so a lone cell is scored as a pair with itself
+        return cell_values(factors, np.repeat(i, 2), np.repeat(j, 2), np.repeat(n, 2))[:1]
     table = pair_table(factors, "j")
     g_j = matricize_factor(factors.g_j, "j")
     out = np.empty(len(cols))

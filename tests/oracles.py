@@ -288,6 +288,75 @@ def write_events_csv(stream, path_or_fh) -> None:
                 fh.write(f"{t},{i},{j}\n")
 
 
+def is_binary(data: np.ndarray) -> bool:
+    """Every entry exactly 0 or 1: each nonzero entry (NaN included) equals 1.
+    It needs one bool temporary of data's size."""
+    return np.count_nonzero(data) == np.count_nonzero(data == 1)
+
+
+def write_tensor_dump(tensor, path_or_fh) -> None:
+    """Per-frame tensor dump: each frame's digits read from the data across
+    its strides, as ``data[:, :, n] + ord("0")``."""
+    from evtensor.events import EventTensor, open_text
+
+    data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
+    if not is_binary(data):
+        raise ValueError("a tensor dump holds only 0/1 entries")
+    rows, cols, n_bins = data.shape
+    # one ASCII byte per character: digit, space, digit, ..., digit, newline
+    text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    with open_text(path_or_fh, "w") as fh:
+        fh.write(f"{rows} {cols} {n_bins}\n")
+        for n in range(n_bins):
+            text[:, 0::2] = data[:, :, n] + ord("0")
+            fh.write(text.tobytes().decode("ascii"))
+
+
+def odd_tensors():
+    """(id, array) pairs for checks over a tensor's dtype and values: each of
+    bool, uint8, int8, int64, float32 and float64 with every value of 0, 1, 2,
+    255, -1, 0.5, NaN, inf and -0.0 it holds, in one cell of a random 0/1
+    tensor, and as empty, all-zero, all-one, single-frame and transposed
+    (not C-contiguous) tensors."""
+    base = np.random.default_rng(7).random((4, 5, 3)) < 0.4
+    for dtype in (bool, np.uint8, np.int8, np.int64, np.float32, np.float64):
+        kind, name = np.dtype(dtype).kind, np.dtype(dtype).name
+        for value in (0, 1, 2, 255, -1, 0.5, np.nan, np.inf, -0.0):
+            if kind != "f" and not (isinstance(value, int) and (
+                    value in (0, 1) if kind == "b"
+                    else np.iinfo(dtype).min <= value <= np.iinfo(dtype).max)):
+                continue
+            data = base.astype(dtype)
+            data[1, 2, 1] = value
+            yield f"{name}-{value}", data
+        yield f"{name}-no-rows", np.zeros((0, 3, 2), dtype)
+        yield f"{name}-no-frames", np.zeros((3, 4, 0), dtype)
+        yield f"{name}-all-zero", np.zeros((4, 5, 3), dtype)
+        yield f"{name}-all-one", np.ones((4, 5, 3), dtype)
+        yield f"{name}-one-frame", base[:, :, :1].astype(dtype)
+        yield f"{name}-transposed", base.astype(dtype).transpose(1, 2, 0)
+
+
+def coo_plans(data) -> dict:
+    """Per mode, the (used, cols, starts, rows, values) of a sparse sort plan
+    from np.nonzero, an int64 stable argsort and np.unique; values is None
+    when every nonzero is 1."""
+    coords = np.nonzero(data)
+    values = data[coords].astype(np.float64)
+    plans = {}
+    for axis, mode in enumerate("ijn"):
+        slow, fast = (a for a in range(3) if a != axis)
+        order = np.argsort(coords[axis], kind="stable")
+        key = coords[axis][order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        used, cols = np.unique((coords[slow] * data.shape[fast] + coords[fast])[order],
+                               return_inverse=True)
+        plans[mode] = (used, cols, starts, key[starts],
+                       None if np.all(values == 1.0) else values[order])
+    return plans
+
+
 def write_report_csv(stream, report, path_or_fh) -> None:
     """Row-at-a-time denoise report writer: one list of cells per event."""
     from evtensor.events import open_text

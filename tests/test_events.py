@@ -11,8 +11,11 @@ from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
     EventStream,
     EventTensor,
+    _is_binary,
     bin_to_tensor,
     compute_bin_edges,
+    format_int_rows,
+    format_rows,
     parse_events,
     read_tensor_dump,
     tensor_density,
@@ -207,6 +210,38 @@ def test_write_events_csv_bytes_equal_the_row_writer(labels):
     assert fast.getvalue() == rows.getvalue()
 
 
+INT64 = np.iinfo(np.int64)
+_EXTREMES = [INT64.min, INT64.min + 1, -(10**18), -10, -9, -1, 0, 1, 9, 10, 10**18,
+             INT64.max - 1, INT64.max]
+
+
+@pytest.mark.parametrize("n_columns", [1, 2, 3, 4])
+def test_int_rows_equal_percent_d_at_the_int64_extremes_in_every_column(n_columns):
+    rng = np.random.default_rng(n_columns)
+    columns = [rng.permutation(np.r_[_EXTREMES, rng.integers(INT64.min, INT64.max, 50) >>
+                                     rng.integers(0, 64, 50)]) for _ in range(n_columns)]
+    row = ",".join(["%d"] * n_columns) + "\n"
+    assert format_int_rows(columns) == format_rows(row, columns)
+    for k in (0, 1):
+        one = [c[k:k + 1] for c in columns]
+        assert format_int_rows(one) == format_rows(row, one)
+    assert format_int_rows([c[:0] for c in columns]) == ""
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
+def test_write_events_csv_writes_any_int64_as_the_row_writer(labels):
+    # the writer formats whatever int64 a stream holds; the columns are set
+    # after construction, past the stream's own range checks
+    stream = EventStream(i=[0], j=[0], t=[0], geometry=DAVIS, labels=[0] if labels else None)
+    rng = np.random.default_rng(3)
+    for name in ("t", "i", "j") + (("labels",) if labels else ()):
+        setattr(stream, name, rng.permutation(np.array(_EXTREMES, dtype=np.int64)))
+    fast, rows = io.StringIO(), io.StringIO()
+    write_events_csv(stream, fast)
+    oracles.write_events_csv(stream, rows)
+    assert fast.getvalue() == rows.getvalue()
+
+
 def test_single_event_with_declared_range():
     stream = EventStream(i=[2], j=[3], t=[50], geometry=(5, 5), t_min=0, t_max=100)
     tensor = bin_to_tensor(stream, 2)
@@ -373,6 +408,45 @@ def test_tensor_dump_with_a_foreign_character_raises():
     header, body = text.split("\n", 1)
     with pytest.raises(ValueError, match="0/1 digits"):
         read_tensor_dump(io.StringIO(header + "\n" + body.replace("1", "7", 1)))
+
+
+def _corrupt_separator(text: str, old: str, new: str) -> str:
+    header, body = text.split("\n", 1)
+    return header + "\n" + body.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: _corrupt_separator(text, " ", "x"),
+    lambda text: _corrupt_separator(text, " ", ","),
+    lambda text: _corrupt_separator(text, " ", "\t"),
+    lambda text: text[:-1],
+    lambda text: _corrupt_separator(text, "\n", " "),
+], ids=["x", "comma", "tab", "no-final-newline", "lines-joined-by-a-space"])
+def test_tensor_dump_with_a_wrong_separator_raises(corrupt):
+    text = _dump_text(np.random.default_rng(6).integers(0, 2, size=(3, 4, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0/1 digits, one space apart"):
+        read_tensor_dump(io.StringIO(corrupt(text)))
+
+
+_ODD = list(oracles.odd_tensors())
+
+
+@pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
+def test_binary_check_agrees_with_the_count_check(data):
+    assert _is_binary(data) == oracles.is_binary(data)
+
+
+@pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
+def test_tensor_dump_from_the_nonzeros_equals_the_per_frame_dump(data):
+    fast, frames = io.StringIO(), io.StringIO()
+    if oracles.is_binary(data):
+        write_tensor_dump(data, fast)
+        oracles.write_tensor_dump(data, frames)
+        assert fast.getvalue() == frames.getvalue()
+    else:
+        with pytest.raises(ValueError, match="only 0/1 entries"):
+            write_tensor_dump(data, fast)
+        assert fast.getvalue() == ""
 
 
 @pytest.mark.parametrize("header", ["", "3 4\n", "3 4 x\n", "3 -4 2\n"],
