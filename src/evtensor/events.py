@@ -9,17 +9,23 @@ when at least one event hit pixel (i, j) during bin n.
 
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
-accepted and ignored. :func:`parse_events` decodes the body as one int64
-array and checks it column by column. Input that this decode or these checks
-refuse is read line by line instead: any malformed, negative-time or
-out-of-geometry record, and also whitespace-only lines, spellings that only
-Python's ``int()`` takes (``1_000``) and a polarity field that is not an
-integer, which that path accepts. :func:`write_events_csv` writes each
-integer column as decimal digit bytes from one ``divmod`` per place
-(:func:`format_int_rows`), byte for byte what ``%d`` gives; the denoise report
-keeps one ``%``-format per row (:func:`format_rows`) for its ``%.17g`` score.
-The tensor dump is a template of ``0`` digits with ``1`` written at each
-frame's nonzeros.
+accepted and ignored. :func:`parse_events` reads the body as one string and
+decodes it with one ``np.loadtxt`` call into an int64 array, checked column
+by column. Input that this decode or these checks refuse is read line by
+line instead: any malformed, negative-time or out-of-geometry record, and
+also whitespace-only lines, spellings that only Python's ``int()`` takes
+(``1_000``) and a polarity field that is not an integer, which that path
+accepts. Only then is the body split into lines, as ``readlines()`` splits
+it, so the line numbers it reports are the file's.
+
+The writers hold no event-sized text: they format a block of rows at a
+time, cut by :func:`tensor_ops.row_blocks` so that each block's transient
+stays under about ``tensor_ops.BLOCK_BYTES``, and write each block as soon
+as it is formatted. :func:`write_events_csv` writes each integer column as
+decimal digit bytes from one ``divmod`` per place (:func:`format_int_rows`),
+byte for byte what ``%d`` gives; the denoise report keeps one ``%``-format
+per row (:func:`format_rows`) for its ``%.17g`` score. The tensor dump is a
+template of ``0`` digits with ``1`` written at each frame's nonzeros.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -30,6 +36,7 @@ wrapping it in ``io.StringIO``.
 from __future__ import annotations
 
 import contextlib
+import io
 import logging
 import os
 import warnings
@@ -38,12 +45,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
+from .tensor_ops import row_blocks
 
 logger = logging.getLogger(__name__)
 
 NOISE_LABEL = -1
 
 _KNOWN_COLUMNS = ("t", "i", "j", "label", "polarity")
+
+# bytes a cell takes while format_int_rows writes it: its uint64 magnitude,
+# the divmod results, the masks and its digit bytes (about 26 measured)
+_DIGIT_CELL_BYTES = 32
 
 
 @contextlib.contextmanager
@@ -172,11 +184,14 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     records, GeometryError on out-of-bounds coordinates, EmptyStreamError
     when no events are present.
 
-    The body is decoded with one ``np.loadtxt`` call. Where that decode or the
-    column checks after it refuse the body, :func:`_parse_lines` reads it
-    line by line. That path is kept because it is the only one that runs on
-    such input: it names the offending line, and it accepts the inputs the
-    module docstring lists.
+    The body is read as one string and decoded with one ``np.loadtxt`` call
+    over its UTF-8 bytes, so no list of lines is made.
+    Where that decode or the column checks after it refuse the body,
+    :func:`_parse_lines` reads it line by line. That path is kept because it
+    is the only one that runs on such input: it names the offending line, and
+    it accepts the inputs the module docstring lists. Its lines are those
+    ``readlines()`` gives, split at line endings only: ``str.splitlines``
+    would also split at a form feed or ``\\u2028`` and miscount the lines.
     """
     with open_text(source) as fh:
         header_line = fh.readline()
@@ -192,7 +207,7 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         for required in ("t", "i", "j"):
             if required not in columns:
                 raise EventParseError(1, f"missing required column {required!r}")
-        lines = fh.readlines()
+        text = fh.read()
 
     try:
         with warnings.catch_warnings():
@@ -201,7 +216,11 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
             # older numpy parses a float such as 1.5 into an int64 with only a
             # DeprecationWarning; the line-by-line path rejects it
             warnings.simplefilter("error", DeprecationWarning)
-            body = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            # UTF-8 bytes: a StringIO would hold the text as 4-byte code points.
+            # A lone surrogate passes into them, and the decode refuses it
+            data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+            body = np.loadtxt(data, delimiter=",", dtype=np.int64, comments=None, ndmin=2,
+                              encoding="utf-8")
     except (ValueError, DeprecationWarning):
         body = None
     if body is not None and body.shape[1] == len(columns):
@@ -210,7 +229,7 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         rows, cols = geometry
         if t.min() >= 0 and i.min() >= 0 and i.max() < rows and j.min() >= 0 and j.max() < cols:
             return EventStream(i=i, j=j, t=t, geometry=geometry, labels=fields.get("label"))
-    return _parse_lines(lines, columns, geometry)
+    return _parse_lines(io.StringIO(text).readlines(), columns, geometry)
 
 
 def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
@@ -258,7 +277,9 @@ def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
 def format_rows(row: str, columns) -> str:
     """Every row of the equal-length `columns` through the %-format `row`, as
     one string. The cells go to one ``%`` as Python objects, so integers stay
-    exact and floats format as Python floats."""
+    exact and floats format as Python floats. That makes a Python number and
+    four references per cell while it runs, so a writer passes it one block
+    of rows at a time."""
     cells = np.column_stack([np.asarray(c).astype(object) for c in columns])
     return (row * len(cells)) % tuple(cells.ravel().tolist())
 
@@ -300,14 +321,13 @@ def format_int_rows(columns) -> str:
 
 
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
-    """Write a stream in the canonical CSV format (label column when present)."""
-    if stream.has_labels:
-        header, columns = "t,i,j,label\n", (stream.t, stream.i, stream.j, stream.labels)
-    else:
-        header, columns = "t,i,j\n", (stream.t, stream.i, stream.j)
-    text = header + format_int_rows(columns)
+    """Write a stream in the canonical CSV format (label column when present),
+    one block of rows at a time."""
+    columns = (stream.t, stream.i, stream.j) + ((stream.labels,) if stream.has_labels else ())
     with open_text(path_or_fh, "w") as fh:
-        fh.write(text)
+        fh.write("t,i,j,label\n" if stream.has_labels else "t,i,j\n")
+        for rows in row_blocks(len(stream), _DIGIT_CELL_BYTES * len(columns)):
+            fh.write(format_int_rows([c[rows] for c in columns]))
 
 
 def compute_bin_edges(t_min: int, t_max: int, n_bins: int) -> np.ndarray:

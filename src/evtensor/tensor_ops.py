@@ -309,6 +309,10 @@ class CooTensor:
 
     @property
     def sq_norm(self) -> float:
+        """Sum of the squared values: the count of nonzeros when every value
+        is 1, exactly what the dot gives, without a BLAS call."""
+        if self.plans["i"].values is None:
+            return float(len(self.values))
         return float(np.dot(self.values, self.values))
 
 

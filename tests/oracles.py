@@ -288,6 +288,20 @@ def write_events_csv(stream, path_or_fh) -> None:
                 fh.write(f"{t},{i},{j}\n")
 
 
+def parse_events_readlines(path, geometry):
+    """A valid event CSV parsed as parse_events did before it read the body as
+    one string: a readlines() list handed to np.loadtxt."""
+    from evtensor.events import EventStream
+
+    with open(path, encoding="utf-8") as fh:
+        columns = fh.readline().strip().split(",")
+        lines = fh.readlines()
+    body = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    fields = dict(zip(columns, np.ascontiguousarray(body.T)))
+    return EventStream(i=fields["i"], j=fields["j"], t=fields["t"], geometry=geometry,
+                       labels=fields.get("label"))
+
+
 def is_binary(data: np.ndarray) -> bool:
     """Every entry exactly 0 or 1: each nonzero entry (NaN included) equals 1.
     It needs one bool temporary of data's size."""

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtensor import denoise, events, tensor_ops
+from evtensor.denoise import DenoiseReport, write_report_csv
 from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
     EventStream,
@@ -147,6 +150,23 @@ def test_parse_crlf_and_a_last_line_without_newline(tmp_path, as_file):
     np.testing.assert_array_equal(stream.labels, [0, -1])
 
 
+@pytest.mark.parametrize("as_file", [False, True], ids=["stream", "file"])
+def test_parse_fallback_counts_lines_as_readlines_splits_them(tmp_path, as_file):
+    # a form feed, \x1c and \u2028 are line breaks to str.splitlines, not to
+    # readlines(); int() strips them, so these records are valid, and the bad
+    # one is line 5 of the file
+    text = "t,i,j\n1,2\x0c,3\n4,\u20285,6\x1c\n7,8,9\nx,1,2\n"
+    if as_file:
+        source = tmp_path / "odd.csv"
+        source.write_text(text, encoding="utf-8")
+    else:
+        source = io.StringIO(text)
+    with pytest.raises(EventParseError) as err:
+        parse_events(source, DAVIS)
+    assert err.value.line_no == 5 == len(io.StringIO(text).readlines())
+    assert len(text.splitlines()) > 5
+
+
 def test_parse_permuted_header_ignores_text_polarity():
     stream = parse_events(io.StringIO("j,label,t,i,polarity\n7,1,20,5,on\n8,-1,10,6,off\n"), DAVIS)
     np.testing.assert_array_equal(stream.t, [10, 20])
@@ -240,6 +260,106 @@ def test_write_events_csv_writes_any_int64_as_the_row_writer(labels):
     write_events_csv(stream, fast)
     oracles.write_events_csv(stream, rows)
     assert fast.getvalue() == rows.getvalue()
+
+
+def davis_like_stream(n, labels=True, seed=0):
+    """n events over the DAVIS sensor in about a second of microseconds."""
+    rng = np.random.default_rng(seed)
+    return EventStream(i=rng.integers(0, DAVIS[0], n), j=rng.integers(0, DAVIS[1], n),
+                       t=np.sort(rng.integers(0, 10**6, n)), geometry=DAVIS,
+                       labels=rng.integers(-1, 3, n) if labels else None)
+
+
+def spy_row_blocks(monkeypatch, module):
+    """Every row_blocks call `module` makes, as (row_bytes, blocks)."""
+    calls = []
+
+    def spy(n, row_bytes):
+        blocks = tensor_ops.row_blocks(n, row_bytes)
+        calls.append((row_bytes, blocks))
+        return blocks
+
+    monkeypatch.setattr(module, "row_blocks", spy)
+    return calls
+
+
+def block_rows(row_bytes):
+    """Rows in each full block that row_blocks cuts for `row_bytes`."""
+    return tensor_ops.row_blocks(1 << 24, row_bytes)[0].stop
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
+def test_write_events_csv_is_the_row_writer_at_block_boundaries(monkeypatch, labels):
+    calls = spy_row_blocks(monkeypatch, events)
+    write_events_csv(davis_like_stream(3, labels), io.StringIO())
+    block = block_rows(calls[-1][0])
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        stream = davis_like_stream(n, labels, seed=n)
+        if labels:
+            stream.labels[::3] = -(2**40)  # negative, and wider than the others
+        fast, rows = io.StringIO(), io.StringIO()
+        write_events_csv(stream, fast)
+        oracles.write_events_csv(stream, rows)
+        assert fast.getvalue() == rows.getvalue(), n
+        assert len(calls[-1][1]) == max(1, n // block), n
+
+
+def report_for(stream, seed=0):
+    """A report over `stream` whose scores include nan, +-inf and -0.0."""
+    scores = np.random.default_rng(seed).normal(size=len(stream))
+    scores[::7] = -0.0
+    scores[1::7] = np.nan
+    scores[2::7] = np.inf
+    scores[3::7] = -np.inf
+    scores[4::7] *= 1e300
+    return DenoiseReport(threshold=0.0, scores=scores, kept=scores >= 0.0)
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
+def test_write_report_csv_is_one_format_rows_at_block_boundaries(monkeypatch, labels):
+    calls = spy_row_blocks(monkeypatch, denoise)
+    write_report_csv(davis_like_stream(3, labels), report_for(davis_like_stream(3)), io.StringIO())
+    block = block_rows(calls[-1][0])
+    for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        stream = davis_like_stream(n, labels, seed=n)
+        report = report_for(stream, seed=n)
+        buf = io.StringIO()
+        write_report_csv(stream, report, buf)
+        label = (stream.labels,) if labels else ()
+        whole = format_rows("%d," * (3 + len(label)) + "%.17g,%d\n",
+                            (stream.t, stream.i, stream.j, *label, report.scores, report.kept))
+        header = "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n"
+        assert buf.getvalue() == header + whole, n
+        assert len(calls[-1][1]) == max(1, n // block), n
+    for cell in (",-0,", ",nan,", ",inf,", ",-inf,"):
+        assert cell in buf.getvalue()
+
+
+def peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_csv_io_peak_memory_is_a_block_not_the_stream(tmp_path, scale):
+    # the DAVIS scene's 57,843 events, and four times as many: each writer
+    # holds one block of formatted rows, the reader no list of lines
+    stream = davis_like_stream(57_843 * scale)
+    path = tmp_path / "events.csv"
+    assert peak_bytes(lambda: write_events_csv(stream, path)) < (
+        2 * tensor_ops.BLOCK_BYTES + (1 << 20))
+    report = report_for(stream)
+    assert peak_bytes(lambda: write_report_csv(stream, report, tmp_path / "report.csv")) < (
+        2 * tensor_ops.BLOCK_BYTES + (1 << 20))
+    parsed = peak_bytes(lambda: parse_events(path, DAVIS))
+    assert parsed < peak_bytes(lambda: oracles.parse_events_readlines(path, DAVIS))
+    again = parse_events(path, DAVIS)
+    for name in ("t", "i", "j", "labels"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(stream, name))
 
 
 def test_single_event_with_declared_range():

@@ -306,6 +306,19 @@ def _sparse(rng, dims, density=0.3, binary=True):
     return x
 
 
+@pytest.mark.parametrize("kind", ["ones", "bool", "counts", "normal"])
+def test_coo_sq_norm_is_the_dot_of_the_values(kind):
+    rng = np.random.default_rng(4)
+    mask = rng.random((30, 20, 10)) < 0.1
+    data = {"ones": mask.astype(np.uint8), "bool": mask,
+            "counts": mask * rng.integers(1, 4, mask.shape),
+            "normal": mask * rng.normal(size=mask.shape)}[kind]
+    coo = CooTensor.from_dense(data)
+    assert coo.sq_norm == float(np.dot(coo.values, coo.values))
+    if kind in ("ones", "bool"):
+        assert coo.sq_norm == mask.sum()
+
+
 def test_coo_from_dense_keeps_c_order_and_values():
     x = np.zeros((3, 4, 2), dtype=np.uint8)
     x[2, 0, 1] = 1
