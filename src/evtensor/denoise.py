@@ -34,9 +34,10 @@ def score_events(stream: EventStream, tensor: EventTensor,
 
     For an event at (i, j, n) the score is the reconstruction's entry there,
     sum over (x, y, z) of g_i[i, x, y] * g_j[x, j, z] * g_n[y, z, n], read
-    by tensor_ops.cell_values: mode j's pair table, O(f^2 I N) memory, and
-    then blocks of events of at most tensor_ops.BLOCK_BYTES, so memory does
-    not grow with the number of events M.
+    by tensor_ops.cell_values: mode j's pair table at the events' distinct
+    (i, n) columns, O(f^2) memory per column, and then blocks of events of
+    at most tensor_ops.BLOCK_BYTES, so no other transient grows with the
+    number of events M.
     """
     return cell_values(factors, stream.i, stream.j, event_frames(stream, tensor, factors.dims))
 

@@ -277,20 +277,24 @@ def _column_stats(features) -> tuple[np.ndarray, np.ndarray]:
 
 def _column_sum(table, rows, center=None) -> np.ndarray:
     """Column sums of table[rows] (of (table[rows] - center)^2 with `center`),
-    gathered a block of at most BLOCK_BYTES at a time. numpy reduces a
+    gathered a block of at most BLOCK_BYTES at a time into rows 1.. of one
+    reused buffer whose row 0 holds the running sum. numpy reduces a
     C-contiguous array of two or more columns along axis 0 by adding its
     rows in order, so reducing each block with the running sum as its first
     row gives the whole array's sums, and so `mean` and `std`, bit for bit."""
-    total = None
-    for events in row_blocks(len(rows), 8 * table.shape[1]):
-        block = table[rows[events]]
+    blocks = row_blocks(len(rows), 8 * table.shape[1])
+    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, table.shape[1]))
+    first = 1  # the first block has no running sum before it
+    for events in blocks:
+        block = buf[1:1 + events.stop - events.start]
+        # the rows are in range, so "clip" clips nothing and writes straight into buf
+        np.take(table, rows[events], axis=0, out=block, mode="clip")
         if center is not None:
             block -= center
             block *= block
-        if total is not None:
-            block = np.concatenate([total[None], block])
-        total = np.add.reduce(block, axis=0)
-    return total
+        buf[0] = np.add.reduce(buf[first:1 + len(block)], axis=0)
+        first = 0
+    return buf[0].copy()
 
 
 def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,

@@ -5,18 +5,23 @@ timestamp, optionally tagged with a small-integer class label (objects get
 ids 0, 1, ...; background noise is labeled -1). A recording over an I x J
 sensor becomes a binary (I, J, N) tensor by cutting the recording's time
 range into N near-equal integer-width bins and setting entry (i, j, n) to 1
-when at least one event hit pixel (i, j) during bin n.
+when at least one event hit pixel (i, j) during bin n. An EventTensor holds
+only those 1-cells, as sorted flat indices: events are sparse in space, and
+at DAVIS scale the 57.8k cells stand for 9 million entries. Its dense array
+is built only when `EventTensor.data` is read, which no function here does.
 
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
-accepted and ignored. :func:`parse_events` reads the body as one string and
-decodes it with one ``np.loadtxt`` call into an int64 array, checked column
-by column. Input that this decode or these checks refuse is read line by
-line instead: any malformed, negative-time or out-of-geometry record, and
-also whitespace-only lines, spellings that only Python's ``int()`` takes
-(``1_000``) and a polarity field that is not an integer, which that path
-accepts. Only then is the body split into lines, as ``readlines()`` splits
-it, so the line numbers it reports are the file's.
+accepted and ignored. :func:`parse_events` reads the body as its UTF-8
+bytes and decodes them with one ``np.loadtxt`` call into an int64 array,
+checked column by column; the bytes and then that array are dropped as soon
+as its columns are copied out. Input that this decode or these checks
+refuse is read line by line instead: any malformed, negative-time or
+out-of-geometry record, and also whitespace-only lines, spellings that only
+Python's ``int()`` takes (``1_000``) and a polarity field that is not an
+integer, which that path accepts. Only then is the body decoded back to text
+and split into lines, as ``readlines()`` splits it, so the line numbers it
+reports are the file's.
 
 The writers hold no event-sized text: they format a block of rows at a
 time, cut by :func:`tensor_ops.row_blocks` so that each block's transient
@@ -25,7 +30,7 @@ as it is formatted. :func:`write_events_csv` writes each integer column as
 decimal digit bytes from one ``divmod`` per place (:func:`format_int_rows`),
 byte for byte what ``%d`` gives; the denoise report keeps one ``%``-format
 per row (:func:`format_rows`) for its ``%.17g`` score. The tensor dump is a
-template of ``0`` digits with ``1`` written at each frame's nonzeros.
+template of ``0`` digits with ``1`` written at each frame's cells.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -38,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import io
 import logging
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
-from .tensor_ops import row_blocks
+from .tensor_ops import flat_nonzero, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -114,9 +120,10 @@ class EventStream:
             raise GeometryError(f"column index outside [0, {cols})")
         if self.t.min() < 0:
             raise ValueError("timestamps must be non-negative")
-        # enforce time ordering (stable, so equal timestamps keep input order)
-        order = np.argsort(self.t, kind="stable")
-        if not np.array_equal(order, np.arange(len(order))):
+        # enforce time ordering (stable, so equal timestamps keep input order);
+        # sorted input, as every CSV the package writes is, skips the sort
+        if not np.all(self.t[1:] >= self.t[:-1]):
+            order = np.argsort(self.t, kind="stable")
             self.i = self.i[order]
             self.j = self.j[order]
             self.t = self.t[order]
@@ -154,26 +161,46 @@ def _is_binary(data: np.ndarray) -> bool:
 
 @dataclass
 class EventTensor:
-    """Dense binary (I, J, N) tensor plus the bin edges that produced it."""
+    """A binary (I, J, N) tensor held as its 1-cells, plus the bin edges that
+    produced it. `cells` are the sorted, distinct C-order flat indices
+    (i * J + j) * N + n of the cells that are 1."""
 
-    data: np.ndarray
+    cells: np.ndarray
+    dims: tuple[int, int, int]
     bin_edges: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
+        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.dims = tuple(int(d) for d in self.dims)
         self.bin_edges = np.asarray(self.bin_edges, dtype=np.int64)
-        if self.data.ndim != 3:
+        if len(self.dims) != 3:
             raise ValueError("event tensor must be 3rd-order")
-        if not _is_binary(self.data):
-            raise ValueError("event tensor entries must be exactly 0 or 1")
-        if len(self.bin_edges) != self.data.shape[2] + 1:
+        cells = self.cells
+        if cells.ndim != 1 or np.any(cells[1:] <= cells[:-1]) or (
+                len(cells) and (cells[0] < 0 or cells[-1] >= math.prod(self.dims))):
+            raise ValueError("cells must be ascending, distinct flat indices inside the tensor")
+        if len(self.bin_edges) != self.dims[2] + 1:
             raise ValueError("bin_edges must have N+1 entries")
         if np.any(np.diff(self.bin_edges) <= 0):
             raise ValueError("bin_edges must be strictly increasing")
 
+    @classmethod
+    def from_dense(cls, data, bin_edges) -> EventTensor:
+        """The tensor of a dense (I, J, N) array whose entries are all 0 or 1."""
+        data = np.asarray(data)
+        if data.ndim != 3:
+            raise ValueError("event tensor must be 3rd-order")
+        if not _is_binary(data):
+            raise ValueError("event tensor entries must be exactly 0 or 1")
+        return cls(flat_nonzero(data), data.shape, bin_edges)
+
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+    def data(self) -> np.ndarray:
+        """The dense uint8 (I, J, N) array, built anew on each read; nothing
+        in the package reads it."""
+        data = np.zeros(self.dims, dtype=np.uint8)
+        data.reshape(-1)[self.cells] = 1
+        return data
 
 
 def parse_events(source, geometry: tuple[int, int]) -> EventStream:
@@ -184,8 +211,8 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     records, GeometryError on out-of-bounds coordinates, EmptyStreamError
     when no events are present.
 
-    The body is read as one string and decoded with one ``np.loadtxt`` call
-    over its UTF-8 bytes, so no list of lines is made.
+    The body is read as its UTF-8 bytes and decoded with one ``np.loadtxt``
+    call, so no list of lines is made.
     Where that decode or the column checks after it refuse the body,
     :func:`_parse_lines` reads it line by line. That path is kept because it
     is the only one that runs on such input: it names the offending line, and
@@ -207,7 +234,9 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         for required in ("t", "i", "j"):
             if required not in columns:
                 raise EventParseError(1, f"missing required column {required!r}")
-        text = fh.read()
+        # UTF-8 bytes: a StringIO would hold the text as 4-byte code points.
+        # A lone surrogate passes into them, and the decode refuses it
+        raw = fh.read().encode("utf-8", "surrogatepass")
 
     try:
         with warnings.catch_warnings():
@@ -216,19 +245,21 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
             # older numpy parses a float such as 1.5 into an int64 with only a
             # DeprecationWarning; the line-by-line path rejects it
             warnings.simplefilter("error", DeprecationWarning)
-            # UTF-8 bytes: a StringIO would hold the text as 4-byte code points.
-            # A lone surrogate passes into them, and the decode refuses it
-            data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-            body = np.loadtxt(data, delimiter=",", dtype=np.int64, comments=None, ndmin=2,
-                              encoding="utf-8")
+            body = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=np.int64, comments=None,
+                              ndmin=2, encoding="utf-8")
     except (ValueError, DeprecationWarning):
         body = None
     if body is not None and body.shape[1] == len(columns):
-        fields = dict(zip(columns, np.ascontiguousarray(body.T)))
-        t, i, j = fields["t"], fields["i"], fields["j"]
+        t, i, j = (body[:, columns.index(c)] for c in ("t", "i", "j"))
         rows, cols = geometry
         if t.min() >= 0 and i.min() >= 0 and i.max() < rows and j.min() >= 0 and j.max() < cols:
-            return EventStream(i=i, j=j, t=t, geometry=geometry, labels=fields.get("label"))
+            # the text and then the body go as soon as the columns are copied out
+            del raw, t, i, j
+            fields = {c: body[:, k].copy() for k, c in enumerate(columns) if c != "polarity"}
+            del body
+            return EventStream(i=fields["i"], j=fields["j"], t=fields["t"], geometry=geometry,
+                               labels=fields.get("label"))
+    text = raw.decode("utf-8", "surrogatepass")
     return _parse_lines(io.StringIO(text).readlines(), columns, geometry)
 
 
@@ -357,18 +388,22 @@ def bin_indices(t: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
 
 
 def bin_to_tensor(stream: EventStream, n_bins: int) -> EventTensor:
-    """Binarize a stream into an (I, J, N) tensor over [t_min, t_max]."""
+    """Binarize a stream into an (I, J, N) tensor over [t_min, t_max]: the
+    events' flat cell indices, sorted, each kept once."""
     edges = compute_bin_edges(stream.t_min, stream.t_max, n_bins)
-    rows, cols = stream.geometry
-    data = np.zeros((rows, cols, n_bins), dtype=np.uint8)
-    n = bin_indices(stream.t, edges)
-    data[stream.i, stream.j, n] = 1
-    return EventTensor(data=data, bin_edges=edges)
+    cols = stream.geometry[1]
+    cells = (stream.i * cols + stream.j) * n_bins + bin_indices(stream.t, edges)
+    # sort and drop repeats: np.unique takes a hash path in numpy 2.4 that
+    # took 9.2 against 0.44 ms on the DAVIS scene
+    cells.sort()
+    first = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    return EventTensor(cells[first], (*stream.geometry, n_bins), edges)
 
 
 def tensor_density(tensor: EventTensor) -> float:
     """Fraction of 1-entries."""
-    return float(np.count_nonzero(tensor.data)) / tensor.data.size
+    return len(tensor.cells) / math.prod(tensor.dims)
 
 
 def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
@@ -385,21 +420,21 @@ def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
 def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
     """Debug/oracle dump: header ``I J N`` then the 0/1 values in
     (n outer, i middle, j inner) order, one space-separated line per (n, i).
-    Any entry other than exactly 0 or 1 (0.5, NaN, 2) raises ValueError
-    before anything is written.
+    An array with any entry other than exactly 0 or 1 (0.5, NaN, 2) raises
+    ValueError before anything is written.
 
-    The text is built from the nonzeros, one frame at a time: a frame's text
-    is an all-``0`` template with ``1`` written at that frame's nonzero cells,
-    which are reset once it is written. The nonzeros come from one scan of
-    the data in its C order, grouped by frame with one stable sort, so no
-    pass reads the data a frame at a time across its strides."""
-    data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
-    if not _is_binary(data):
-        raise ValueError("a tensor dump holds only 0/1 entries")
-    rows, cols, n_bins = data.shape
-    # one-byte 0/1 data is its own nonzero mask
-    nonzero = data.view(bool) if data.dtype.itemsize == 1 else data != 0
-    flat = np.flatnonzero(nonzero)
+    The text is built from the 1-cells, one frame at a time: a frame's text
+    is an all-``0`` template with ``1`` written at that frame's cells, which
+    are reset once it is written. The cells, C-order flat indices, are
+    grouped by frame with one stable sort, so no pass reads the tensor a
+    frame at a time across its strides."""
+    if isinstance(tensor, EventTensor):
+        flat, (rows, cols, n_bins) = tensor.cells, tensor.dims
+    else:
+        data = np.asarray(tensor)
+        if not _is_binary(data):
+            raise ValueError("a tensor dump holds only 0/1 entries")
+        flat, (rows, cols, n_bins) = flat_nonzero(data), data.shape
     frame = flat % n_bins
     # a stable sort on the narrowest dtype: numpy radix-sorts 8- and 16-bit keys
     order = np.argsort(frame.astype(np.min_scalar_type(n_bins)), kind="stable")

@@ -50,15 +50,15 @@ factors, X_m H_m^T (RelaxedTarget.product) and H_m H_m^T (tensor_ops.pair_gram,
 from per-factor Grams) and hands both to update_factor. With K history terms
 at rank f, X_m H_m^T is the sum of
   - E's part (tensor_ops.coo_rhs): the mode's pair table, O(f^3) per column
-    over only the columns of J*N, I*N or I*J that E's nonzeros touch,
-    gathered at the nonzeros and segment-summed by row, O(nnz f^2), a block
-    of table rows at a time, in sort plans made once per E;
+    over only the columns of J*N, I*N or I*J that E's nonzeros touch, built
+    a block of rows at a time, each block gathered at the nonzeros and
+    segment-summed by row, O(nnz f^2), in sort plans made once per E;
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
 so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2. It holds
-no (I, J, N) array and no (f^2, nnz) one: beside a pair table, the largest
-transients are one (f * data, data) slice of it and gathered blocks of at
-most tensor_ops.BLOCK_BYTES.
+no (I, J, N) array, no pair table and no (f^2, nnz) array: E is its cells,
+and the largest transient is one block of table rows with its gather and
+the matmul behind it, at most tensor_ops.BLOCK_BYTES (two rows at least).
 
 The step and the stop check have closed forms, from the product P_n and the
 Gram A_n the loop leaves behind: A_n depends on g_i and g_j only, so the
@@ -236,10 +236,14 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
 
 
 def init_state(e, cfg: SolverConfig) -> SolverState:
-    """The target starts as E, read as its nonzeros (no float copy of E);
+    """The target starts as E, read as its nonzeros (an EventTensor's cells,
+    or a raw array's nonzero entries; no float copy of E);
     rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
     [0, init_scale] from the seeded generator."""
-    coo = CooTensor.from_dense(e.data if isinstance(e, EventTensor) else e)
+    if isinstance(e, EventTensor):
+        coo = CooTensor.from_cells(e.dims, e.cells)
+    else:
+        coo = CooTensor.from_dense(e)
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
     factors = _random_factors(rng, coo.dims, f0, cfg.init_scale)

@@ -35,23 +35,26 @@ reconstruction, for every mode m:
 The solver forms no unfolding and no (I, J, N) array. Its data product
 X_m H_m^T is a weighted sum of two kinds of term, each exact:
 
-  - an event tensor E given as its nonzeros (CooTensor). coo_rhs builds the
-    mode's pair table, H_m with its columns in (i, j, n) order (pair_table,
-    O(f^3) per column), at only the columns E's nonzeros touch: the
-    ascending distinct columns CooTensor.from_dense records once per E in
-    the mode's sort plan (at DAVIS scale, f = 6, 57.8k nonzeros: 25,570 of
-    89,960 columns in mode n, 7.4 instead of 25.9 MB). It then gathers the
-    table's columns at the nonzeros and sums each row's run of them with
-    np.add.reduceat along that contiguous axis, a block of table rows at a
-    time: each gathered (rows, nnz) block holds at most BLOCK_BYTES, where
-    the whole (f^2, nnz) gather was 16.6 MB. Each table row's reduction is
-    the same as over the whole gather, so the sums are bit-identical.
-    Blocks run over table rows and not over nonzeros: a block of nonzeros
-    reads columns spread over the whole table, so every block streams all
-    of it again, where a block of rows reads only its own rows, once. At
-    DAVIS scale blocks of nonzeros took 1.4-2.6x as long per mode (mode n
-    15.0 against 33.3 ms on 2 vCPUs). Gathering rows of an (nnz, f^2)
-    layout instead took 3.3x as long (6.7 against 2.0 ms).
+  - an event tensor E given as its nonzeros (CooTensor, whose sort plans
+    CooTensor.from_cells makes once per E). coo_rhs never holds the mode's
+    pair table, H_m with its columns in (i, j, n) order (pair_table, O(f^3)
+    per column): it builds it a block of rows at a time (_table_blocks), one
+    latent index q of the second factor and a few open indices p of the
+    first per matmul, gathers each block at the nonzeros' columns and sums
+    each row's run of them with np.add.reduceat along that contiguous axis.
+    The block and its gather hold at most BLOCK_BYTES (two rows at least),
+    where the table at E's columns took 7.4 MB at DAVIS scale (f = 6, 57.8k
+    nonzeros, mode n) and one per-slice matmul beside it 4.3 MB. Every
+    table entry sums the same f products in the same order as in one
+    batched matmul, and each row's reduction is the same as over the whole
+    gather, so the sums are bit-identical. The gather reads the block at
+    its full width: first compacting it to the columns E touches took 4.2
+    against 3.5 ms per mode-i or mode-j call. Blocks run over table rows
+    and not over nonzeros: a block of nonzeros reads columns spread over
+    the whole table, so every block streams all of it again. At DAVIS scale
+    blocks of nonzeros took 1.4-2.6x as long per mode (mode n 15.0 against
+    33.3 ms on 2 vCPUs). Gathering rows of an (nnz, f^2) layout instead
+    took 3.3x as long (6.7 against 2.0 ms).
   - past reconstructions R(F_k), given as their factor triples (FactorStack).
     R(F_k)_m H_m^T = G_m^k (H_m^k H_m^T), and H_m^k H_m^T comes from
     cross-Grams of the factors in O((I+J+N) f^4 + f^6) per term;
@@ -65,12 +68,14 @@ f3tn_contract in mode i, whose columns j*N + n are R's C order, and
 cell_values in mode j, row j of G_j against column i*N + n. Mode j is on
 purpose: the two sum in different orders, so checking per-cell scores against
 f3tn_contract compares two contraction orders, not one with itself.
-cell_values, like coo_rhs's gather, works a block of cells at a time, so no
+cell_values builds mode j's table only at the cells' distinct (i, n)
+columns and, like coo_rhs's gather, works a block of cells at a time, so no
 product over events or nonzeros holds more than BLOCK_BYTES at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +96,17 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     step = max(2, BLOCK_BYTES // row_bytes)
     starts = list(range(0, max(n - 1, 1), step))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def flat_nonzero(data: np.ndarray) -> np.ndarray:
+    """C-order flat indices of data's nonzero entries, through numpy's bool
+    path: one-byte 0/1 data is its own mask, viewed as bool (on the DAVIS
+    tensor 2.7 against 21.9 ms for np.flatnonzero of the uint8 array); any
+    other data is compared with 0."""
+    kind = data.dtype.kind
+    own_mask = data.dtype.itemsize == 1 and (
+        kind == "b" or (kind in "ui" and data.size and data.min() >= 0 and data.max() <= 1))
+    return np.flatnonzero(data.view(bool) if own_mask else data != 0)
 
 
 @dataclass(frozen=True)
@@ -231,22 +247,23 @@ def history_rhs(stack: FactorStack, weights: np.ndarray, factors: FactorTriple,
     cross-Grams and no cell of any R(F_k)."""
     c = pair_gram(stack, mode, factors)
     c *= np.asarray(weights, dtype=np.float64)[:, None, None]
-    # matricize_factor's layout, per term
-    g = getattr(stack, f"g_{mode}").transpose(_BATCHED[mode])
-    g = g.reshape(*g.shape[:2], factors.rank ** 2)
-    return np.tensordot(g, c, axes=([0, 2], [0, 1]))
+    # matricize_factor's layout per term, the terms side by side: one (data,
+    # K f^2) copy, where np.tensordot made it from a (K, data, f^2) copy, a
+    # second one. That churn cost a fresh ref run thousands of page faults
+    g = getattr(stack, f"g_{mode}").transpose(_BATCHED[mode]).swapaxes(0, 1)
+    d, k = g.shape[:2]
+    f2 = factors.rank ** 2
+    return g.reshape(d, k * f2) @ c.reshape(k * f2, f2)
 
 
 @dataclass(frozen=True)
 class CooPlan:
     """One axis's segment-sum plan over a CooTensor's nonzeros, sorted stably
-    by that axis's index so each row's run keeps C order: the ascending
-    distinct columns of the mode's pair table (the other two indices in C
-    order) that the nonzeros touch, each nonzero's position in them, its
+    by that axis's index so each row's run keeps C order: each nonzero's
+    column of the mode's pair table (the other two indices in C order), its
     value (None when every value is 1), and where each non-empty row's run
     starts."""
 
-    used: np.ndarray
     cols: np.ndarray
     values: np.ndarray | None
     starts: np.ndarray
@@ -267,25 +284,19 @@ class CooTensor:
     plans: dict[str, CooPlan]
 
     @classmethod
-    def from_dense(cls, data) -> CooTensor:
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
-        dims = tuple(int(d) for d in data.shape)
-        # (i, j, n) from the C-order flat index of the nonzeros, a scan at half
-        # np.nonzero's cost, through numpy's bool path: one-byte 0/1 data is
-        # its own mask, viewed as bool; any other data is compared with 0.
-        # The coordinates are one block allocated before the flat index:
-        # allocated after it, they raised davis peak RSS by 1 MB
-        coords = np.empty((3, np.count_nonzero(data)), dtype=np.intp)
-        kind = data.dtype.kind
-        own_mask = data.dtype.itemsize == 1 and (
-            kind == "b" or (kind in "ui" and data.size and data.min() >= 0 and data.max() <= 1))
-        mask = data.view(bool) if own_mask else data != 0
-        np.divmod(np.flatnonzero(mask), dims[1] * dims[2], out=(coords[0], coords[1]))
+    def from_cells(cls, dims, flat, values=None) -> CooTensor:
+        """E from the ascending, distinct C-order flat indices of its nonzeros
+        and their values (every value 1 when None): the coordinates and one
+        sort plan per mode. This is the one place the plans are made."""
+        dims = tuple(int(d) for d in dims)
+        coords = np.empty((3, len(flat)), dtype=np.intp)
+        np.divmod(flat, dims[1] * dims[2], out=(coords[0], coords[1]))
         np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
-        values = data[tuple(coords)].astype(np.float64)
-        ones = bool(np.all(values == 1.0))
+        if values is None:
+            values, ones = np.ones(len(flat)), True
+        else:
+            values = np.asarray(values, dtype=np.float64)
+            ones = bool(np.all(values == 1.0))
         plans = {}
         for axis, mode in enumerate(MODES):
             slow, fast = (a for a in range(3) if a != axis)
@@ -295,17 +306,18 @@ class CooTensor:
             order = np.argsort(narrow, kind="stable")
             key = coords[axis][order]
             starts = np.flatnonzero(np.diff(key, prepend=-1))
-            # the touched columns marked over the table's width: ascending and
-            # distinct, and each nonzero's position among them from the marks'
-            # running count, what np.unique gives without its sort
-            col = (coords[slow] * dims[fast] + coords[fast])[order]
-            touched = np.zeros(dims[slow] * dims[fast], dtype=bool)
-            touched[col] = True
-            used = np.flatnonzero(touched)
-            cols = np.cumsum(touched)[col] - 1
-            plans[mode] = CooPlan(used=used, cols=cols, values=None if ones else values[order],
+            cols = (coords[slow] * dims[fast] + coords[fast])[order]
+            plans[mode] = CooPlan(cols=cols, values=None if ones else values[order],
                                   starts=starts, rows=key[starts], n_rows=dims[axis])
         return cls(dims, *coords, values, plans)
+
+    @classmethod
+    def from_dense(cls, data) -> CooTensor:
+        data = np.asarray(data)
+        if data.ndim != 3:
+            raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
+        flat = flat_nonzero(data)
+        return cls.from_cells(data.shape, flat, data[np.unravel_index(flat, data.shape)])
 
     @property
     def sq_norm(self) -> float:
@@ -316,57 +328,74 @@ class CooTensor:
         return float(np.dot(self.values, self.values))
 
 
+def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):
+    """The mode's pair table (see pair_table) a block of rows at a time, as
+    (rows, block) pairs, block the table's rows `rows`. A block is one
+    latent index q of the second factor and a row_blocks block of the first
+    factor's open index p: the rows q*f + p are (p, data; shared) of the
+    first @ (shared; data) of the second at q.
+    Every entry sums the same f products in the same order as in one
+    batched matmul, so each block is bit-identical to those rows of it. The
+    blocks are cut so that the product and `row_bytes` per row, the
+    caller's own transient, stay under BLOCK_BYTES (two rows at least)."""
+    (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
+    f = factors.rank
+    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
+    b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
+    n_a, n_b = a.shape[1], b.shape[2]
+    a = a.reshape(-1, f)
+    blocks = row_blocks(f, 8 * n_a * n_b + row_bytes)
+    for q in range(f):
+        for p in blocks:
+            block = a[p.start * n_a:p.stop * n_a] @ b[q]
+            yield slice(q * f + p.start, q * f + p.stop), block.reshape(p.stop - p.start, -1)
+
+
 def pair_table(factors: FactorTriple, mode: str, used: np.ndarray | None = None) -> np.ndarray:
     """H_m itself with its columns reordered, (f^2, product of the two other
     dims): rows in matricize_factor(g_m)'s column order, columns the other two
     indices in C order (j*N + n for mode i, i*N + n for mode j, i*J + j for
     mode n). With `used`, ascending distinct column indices, only those
     columns, in that order. O(f^3) per column, written in this layout
-    directly, one open latent index q of the second factor at a time: the
-    rows q*f .. q*f + f - 1 are (open, data; shared) of the first @ (shared;
-    data) of the second at q, the BLAS calls one batched matmul makes, so
-    the table is bit-identical to it; no transient is larger than that one
-    (f * data, data) slice."""
+    directly from the blocks of _table_blocks, so no transient is larger than
+    BLOCK_BYTES or two of its rows over every column."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
-    (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
     f = factors.rank
-    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
-    b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
-    a = a.reshape(-1, f)
-    n_cols = a.shape[0] // f * b.shape[2]
-    out = np.empty((f, f, n_cols if used is None else len(used)))
-    block = None if used is None else np.empty((f, n_cols))
-    for q in range(f):
-        slab = out[q] if used is None else block
-        np.matmul(a, b[q], out=slab.reshape(len(a), -1))
-        if used is not None:
+    width = len(used) if used is not None else math.prod(
+        d for m, d in zip(MODES, factors.dims) if m != mode)
+    out = np.empty((f * f, width))
+    for rows, block in _table_blocks(factors, mode):
+        if used is None:
+            out[rows] = block
+        else:
             # used is in range, so "clip" clips nothing and writes straight
             # into out; "raise" would gather into a buffer and copy it again
-            np.take(block, used, axis=1, out=out[q], mode="clip")
-    return out.reshape(f * f, -1)
+            np.take(block, used, axis=1, out=out[rows], mode="clip")
+    return out
 
 
 def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
-    """E_m H_m^T from E's nonzeros alone, O(f^3 * (used columns) + nnz * f^2):
-    the mode's pair table at the columns the nonzeros touch, its columns
-    gathered at the nonzeros (scaled by their values) and summed per row
-    with np.add.reduceat along the gathered axis, in the runs of E's mode-m
-    sort plan, a block of at most BLOCK_BYTES of table rows at a time."""
+    """E_m H_m^T from E's nonzeros alone, O(f^3 * (table columns) + nnz * f^2),
+    with no pair table: each block of table rows from _table_blocks is
+    gathered at the nonzeros' columns (scaled by their values) and summed
+    per row with np.add.reduceat along the gathered axis, in the runs of E's
+    mode-m sort plan. The block and its gather stay under BLOCK_BYTES (two
+    rows at least)."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
     if coo.dims != factors.dims:
         raise ShapeError(f"E has shape {coo.dims}, the factors {factors.dims}")
     plan = coo.plans[mode]
-    table = pair_table(factors, mode, plan.used)
-    out = np.zeros((table.shape[0], plan.n_rows))
+    out = np.zeros((factors.rank ** 2, plan.n_rows))
     if len(plan.starts):
-        for rows in row_blocks(len(table), 8 * len(plan.cols)):
-            gathered = np.take(table[rows], plan.cols, axis=1)
+        for rows, block in _table_blocks(factors, mode, 8 * len(plan.cols)):
+            gathered = np.take(block, plan.cols, axis=1)
             if plan.values is not None:
                 gathered *= plan.values
             # reduceat over the non-empty runs only: an empty one would read its neighbour
             out[rows, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
+            del gathered  # before the next block's matmul
     return out.T
 
 
@@ -379,16 +408,23 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
 
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     """The reconstruction at the cells (i[k], j[k], n[k]), O(f^2) per cell
-    after mode j's pair table: row j of G_j against column i*N + n of the
-    table, and no full tensor. The cells go a block at a time, the block's
-    two gathered (cells, f^2) operands at most BLOCK_BYTES together."""
+    after mode j's pair table at the cells' distinct columns: row j of G_j
+    against column i*N + n of the table, and no full tensor. The cells go a
+    block at a time, the block's two gathered (cells, f^2) operands at most
+    BLOCK_BYTES together."""
     cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
     j = np.asarray(j)
     if len(cols) == 1:
         # np.einsum sums a lone cell's products in another order than those
         # of several cells, so a lone cell is scored as a pair with itself
         return cell_values(factors, np.repeat(i, 2), np.repeat(j, 2), np.repeat(n, 2))[:1]
-    table = pair_table(factors, "j")
+    # the distinct columns marked over the table's width, and each cell's
+    # position among them from the marks' running count: np.unique's values
+    # and inverse without its sort
+    touched = np.zeros(factors.dims[0] * factors.dims[2], dtype=bool)
+    touched[cols] = True
+    table = pair_table(factors, "j", np.flatnonzero(touched))
+    cols = np.cumsum(touched)[cols] - 1
     g_j = matricize_factor(factors.g_j, "j")
     out = np.empty(len(cols))
     for cells in row_blocks(len(cols), 16 * len(table)):

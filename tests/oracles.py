@@ -164,7 +164,7 @@ def coo_rhs_unblocked(coo, factors, mode: str) -> np.ndarray:
     plan = coo.plans[mode]
     out = np.zeros((table.shape[0], plan.n_rows))
     if len(plan.starts):
-        gathered = np.take(table, plan.used[plan.cols], axis=1)
+        gathered = np.take(table, plan.cols, axis=1)
         if plan.values is not None:
             gathered *= plan.values
         out[:, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
@@ -302,6 +302,17 @@ def parse_events_readlines(path, geometry):
                        labels=fields.get("label"))
 
 
+def bin_to_tensor_dense(stream, n_bins: int) -> np.ndarray:
+    """The binary (I, J, N) uint8 array of a stream, one scatter of ones at
+    every event's cell into a zero array of the sensor's size."""
+    from evtensor.events import bin_indices, compute_bin_edges
+
+    edges = compute_bin_edges(stream.t_min, stream.t_max, n_bins)
+    data = np.zeros((*stream.geometry, n_bins), dtype=np.uint8)
+    data[stream.i, stream.j, bin_indices(stream.t, edges)] = 1
+    return data
+
+
 def is_binary(data: np.ndarray) -> bool:
     """Every entry exactly 0 or 1: each nonzero entry (NaN included) equals 1.
     It needs one bool temporary of data's size."""
@@ -353,9 +364,9 @@ def odd_tensors():
 
 
 def coo_plans(data) -> dict:
-    """Per mode, the (used, cols, starts, rows, values) of a sparse sort plan
-    from np.nonzero, an int64 stable argsort and np.unique; values is None
-    when every nonzero is 1."""
+    """Per mode, the (cols, starts, rows, values) of a sparse sort plan from
+    np.nonzero and an int64 stable argsort; values is None when every
+    nonzero is 1."""
     coords = np.nonzero(data)
     values = data[coords].astype(np.float64)
     plans = {}
@@ -364,9 +375,8 @@ def coo_plans(data) -> dict:
         order = np.argsort(coords[axis], kind="stable")
         key = coords[axis][order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        used, cols = np.unique((coords[slow] * data.shape[fast] + coords[fast])[order],
-                               return_inverse=True)
-        plans[mode] = (used, cols, starts, key[starts],
+        cols = (coords[slow] * data.shape[fast] + coords[fast])[order]
+        plans[mode] = (cols, starts, key[starts],
                        None if np.all(values == 1.0) else values[order])
     return plans
 

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from evtensor.denoise import (
     write_report_csv,
 )
 from evtensor.errors import ConsistencyError
-from evtensor.events import NOISE_LABEL, EventStream, bin_to_tensor
+from evtensor import tensor_ops
+from evtensor.events import NOISE_LABEL, EventStream, bin_indices, bin_to_tensor
 from evtensor.solver import SolverConfig, solve
 from evtensor.synth import ObjectSpec, SceneSpec, generate
 from evtensor.tensor_ops import f3tn_contract
@@ -190,3 +192,30 @@ def test_report_csv_rejects_a_misaligned_report(tmp_path, field, resize):
     with pytest.raises(ConsistencyError):
         write_report_csv(stream, report, path)
     assert not path.exists()
+
+
+def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blocks():
+    # the DAVIS-scale scene (260 x 346 x 100, 57,843 events) at f = 6: mode
+    # j's whole pair table is 7.5 MB, the events touch 11,417 of its 26,000
+    # columns; beside the table at those, event blocks of at most BLOCK_BYTES
+    spec = SceneSpec(
+        geometry=(260, 346), n_frames=100, duration_us=1_000_000,
+        objects=(ObjectSpec(kind="linear", start=(20.0, 20.0), velocity=(2.1, 3.0),
+                            footprint=8, prob=0.8),
+                 ObjectSpec(kind="circular", start=(130.0, 173.0), radius=80.0, freq=0.01,
+                            footprint=8, prob=0.8)),
+        noise_per_frame=115.6, seed=7,
+    )
+    stream = generate(spec)
+    tensor = bin_to_tensor(stream, spec.n_frames)
+    f = 6
+    factors = random_factors(np.random.default_rng(0), tensor.dims, f)
+    used = len(np.unique(stream.i * spec.n_frames + bin_indices(stream.t, tensor.bin_edges)))
+    tracemalloc.start()
+    try:
+        scores = score_events(stream, tensor, factors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == len(stream)
+    assert peak < 8 * f * f * used + 2 * tensor_ops.BLOCK_BYTES + (1 << 20)

@@ -357,9 +357,19 @@ def test_csv_io_peak_memory_is_a_block_not_the_stream(tmp_path, scale):
         2 * tensor_ops.BLOCK_BYTES + (1 << 20))
     parsed = peak_bytes(lambda: parse_events(path, DAVIS))
     assert parsed < peak_bytes(lambda: oracles.parse_events_readlines(path, DAVIS))
+    # at its peak the parse holds the decoded (n, 4) body and the columns
+    # copied out of it, not the text beside them
+    assert parsed < 2 * 8 * 4 * len(stream) + (1 << 16)
     again = parse_events(path, DAVIS)
     for name in ("t", "i", "j", "labels"):
         np.testing.assert_array_equal(getattr(again, name), getattr(stream, name))
+
+
+def test_bin_to_tensor_peak_memory_is_event_sized_not_sensor_sized():
+    # the DAVIS scene's 57,843 events over 346 x 260 x 100 cells: a dense
+    # uint8 scatter alone takes 9.0 MB, the sorted cells a few event-sized arrays
+    stream = davis_like_stream(57_843)
+    assert peak_bytes(lambda: bin_to_tensor(stream, 100)) < 4 * 8 * len(stream)
 
 
 def test_single_event_with_declared_range():
@@ -373,6 +383,29 @@ def test_single_event_with_declared_range():
 def test_declared_range_must_cover_events():
     with pytest.raises(ValueError):
         EventStream(i=[2], j=[3], t=[50], geometry=(5, 5), t_min=60, t_max=100)
+
+
+def test_a_time_sorted_stream_is_not_sorted_again(monkeypatch):
+    i, j, t = (np.array(v, dtype=np.int64) for v in ([0, 1, 2, 1], [1, 0, 1, 1], [5, 5, 7, 9]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a time-sorted stream was sorted")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    stream = EventStream(i=i, j=j, t=t, geometry=(3, 2))
+    assert stream.i is i and stream.j is j and stream.t is t
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_unsorted_stream_is_reordered_stably(seed):
+    # many equal timestamps: they keep their input order
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, 6, 40)
+    i, j, labels = rng.integers(0, 3, 40), rng.integers(0, 2, 40), np.arange(40)
+    stream = EventStream(i=i, j=j, t=t, geometry=(3, 2), labels=labels)
+    order = np.argsort(t, kind="stable")
+    for got, raw in ((stream.t, t), (stream.i, i), (stream.j, j), (stream.labels, labels)):
+        np.testing.assert_array_equal(got, raw[order])
 
 
 def test_binarization_same_pixel_same_bin():
@@ -422,11 +455,9 @@ def test_density():
     tensor = bin_to_tensor(stream, 2)
     assert tensor_density(tensor) == pytest.approx(1 / 8)
 
-    all_zero = tensor
-    all_zero.data[:] = 0
-    assert tensor_density(all_zero) == 0.0
-    all_zero.data[:] = 1
-    assert tensor_density(all_zero) == 1.0
+    edges = tensor.bin_edges
+    assert tensor_density(EventTensor.from_dense(np.zeros((2, 2, 2)), edges)) == 0.0
+    assert tensor_density(EventTensor.from_dense(np.ones((2, 2, 2)), edges)) == 1.0
 
 
 def test_davis_scale_density():
@@ -465,6 +496,51 @@ def test_binarization_idempotent_and_order_invariant(seed):
     assert a.sum() <= m
 
 
+@given(st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_bin_to_tensor_cells_are_the_dense_scatter(seed):
+    # every event twice, and frames past t = 400 of 0..1000 left empty
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 60))
+    i, j, t = rng.integers(0, 5, m), rng.integers(0, 4, m), rng.integers(0, 400, m)
+    stream = EventStream(i=np.r_[i, i], j=np.r_[j, j], t=np.r_[t, t], geometry=(5, 4),
+                         t_min=0, t_max=1000)
+    tensor = bin_to_tensor(stream, 9)
+    dense = oracles.bin_to_tensor_dense(stream, 9)
+    assert tensor.dims == dense.shape
+    np.testing.assert_array_equal(tensor.cells, np.flatnonzero(dense))
+    assert tensor.data.dtype == np.uint8
+    np.testing.assert_array_equal(tensor.data, dense)
+
+
+@pytest.mark.parametrize("cells", [[3, 1], [1, 1], [-1], [24]],
+                         ids=["descending", "repeated", "negative", "past-the-end"])
+def test_event_tensor_rejects_cells_that_are_not_ascending_distinct_and_inside(cells):
+    with pytest.raises(ValueError, match="ascending, distinct flat indices"):
+        EventTensor(cells=cells, dims=(2, 3, 4), bin_edges=np.arange(5))
+
+
+def test_the_pipeline_never_builds_the_dense_tensor(monkeypatch, tmp_path):
+    from evtensor.denoise import score_events
+    from evtensor.evaluation import classify_factors
+    from evtensor.solver import SolverConfig, solve
+    from evtensor.synth import generate, two_object_scene
+
+    def refuse(self):
+        raise AssertionError("EventTensor.data was read")
+
+    monkeypatch.setattr(EventTensor, "data", property(refuse))
+    spec = two_object_scene()
+    stream = generate(spec)
+    tensor = bin_to_tensor(stream, spec.n_frames)
+    factors, _ = solve(tensor, SolverConfig(s_max=5))
+    for task in ("objects", "noise"):
+        classify_factors(stream, tensor, factors, task)
+    assert len(score_events(stream, tensor, factors)) == len(stream)
+    write_tensor_dump(tensor, tmp_path / "dump.txt")
+    assert 0 < tensor_density(tensor) < 1
+
+
 def test_tensor_dump_roundtrip(tmp_path):
     stream = EventStream(i=[0, 1, 2], j=[0, 1, 0], t=[0, 50, 100], geometry=(3, 2))
     tensor = bin_to_tensor(stream, 4)
@@ -482,7 +558,7 @@ def test_tensor_dump_order_is_n_outer_i_middle_j_inner():
     edges = np.array([0, 1, 2])
     from evtensor.events import EventTensor
 
-    write_tensor_dump(EventTensor(data=data, bin_edges=edges), stream_buf)
+    write_tensor_dump(EventTensor.from_dense(data, edges), stream_buf)
     body = stream_buf.getvalue().split("\n", 1)[1].split()
     assert [int(v) for v in body] == [0, 0, 1, 0, 0, 0, 0, 0]
 
@@ -581,11 +657,11 @@ def test_event_tensor_rejects_entries_other_than_0_and_1(bad):
     data = np.zeros((2, 3, 4))
     data[1, 2, 3] = bad
     with pytest.raises(ValueError, match="exactly 0 or 1"):
-        EventTensor(data=data, bin_edges=np.arange(5))
+        EventTensor.from_dense(data, np.arange(5))
 
 
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
 def test_event_tensor_accepts_0_1_data_of_any_dtype(dtype):
     data = (np.random.default_rng(0).random((2, 3, 4)) < 0.5).astype(dtype)
-    tensor = EventTensor(data=data, bin_edges=np.arange(5))
+    tensor = EventTensor.from_dense(data, np.arange(5))
     np.testing.assert_array_equal(tensor.data, data)

@@ -144,12 +144,27 @@ def test_init_x_is_e_as_float():
     assert (state.factors.g_i >= 0).all() and (state.factors.g_i <= 0.1).all()
 
 
+@pytest.mark.parametrize("s_max", [3, 40])
+def test_solving_the_cells_is_bit_identical_to_solving_the_dense_array(s_max):
+    # E read from an EventTensor's cells and from its dense array: the same
+    # plans, so the same factors and trace, bit for bit (E leaves X after 16
+    # sweeps, so 40 sweeps also score E through cell_values)
+    spec = two_object_scene()
+    tensor = bin_to_tensor(generate(spec), spec.n_frames)
+    cfg = SolverConfig(s_max=s_max)
+    cells, state = solve(tensor, cfg)
+    dense, dense_state = solve(tensor.data, cfg)
+    for g in ("g_i", "g_j", "g_n"):
+        np.testing.assert_array_equal(getattr(cells, g), getattr(dense, g))
+    assert state.trace == dense_state.trace
+
+
 @pytest.mark.parametrize("as_event_tensor", [False, True])
 @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
 def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
     e = (np.random.default_rng(3).random((3, 4, 5)) < 0.3).astype(dtype)
     before = e.copy()
-    source = EventTensor(data=e, bin_edges=np.arange(6)) if as_event_tensor else e
+    source = EventTensor.from_dense(e, np.arange(6)) if as_event_tensor else e
     state = init_state(source, SolverConfig())
     assert state.target.e.values.dtype == np.float64
     np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))

@@ -342,10 +342,9 @@ def test_coo_from_dense_keeps_c_order_and_values():
 
 
 def _assert_plans_equal(coo, expected):
-    for mode, (used, cols, starts, rows, values) in expected.items():
+    for mode, (cols, starts, rows, values) in expected.items():
         plan = coo.plans[mode]
-        for got, want in ((plan.used, used), (plan.cols, cols), (plan.starts, starts),
-                          (plan.rows, rows)):
+        for got, want in ((plan.cols, cols), (plan.starts, starts), (plan.rows, rows)):
             assert got.dtype == want.dtype, mode
             np.testing.assert_array_equal(got, want)
         if values is None:
@@ -411,15 +410,11 @@ def test_coo_plan_runs_cover_each_row_once(mode):
     np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
     np.testing.assert_array_equal(np.diff(np.append(plan.starts, len(plan.cols))), counts[counts > 0])
     assert plan.values is None
-    # the table columns the nonzeros touch, ascending and each once, and each
-    # nonzero's position among them
+    # each nonzero's table column, the other two indices in C order
     slow, fast = (a for a in range(3) if a != axis)
-    touched = np.flatnonzero((x != 0).any(axis=axis).ravel())
-    np.testing.assert_array_equal(plan.used, touched)
     coords = np.nonzero(x)
     order = np.argsort(coords[axis], kind="stable")
-    np.testing.assert_array_equal(plan.used[plan.cols],
-                                  (coords[slow] * x.shape[fast] + coords[fast])[order])
+    np.testing.assert_array_equal(plan.cols, (coords[slow] * x.shape[fast] + coords[fast])[order])
 
 
 @pytest.mark.parametrize("mode", "ijn")
@@ -519,6 +514,22 @@ def test_pair_table_by_slices_is_bit_identical_to_the_batched_matmul(mode, f, se
     np.testing.assert_array_equal(pair_table(factors, mode, used), full[:, used])
 
 
+@pytest.mark.parametrize("block_bytes", [1, 1500, 2 << 20])
+@pytest.mark.parametrize("mode", "ijn")
+@pytest.mark.parametrize("f", range(1, 7))
+def test_pair_table_in_row_blocks_is_bit_identical_to_the_batched_matmul(
+        monkeypatch, block_bytes, mode, f):
+    # 1 byte: two open indices p (the one at f = 1) per matmul; 1500: two or
+    # three; 2 MiB: a whole latent slice
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(100 + f)
+    factors = random_factors(rng, (9, 7, 8), f)
+    full = pair_table_batched(factors, mode)
+    np.testing.assert_array_equal(pair_table(factors, mode), full)
+    used = np.flatnonzero(rng.random(full.shape[1]) < 0.3)
+    np.testing.assert_array_equal(pair_table(factors, mode, used), full[:, used])
+
+
 def _holey(rng, dims, binary):
     # zeroed slices on every axis: empty runs between non-empty ones and at both ends
     x = _sparse(rng, dims, binary=binary)
@@ -542,25 +553,28 @@ def test_row_blocks_cover_the_rows_in_order_two_or_more_at_a_time(monkeypatch, n
 @pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
 @pytest.mark.parametrize("binary", [True, False])
 @pytest.mark.parametrize("mode", "ijn")
-@pytest.mark.parametrize("f", [1, 2, 3, 6])
+@pytest.mark.parametrize("f", range(1, 7))
 def test_blocked_coo_rhs_is_bit_identical_to_one_gather(monkeypatch, block_bytes, binary, mode, f):
-    # 1 byte: two table rows per block; 5000: a few rows; 2 MiB: one block
+    # against the whole pair table and one gather. 1 byte: two table rows
+    # per block; 5000: a few rows, some blocks cut inside a latent slice;
+    # 2 MiB: one latent slice per block
     monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(70 + f)
     dims = (9, 7, 8)
     x = _holey(rng, dims, binary)
     coo = CooTensor.from_dense(x)
-    assert len(coo.plans[mode].used) < x.size // dims["ijn".index(mode)]
+    assert len(np.unique(coo.plans[mode].cols)) < x.size // dims["ijn".index(mode)]
     factors = random_factors(rng, dims, f)
     np.testing.assert_array_equal(coo_rhs(coo, factors, mode),
                                   coo_rhs_unblocked(coo, factors, mode))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
-@pytest.mark.parametrize("f", [1, 2, 3, 6])
+@pytest.mark.parametrize("f", range(1, 7))
 def test_blocked_cell_values_are_bit_identical_to_one_einsum(monkeypatch, block_bytes, f):
-    # 1 byte: two cells per block; 5000: a few cells; 2 MiB: one block. A
-    # single cell scores as it does among others, not as one einsum over it alone
+    # against the whole mode-j table and one einsum. 1 byte: two cells per
+    # block; 5000: a few cells; 2 MiB: one block. A single cell scores as it
+    # does among others, not as one einsum over it alone
     monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(80 + f)
     dims = (9, 7, 8)
@@ -588,21 +602,20 @@ def test_a_cell_scored_alone_equals_its_score_in_a_batch(f):
     np.testing.assert_array_equal(alone, batch)
 
 
-def test_coo_rhs_peak_memory_is_the_compressed_table_and_two_blocks():
-    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense) at f = 6. The full pair
-    # tables are 10.0, 7.5 and 25.9 MB and the whole (f^2, nnz) gather 16.6
-    # MB; the tables at E's columns stay, the largest transient beside them is
-    # one per-slice matmul (4.3 MB in mode n) or one gathered block
+def test_coo_rhs_peak_memory_is_two_blocks():
+    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense) at f = 6. The pair
+    # tables at E's columns are 7.4 MB in mode n and one per-slice matmul 4.3
+    # MB; no table is held, each block of its rows, with its gather and the
+    # matmul behind it, stays under BLOCK_BYTES at two rows and more
     dims, f = (260, 346, 100), 6
     rng = np.random.default_rng(0)
     coo = CooTensor.from_dense((rng.random(dims) < 0.0064).astype(np.uint8))
     factors = random_factors(rng, dims, f)
     for mode in "ijn":
-        table_bytes = f * f * len(coo.plans[mode].used) * 8
         tracemalloc.start()
         try:
             coo_rhs(coo, factors, mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < table_bytes + 2 * tensor_ops.BLOCK_BYTES + (1 << 20), mode
+        assert peak < 2 * tensor_ops.BLOCK_BYTES + (1 << 20), mode
