@@ -33,22 +33,22 @@ same runs. The i and j blocks stay a gather and a bincount. Training this
 way is bit-identical to training in the caller's order. The margins are
 elementwise, and every summed target is -1, -0, 0 or +1, so each per-row
 sum and the bias gradient's total is a small integer, exact in float64 in
-any order. Only the standardization's mean and std depend on the order, and
-they are taken before the sort: per table, over its rows gathered a block of
-events at a time (at most tensor_ops.BLOCK_BYTES each), with the running
-column sums carried from block to block, bit for bit the dense matrix's.
-`SvmModel.decision_scores` sorts the same way and returns its scores in the
-caller's order.
+any order. The standardization's mean and std come from each table's
+integer row counts, ``counts = np.bincount(rows)``, as ``counts @ table / n``
+and ``counts @ (table - mean)**2 / n``: the same under any order of the
+events, with no (n, d) array. `SvmModel.decision_scores` sorts the same way
+and returns its scores in the caller's order.
 
-A dense ndarray input, and gathered input whose mean block width
-3*f^2 / 3 is at most `DENSE_MAX_BLOCK_WIDTH`, take the dense loop (two GEMVs
-over the (n, d) matrix per epoch) instead. Per-epoch times on the
-DAVIS-scale noise task's train split (n = 34,777, random factors, 2-vCPU
-host, three runs each), dense against gathered: f = 1 0.25-0.29 against
-0.38-0.58 ms, f = 2 0.59-0.62 against 0.45-0.53 ms, f = 3 1.07-1.18 against
-0.57-0.60 ms, f = 6 3.3-4.8 against 0.52-0.63 ms. The crossover lies between
-f = 1 and f = 2, yet f = 2 stays on the dense loop: the two loops sum in
-different orders, so moving it would change f = 2 answers in their last bits.
+A dense (n, d) ndarray is a gather from one table. One table, and tables
+whose mean block width 3*f^2 / 3 is at most `DENSE_MAX_BLOCK_WIDTH`, take the
+dense loop instead: z gathered once, then two GEMVs over it per epoch.
+Per-epoch times on the DAVIS-scale noise task's train split (n = 34,777,
+random factors, 2-vCPU host, three runs each), dense against gathered:
+f = 1 0.25-0.29 against 0.38-0.58 ms, f = 2 0.59-0.62 against 0.45-0.53 ms,
+f = 3 1.07-1.18 against 0.57-0.60 ms, f = 6 3.3-4.8 against 0.52-0.63 ms.
+The crossover lies between f = 1, where the CLI's short solve ends, and
+f = 2. f = 2 stays on the dense loop: the two loops sum in different orders,
+so moving it would change f = 2 answers in their last bits.
 
 The regularization sweep reruns the whole pipeline per (lambda1, lambda2)
 grid point and summarizes sensitivity with the AUC gap,
@@ -67,7 +67,7 @@ import numpy as np
 from .errors import ProtocolError, ShapeError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text
 from .solver import SolverConfig, solve
-from .tensor_ops import MODES, FactorTriple, matricize_factor, row_blocks
+from .tensor_ops import MODES, FactorTriple, matricize_factor
 
 logger = logging.getLogger(__name__)
 
@@ -194,9 +194,9 @@ class SvmModel:
 
     def decision_scores(self, features: GatheredFeatures | np.ndarray) -> np.ndarray:
         """Raw signed margins (AUC is rank-based; no calibration)."""
-        features = _dense_unless_wide(features)
-        if features.shape[-1] != len(self.weights):
-            raise ShapeError(f"features have {features.shape[-1]} columns, "
+        features = _gathered(features)
+        if features.shape[1] != len(self.weights):
+            raise ShapeError(f"features have {features.shape[1]} columns, "
                              f"the model has {len(self.weights)} weights")
         matvec, _, order = _standardized_products(features, self.mean, self.std)
         scores = np.empty(len(features))
@@ -204,37 +204,39 @@ class SvmModel:
         return scores
 
 
-def _dense_unless_wide(features):
-    """Gathered features whose mean block width exceeds DENSE_MAX_BLOCK_WIDTH
-    stay gathered; everything else becomes a dense ndarray."""
-    if (isinstance(features, GatheredFeatures)
-            and features.shape[1] > DENSE_MAX_BLOCK_WIDTH * len(features.tables)):
+def _gathered(features) -> GatheredFeatures:
+    """Gathered features as they are; an (n, d) array as the gather of its
+    rows 0 .. n-1 from one table."""
+    if isinstance(features, GatheredFeatures):
         return features
-    return np.asarray(features)
+    x = np.asarray(features)
+    return GatheredFeatures([x], [np.arange(len(x))])
 
 
-def _standardized_products(features, mean, std):
+def _standardized_products(features: GatheredFeatures, mean, std):
     """(w -> z @ w, v -> (v @ z, sum of v), order) for z = (features - mean) /
     std with its rows taken in ``order``, which the caller applies to its own
     per-event arrays.
 
-    Dense features build z and keep their order. Gathered ones standardize
-    only their tables, stacked block-diagonally into zt, so z = A @ zt for the
-    (n, rows of zt) 0/1 matrix A with one 1 per block in each row. Their
+    Only the tables are standardized. One table, or narrow blocks (see the
+    module docstring), gather z from them once and keep the events' order.
+    Otherwise they are stacked block-diagonally into zt, so z = A @ zt for
+    the (n, rows of zt) 0/1 matrix A with one 1 per block in each row. The
     events are put in order of their last table's row (stably), so that block
     is a run of events per row: one np.repeat gathers it and one
     np.add.reduceat sums it. One np.bincount sums v @ A per row of zt: over
     every other block's event rows, and over the last block's runs.
     """
-    if not isinstance(features, GatheredFeatures):
-        z = features - mean
-        z /= std
+    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
+    ztables = [(t - mean[c0:c1]) / std[c0:c1]
+               for t, c0, c1 in zip(features.tables, cols, cols[1:])]
+    if len(ztables) == 1 or cols[-1] <= DENSE_MAX_BLOCK_WIDTH * len(ztables):
+        z = np.hstack([zk[r] for zk, r in zip(ztables, features.rows)])
         return (lambda w: z @ w), (lambda v: (v @ z, v.sum())), slice(None)
     starts = np.cumsum([0] + [len(t) for t in features.tables])
-    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
     zt = np.zeros((starts[-1], cols[-1]))
-    for table, r0, c0, c1 in zip(features.tables, starts, cols, cols[1:]):
-        zt[r0:r0 + len(table), c0:c1] = (table - mean[c0:c1]) / std[c0:c1]
+    for zk, r0, c0, c1 in zip(ztables, starts, cols, cols[1:]):
+        zt[r0:r0 + len(zk), c0:c1] = zk
     order = np.argsort(features.rows[-1], kind="stable")
     *rows, last = (r[order] for r in features.rows)
     counts = np.bincount(last, minlength=len(features.tables[-1]))
@@ -260,41 +262,16 @@ def _standardized_products(features, mean, std):
     return matvec, rmatvec, order
 
 
-def _column_stats(features) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and std over the rows. The gathered form takes them
-    one table at a time, its rows gathered a block of events at a time, and
-    matches the dense matrix's bit for bit (see `_column_sum`)."""
-    if not isinstance(features, GatheredFeatures):
-        return features.mean(axis=0), features.std(axis=0)
+def _column_stats(features: GatheredFeatures) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std over the events, from each table's row counts."""
     n = len(features)
     means, stds = [], []
     for table, rows in zip(features.tables, features.rows):
-        mean = _column_sum(table, rows) / n
+        counts = np.bincount(rows, minlength=len(table))
+        mean = counts @ table / n
         means.append(mean)
-        stds.append(np.sqrt(_column_sum(table, rows, mean) / n))
+        stds.append(np.sqrt(counts @ (table - mean) ** 2 / n))
     return np.concatenate(means), np.concatenate(stds)
-
-
-def _column_sum(table, rows, center=None) -> np.ndarray:
-    """Column sums of table[rows] (of (table[rows] - center)^2 with `center`),
-    gathered a block of at most BLOCK_BYTES at a time into rows 1.. of one
-    reused buffer whose row 0 holds the running sum. numpy reduces a
-    C-contiguous array of two or more columns along axis 0 by adding its
-    rows in order, so reducing each block with the running sum as its first
-    row gives the whole array's sums, and so `mean` and `std`, bit for bit."""
-    blocks = row_blocks(len(rows), 8 * table.shape[1])
-    buf = np.empty((max(b.stop - b.start for b in blocks) + 1, table.shape[1]))
-    first = 1  # the first block has no running sum before it
-    for events in blocks:
-        block = buf[1:1 + events.stop - events.start]
-        # the rows are in range, so "clip" clips nothing and writes straight into buf
-        np.take(table, rows[events], axis=0, out=block, mode="clip")
-        if center is not None:
-            block -= center
-            block *= block
-        buf[0] = np.add.reduce(buf[first:1 + len(block)], axis=0)
-        first = 0
-    return buf[0].copy()
 
 
 def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
@@ -304,7 +281,7 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
     the bias is left unregularized. Full-batch updates mean a duplicated
     training set yields the identical model.
     """
-    features = _dense_unless_wide(features)
+    features = _gathered(features)
     targets = np.asarray(targets)
     if len(targets) != len(features):
         raise ShapeError(f"{len(features)} feature rows but {len(targets)} targets")
@@ -313,7 +290,7 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
         raise ProtocolError("training set contains a single class")
     y = np.where(targets == classes.max(), 1.0, -1.0)
 
-    mean, std = _column_stats(features)  # before any reordering: these sums depend on event order
+    mean, std = _column_stats(features)
     std[std == 0.0] = 1.0  # constant dims carry no signal; avoid divide-by-zero
     matvec, rmatvec, order = _standardized_products(features, mean, std)
     y = y[order]

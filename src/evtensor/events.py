@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
-from .tensor_ops import flat_nonzero, row_blocks
+from .tensor_ops import row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -192,7 +192,7 @@ class EventTensor:
             raise ValueError("event tensor must be 3rd-order")
         if not _is_binary(data):
             raise ValueError("event tensor entries must be exactly 0 or 1")
-        return cls(flat_nonzero(data), data.shape, bin_edges)
+        return cls(np.flatnonzero(data), data.shape, bin_edges)
 
     @property
     def data(self) -> np.ndarray:
@@ -434,7 +434,7 @@ def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
         data = np.asarray(tensor)
         if not _is_binary(data):
             raise ValueError("a tensor dump holds only 0/1 entries")
-        flat, (rows, cols, n_bins) = flat_nonzero(data), data.shape
+        flat, (rows, cols, n_bins) = np.flatnonzero(data), data.shape
     frame = flat % n_bins
     # a stable sort on the narrowest dtype: numpy radix-sorts 8- and 16-bit keys
     order = np.argsort(frame.astype(np.min_scalar_type(n_bins)), kind="stable")

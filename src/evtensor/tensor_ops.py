@@ -98,17 +98,6 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def flat_nonzero(data: np.ndarray) -> np.ndarray:
-    """C-order flat indices of data's nonzero entries, through numpy's bool
-    path: one-byte 0/1 data is its own mask, viewed as bool (on the DAVIS
-    tensor 2.7 against 21.9 ms for np.flatnonzero of the uint8 array); any
-    other data is compared with 0."""
-    kind = data.dtype.kind
-    own_mask = data.dtype.itemsize == 1 and (
-        kind == "b" or (kind in "ui" and data.size and data.min() >= 0 and data.max() <= 1))
-    return np.flatnonzero(data.view(bool) if own_mask else data != 0)
-
-
 @dataclass(frozen=True)
 class FactorTriple:
     """The three latent factors of a rank-f network."""
@@ -316,7 +305,7 @@ class CooTensor:
         data = np.asarray(data)
         if data.ndim != 3:
             raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
-        flat = flat_nonzero(data)
+        flat = np.flatnonzero(data)
         return cls.from_cells(data.shape, flat, data[np.unravel_index(flat, data.shape)])
 
     @property

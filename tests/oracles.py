@@ -483,17 +483,14 @@ def extract_features(stream, tensor, factors):
     )
 
 
-def train_svm_gathered(features, targets, reg_lambda=1e-3, epochs=500):
-    """`train_svm` on gathered features as it ran before it sorted the events
-    by frame: every epoch gathers each table block at its event rows and
-    bincounts it back, in the caller's event order. Returns (weights, bias,
-    mean, std)."""
+def train_svm_gathered(features, targets, mean, std, reg_lambda=1e-3, epochs=500):
+    """`train_svm` on gathered features, standardized by the given mean and
+    std, as it ran before it sorted the events by frame: every epoch gathers
+    each table block at its event rows and bincounts it back, in the caller's
+    event order. Returns (weights, bias)."""
     targets = np.asarray(targets)
     classes = np.unique(targets)
     y = np.where(targets == classes.max(), 1.0, -1.0)
-
-    mean, std = column_stats_unblocked(features)
-    std[std == 0.0] = 1.0
 
     starts = np.cumsum([0] + [len(t) for t in features.tables])
     cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
@@ -524,7 +521,7 @@ def train_svm_gathered(features, targets, reg_lambda=1e-3, epochs=500):
         grad_b = -yv.sum() / n
         w = w - lr * grad_w
         b = b - lr * grad_b
-    return w, b, mean, std
+    return w, b
 
 
 # ---------------------------------------------------------------------------

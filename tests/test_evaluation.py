@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtensor
-from evtensor import evaluation, tensor_ops
+from evtensor import evaluation
 from evtensor.errors import ConsistencyError, ProtocolError, ShapeError
 from evtensor.evaluation import (
     FeatureMatrix,
@@ -159,15 +160,24 @@ def test_gathered_features_index_like_the_dense_array():
             np.asarray(gathered, copy=False)
 
 
+def _takes_the_gathered_kernel(features):
+    """Whether the SVM's products sort `features` by frame: the dense kernel
+    keeps the events' order, its `order` slice(None)."""
+    d = features.shape[1]
+    order = evaluation._standardized_products(features, np.zeros(d), np.ones(d))[2]
+    return not isinstance(order, slice)
+
+
 @pytest.mark.parametrize("f,gathered", [(1, False), (2, False), (3, True), (6, True)])
 def test_width_rule_keeps_only_wide_features_gathered(f, gathered):
-    # mean block width f^2: gathering loses to the dense loop at f <= 2
+    # mean block width f^2: gathering loses to the dense loop at f <= 2. A
+    # one-table gather, as a dense array becomes, always takes the dense loop
     stream, tensor, factors = fitted_pieces(f=f)
     feats = extract_features(stream, tensor, factors).features
-    chosen = evaluation._dense_unless_wide(feats)
-    assert isinstance(chosen, GatheredFeatures) == gathered
-    if not gathered:
-        np.testing.assert_array_equal(chosen, np.asarray(feats))
+    assert _takes_the_gathered_kernel(feats) == gathered
+    one_table = evaluation._gathered(np.asarray(feats))
+    assert len(one_table.tables) == 1
+    assert not _takes_the_gathered_kernel(one_table)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +285,11 @@ def test_svm_rerun_bitwise_identical():
     assert m1.bias == m2.bias
 
 
-def _svm_weights_dividing_a_fresh_difference(features, targets, reg_lambda=1e-3, epochs=500):
-    """train_svm's loop with its standardization written as one expression,
-    (features - mean) / std."""
+def _svm_weights_dividing_a_fresh_difference(features, targets, mean, std,
+                                             reg_lambda=1e-3, epochs=500):
+    """train_svm's loop with its standardization by the given mean and std
+    written as one expression, (features - mean) / std."""
     y = np.where(targets == targets.max(), 1.0, -1.0)
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std[std == 0.0] = 1.0
     z = (features - mean) / std
     n, d = z.shape
     w = np.zeros(d)
@@ -301,7 +309,8 @@ def test_svm_in_place_standardization_is_bit_identical():
     x[:, 1] = 4.0  # a constant dimension
     y = (x[:, 0] + 0.3 * rng.normal(size=300) > 3.0).astype(int)
     model = train_svm(x, y)
-    w, b = _svm_weights_dividing_a_fresh_difference(x, y)
+    assert model.std[1] == 1.0  # the constant dimension's std, replaced
+    w, b = _svm_weights_dividing_a_fresh_difference(x, y, model.mean, model.std)
     np.testing.assert_array_equal(model.weights, w)
     assert model.bias == b
 
@@ -403,11 +412,11 @@ def test_gathered_svm_matches_dense_oracle_on_reference_scene(ref_scene_fit, tas
     mask, y = binary_task(gathered.labels, task)
     tr, te = mask & gathered.is_train, mask & ~gathered.is_train
     y_tr, y_te = y[gathered.is_train[mask]], y[~gathered.is_train[mask]]
-    assert isinstance(evaluation._dense_unless_wide(gathered.features[tr]), GatheredFeatures)
+    assert _takes_the_gathered_kernel(gathered.features[tr])
     m_g = train_svm(gathered.features[tr], y_tr)
     m_d = train_svm(dense.features[tr], y_tr)
-    np.testing.assert_array_equal(m_g.mean, m_d.mean)
-    np.testing.assert_array_equal(m_g.std, m_d.std)
+    np.testing.assert_allclose(m_g.mean, m_d.mean, rtol=1e-10, atol=1e-15)
+    np.testing.assert_allclose(m_g.std, m_d.std, rtol=1e-10)
     np.testing.assert_allclose(m_g.weights, m_d.weights, rtol=1e-9)
     assert m_g.bias == pytest.approx(m_d.bias, rel=1e-9)
     assert (auc(m_g.decision_scores(gathered.features[te]), y_te)
@@ -443,34 +452,48 @@ def test_frame_sorted_svm_is_bit_identical_to_the_gathered_loop(ref_scene_fit, t
     # the epochs sum only small integers, so training over frame-sorted events
     # reproduces the loop over the caller's order to the last bit
     features, y = _events_of(*_train_and_test_features(*ref_scene_fit, task)[:2], events)
-    assert isinstance(evaluation._dense_unless_wide(features), GatheredFeatures)
+    assert _takes_the_gathered_kernel(features)
     assert len(np.unique(y)) == 2
     model = train_svm(features, y)
-    weights, bias, mean, std = oracles.train_svm_gathered(features, y)
+    weights, bias = oracles.train_svm_gathered(features, y, model.mean, model.std)
     np.testing.assert_array_equal(model.weights, weights)
     assert model.bias == bias
-    np.testing.assert_array_equal(model.mean, mean)
-    np.testing.assert_array_equal(model.std, std)
 
 
-@pytest.mark.parametrize("block_bytes", [1, 5000])
 @pytest.mark.parametrize("task", ["objects", "noise"])
-def test_blocked_column_stats_train_the_svm_bit_identically(ref_scene_fit, monkeypatch, task,
-                                                            block_bytes):
-    # 1 byte: two events per block; 5000 bytes: a few dozen
+def test_column_stats_are_bit_identical_under_any_event_order(ref_scene_fit, task):
+    # integer row counts carry the events, so their order and a duplicated
+    # set leave the statistics unchanged to the last bit
     features, y, _ = _train_and_test_features(*ref_scene_fit, task)
-    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
-    assert len(tensor_ops.row_blocks(len(features), 8 * features.tables[0].shape[1])) > 5
-    mean, std = oracles.column_stats_unblocked(features)
-    got_mean, got_std = evaluation._column_stats(features)
-    np.testing.assert_array_equal(got_mean, mean)
-    np.testing.assert_array_equal(got_std, std)
-    model = train_svm(features, y)
-    weights, bias, mean, std = oracles.train_svm_gathered(features, y)
-    np.testing.assert_array_equal(model.weights, weights)
-    assert model.bias == bias
-    np.testing.assert_array_equal(model.mean, mean)
-    np.testing.assert_array_equal(model.std, std)
+    for subset in ("as_split", "frames_with_gaps"):
+        base = _events_of(features, y, subset)[0]
+        mean, std = evaluation._column_stats(base)
+        want_mean, want_std = oracles.column_stats_unblocked(base)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(std, want_std, rtol=1e-10)
+        shuffled = np.random.default_rng(7).permutation(len(base))
+        for keep in (shuffled, np.tile(np.arange(len(base)), 2)):
+            got_mean, got_std = evaluation._column_stats(base[keep])
+            np.testing.assert_array_equal(got_mean, mean)
+            np.testing.assert_array_equal(got_std, std)
+
+
+def test_column_stats_peak_memory_is_table_sized_not_event_sized():
+    # DAVIS-scale tables (260, 346 and 100 rows at f = 6) and 57,843 events:
+    # the statistics hold a table's temporaries, not an (events, columns) block
+    rng = np.random.default_rng(0)
+    f, n = 6, 57_843
+    tables = [rng.normal(size=(rows, f * f)) for rows in (260, 346, 100)]
+    features = GatheredFeatures(tables, [rng.integers(0, len(t), size=n) for t in tables])
+    tracemalloc.start()
+    try:
+        mean, std = evaluation._column_stats(features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mean.shape == std.shape == (3 * f * f,)
+    assert peak < 3 * max(t.nbytes for t in tables) + (64 << 10)
+    assert peak < n * 8
 
 
 @pytest.mark.parametrize("task", ["objects", "noise"])
