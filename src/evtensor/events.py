@@ -285,6 +285,9 @@ def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
             raise EventParseError(line_no, f"non-integer field ({exc})") from None
         if t < 0:
             raise EventParseError(line_no, f"negative timestamp {t}")
+        for name, value in (("t", t), ("label", label)):
+            if value is not None and not -2 ** 63 <= value < 2 ** 63:
+                raise EventParseError(line_no, f"{name}={value} does not fit in int64")
         rows, cols = geometry
         if not (0 <= i < rows):
             raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")

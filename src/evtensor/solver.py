@@ -56,9 +56,9 @@ at rank f, X_m H_m^T is the sum of
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
 so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2. It holds
-no (I, J, N) array, no pair table and no (f^2, nnz) array: E is its cells,
-and the largest transient is one block of table rows with its gather and
-the matmul behind it, at most tensor_ops.BLOCK_BYTES (two rows at least).
+no (I, J, N) array, no pair table and no (f^2, nnz) array: E is its sort
+plans, and the largest transient is one block of table rows with its gather
+and the matmul behind it, at most tensor_ops.BLOCK_BYTES (two rows at least).
 
 The step and the stop check have closed forms, from the product P_n and the
 Gram A_n the loop leaves behind: A_n depends on g_i and g_j only, so the
@@ -72,8 +72,8 @@ The difference subtracts terms of size ||X||^2, so the step resolves about
 tolerances sit far above that. Since X_new - R = lambda2 (X_old - X_new), the
 trace objective 0.5 ||X_new - R||^2 is 0.5 (lambda2 ||X_new - X_old||)^2.
 Each sweep also records the fit ||R - E|| / ||E|| from ||R||^2 - 2 <R, E> +
-||E||^2; <R, E> is <G_n, E_n H_n^T> while E is in X and the per-cell sum
-tensor_ops.cell_values over the nonzeros after.
+||E||^2, <R, E> always as <G_n, E_n H_n^T>: from the mode-n product while E
+is in X, and from one more mode-n tensor_ops.coo_rhs after.
 
 The cost grows with the memory. On the 64x48x60 reference scene (200
 sweeps; 2 vCPUs, 2 BLAS threads, medians of 3) a dense-X solve took 0.30,
@@ -103,7 +103,6 @@ from .tensor_ops import (
     CooTensor,
     FactorStack,
     FactorTriple,
-    cell_values,
     coo_rhs,
     frob_norm,
     history_rhs,
@@ -315,10 +314,9 @@ def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState
         g_n = matricize_factor(state.factors.g_n, "n")
         r_sq = float(np.vdot(g_n, g_n @ gram))
         r_x = float(np.vdot(g_n, product))
-        if p_e is not None:
-            r_e = float(np.vdot(g_n, p_e))
-        else:
-            r_e = float(np.dot(e_coo.values, cell_values(state.factors, e_coo.i, e_coo.j, e_coo.n)))
+        if p_e is None:
+            p_e = coo_rhs(e_coo, state.factors, "n")
+        r_e = float(np.vdot(g_n, p_e))
         x_norm = math.sqrt(max(target.sq_norm, 0.0))
         delta = alpha * math.sqrt(max(r_sq - 2.0 * r_x + target.sq_norm, 0.0))
         rel_change = delta / x_norm if x_norm > 0 else delta
@@ -361,23 +359,26 @@ def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
 
 
 def load_checkpoint(path_or_fh) -> FactorTriple:
-    """Inverse of :func:`save_checkpoint`. The first missing or short row
-    raises ValueError naming its line and the row count the header promises;
-    no row past it is read, whatever the header promises. A line after the
+    """Inverse of :func:`save_checkpoint`. The first missing, short or
+    non-numeric row raises ValueError naming its line (a short one also the
+    promised row count); no row past it is read. A line after the
     promised rows raises too: the header's I, J and N split the rows among
     the factors, and a header that does not end the file splits them wrongly."""
     with open_text(path_or_fh) as fh:
         ii, jj, nn, f = _header_ints(fh, "I J N f")
         rows = []
         for k in range(ii + jj + nn):
-            rows.append(fh.readline().split())
+            try:
+                rows.append(np.array(fh.readline().split(), dtype=np.float64))
+            except ValueError as exc:
+                raise ValueError(f"checkpoint line {k + 2} holds a non-number ({exc})") from None
             if len(rows[-1]) != f * f:
                 raise ValueError(f"checkpoint line {k + 2} holds {len(rows[-1])} of {f * f} "
                                  f"values; the header promises {ii + jj + nn} factor rows")
         if fh.readline():
             raise ValueError(f"checkpoint line {ii + jj + nn + 2} follows the "
                              f"{ii + jj + nn} factor rows the header promises")
-    tables = np.split(np.array(rows, dtype=np.float64), [ii, ii + jj])
+    tables = np.split(np.array(rows), [ii, ii + jj])
     return FactorTriple(*(unmatricize_factor(t, mode, f) for t, mode in zip(tables, MODES)))
 
 

@@ -81,6 +81,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.geometry) < 1:
+            raise ValueError(f"geometry {self.geometry} needs at least one row and one column")
         if self.n_frames < 1:
             raise ValueError("a scene needs at least one frame")
         if self.duration_us < self.n_frames:

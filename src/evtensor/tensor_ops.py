@@ -35,8 +35,8 @@ reconstruction, for every mode m:
 The solver forms no unfolding and no (I, J, N) array. Its data product
 X_m H_m^T is a weighted sum of two kinds of term, each exact:
 
-  - an event tensor E given as its nonzeros (CooTensor, whose sort plans
-    CooTensor.from_cells makes once per E). coo_rhs never holds the mode's
+  - an event tensor E as the sort plans of its nonzeros alone (CooTensor,
+    made once per E by CooTensor.from_cells). coo_rhs never holds the mode's
     pair table, H_m with its columns in (i, j, n) order (pair_table, O(f^3)
     per column): it builds it a block of rows at a time (_table_blocks), one
     latent index q of the second factor and a few open indices p of the
@@ -69,13 +69,12 @@ cell_values in mode j, row j of G_j against column i*N + n. Mode j is on
 purpose: the two sum in different orders, so checking per-cell scores against
 f3tn_contract compares two contraction orders, not one with itself.
 cell_values builds mode j's table only at the cells' distinct (i, n)
-columns and, like coo_rhs's gather, works a block of cells at a time, so no
-product over events or nonzeros holds more than BLOCK_BYTES at once.
+columns, a block of them at a time, and scores their cells a block at a
+time, so no product over events or nonzeros holds more than BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,30 +261,28 @@ class CooPlan:
 
 @dataclass(frozen=True)
 class CooTensor:
-    """The nonzero cells of an (I, J, N) tensor: coordinates and float64
-    values in C order, and a sort plan per mode."""
+    """The nonzero cells of an (I, J, N) tensor as its sort plans alone, one
+    per mode, and their sum of squares. A valued tensor keeps its values only
+    in the plans, where coo_rhs reads them; no coordinates are kept."""
 
     dims: tuple[int, int, int]
-    i: np.ndarray
-    j: np.ndarray
-    n: np.ndarray
-    values: np.ndarray
     plans: dict[str, CooPlan]
+    sq_norm: float
 
     @classmethod
     def from_cells(cls, dims, flat, values=None) -> CooTensor:
         """E from the ascending, distinct C-order flat indices of its nonzeros
-        and their values (every value 1 when None): the coordinates and one
-        sort plan per mode. This is the one place the plans are made."""
+        and their values (every value 1 when None): one sort plan per mode and
+        sq_norm, the count of nonzeros when every value is 1 and else the dot
+        of the values in C order. The coordinates live only while the plans
+        are made. This is the one place the plans are made."""
         dims = tuple(int(d) for d in dims)
         coords = np.empty((3, len(flat)), dtype=np.intp)
         np.divmod(flat, dims[1] * dims[2], out=(coords[0], coords[1]))
         np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
-        if values is None:
-            values, ones = np.ones(len(flat)), True
-        else:
-            values = np.asarray(values, dtype=np.float64)
-            ones = bool(np.all(values == 1.0))
+        values = None if values is None else np.asarray(values, dtype=np.float64)
+        ones = values is None or bool(np.all(values == 1.0))
+        sq_norm = float(len(flat)) if ones else float(np.dot(values, values))
         plans = {}
         for axis, mode in enumerate(MODES):
             slow, fast = (a for a in range(3) if a != axis)
@@ -298,7 +295,7 @@ class CooTensor:
             cols = (coords[slow] * dims[fast] + coords[fast])[order]
             plans[mode] = CooPlan(cols=cols, values=None if ones else values[order],
                                   starts=starts, rows=key[starts], n_rows=dims[axis])
-        return cls(dims, *coords, values, plans)
+        return cls(dims, plans, sq_norm)
 
     @classmethod
     def from_dense(cls, data) -> CooTensor:
@@ -308,28 +305,21 @@ class CooTensor:
         flat = np.flatnonzero(data)
         return cls.from_cells(data.shape, flat, data[np.unravel_index(flat, data.shape)])
 
-    @property
-    def sq_norm(self) -> float:
-        """Sum of the squared values: the count of nonzeros when every value
-        is 1, exactly what the dot gives, without a BLAS call."""
-        if self.plans["i"].values is None:
-            return float(len(self.values))
-        return float(np.dot(self.values, self.values))
 
-
-def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):
+def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0, first=slice(None)):
     """The mode's pair table (see pair_table) a block of rows at a time, as
     (rows, block) pairs, block the table's rows `rows`. A block is one
     latent index q of the second factor and a row_blocks block of the first
     factor's open index p: the rows q*f + p are (p, data; shared) of the
-    first @ (shared; data) of the second at q.
+    first @ (shared; data) of the second at q, over the first factor's data
+    indices in `first` only, so column 0 is at data index first.start.
     Every entry sums the same f products in the same order as in one
     batched matmul, so each block is bit-identical to those rows of it. The
     blocks are cut so that the product and `row_bytes` per row, the
     caller's own transient, stay under BLOCK_BYTES (two rows at least)."""
     (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
     f = factors.rank
-    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
+    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)[:, first]
     b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
     n_a, n_b = a.shape[1], b.shape[2]
     a = a.reshape(-1, f)
@@ -345,22 +335,23 @@ def pair_table(factors: FactorTriple, mode: str, used: np.ndarray | None = None)
     dims): rows in matricize_factor(g_m)'s column order, columns the other two
     indices in C order (j*N + n for mode i, i*N + n for mode j, i*J + j for
     mode n). With `used`, ascending distinct column indices, only those
-    columns, in that order. O(f^3) per column, written in this layout
-    directly from the blocks of _table_blocks, so no transient is larger than
-    BLOCK_BYTES or two of its rows over every column."""
+    columns, in that order, from the first factor's data indices that they
+    span. O(f^3) per column, written in this layout directly from the
+    blocks of _table_blocks, so no transient is larger than BLOCK_BYTES or
+    two of its rows over every column."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
     f = factors.rank
-    width = len(used) if used is not None else math.prod(
-        d for m, d in zip(MODES, factors.dims) if m != mode)
-    out = np.empty((f * f, width))
-    for rows, block in _table_blocks(factors, mode):
+    n_a, n_b = (d for m, d in zip(MODES, factors.dims) if m != mode)
+    lo, hi = (used[0] // n_b, used[-1] // n_b + 1) if used is not None and len(used) else (0, n_a)
+    out = np.empty((f * f, n_a * n_b if used is None else len(used)))
+    for rows, block in _table_blocks(factors, mode, first=slice(lo, hi)):
         if used is None:
             out[rows] = block
         else:
             # used is in range, so "clip" clips nothing and writes straight
             # into out; "raise" would gather into a buffer and copy it again
-            np.take(block, used, axis=1, out=out[rows], mode="clip")
+            np.take(block, used - lo * n_b, axis=1, out=out[rows], mode="clip")
     return out
 
 
@@ -398,9 +389,9 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     """The reconstruction at the cells (i[k], j[k], n[k]), O(f^2) per cell
     after mode j's pair table at the cells' distinct columns: row j of G_j
-    against column i*N + n of the table, and no full tensor. The cells go a
-    block at a time, the block's two gathered (cells, f^2) operands at most
-    BLOCK_BYTES together."""
+    against column i*N + n of the table, and no full tensor. The table is
+    made a block of columns at a time, whose cells go a block at a time; the
+    table block and the cells' two gathered operands hold BLOCK_BYTES / 2 each."""
     cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
     j = np.asarray(j)
     if len(cols) == 1:
@@ -412,12 +403,17 @@ def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     # and inverse without its sort
     touched = np.zeros(factors.dims[0] * factors.dims[2], dtype=bool)
     touched[cols] = True
-    table = pair_table(factors, "j", np.flatnonzero(touched))
+    used = np.flatnonzero(touched)
     cols = np.cumsum(touched)[cols] - 1
     g_j = matricize_factor(factors.g_j, "j")
     out = np.empty(len(cols))
-    for cells in row_blocks(len(cols), 16 * len(table)):
-        out[cells] = np.einsum("mk,km->m", g_j[j[cells]], np.take(table, cols[cells], axis=1))
+    # row_blocks keeps two columns, and so two cells, in every block
+    for block in row_blocks(len(used), 16 * g_j.shape[1]):
+        table = pair_table(factors, "j", used[block])
+        mine = np.flatnonzero((cols >= block.start) & (cols < block.stop))
+        for cells in row_blocks(len(mine), 32 * g_j.shape[1]):
+            k = mine[cells]
+            out[k] = np.einsum("mk,km->m", g_j[j[k]], np.take(table, cols[k] - block.start, 1))
     return out
 
 

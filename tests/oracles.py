@@ -672,13 +672,23 @@ def solve_dense(e, cfg=None):
     return state.factors, state
 
 
+def coo_cells(coo):
+    """A CooTensor's nonzeros as (i, j, n, values) in C order, read back from
+    its mode-i plan: a stable sort by i leaves C order as it is."""
+    plan = coo.plans["i"]
+    i = np.repeat(plan.rows, np.diff(np.append(plan.starts, len(plan.cols))))
+    j, n = np.divmod(plan.cols, coo.dims[2])
+    values = np.ones(len(plan.cols)) if plan.values is None else plan.values
+    return i, j, n, values
+
+
 def dense_target(target) -> np.ndarray:
     """The library's RelaxedTarget as the dense X it stands for."""
     from evtensor.tensor_ops import FactorTriple, f3tn_contract
 
-    e = target.e
-    x = np.zeros(e.dims)
-    x[e.i, e.j, e.n] = target.e_weight * e.values
+    i, j, n, values = coo_cells(target.e)
+    x = np.zeros(target.e.dims)
+    x[i, j, n] = target.e_weight * values
     for k, w in enumerate(target.weights):
         triple = FactorTriple(g_i=target.history.g_i[k], g_j=target.history.g_j[k],
                               g_n=target.history.g_n[k])

@@ -228,6 +228,16 @@ def test_truncated_checkpoint_names_the_missing_line():
         load_checkpoint(io.StringIO("".join(lines)))
 
 
+def test_checkpoint_with_a_non_number_names_its_line():
+    factors = random_factors(np.random.default_rng(4), (30, 20, 10), 2)
+    buf = io.StringIO()
+    save_checkpoint(factors, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    lines[7] = lines[7].rsplit(" ", 1)[0] + " x\n"
+    with pytest.raises(ValueError, match=r"checkpoint line 8 holds a non-number .*'x'"):
+        load_checkpoint(io.StringIO("".join(lines)))
+
+
 def test_checkpoint_with_rows_past_the_header_is_rejected():
     # a header shrunk from 30 20 10 would otherwise split the rows wrongly:
     # g_j would start with g_i's last ten rows, and ten rows would be left over

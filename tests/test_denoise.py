@@ -194,10 +194,9 @@ def test_report_csv_rejects_a_misaligned_report(tmp_path, field, resize):
     assert not path.exists()
 
 
-def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blocks():
-    # the DAVIS-scale scene (260 x 346 x 100, 57,843 events) at f = 6: mode
-    # j's whole pair table is 7.5 MB, the events touch 11,417 of its 26,000
-    # columns; beside the table at those, event blocks of at most BLOCK_BYTES
+def _davis_scale_scored():
+    """The DAVIS-scale scene (260 x 346 x 100, 57,843 events), its tensor and
+    random factors at f = 6, and score_events' tracemalloc peak on them."""
     spec = SceneSpec(
         geometry=(260, 346), n_frames=100, duration_us=1_000_000,
         objects=(ObjectSpec(kind="linear", start=(20.0, 20.0), velocity=(2.1, 3.0),
@@ -208,9 +207,7 @@ def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blo
     )
     stream = generate(spec)
     tensor = bin_to_tensor(stream, spec.n_frames)
-    f = 6
-    factors = random_factors(np.random.default_rng(0), tensor.dims, f)
-    used = len(np.unique(stream.i * spec.n_frames + bin_indices(stream.t, tensor.bin_edges)))
+    factors = random_factors(np.random.default_rng(0), tensor.dims, 6)
     tracemalloc.start()
     try:
         scores = score_events(stream, tensor, factors)
@@ -218,4 +215,25 @@ def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blo
     finally:
         tracemalloc.stop()
     assert len(scores) == len(stream)
-    assert peak < 8 * f * f * used + 2 * tensor_ops.BLOCK_BYTES + (1 << 20)
+    return stream, tensor, peak
+
+
+def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blocks():
+    # mode j's whole pair table is 7.5 MB, the events touch 11,417 of its
+    # 26,000 columns; the table at those, 3.3 MB, bounds what is made of it
+    # at once, and event blocks of at most BLOCK_BYTES go beside it
+    stream, tensor, peak = _davis_scale_scored()
+    used = len(np.unique(stream.i * tensor.dims[2] + bin_indices(stream.t, tensor.bin_edges)))
+    assert peak < 8 * 6 * 6 * used + 2 * tensor_ops.BLOCK_BYTES + (1 << 20)
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 18, 1 << 19])
+def test_score_events_makes_the_table_a_block_of_columns_at_a_time(monkeypatch, block_bytes):
+    # at a BLOCK_BYTES well under the 3.3 MB table at the events' columns,
+    # the peak is a few per-event arrays (the cells' columns and positions,
+    # the frames, the scores, one table block's cells) and two blocks: 2.7
+    # and 3.0 MB here, where the whole table at those columns made it 5.0
+    # and 5.1 MB
+    monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
+    stream, _, peak = _davis_scale_scored()
+    assert peak < 6 * 8 * len(stream) + 2 * block_bytes

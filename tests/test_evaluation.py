@@ -634,7 +634,8 @@ def test_results_csv_layout(tmp_path):
     result = sweep_lambdas(tensor, stream, [(0.0, 0.1), (0.2, 0.1)], small_cfg())
     path = str(tmp_path / "results.csv")
     write_results_csv(result, path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "lambda1,lambda2,auc,converged,iters,seconds"
     assert len([l for l in lines if not l.startswith("#")]) == 3
     assert any(l.startswith("# overall_gap_percent:") for l in lines)

@@ -120,6 +120,32 @@ def test_parse_rejects_a_timestamp_with_its_line(bad):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("as_file", [False, True], ids=["stream", "file"])
+@pytest.mark.parametrize("value", [2 ** 63, 10 ** 23, -(2 ** 63) - 1], ids=["2^63", "1e23", "-2^63-1"])
+@pytest.mark.parametrize("column", ["t", "label"])
+def test_parse_rejects_a_field_beyond_int64_with_its_line(tmp_path, as_file, value, column):
+    # int() takes any size; numpy's int64 column cannot, and its OverflowError
+    # is no ValueError and names no line
+    row = f"5,1,1,{value}" if column == "label" else f"{value},1,1,0"
+    text = f"t,i,j,label\n1,2,3,0\n{row}\n4,5,6,0\n"
+    if as_file:
+        source = tmp_path / "big.csv"
+        source.write_text(text, encoding="ascii")
+    else:
+        source = io.StringIO(text)
+    with pytest.raises(EventParseError) as err:
+        parse_events(source, DAVIS)
+    assert err.value.line_no == 3
+    if column == "label" or value > 0:
+        assert f"{column}={value} does not fit in int64" in str(err.value)
+
+
+def test_parse_keeps_fields_at_the_int64_bounds():
+    top, bottom = 2 ** 63 - 1, -(2 ** 63)
+    stream = parse_events(io.StringIO(f"t,i,j,label\n{top},1,1,{bottom}\n"), DAVIS)
+    assert (stream.t[0], stream.labels[0]) == (top, bottom)
+
+
 @pytest.mark.parametrize("row, message", [
     ("2,400,3", "line 3: i=400 outside geometry rows [0, 346)"),
     ("2,-1,3", "line 3: i=-1 outside geometry rows [0, 346)"),

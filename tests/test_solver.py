@@ -137,7 +137,7 @@ def test_init_is_seeded_deterministic():
 def test_init_x_is_e_as_float():
     e = (np.random.default_rng(1).random((3, 3, 3)) < 0.3).astype(np.uint8)
     state = init_state(e, SolverConfig())
-    assert state.target.e.values.dtype == np.float64
+    assert all(plan.values is None for plan in state.target.e.plans.values())
     assert state.target.e_weight == 1.0 and len(state.target.history) == 0
     np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
     assert state.target.sq_norm == float(e.sum())
@@ -148,7 +148,7 @@ def test_init_x_is_e_as_float():
 def test_solving_the_cells_is_bit_identical_to_solving_the_dense_array(s_max):
     # E read from an EventTensor's cells and from its dense array: the same
     # plans, so the same factors and trace, bit for bit (E leaves X after 16
-    # sweeps, so 40 sweeps also score E through cell_values)
+    # sweeps, so 40 sweeps also read <R, E> from a coo_rhs of its own)
     spec = two_object_scene()
     tensor = bin_to_tensor(generate(spec), spec.n_frames)
     cfg = SolverConfig(s_max=s_max)
@@ -166,9 +166,10 @@ def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
     before = e.copy()
     source = EventTensor.from_dense(e, np.arange(6)) if as_event_tensor else e
     state = init_state(source, SolverConfig())
-    assert state.target.e.values.dtype == np.float64
     np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
-    state.target.e.values[...] = 7.0
+    for plan in state.target.e.plans.values():
+        for a in (plan.cols, plan.starts, plan.rows):
+            a[...] = 7
     np.testing.assert_array_equal(e, before)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +48,18 @@ def test_no_noise_means_only_object_labels():
 def test_scene_with_nothing_to_emit_rejected():
     with pytest.raises(ValueError):
         SceneSpec(geometry=(8, 8), n_frames=5, duration_us=5000)
+
+
+@pytest.mark.parametrize("geometry", [(0, 4), (4, -1), (0, 0)])
+def test_scene_without_a_row_or_column_rejected(geometry):
+    # numpy's "high <= 0" from inside generate named no geometry
+    with pytest.raises(ValueError, match=re.escape(f"geometry {geometry}")):
+        SceneSpec(geometry=geometry, n_frames=5, duration_us=5000,
+                  objects=(static_object(),))
+    rows, cols = geometry
+    text = f"[scene]\nrows = {rows}\ncols = {cols}\nframes = 5\n\n[object.0]\nstart = 1, 1\n"
+    with pytest.raises(ValueError, match=re.escape(f"geometry {geometry}")):
+        load_scene_spec(io.StringIO(text))
 
 
 def test_zero_probability_scene_raises_on_empty_output():
