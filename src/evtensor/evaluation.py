@@ -453,31 +453,3 @@ def save_model(model: SvmModel, path_or_fh) -> None:
         fh.write("std " + " ".join("%.17g" % v for v in model.std) + "\n")
         fh.write("reg_lambda %.17g\n" % model.reg_lambda)
         fh.write("epochs %d\n" % model.epochs)
-
-
-def load_model(path_or_fh) -> SvmModel:
-    """Read a `save_model` file. A missing or empty field raises ValueError
-    naming it; weights, mean and std of unequal lengths raise ShapeError."""
-    fields = {}
-    with open_text(path_or_fh) as fh:
-        for line in fh:
-            name, _, rest = line.partition(" ")
-            fields[name] = rest.split()
-
-    def field(name):
-        if not fields.get(name):
-            raise ValueError(f"model file has no {name!r} field")
-        return fields[name]
-
-    model = SvmModel(
-        weights=np.array(field("weights"), dtype=np.float64),
-        bias=float(field("bias")[0]),
-        mean=np.array(field("mean"), dtype=np.float64),
-        std=np.array(field("std"), dtype=np.float64),
-        reg_lambda=float(field("reg_lambda")[0]),
-        epochs=int(field("epochs")[0]),
-    )
-    if not len(model.weights) == len(model.mean) == len(model.std):
-        raise ShapeError(f"model file has {len(model.weights)} weights, {len(model.mean)} "
-                         f"means and {len(model.std)} stds")
-    return model

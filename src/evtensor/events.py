@@ -9,6 +9,7 @@ when at least one event hit pixel (i, j) during bin n. An EventTensor holds
 only those 1-cells, as sorted flat indices: events are sparse in space, and
 at DAVIS scale the 57.8k cells stand for 9 million entries. Its dense array
 is built only when `EventTensor.data` is read, which no function here does.
+It is the one form of E that the solver and :func:`write_tensor_dump` take.
 
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
@@ -146,19 +147,6 @@ class EventStream:
         return self.labels is not None
 
 
-def _is_binary(data: np.ndarray) -> bool:
-    """Every entry exactly 0 or 1. A bool array always is; an integer one when
-    its min and max lie in [0, 1], two reductions and no temporary. Any other
-    dtype compares counts: each nonzero entry (NaN included) must equal 1,
-    which needs one bool temporary of data's size and rejects 0.5 and NaN."""
-    kind = data.dtype.kind
-    if kind == "b" or data.size == 0:
-        return True
-    if kind in "ui":
-        return bool((kind == "u" or data.min() >= 0) and data.max() <= 1)
-    return np.count_nonzero(data) == np.count_nonzero(data == 1)
-
-
 @dataclass
 class EventTensor:
     """A binary (I, J, N) tensor held as its 1-cells, plus the bin edges that
@@ -184,20 +172,10 @@ class EventTensor:
         if np.any(np.diff(self.bin_edges) <= 0):
             raise ValueError("bin_edges must be strictly increasing")
 
-    @classmethod
-    def from_dense(cls, data, bin_edges) -> EventTensor:
-        """The tensor of a dense (I, J, N) array whose entries are all 0 or 1."""
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ValueError("event tensor must be 3rd-order")
-        if not _is_binary(data):
-            raise ValueError("event tensor entries must be exactly 0 or 1")
-        return cls(np.flatnonzero(data), data.shape, bin_edges)
-
     @property
     def data(self) -> np.ndarray:
         """The dense uint8 (I, J, N) array, built anew on each read; nothing
-        in the package reads it."""
+        in the package reads it, nor makes cells from a dense array."""
         data = np.zeros(self.dims, dtype=np.uint8)
         data.reshape(-1)[self.cells] = 1
         return data
@@ -420,24 +398,20 @@ def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
     return frames
 
 
-def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
+def write_tensor_dump(tensor: EventTensor, path_or_fh) -> None:
     """Debug/oracle dump: header ``I J N`` then the 0/1 values in
     (n outer, i middle, j inner) order, one space-separated line per (n, i).
-    An array with any entry other than exactly 0 or 1 (0.5, NaN, 2) raises
-    ValueError before anything is written.
+    Anything but an EventTensor raises TypeError before the file is opened.
 
     The text is built from the 1-cells, one frame at a time: a frame's text
     is an all-``0`` template with ``1`` written at that frame's cells, which
     are reset once it is written. The cells, C-order flat indices, are
     grouped by frame with one stable sort, so no pass reads the tensor a
     frame at a time across its strides."""
-    if isinstance(tensor, EventTensor):
-        flat, (rows, cols, n_bins) = tensor.cells, tensor.dims
-    else:
-        data = np.asarray(tensor)
-        if not _is_binary(data):
-            raise ValueError("a tensor dump holds only 0/1 entries")
-        flat, (rows, cols, n_bins) = np.flatnonzero(data), data.shape
+    if not isinstance(tensor, EventTensor):
+        raise TypeError("write_tensor_dump takes an EventTensor(cells, dims, bin_edges), as "
+                        f"bin_to_tensor makes it, not {type(tensor).__name__}")
+    flat, (rows, cols, n_bins) = tensor.cells, tensor.dims
     frame = flat % n_bins
     # a stable sort on the narrowest dtype: numpy radix-sorts 8- and 16-bit keys
     order = np.argsort(frame.astype(np.min_scalar_type(n_bins)), kind="stable")
@@ -458,22 +432,3 @@ def write_tensor_dump(tensor: EventTensor | np.ndarray, path_or_fh) -> None:
             text[ones] = ord("1")
             fh.write(text.tobytes().decode("ascii"))
             text[ones] = ord("0")
-
-
-def read_tensor_dump(path_or_fh) -> np.ndarray:
-    """Inverse of :func:`write_tensor_dump`; returns the uint8 data array.
-    Each of the I*N body lines must be 2J bytes: a 0/1 digit and a space,
-    J times, the last space a newline."""
-    with open_text(path_or_fh) as fh:
-        rows, cols, n_bins = _header_ints(fh, "I J N")
-        body = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
-    # the digits sit at the even columns of 2*cols-byte lines
-    values = body[0::2] - np.uint8(ord("0"))
-    if values.size != rows * cols * n_bins:
-        raise ValueError(f"dump holds {values.size} values, expected {rows * cols * n_bins}")
-    separators = np.full(cols, ord(" "), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    if (body.size != 2 * values.size or values.max() > 1
-            or np.any(body[1::2].reshape(rows * n_bins, cols) != separators)):
-        raise ValueError("a tensor dump holds only 0/1 digits, one space apart")
-    return np.ascontiguousarray(values.reshape(n_bins, rows, cols).transpose(1, 2, 0))

@@ -1,6 +1,7 @@
 """Proximal alternating solver for the elastic-net regularized 3-factor network.
 
-Fits a factor triple to an event tensor E by relaxing the completion
+Fits a factor triple to a binary event tensor E, the EventTensor of
+events.bin_to_tensor and the solver's only input, by relaxing the completion
 objective through a target tensor X (initialized to E) and alternating four
 block updates per sweep, each a strongly convex subproblem anchored to the
 previous iterate:
@@ -66,7 +67,7 @@ mode-n update leaves it valid. ||X_{s+1} - X_s|| = alpha ||R_s - X_s||, with
   - ||R||^2 = <G_n, G_n A_n>,
   - <R, X_s> = <G_n, P_n>,
   - ||X_{s+1}||^2 = alpha^2 ||R||^2 + 2 alpha beta <R, X_s> + beta^2 ||X_s||^2
-    from ||X_0||^2 = sum e^2.
+    from ||X_0||^2 = ||E||^2, the count of E's 1-cells.
 The difference subtracts terms of size ||X||^2, so the step resolves about
 1e-8 of ||X|| (a dense pass resolved about 1e-16); growth and convergence
 tolerances sit far above that. Since X_new - R = lambda2 (X_old - X_new), the
@@ -234,15 +235,15 @@ def _random_factors(rng, dims, f, scale) -> FactorTriple:
     )
 
 
-def init_state(e, cfg: SolverConfig) -> SolverState:
-    """The target starts as E, read as its nonzeros (an EventTensor's cells,
-    or a raw array's nonzero entries; no float copy of E);
-    rank starts at max(1, f_max - 5); factors are filled i.i.d. uniform on
-    [0, init_scale] from the seeded generator."""
-    if isinstance(e, EventTensor):
-        coo = CooTensor.from_cells(e.dims, e.cells)
-    else:
-        coo = CooTensor.from_dense(e)
+def init_state(e: EventTensor, cfg: SolverConfig) -> SolverState:
+    """The target starts as E, read as the EventTensor's cells (no float copy
+    of E); anything else raises TypeError. Rank starts at max(1, f_max - 5);
+    factors are filled i.i.d. uniform on [0, init_scale] from the seeded
+    generator."""
+    if not isinstance(e, EventTensor):
+        raise TypeError("the solver takes an EventTensor(cells, dims, bin_edges), as "
+                        f"bin_to_tensor makes it, not {type(e).__name__}")
+    coo = CooTensor.from_cells(e.dims, e.cells)
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
     factors = _random_factors(rng, coo.dims, f0, cfg.init_scale)
@@ -292,10 +293,10 @@ def grow_rank(state: SolverState, cfg: SolverConfig) -> SolverState:
     return state
 
 
-def solve(e, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState]:
-    """Run the full alternating schedule on an event tensor (or raw 3rd-order
-    array). Returns the final factors and the state carrying the sweep trace;
-    a run that exhausts s_max returns normally with `converged=False`."""
+def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple, SolverState]:
+    """Run the full alternating schedule on an EventTensor. Returns the
+    final factors and the state carrying the sweep trace; a run that
+    exhausts s_max returns normally with `converged=False`."""
     cfg = cfg or SolverConfig()
     state = init_state(e, cfg)
     target, e_coo = state.target, state.target.e

@@ -52,6 +52,10 @@ class ObjectSpec:
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        # inf or NaN would fail inside generate, as numpy's or int()'s own errors
+        for name in ("start", "velocity", "radius", "freq", "phase"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("emission probability must be in [0, 1]")
         if self.footprint < 0:
@@ -87,6 +91,8 @@ class SceneSpec:
             raise ValueError("a scene needs at least one frame")
         if self.duration_us < self.n_frames:
             raise ValueError("duration too short for the frame count")
+        if not math.isfinite(self.noise_per_frame):
+            raise ValueError(f"noise_per_frame must be finite, got {self.noise_per_frame}")
         if self.noise_per_frame < 0:
             raise ValueError("noise rate must be >= 0")
         if not self.objects and self.noise_per_frame == 0:

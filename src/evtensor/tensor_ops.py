@@ -35,13 +35,13 @@ reconstruction, for every mode m:
 The solver forms no unfolding and no (I, J, N) array. Its data product
 X_m H_m^T is a weighted sum of two kinds of term, each exact:
 
-  - an event tensor E as the sort plans of its nonzeros alone (CooTensor,
-    made once per E by CooTensor.from_cells). coo_rhs never holds the mode's
-    pair table, H_m with its columns in (i, j, n) order (pair_table, O(f^3)
-    per column): it builds it a block of rows at a time (_table_blocks), one
-    latent index q of the second factor and a few open indices p of the
-    first per matmul, gathers each block at the nonzeros' columns and sums
-    each row's run of them with np.add.reduceat along that contiguous axis.
+  - the binary event tensor E as the sort plans of its 1-cells alone
+    (CooTensor, made once per E by CooTensor.from_cells). coo_rhs never
+    holds the mode's pair table, H_m with its columns in (i, j, n) order
+    (pair_table, O(f^3) per column): it builds it a block of rows at a time
+    (_table_blocks), one latent index q of the second factor and a few open
+    indices p of the first per matmul, gathers each block at the cells'
+    columns and sums each row's run of them with np.add.reduceat.
     The block and its gather hold at most BLOCK_BYTES (two rows at least),
     where the table at E's columns took 7.4 MB at DAVIS scale (f = 6, 57.8k
     nonzeros, mode n) and one per-slice matmul beside it 4.3 MB. Every
@@ -246,14 +246,12 @@ def history_rhs(stack: FactorStack, weights: np.ndarray, factors: FactorTriple,
 
 @dataclass(frozen=True)
 class CooPlan:
-    """One axis's segment-sum plan over a CooTensor's nonzeros, sorted stably
-    by that axis's index so each row's run keeps C order: each nonzero's
-    column of the mode's pair table (the other two indices in C order), its
-    value (None when every value is 1), and where each non-empty row's run
-    starts."""
+    """One axis's segment-sum plan over a CooTensor's 1-cells, sorted stably
+    by that axis's index so each row's run keeps C order: each cell's column
+    of the mode's pair table (the other two indices in C order), and where
+    each non-empty row's run starts."""
 
     cols: np.ndarray
-    values: np.ndarray | None
     starts: np.ndarray
     rows: np.ndarray
     n_rows: int
@@ -261,28 +259,23 @@ class CooPlan:
 
 @dataclass(frozen=True)
 class CooTensor:
-    """The nonzero cells of an (I, J, N) tensor as its sort plans alone, one
-    per mode, and their sum of squares. A valued tensor keeps its values only
-    in the plans, where coo_rhs reads them; no coordinates are kept."""
+    """The 1-cells of a binary (I, J, N) tensor as their sort plans alone, one
+    per mode, and their count, E's squared norm; no coordinates are kept."""
 
     dims: tuple[int, int, int]
     plans: dict[str, CooPlan]
     sq_norm: float
 
     @classmethod
-    def from_cells(cls, dims, flat, values=None) -> CooTensor:
-        """E from the ascending, distinct C-order flat indices of its nonzeros
-        and their values (every value 1 when None): one sort plan per mode and
-        sq_norm, the count of nonzeros when every value is 1 and else the dot
-        of the values in C order. The coordinates live only while the plans
-        are made. This is the one place the plans are made."""
+    def from_cells(cls, dims, flat) -> CooTensor:
+        """E from the ascending, distinct C-order flat indices of its 1-cells:
+        one sort plan per mode and sq_norm, the cell count. The coordinates
+        live only while the plans are made. This is the one place the plans
+        are made."""
         dims = tuple(int(d) for d in dims)
         coords = np.empty((3, len(flat)), dtype=np.intp)
         np.divmod(flat, dims[1] * dims[2], out=(coords[0], coords[1]))
         np.divmod(coords[1], dims[2], out=(coords[1], coords[2]))
-        values = None if values is None else np.asarray(values, dtype=np.float64)
-        ones = values is None or bool(np.all(values == 1.0))
-        sq_norm = float(len(flat)) if ones else float(np.dot(values, values))
         plans = {}
         for axis, mode in enumerate(MODES):
             slow, fast = (a for a in range(3) if a != axis)
@@ -293,17 +286,8 @@ class CooTensor:
             key = coords[axis][order]
             starts = np.flatnonzero(np.diff(key, prepend=-1))
             cols = (coords[slow] * dims[fast] + coords[fast])[order]
-            plans[mode] = CooPlan(cols=cols, values=None if ones else values[order],
-                                  starts=starts, rows=key[starts], n_rows=dims[axis])
-        return cls(dims, plans, sq_norm)
-
-    @classmethod
-    def from_dense(cls, data) -> CooTensor:
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ShapeError(f"expected a 3rd-order tensor, got ndim={data.ndim}")
-        flat = np.flatnonzero(data)
-        return cls.from_cells(data.shape, flat, data[np.unravel_index(flat, data.shape)])
+            plans[mode] = CooPlan(cols=cols, starts=starts, rows=key[starts], n_rows=dims[axis])
+        return cls(dims, plans, float(len(flat)))
 
 
 def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0, first=slice(None)):
@@ -356,12 +340,11 @@ def pair_table(factors: FactorTriple, mode: str, used: np.ndarray | None = None)
 
 
 def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
-    """E_m H_m^T from E's nonzeros alone, O(f^3 * (table columns) + nnz * f^2),
+    """E_m H_m^T from E's 1-cells alone, O(f^3 * (table columns) + nnz * f^2),
     with no pair table: each block of table rows from _table_blocks is
-    gathered at the nonzeros' columns (scaled by their values) and summed
-    per row with np.add.reduceat along the gathered axis, in the runs of E's
-    mode-m sort plan. The block and its gather stay under BLOCK_BYTES (two
-    rows at least)."""
+    gathered at the cells' columns and summed per row with np.add.reduceat
+    along the gathered axis, in the runs of E's mode-m sort plan. The block
+    and its gather stay under BLOCK_BYTES (two rows at least)."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
     if coo.dims != factors.dims:
@@ -371,8 +354,6 @@ def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
     if len(plan.starts):
         for rows, block in _table_blocks(factors, mode, 8 * len(plan.cols)):
             gathered = np.take(block, plan.cols, axis=1)
-            if plan.values is not None:
-                gathered *= plan.values
             # reduceat over the non-empty runs only: an empty one would read its neighbour
             out[rows, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
             del gathered  # before the next block's matmul

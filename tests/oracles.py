@@ -3,6 +3,8 @@
 Everything here is deliberately naive -- literal loops over the defining
 formulas, or explicit unfoldings and partial contractions that the library
 no longer builds -- and shares no code with the library paths it checks.
+The readers of the tensor dump and the model file live here too: only the
+tests read those files back, to check the writers' formats.
 """
 
 import numpy as np
@@ -165,8 +167,6 @@ def coo_rhs_unblocked(coo, factors, mode: str) -> np.ndarray:
     out = np.zeros((table.shape[0], plan.n_rows))
     if len(plan.starts):
         gathered = np.take(table, plan.cols, axis=1)
-        if plan.values is not None:
-            gathered *= plan.values
         out[:, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
     return out.T
 
@@ -319,14 +319,28 @@ def is_binary(data: np.ndarray) -> bool:
     return np.count_nonzero(data) == np.count_nonzero(data == 1)
 
 
-def write_tensor_dump(tensor, path_or_fh) -> None:
-    """Per-frame tensor dump: each frame's digits read from the data across
-    its strides, as ``data[:, :, n] + ord("0")``."""
-    from evtensor.events import EventTensor, open_text
+def event_tensor(data, bin_edges=None):
+    """The EventTensor of a dense (I, J, N) 0/1 array: its nonzeros as the
+    cells, and unit bins unless `bin_edges` are given. Raises ValueError
+    when the cells do not give the array back through `.data`, that is for
+    any entry other than 0 or 1 (0.5, NaN, 2, -1)."""
+    from evtensor.events import EventTensor
 
-    data = tensor.data if isinstance(tensor, EventTensor) else np.asarray(tensor)
-    if not is_binary(data):
-        raise ValueError("a tensor dump holds only 0/1 entries")
+    data = np.asarray(data)
+    if bin_edges is None:
+        bin_edges = np.arange(data.shape[-1] + 1)
+    tensor = EventTensor(np.flatnonzero(data), data.shape, bin_edges)
+    if not np.array_equal(tensor.data, data):
+        raise ValueError("event tensor entries must be exactly 0 or 1")
+    return tensor
+
+
+def write_tensor_dump(tensor, path_or_fh) -> None:
+    """Per-frame tensor dump of an EventTensor: each frame's digits read from
+    its dense data across the strides, as ``data[:, :, n] + ord("0")``."""
+    from evtensor.events import open_text
+
+    data = tensor.data
     rows, cols, n_bins = data.shape
     # one ASCII byte per character: digit, space, digit, ..., digit, newline
     text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
@@ -364,11 +378,9 @@ def odd_tensors():
 
 
 def coo_plans(data) -> dict:
-    """Per mode, the (cols, starts, rows, values) of a sparse sort plan from
-    np.nonzero and an int64 stable argsort; values is None when every
-    nonzero is 1."""
+    """Per mode, the (cols, starts, rows) of a sparse sort plan of data's
+    nonzeros from np.nonzero and an int64 stable argsort."""
     coords = np.nonzero(data)
-    values = data[coords].astype(np.float64)
     plans = {}
     for axis, mode in enumerate("ijn"):
         slow, fast = (a for a in range(3) if a != axis)
@@ -376,8 +388,7 @@ def coo_plans(data) -> dict:
         key = coords[axis][order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         cols = (coords[slow] * data.shape[fast] + coords[fast])[order]
-        plans[mode] = (cols, starts, key[starts],
-                       None if np.all(values == 1.0) else values[order])
+        plans[mode] = (cols, starts, key[starts])
     return plans
 
 
@@ -592,13 +603,12 @@ class DenseState:
 
 
 def init_dense_state(e, cfg) -> DenseState:
-    """X starts as a float64 copy of E; the factors and generator are the
-    library's start at the same seed."""
-    from evtensor.events import EventTensor
+    """X starts as a float64 copy of the EventTensor E's data; the factors
+    and generator are the library's start at the same seed."""
     from evtensor.solver import init_state
 
     start = init_state(e, cfg)
-    x = np.array(e.data if isinstance(e, EventTensor) else e, dtype=np.float64)
+    x = e.data.astype(np.float64)
     return DenseState(x=x, factors=start.factors, s=0, rng=start.rng)
 
 
@@ -627,13 +637,12 @@ def solve_dense(e, cfg=None):
     growth, fed right-hand sides from the dense pair_rhs, and the X update,
     step and stop check taken cell by cell. Each TraceRecord's fit is the
     dense ||f3tn_contract(F) - E|| / ||E||."""
-    from evtensor.events import EventTensor
     from evtensor.solver import SolverConfig, TraceRecord, grow_rank, update_factor
     from evtensor.tensor_ops import f3tn_contract, frob_norm, pair_gram
 
     cfg = cfg or SolverConfig()
     state = init_dense_state(e, cfg)
-    e_dense = np.array(e.data if isinstance(e, EventTensor) else e, dtype=np.float64)
+    e_dense = e.data.astype(np.float64)
     e_norm = frob_norm(e_dense)
     spare = None  # the previous sweep's X_old, the buffer of the next R
     while state.s < cfg.s_max:
@@ -673,24 +682,80 @@ def solve_dense(e, cfg=None):
 
 
 def coo_cells(coo):
-    """A CooTensor's nonzeros as (i, j, n, values) in C order, read back from
-    its mode-i plan: a stable sort by i leaves C order as it is."""
+    """A CooTensor's 1-cells as (i, j, n) in C order, read back from its
+    mode-i plan: a stable sort by i leaves C order as it is."""
     plan = coo.plans["i"]
     i = np.repeat(plan.rows, np.diff(np.append(plan.starts, len(plan.cols))))
     j, n = np.divmod(plan.cols, coo.dims[2])
-    values = np.ones(len(plan.cols)) if plan.values is None else plan.values
-    return i, j, n, values
+    return i, j, n
 
 
 def dense_target(target) -> np.ndarray:
     """The library's RelaxedTarget as the dense X it stands for."""
     from evtensor.tensor_ops import FactorTriple, f3tn_contract
 
-    i, j, n, values = coo_cells(target.e)
     x = np.zeros(target.e.dims)
-    x[i, j, n] = target.e_weight * values
+    x[coo_cells(target.e)] = target.e_weight
     for k, w in enumerate(target.weights):
         triple = FactorTriple(g_i=target.history.g_i[k], g_j=target.history.g_j[k],
                               g_n=target.history.g_n[k])
         x += w * f3tn_contract(triple)
     return x
+
+
+# ---------------------------------------------------------------------------
+# readers of the library's text artifacts, which only the tests read back
+
+
+def read_tensor_dump(path_or_fh) -> np.ndarray:
+    """Inverse of events.write_tensor_dump; returns the uint8 data array.
+    Each of the I*N body lines must be 2J bytes: a 0/1 digit and a space,
+    J times, the last space a newline."""
+    from evtensor.events import _header_ints, open_text
+
+    with open_text(path_or_fh) as fh:
+        rows, cols, n_bins = _header_ints(fh, "I J N")
+        body = np.frombuffer(fh.read().encode("ascii"), dtype=np.uint8)
+    # the digits sit at the even columns of 2*cols-byte lines
+    values = body[0::2] - np.uint8(ord("0"))
+    if values.size != rows * cols * n_bins:
+        raise ValueError(f"dump holds {values.size} values, expected {rows * cols * n_bins}")
+    separators = np.full(cols, ord(" "), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if (body.size != 2 * values.size or values.max() > 1
+            or np.any(body[1::2].reshape(rows * n_bins, cols) != separators)):
+        raise ValueError("a tensor dump holds only 0/1 digits, one space apart")
+    return np.ascontiguousarray(values.reshape(n_bins, rows, cols).transpose(1, 2, 0))
+
+
+def load_model(path_or_fh):
+    """Inverse of evaluation.save_model. A missing or empty field raises
+    ValueError naming it; weights, mean and std of unequal lengths raise
+    ShapeError."""
+    from evtensor.errors import ShapeError
+    from evtensor.evaluation import SvmModel
+    from evtensor.events import open_text
+
+    fields = {}
+    with open_text(path_or_fh) as fh:
+        for line in fh:
+            name, _, rest = line.partition(" ")
+            fields[name] = rest.split()
+
+    def field(name):
+        if not fields.get(name):
+            raise ValueError(f"model file has no {name!r} field")
+        return fields[name]
+
+    model = SvmModel(
+        weights=np.array(field("weights"), dtype=np.float64),
+        bias=float(field("bias")[0]),
+        mean=np.array(field("mean"), dtype=np.float64),
+        std=np.array(field("std"), dtype=np.float64),
+        reg_lambda=float(field("reg_lambda")[0]),
+        epochs=int(field("epochs")[0]),
+    )
+    if not len(model.weights) == len(model.mean) == len(model.std):
+        raise ShapeError(f"model file has {len(model.weights)} weights, {len(model.mean)} "
+                         f"means and {len(model.std)} stds")
+    return model

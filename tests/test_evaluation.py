@@ -18,7 +18,6 @@ from evtensor.evaluation import (
     auc_gap,
     binary_task,
     extract_features,
-    load_model,
     save_model,
     sweep_lambdas,
     temporal_split,
@@ -31,7 +30,7 @@ from evtensor.synth import generate, two_object_scene
 from evtensor.tensor_ops import matricize_factor
 
 import oracles
-from oracles import auc_bruteforce, random_factors
+from oracles import auc_bruteforce, load_model, random_factors
 
 
 def labeled_stream(geometry=(6, 6), frames=10, per_frame=4, seed=0):

@@ -14,19 +14,18 @@ from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
     EventStream,
     EventTensor,
-    _is_binary,
     bin_to_tensor,
     compute_bin_edges,
     format_int_rows,
     format_rows,
     parse_events,
-    read_tensor_dump,
     tensor_density,
     write_events_csv,
     write_tensor_dump,
 )
 
 import oracles
+from oracles import read_tensor_dump
 
 DAVIS = (346, 260)
 
@@ -482,8 +481,8 @@ def test_density():
     assert tensor_density(tensor) == pytest.approx(1 / 8)
 
     edges = tensor.bin_edges
-    assert tensor_density(EventTensor.from_dense(np.zeros((2, 2, 2)), edges)) == 0.0
-    assert tensor_density(EventTensor.from_dense(np.ones((2, 2, 2)), edges)) == 1.0
+    assert tensor_density(oracles.event_tensor(np.zeros((2, 2, 2)), edges)) == 0.0
+    assert tensor_density(oracles.event_tensor(np.ones((2, 2, 2)), edges)) == 1.0
 
 
 def test_davis_scale_density():
@@ -581,17 +580,14 @@ def test_tensor_dump_order_is_n_outer_i_middle_j_inner():
     data = np.zeros((2, 2, 2), dtype=np.uint8)
     data[1, 0, 0] = 1  # (i=1, j=0, n=0) -> position n*I*J + i*J + j = 2
     stream_buf = io.StringIO()
-    edges = np.array([0, 1, 2])
-    from evtensor.events import EventTensor
-
-    write_tensor_dump(EventTensor.from_dense(data, edges), stream_buf)
+    write_tensor_dump(oracles.event_tensor(data), stream_buf)
     body = stream_buf.getvalue().split("\n", 1)[1].split()
     assert [int(v) for v in body] == [0, 0, 1, 0, 0, 0, 0, 0]
 
 
 def _dump_text(data) -> str:
     buf = io.StringIO()
-    write_tensor_dump(data, buf)
+    write_tensor_dump(oracles.event_tensor(data), buf)
     return buf.getvalue()
 
 
@@ -602,20 +598,18 @@ def test_tensor_dump_roundtrip_random_tensor():
     np.testing.assert_array_equal(got, data)
 
 
-@pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
-def test_tensor_dump_of_0_1_data_of_any_dtype_is_the_uint8_dump(dtype):
-    data = np.random.default_rng(5).integers(0, 2, size=(4, 6, 5), dtype=np.uint8)
-    assert _dump_text(data.astype(dtype)) == _dump_text(data)
-
-
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
-def test_tensor_dump_rejects_entries_other_than_0_and_1(bad):
+def test_tensor_dump_rejects_entries_other_than_0_and_1(tmp_path, bad):
+    # only an EventTensor, which holds 1-cells and nothing else, is dumped: an
+    # array is refused before the stream is written or the file is made
     data = np.zeros((2, 3, 4))
     data[1, 2, 3] = bad
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match="only 0/1 entries"):
-        write_tensor_dump(data, buf)
-    assert buf.getvalue() == ""
+    buf, path = io.StringIO(), tmp_path / "dump.txt"
+    for target in (buf, path):
+        with pytest.raises(TypeError, match=r"takes an EventTensor\(cells, dims, bin_edges\), "
+                                            r"as bin_to_tensor makes it, not ndarray"):
+            write_tensor_dump(data, target)
+    assert buf.getvalue() == "" and not path.exists()
 
 
 @pytest.mark.parametrize("cut", [2, 3, 16])
@@ -655,20 +649,30 @@ _ODD = list(oracles.odd_tensors())
 
 @pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
 def test_binary_check_agrees_with_the_count_check(data):
-    assert _is_binary(data) == oracles.is_binary(data)
+    # an array's nonzeros as cells give it back through .data exactly when
+    # every entry is 0 or 1: the check oracles.event_tensor makes before a
+    # test hands a dense array to the library
+    tensor = EventTensor(np.flatnonzero(data), data.shape, np.arange(data.shape[2] + 1))
+    assert tensor.data.dtype == np.uint8 and tensor.data.shape == data.shape
+    assert np.array_equal(tensor.data, data) == oracles.is_binary(data)
+    if not oracles.is_binary(data):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            oracles.event_tensor(data)
 
 
 @pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
 def test_tensor_dump_from_the_nonzeros_equals_the_per_frame_dump(data):
+    # the dump of every 0/1 array's cells against the per-frame dump of its
+    # dense data; no array itself is dumped, 0/1 or not
     fast, frames = io.StringIO(), io.StringIO()
-    if oracles.is_binary(data):
+    with pytest.raises(TypeError, match="takes an EventTensor"):
         write_tensor_dump(data, fast)
-        oracles.write_tensor_dump(data, frames)
+    assert fast.getvalue() == ""
+    if oracles.is_binary(data):
+        tensor = oracles.event_tensor(data)
+        write_tensor_dump(tensor, fast)
+        oracles.write_tensor_dump(tensor, frames)
         assert fast.getvalue() == frames.getvalue()
-    else:
-        with pytest.raises(ValueError, match="only 0/1 entries"):
-            write_tensor_dump(data, fast)
-        assert fast.getvalue() == ""
 
 
 @pytest.mark.parametrize("header", ["", "3 4\n", "3 4 x\n", "3 -4 2\n"],
@@ -676,18 +680,3 @@ def test_tensor_dump_from_the_nonzeros_equals_the_per_frame_dump(data):
 def test_unreadable_tensor_dump_header_names_line_1(header):
     with pytest.raises(ValueError, match=r"line 1 must hold the positive integers I J N,"):
         read_tensor_dump(io.StringIO(header + "0 1 0 1\n"))
-
-
-@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
-def test_event_tensor_rejects_entries_other_than_0_and_1(bad):
-    data = np.zeros((2, 3, 4))
-    data[1, 2, 3] = bad
-    with pytest.raises(ValueError, match="exactly 0 or 1"):
-        EventTensor.from_dense(data, np.arange(5))
-
-
-@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
-def test_event_tensor_accepts_0_1_data_of_any_dtype(dtype):
-    data = (np.random.default_rng(0).random((2, 3, 4)) < 0.5).astype(dtype)
-    tensor = EventTensor.from_dense(data, np.arange(5))
-    np.testing.assert_array_equal(tensor.data, data)

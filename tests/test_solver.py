@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import evtensor.solver as solver_module
 import evtensor.tensor_ops as tensor_ops_module
 import oracles
-from evtensor.errors import NumericalError, ShapeError
-from evtensor.events import EventStream, EventTensor, bin_to_tensor
+from evtensor.errors import NumericalError
+from evtensor.events import EventStream, bin_to_tensor
 from evtensor.solver import (
     SolverConfig,
     grow_rank,
@@ -33,6 +34,7 @@ from oracles import (
     DenseState,
     blend_x,
     dense_target,
+    event_tensor,
     frob_dist,
     init_dense_state,
     objective,
@@ -48,8 +50,9 @@ from oracles import (
 )
 
 
-def make_state(e, cfg):
-    return init_state(e, cfg)
+def binary(seed, dims, density=0.5):
+    """A random 0/1 E as an EventTensor."""
+    return event_tensor(np.random.default_rng(seed).random(dims) < density)
 
 
 def update(state, mode, cfg):
@@ -102,8 +105,7 @@ def test_fractional_rank_cap_is_refused_and_numpy_integers_pass():
     with pytest.raises(ValueError, match="f_max"):
         SolverConfig(f_max=2.5, s_max=200)
     cfg = SolverConfig(f_max=np.int64(3), s_max=np.int32(40), seed=np.uint8(2))
-    e = (np.random.default_rng(6).random((6, 6, 6)) < 0.3).astype(float)
-    _, state = solve(e, cfg)
+    _, state = solve(binary(6, (6, 6, 6), 0.3), cfg)
     assert max(r.f for r in state.trace) <= 3
 
 
@@ -114,18 +116,27 @@ def test_fractional_rank_cap_is_refused_and_numpy_integers_pass():
 def test_initial_rank_formula():
     e = np.zeros((4, 4, 4))
     e[0, 0, 0] = 1.0
+    e = event_tensor(e)
     assert init_state(e, SolverConfig(f_max=6)).f == 1
     assert init_state(e, SolverConfig(f_max=10)).f == 5
     assert init_state(e, SolverConfig(f_max=1)).f == 1
 
 
-def test_solve_rejects_a_matrix_naming_its_ndim():
-    with pytest.raises(ShapeError, match="ndim=2"):
-        solve(np.ones((4, 4)), SolverConfig(s_max=1))
+@pytest.mark.parametrize("e", [np.ones((3, 4, 5)), np.ones((3, 4, 5), dtype=np.uint8),
+                               np.ones((4, 4)), binary(0, (3, 4, 5)).data],
+                         ids=["float64", "uint8", "matrix", "dense-data"])
+@pytest.mark.parametrize("entry", [solve, init_state])
+def test_the_solver_takes_only_an_event_tensor(monkeypatch, entry, e):
+    # refused before any sort plan or factor is made
+    monkeypatch.setattr(solver_module, "CooTensor", None)
+    monkeypatch.setattr(solver_module, "_random_factors", None)
+    with pytest.raises(TypeError, match=r"takes an EventTensor\(cells, dims, bin_edges\), "
+                                        r"as bin_to_tensor makes it, not ndarray"):
+        entry(e, SolverConfig(s_max=1))
 
 
 def test_init_is_seeded_deterministic():
-    e = np.random.default_rng(0).uniform(size=(3, 3, 3))
+    e = binary(0, (3, 3, 3))
     a = init_state(e, SolverConfig(seed=42))
     b = init_state(e, SolverConfig(seed=42))
     np.testing.assert_array_equal(a.factors.g_i, b.factors.g_i)
@@ -135,42 +146,18 @@ def test_init_is_seeded_deterministic():
 
 
 def test_init_x_is_e_as_float():
-    e = (np.random.default_rng(1).random((3, 3, 3)) < 0.3).astype(np.uint8)
+    e = binary(1, (3, 4, 5), 0.3)
+    before = e.cells.copy()
     state = init_state(e, SolverConfig())
-    assert all(plan.values is None for plan in state.target.e.plans.values())
     assert state.target.e_weight == 1.0 and len(state.target.history) == 0
-    np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
-    assert state.target.sq_norm == float(e.sum())
+    np.testing.assert_array_equal(dense_target(state.target), e.data.astype(np.float64))
+    assert state.target.sq_norm == float(len(e.cells))
     assert (state.factors.g_i >= 0).all() and (state.factors.g_i <= 0.1).all()
-
-
-@pytest.mark.parametrize("s_max", [3, 40])
-def test_solving_the_cells_is_bit_identical_to_solving_the_dense_array(s_max):
-    # E read from an EventTensor's cells and from its dense array: the same
-    # plans, so the same factors and trace, bit for bit (E leaves X after 16
-    # sweeps, so 40 sweeps also read <R, E> from a coo_rhs of its own)
-    spec = two_object_scene()
-    tensor = bin_to_tensor(generate(spec), spec.n_frames)
-    cfg = SolverConfig(s_max=s_max)
-    cells, state = solve(tensor, cfg)
-    dense, dense_state = solve(tensor.data, cfg)
-    for g in ("g_i", "g_j", "g_n"):
-        np.testing.assert_array_equal(getattr(cells, g), getattr(dense, g))
-    assert state.trace == dense_state.trace
-
-
-@pytest.mark.parametrize("as_event_tensor", [False, True])
-@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
-def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
-    e = (np.random.default_rng(3).random((3, 4, 5)) < 0.3).astype(dtype)
-    before = e.copy()
-    source = EventTensor.from_dense(e, np.arange(6)) if as_event_tensor else e
-    state = init_state(source, SolverConfig())
-    np.testing.assert_array_equal(dense_target(state.target), e.astype(np.float64))
+    # the plans are E's own: writing into them leaves the tensor's cells as they were
     for plan in state.target.e.plans.values():
         for a in (plan.cols, plan.starts, plan.rows):
             a[...] = 7
-    np.testing.assert_array_equal(e, before)
+    np.testing.assert_array_equal(e.cells, before)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +167,7 @@ def test_init_x_is_a_float_copy_of_e(dtype, as_event_tensor):
 def zero_h_state(mode, lambda2, lambda1=0.0, f=2):
     """State whose mode-m pair contraction is exactly zero."""
     cfg = SolverConfig(lambda1=lambda1, lambda2=lambda2, seed=3)
-    e = np.random.default_rng(0).uniform(size=(4, 5, 6))
-    state = init_state(e, cfg)
+    state = init_state(binary(0, (4, 5, 6)), cfg)
     g = dict(
         g_i=np.random.default_rng(1).uniform(0.1, 1.0, size=(4, f, f)),
         g_j=np.random.default_rng(2).uniform(0.1, 1.0, size=(f, 5, f)),
@@ -220,10 +206,10 @@ def test_zero_h_with_l1_adds_quasi_identity_offset(mode):
 @pytest.mark.parametrize("mode", "ijn")
 def test_rank1_update_matches_scalar_oracle(mode):
     cfg = SolverConfig(f_max=1, lambda1=0.2, lambda2=0.3, seed=5)
-    e = np.random.default_rng(8).uniform(size=(2, 2, 2))
+    e = binary(8, (2, 2, 2))
     state = init_state(e, cfg)
     h = pair_contraction(state.factors, mode)
-    x_mat = unfold(e, mode)  # X starts as E
+    x_mat = unfold(e.data.astype(np.float64), mode)  # X starts as E
     g_old = matricize_factor(state.factors.factor(mode), mode)[:, 0]
     expected = scalar_rank1_factor_update(x_mat, h[0], g_old, cfg.lambda1, cfg.lambda2)
     updated, _ = update(state, mode, cfg)
@@ -235,7 +221,7 @@ def test_sweep_is_gauss_seidel_in_mode_order():
     # one solve iteration == manual i -> j -> n factor updates (each seeing the
     # freshest factors) followed by the X blend
     cfg = SolverConfig(f_max=6, lambda1=0.1, lambda2=0.3, s_max=1, seed=4)
-    e = np.random.default_rng(2).uniform(size=(4, 4, 4))
+    e = binary(2, (4, 4, 4))
     manual = init_state(e, cfg)
     for mode in "ijn":
         manual.factors, _ = update(manual, mode, cfg)
@@ -246,6 +232,7 @@ def test_sweep_is_gauss_seidel_in_mode_order():
     np.testing.assert_array_equal(factors.g_j, manual.factors.g_j)
     np.testing.assert_array_equal(factors.g_n, manual.factors.g_n)
     # the target holds the blend as beta E + alpha R
+    e = e.data.astype(np.float64)
     np.testing.assert_array_equal(dense_target(state.target), beta * e + alpha * recon)
     np.testing.assert_allclose(dense_target(state.target), blend_x(recon, e, cfg.lambda2),
                                rtol=1e-14)
@@ -253,19 +240,19 @@ def test_sweep_is_gauss_seidel_in_mode_order():
 
 def test_update_factor_nonfinite_raises_with_iteration():
     cfg = SolverConfig(seed=0)
-    e = np.random.default_rng(0).uniform(size=(3, 3, 3))
-    e[0, 0, 0] = np.inf
-    state = init_state(e, cfg)
+    state = init_state(binary(0, (3, 3, 3)), cfg)
     state.s = 17
-    with pytest.raises(NumericalError) as err:
-        update(state, "i", cfg)
+    product, _ = state.target.product(state.factors, "i")
+    product[0, 0] = np.inf
+    with pytest.raises(NumericalError, match="non-finite values entering the mode-i solve") as err:
+        update_factor(state, "i", cfg, product, pair_gram(state.factors, "i"))
     assert err.value.iteration == 17
 
 
 def test_update_factor_singular_system_raises_with_iteration_and_mode():
     # a Gram of -lambda2 Id leaves A = 0, which no solve can factor
     cfg = SolverConfig(f_max=2, seed=0)
-    state = init_state(np.random.default_rng(0).uniform(size=(3, 3, 3)), cfg)
+    state = init_state(binary(0, (3, 3, 3)), cfg)
     state.s = 5
     product, _ = state.target.product(state.factors, "j")
     with pytest.raises(NumericalError, match="mode-j") as err:
@@ -275,8 +262,7 @@ def test_update_factor_singular_system_raises_with_iteration_and_mode():
 
 def test_residual_bound_on_random_problem():
     cfg = SolverConfig(f_max=4, lambda1=0.1, lambda2=0.1, seed=9)
-    e = np.random.default_rng(9).uniform(size=(8, 8, 8))
-    state = init_state(e, cfg)
+    state = init_state(binary(9, (8, 8, 8)), cfg)
     for mode in "ijn":
         state.factors, residual = update(state, mode, cfg)
         assert residual <= 1e-8
@@ -286,8 +272,7 @@ def test_residual_bound_on_random_problem():
 @pytest.mark.parametrize("lambda1", [0.0, 0.3])
 def test_update_factor_with_the_shared_product_is_bit_identical(mode, lambda1):
     cfg = SolverConfig(f_max=6, lambda1=lambda1, lambda2=0.2, seed=12)
-    e = (np.random.default_rng(12).random((9, 7, 5)) < 0.3).astype(float)
-    state = init_state(e, cfg)
+    state = init_state(binary(12, (9, 7, 5), 0.3), cfg)
     state.factors = random_factors(np.random.default_rng(13), (9, 7, 5), 4, lo=0.0)
     # solve hands mode n's product and Gram on to the closed forms after the
     # update, so update_factor must leave both as they were
@@ -325,8 +310,7 @@ def test_blend_is_midpoint_at_lambda2_one():
 
 def test_update_x_is_entrywise_convex_combination():
     cfg = SolverConfig(lambda2=0.4, seed=6)
-    e = np.random.default_rng(6).uniform(size=(4, 4, 4))
-    state = init_dense_state(e, cfg)
+    state = init_dense_state(binary(6, (4, 4, 4)), cfg)
     recon = f3tn_contract(state.factors)
     x_new, _ = update_x(state, cfg)
     lo = np.minimum(recon, state.x)
@@ -337,8 +321,7 @@ def test_update_x_is_entrywise_convex_combination():
 def _sweep_states(cfg, sweeps=6, seed=11):
     """(state, x_new, step) at the X update of each of the first sweeps of a
     solve, with the factors updated and X advanced by hand."""
-    e = (np.random.default_rng(seed).random((7, 6, 5)) < 0.3).astype(float)
-    state = init_dense_state(e, cfg)
+    state = init_dense_state(binary(seed, (7, 6, 5), 0.3), cfg)
     for _ in range(sweeps):
         for mode in "ijn":
             state.factors, _ = update_factor(state, mode, cfg,
@@ -373,7 +356,7 @@ def test_update_x_leaves_x_old_untouched():
 
 def test_update_x_refuses_to_write_over_x_old():
     cfg = SolverConfig(f_max=2, seed=1)
-    state = init_dense_state(np.random.default_rng(1).uniform(size=(4, 3, 5)), cfg)
+    state = init_dense_state(binary(1, (4, 3, 5)), cfg)
     before = state.x.copy()
     for out in (state.x, state.x[...], state.x.reshape(-1).reshape(4, 3, 5)):
         with pytest.raises(ValueError):
@@ -383,7 +366,7 @@ def test_update_x_refuses_to_write_over_x_old():
 
 def test_update_x_into_out_is_bit_identical():
     cfg = SolverConfig(f_max=3, lambda2=0.3, seed=2)
-    state = init_dense_state(np.random.default_rng(2).uniform(size=(5, 4, 6)), cfg)
+    state = init_dense_state(binary(2, (5, 4, 6)), cfg)
     out = np.full(state.x.shape, np.nan)
     x_new, step = update_x(state, cfg, out=out)
     expected, expected_step = update_x(state, cfg)
@@ -398,7 +381,7 @@ def test_solve_recycles_x_old_without_aliasing(monkeypatch):
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     monkeypatch.setattr(SolverConfig, "grow_tol", 1e-11)
     cfg = SolverConfig(f_max=3, lambda2=0.2, s_max=6, seed=4)
-    e = (np.random.default_rng(4).random((7, 6, 5)) < 0.3).astype(float)
+    e = binary(4, (7, 6, 5), 0.3)
     outs = []
 
     def checking_update_x(state, cfg, out=None):
@@ -424,8 +407,7 @@ def test_solve_recycles_x_old_without_aliasing(monkeypatch):
 
 def test_grow_rank_noop_at_cap():
     cfg = SolverConfig(f_max=1, seed=0)
-    e = np.random.default_rng(0).uniform(size=(3, 3, 3))
-    state = init_state(e, cfg)
+    state = init_state(binary(0, (3, 3, 3)), cfg)
     before = state.factors
     grow_rank(state, cfg)
     assert state.factors is before
@@ -433,8 +415,7 @@ def test_grow_rank_noop_at_cap():
 
 def test_grow_rank_preserves_old_entries_and_reconstruction():
     cfg = SolverConfig(f_max=3, seed=11)
-    e = np.random.default_rng(11).uniform(size=(5, 4, 6))
-    state = init_state(e, cfg)
+    state = init_state(binary(11, (5, 4, 6)), cfg)
     old = state.factors
     recon_before = f3tn_contract(old)
     grow_rank(state, cfg)
@@ -460,7 +441,7 @@ def test_grow_rank_preserves_old_entries_and_reconstruction():
 
 def test_grow_rank_deterministic():
     cfg = SolverConfig(f_max=4, seed=21)
-    e = np.random.default_rng(21).uniform(size=(3, 3, 3))
+    e = binary(21, (3, 3, 3))
     s1 = init_state(e, cfg)
     s2 = init_state(e, cfg)
     grow_rank(s1, cfg)
@@ -502,23 +483,24 @@ def test_objective_matches_bruteforce():
 
 
 def test_rank1_recovery():
+    # a 0/1 outer product of three 0/1 vectors
     rng = np.random.default_rng(100)
     d = 16
     truth = FactorTriple(
-        g_i=rng.uniform(0.2, 1.0, size=(d, 1, 1)),
-        g_j=rng.uniform(0.2, 1.0, size=(1, d, 1)),
-        g_n=rng.uniform(0.2, 1.0, size=(1, 1, d)),
+        g_i=(rng.random((d, 1, 1)) < 0.6) * 1.0,
+        g_j=(rng.random((1, d, 1)) < 0.6) * 1.0,
+        g_n=(rng.random((1, 1, d)) < 0.6) * 1.0,
     )
     e = f3tn_contract(truth)
     cfg = SolverConfig(f_max=1, lambda1=0.0, lambda2=1e-3, s_max=200, seed=0)
-    factors, state = solve(e, cfg)
+    factors, state = solve(event_tensor(e), cfg)
     err = frob_dist(e, f3tn_contract(factors)) / frob_norm(e)
     assert err < 1e-2
     assert state.s <= 200
 
 
 def test_all_zero_input_terminates_finite():
-    e = np.zeros((8, 8, 8))
+    e = event_tensor(np.zeros((8, 8, 8)))
     cfg = SolverConfig(f_max=3, lambda1=0.2, lambda2=0.1, seed=0)
     factors, state = solve(e, cfg)
     assert state.converged
@@ -529,8 +511,7 @@ def test_all_zero_input_terminates_finite():
 
 
 def test_pam_descent_between_non_growth_sweeps(monkeypatch):
-    rng = np.random.default_rng(13)
-    e = rng.uniform(size=(10, 10, 10))
+    e = binary(13, (10, 10, 10))
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     cfg = SolverConfig(f_max=4, lambda1=0.0, lambda2=0.1, s_max=80, seed=13)
     _, state = solve(e, cfg)
@@ -542,7 +523,7 @@ def test_pam_descent_between_non_growth_sweeps(monkeypatch):
 
 
 def test_solve_deterministic_bitwise():
-    e = (np.random.default_rng(3).random((6, 6, 6)) < 0.2).astype(float)
+    e = binary(3, (6, 6, 6), 0.2)
     cfg = SolverConfig(f_max=3, lambda1=0.1, lambda2=0.1, s_max=50, seed=7)
     f1, s1 = solve(e, cfg)
     f2, s2 = solve(e, cfg)
@@ -553,7 +534,7 @@ def test_solve_deterministic_bitwise():
 
 
 def test_rank_monotone_and_capped():
-    e = (np.random.default_rng(5).random((10, 10, 10)) < 0.1).astype(float)
+    e = binary(5, (10, 10, 10), 0.1)
     cfg = SolverConfig(f_max=3, lambda1=0.1, lambda2=0.1, s_max=300, seed=1)
     _, state = solve(e, cfg)
     fs = [r.f for r in state.trace]
@@ -562,7 +543,7 @@ def test_rank_monotone_and_capped():
 
 
 def test_trace_audit_growth_and_termination():
-    e = (np.random.default_rng(3).random((12, 12, 12)) < 0.05).astype(float)
+    e = binary(3, (12, 12, 12), 0.05)
     cfg = SolverConfig(f_max=3, lambda1=0.1, lambda2=0.1, s_max=1000, seed=2)
     _, state = solve(e, cfg)
     trace = state.trace
@@ -592,7 +573,7 @@ def test_solve_accepts_event_tensor():
 
 
 def test_nonconvergent_run_returns_flagged():
-    e = np.random.default_rng(1).uniform(size=(6, 6, 6))
+    e = binary(1, (6, 6, 6))
     cfg = SolverConfig(f_max=2, s_max=3, lambda2=5.0, seed=0)  # heavy damping stalls
     _, state = solve(e, cfg)
     assert state.s == 3
@@ -600,7 +581,7 @@ def test_nonconvergent_run_returns_flagged():
 
 
 def test_max_residual_tracked_in_trace():
-    e = np.random.default_rng(0).uniform(size=(8, 8, 8))
+    e = binary(0, (8, 8, 8))
     cfg = SolverConfig(f_max=3, s_max=25, seed=0)
     _, state = solve(e, cfg)
     assert all(r.max_residual <= 1e-8 for r in state.trace)
@@ -626,7 +607,7 @@ def _solve_recording_blends(monkeypatch, e, cfg):
 
 
 def test_unclamped_trace_objective_is_the_explicit_half_squared_distance(monkeypatch):
-    e = (np.random.default_rng(21).random((7, 6, 5)) < 0.3).astype(float)
+    e = binary(21, (7, 6, 5), 0.3)
     cfg = SolverConfig(f_max=4, lambda1=0.1, lambda2=0.2, s_max=60, seed=3)
     state, explicit = _solve_recording_blends(monkeypatch, e, cfg)
     assert any(r.grew for r in state.trace)
@@ -657,7 +638,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 
 def test_trace_csv_format():
-    e = np.random.default_rng(0).uniform(size=(5, 5, 5))
+    e = binary(0, (5, 5, 5))
     cfg = SolverConfig(f_max=2, s_max=10, seed=0)
     _, state = solve(e, cfg)
     buf = io.StringIO()
@@ -689,14 +670,13 @@ def _assert_same_run(e, cfg):
     return state, dense
 
 
-def _raw_sparse(seed, dims=(12, 10, 9), density=0.2):
-    """Non-binary values with empty rows, columns and frames."""
-    rng = np.random.default_rng(seed)
-    e = (rng.random(dims) < density) * rng.uniform(0.5, 3.0, size=dims)
-    e[[0, 5]] = 0.0
-    e[:, [3, 9]] = 0.0
-    e[:, :, [0, 4, 8]] = 0.0
-    return e
+def _holey(seed, dims=(12, 10, 9), density=0.2):
+    """A 0/1 E with empty rows, columns and frames."""
+    e = np.random.default_rng(seed).random(dims) < density
+    e[[0, 5]] = 0
+    e[:, [3, 9]] = 0
+    e[:, :, [0, 4, 8]] = 0
+    return event_tensor(e)
 
 
 def test_solve_matches_dense_on_the_reference_scene():
@@ -724,7 +704,7 @@ def test_solve_matches_dense_on_raw_values_with_empty_slices(monkeypatch, lambda
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     monkeypatch.setattr(SolverConfig, "grow_tol", 2e-2)
     cfg = SolverConfig(f_max=4, lambda2=lambda2, s_max=150, seed=1)
-    state, dense = _assert_same_run(_raw_sparse(8), cfg)
+    state, dense = _assert_same_run(_holey(8), cfg)
     assert any(r.grew for r in state.trace)
     x = dense_target(state.target)
     np.testing.assert_allclose(x, dense.x, rtol=1e-10, atol=1e-10 * np.abs(dense.x).max())
@@ -732,7 +712,7 @@ def test_solve_matches_dense_on_raw_values_with_empty_slices(monkeypatch, lambda
 
 def test_solve_matches_dense_on_the_zero_tensor():
     cfg = SolverConfig(f_max=3, lambda1=0.2, lambda2=0.1, seed=0)
-    state, dense = _assert_same_run(np.zeros((8, 8, 8)), cfg)
+    state, dense = _assert_same_run(event_tensor(np.zeros((8, 8, 8))), cfg)
     assert state.converged and dense.converged
 
 
@@ -742,7 +722,7 @@ def test_history_keeps_each_term_above_the_rounding_unit(monkeypatch, lambda2, t
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     monkeypatch.setattr(SolverConfig, "grow_tol", 1e-11)
     cfg = SolverConfig(f_max=2, lambda2=lambda2, s_max=terms + 2, seed=0)
-    e = _raw_sparse(9)
+    e = _holey(9)
     for s_max, expected, e_in in ((terms - 1, terms - 1, True), (terms, terms, False),
                                   (terms + 2, terms, False)):
         _, state = solve(e, dataclasses.replace(cfg, s_max=s_max))
@@ -781,30 +761,31 @@ def test_a_sweep_builds_three_self_pair_grams(monkeypatch):
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     monkeypatch.setattr(SolverConfig, "grow_tol", 3e-2)
     cfg = SolverConfig(f_max=3, s_max=20, seed=3)
-    _, state = solve((np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0, cfg)
+    _, state = solve(binary(10, (9, 8, 7), 0.2), cfg)
     assert state.s == 20 and state.f == 3 and state.target.e_weight == 0.0
     assert calls == list("ijn") * state.s
 
 
-@pytest.mark.parametrize("raw", [False, True])
-def test_trace_fit_is_the_dense_relative_error_at_every_sweep(monkeypatch, raw):
+@pytest.mark.parametrize("holey", [False, True])
+def test_trace_fit_is_the_dense_relative_error_at_every_sweep(monkeypatch, holey):
     # 40 sweeps: <R, E> comes from the mode-n product for the first 16 and
-    # from the per-cell sum after E leaves X
+    # from one more mode-n coo_rhs after E leaves X
     fitted = _record_sweep_factors(monkeypatch)
-    e = _raw_sparse(10) if raw else (np.random.default_rng(10).random((9, 8, 7)) < 0.2) * 1.0
+    e = _holey(10) if holey else binary(10, (9, 8, 7), 0.2)
     monkeypatch.setattr(SolverConfig, "conv_tol", 1e-12)
     cfg = SolverConfig(f_max=3, s_max=40, seed=3)
     _, state = solve(e, cfg)
     assert state.s == 40 and state.target.e_weight == 0.0
     assert len(fitted) == len(state.trace)
+    dense = e.data.astype(np.float64)
     for rec, factors in zip(state.trace, fitted):
-        expected = frob_dist(f3tn_contract(factors), e) / frob_norm(e)
+        expected = frob_dist(f3tn_contract(factors), dense) / frob_norm(dense)
         assert rec.fit == pytest.approx(expected, rel=1e-9)
 
 
 def test_trace_fit_of_the_zero_tensor_is_the_reconstruction_norm(monkeypatch):
     fitted = _record_sweep_factors(monkeypatch)
-    _, state = solve(np.zeros((4, 5, 3)), SolverConfig(f_max=2, seed=1))
+    _, state = solve(event_tensor(np.zeros((4, 5, 3))), SolverConfig(f_max=2, seed=1))
     for rec, factors in zip(state.trace, fitted):
         assert rec.fit == pytest.approx(frob_norm(f3tn_contract(factors)), rel=1e-9)
 
@@ -812,7 +793,7 @@ def test_trace_fit_of_the_zero_tensor_is_the_reconstruction_norm(monkeypatch):
 def test_solve_allocates_less_than_one_dense_float_tensor():
     # E as its nonzeros and the history as factor triples: no (I, J, N) float array
     dims = (120, 160, 100)
-    e = (np.random.default_rng(0).random(dims) < 0.006).astype(np.uint8)
+    e = binary(0, dims, 0.006)
     cfg = SolverConfig(f_max=10, s_max=6, seed=0)  # starts at rank 5
     tracemalloc.start()
     try:
@@ -821,4 +802,4 @@ def test_solve_allocates_less_than_one_dense_float_tensor():
     finally:
         tracemalloc.stop()
     assert state.s == 6 and state.f >= 5
-    assert peak < 8 * e.size
+    assert peak < 8 * math.prod(dims)

@@ -20,7 +20,8 @@ from evtensor.synth import (
 
 from oracles import generate_loop
 
-DAVIS_SCENE = Path(__file__).resolve().parents[1] / "perfbench" / "scenes" / "davis.cfg"
+SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes"
+DAVIS_SCENE = SCENES / "davis.cfg"
 
 
 def static_object(prob=1.0, footprint=0, start=(5.0, 5.0)):
@@ -187,6 +188,34 @@ def test_scene_file_errors():
     with pytest.raises(ValueError) as err:
         load_scene_spec(io.StringIO(bad_obj))
     assert "start" in str(err.value)
+
+
+def test_the_ref_scene_file_is_the_reference_scene():
+    # the benchmark's ref.cfg writes two_object_scene()'s values out in full
+    assert load_scene_spec(SCENES / "ref.cfg") == two_object_scene()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["start", "velocity", "radius", "freq", "phase",
+                                  "noise_per_frame"])
+def test_a_non_finite_scene_number_is_named(name, value):
+    # unchecked, velocity = inf fails inside generate as an OverflowError, a
+    # NaN start as int()'s unnamed error, a NaN noise rate as "lam is NaN"
+    number = (value, 1.0) if name in ("start", "velocity") else value
+    match = f"{name} must be finite"
+    with pytest.raises(ValueError, match=match):
+        if name == "noise_per_frame":
+            SceneSpec(geometry=(8, 8), n_frames=3, duration_us=30, objects=(static_object(),),
+                      noise_per_frame=number)
+        else:
+            ObjectSpec(kind="sinusoidal", **{"start": (4.0, 4.0), name: number})
+    line = f"{name} = {value}" + (", 1.0" if name in ("start", "velocity") else "")
+    text = ("[scene]\nrows = 8\ncols = 8\nframes = 3\nduration_us = 30\n"
+            + (line if name == "noise_per_frame" else "") + "\n[object.0]\nkind = sinusoidal\n"
+            + ("" if name == "noise_per_frame" else line + "\n")
+            + ("" if name == "start" else "start = 4, 4\n"))
+    with pytest.raises(ValueError, match=match):
+        load_scene_spec(io.StringIO(text))
 
 
 def test_object_spec_validation():

@@ -28,6 +28,7 @@ from oracles import (
     coo_cells,
     coo_plans,
     coo_rhs_unblocked,
+    event_tensor,
     fold,
     frob_dist,
     odd_tensors,
@@ -38,6 +39,16 @@ from oracles import (
     unfold,
     unfold_bruteforce,
 )
+
+
+def _coo(data) -> CooTensor:
+    """E's sort plans from a dense 0/1 array, through its EventTensor."""
+    tensor = event_tensor(data)
+    return CooTensor.from_cells(tensor.dims, tensor.cells)
+
+
+def _sparse(rng, dims, density=0.3):
+    return (rng.random(dims) < density).astype(float)
 
 
 def test_contract_rank1_is_outer_product():
@@ -232,8 +243,8 @@ def test_pair_gram_equals_explicit_gram(mode, f):
 def test_pair_rhs_equals_unfolded_product(mode, f):
     rng = np.random.default_rng(10 + f)
     factors = random_factors(rng, (7, 5, 4), f)
-    x = rng.normal(size=(7, 5, 4))
-    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode),
+    x = _sparse(rng, (7, 5, 4), density=0.5)
+    _assert_close(coo_rhs(_coo(x), factors, mode),
                   unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
@@ -247,16 +258,16 @@ def test_pair_rhs_equals_unfolded_product(mode, f):
 def test_pair_gram_and_rhs_property(dims, f, mode, seed):
     rng = np.random.default_rng(seed)
     factors = random_factors(rng, dims, f)
-    x = rng.normal(size=dims)
+    x = _sparse(rng, dims, density=0.5)
     h = pair_contraction(factors, mode)
     _assert_close(pair_gram(factors, mode), h @ h.T)
-    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode), unfold(x, mode) @ h.T)
+    _assert_close(coo_rhs(_coo(x), factors, mode), unfold(x, mode) @ h.T)
 
 
 def test_pair_rhs_shape_mismatch():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ShapeError):
-        coo_rhs(CooTensor.from_dense(np.zeros((3, 4, 6))), factors, "i")
+        coo_rhs(_coo(np.zeros((3, 4, 6))), factors, "i")
 
 
 UNEVEN_DIMS = [(3, 8, 5), (9, 2, 6), (4, 6, 11)]
@@ -268,8 +279,8 @@ UNEVEN_DIMS = [(3, 8, 5), (9, 2, 6), (4, 6, 11)]
 def test_pair_rhs_equals_unfolded_product_on_uneven_shapes(dims, mode, f):
     rng = np.random.default_rng(20 + f)
     factors = random_factors(rng, dims, f)
-    x = rng.normal(size=dims)
-    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode),
+    x = _sparse(rng, dims, density=0.5)
+    _assert_close(coo_rhs(_coo(x), factors, mode),
                   unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
@@ -279,82 +290,42 @@ def test_pair_rhs_equals_unfolded_product_on_uneven_shapes(dims, mode, f):
 def test_pair_rhs_with_the_shared_product_is_bit_identical(dims, mode, f):
     rng = np.random.default_rng(30 + f)
     factors = random_factors(rng, dims, f)
-    x = rng.normal(size=dims)
-    coo = CooTensor.from_dense(x)
+    x = _sparse(rng, dims, density=0.5)
+    coo = _coo(x)
     # the sort plan E's CooTensor makes once and every sweep of a solve shares:
     # reading it leaves it as it was
     shared = coo.plans[mode]
-    assert shared.cols.shape == (x.size,) and shared.n_rows == dims["ijn".index(mode)]
+    assert shared.cols.shape == (x.sum(),) and shared.n_rows == dims["ijn".index(mode)]
     first = coo_rhs(coo, factors, mode)
     np.testing.assert_array_equal(coo_rhs(coo, factors, mode), first)
-    np.testing.assert_array_equal(coo_rhs(CooTensor.from_dense(x), factors, mode), first)
+    np.testing.assert_array_equal(coo_rhs(_coo(x), factors, mode), first)
 
 
 def test_pair_rhs_unknown_mode():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ValueError):
-        coo_rhs(CooTensor.from_dense(np.zeros((3, 4, 5))), factors, "k")
+        coo_rhs(_coo(np.zeros((3, 4, 5))), factors, "k")
 
 
 # ---------------------------------------------------------------------------
 # sparse E: coordinates, sort plans, pair tables and the per-cell sum
 
 
-def _sparse(rng, dims, density=0.3, binary=True):
-    x = (rng.random(dims) < density).astype(float)
-    if not binary:
-        x *= rng.normal(size=dims)
-    return x
-
-
-@pytest.mark.parametrize("kind", ["ones", "bool", "counts", "normal"])
+@pytest.mark.parametrize("kind", ["ones", "bool"])
 def test_coo_sq_norm_is_the_dot_of_the_values(kind):
-    rng = np.random.default_rng(4)
-    mask = rng.random((30, 20, 10)) < 0.1
-    data = {"ones": mask.astype(np.uint8), "bool": mask,
-            "counts": mask * rng.integers(1, 4, mask.shape),
-            "normal": mask * rng.normal(size=mask.shape)}[kind]
-    coo = CooTensor.from_dense(data)
+    # E holds only 1s, so its squared norm is its cell count
+    mask = np.random.default_rng(4).random((30, 20, 10)) < 0.1
+    data = mask.astype(np.uint8) if kind == "ones" else mask
     values = data[np.nonzero(data)].astype(np.float64)
-    assert coo.sq_norm == float(np.dot(values, values))
-    if kind in ("ones", "bool"):
-        assert coo.sq_norm == mask.sum()
-
-
-def test_coo_from_dense_keeps_c_order_and_values():
-    x = np.zeros((3, 4, 2), dtype=np.uint8)
-    x[2, 0, 1] = 1
-    x[0, 3, 0] = 1
-    x[0, 1, 1] = 1
-    coo = CooTensor.from_dense(x)
-    assert coo.dims == (3, 4, 2)
-    np.testing.assert_array_equal(coo_cells(coo)[:3], [[0, 0, 2], [1, 3, 0], [1, 0, 1]])
-    assert coo.plans["i"].values is None and coo.sq_norm == 3.0
-    raw = np.random.default_rng(0).normal(size=(3, 4, 2))
-    raw[1] = 0.0
-    coo = CooTensor.from_dense(raw)
-    np.testing.assert_array_equal(coo_cells(coo)[3], raw[raw != 0])
-    assert coo.plans["i"].values.dtype == np.float64
-    assert coo.sq_norm == pytest.approx(float((raw ** 2).sum()), rel=1e-14)
-    view = raw.transpose(2, 0, 1)  # not C-contiguous: still its own C order
-    coo = CooTensor.from_dense(view)
-    *cells, values = coo_cells(coo)
-    np.testing.assert_array_equal(cells, np.nonzero(view))
-    np.testing.assert_array_equal(values, view[view != 0])
-    with pytest.raises(ShapeError):
-        CooTensor.from_dense(np.zeros((2, 2)))
+    assert _coo(data).sq_norm == float(np.dot(values, values)) == mask.sum()
 
 
 def _assert_plans_equal(coo, expected):
-    for mode, (cols, starts, rows, values) in expected.items():
+    for mode, (cols, starts, rows) in expected.items():
         plan = coo.plans[mode]
         for got, want in ((plan.cols, cols), (plan.starts, starts), (plan.rows, rows)):
             assert got.dtype == want.dtype, mode
             np.testing.assert_array_equal(got, want)
-        if values is None:
-            assert plan.values is None
-        else:
-            np.testing.assert_array_equal(plan.values, values)
 
 
 _ODD = list(odd_tensors())
@@ -362,8 +333,9 @@ _ODD = list(odd_tensors())
 
 @pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
 def test_coo_plans_of_any_dtype_and_values_equal_the_sorted_ones(data):
-    coo = CooTensor.from_dense(data)
-    np.testing.assert_array_equal(coo_cells(coo)[:3], np.nonzero(data))
+    # the cells at the array's nonzeros, of every shape and layout
+    coo = CooTensor.from_cells(data.shape, np.flatnonzero(data))
+    np.testing.assert_array_equal(coo_cells(coo), np.nonzero(data))
     _assert_plans_equal(coo, coo_plans(data))
 
 
@@ -374,32 +346,33 @@ def test_coo_plans_with_empty_rows_and_frames_equal_the_sorted_ones(seed):
     dims = [int(d) for d in rng.integers(4, 12, 3)]
     if seed >= 3:
         dims[seed % 3] = 300
-    x = _holey(rng, dims, binary=seed % 2 == 0).astype([np.uint8, np.float64][seed % 2])
-    _assert_plans_equal(CooTensor.from_dense(x), coo_plans(x))
+    x = _holey(rng, dims).astype([np.uint8, np.float64][seed % 2])
+    _assert_plans_equal(_coo(x), coo_plans(x))
 
 
-@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("dense", [True, False])
 @pytest.mark.parametrize("mode", "ijn")
 @pytest.mark.parametrize("f", [1, 3, 6])
-def test_coo_rhs_with_empty_rows_columns_and_frames(binary, mode, f):
+def test_coo_rhs_with_empty_rows_columns_and_frames(dense, mode, f):
     # zeroed slices on every axis leave empty runs between non-empty ones and
-    # at both ends, the cases np.add.reduceat gets wrong when handed them
+    # at both ends, the cases np.add.reduceat gets wrong when handed them;
+    # a dense E fills the other runs nearly to their length
     rng = np.random.default_rng(40 + f)
     dims = (9, 7, 8)
-    x = _sparse(rng, dims, binary=binary)
+    x = _sparse(rng, dims, density=0.9 if dense else 0.3)
     x[[0, 3, 4, 8]] = 0.0
     x[:, [0, 2, 6]] = 0.0
     x[:, :, [1, 5, 7]] = 0.0
     factors = random_factors(rng, dims, f)
     expected = unfold(x, mode) @ pair_contraction(factors, mode).T
-    _assert_close(coo_rhs(CooTensor.from_dense(x), factors, mode), expected)
+    _assert_close(coo_rhs(_coo(x), factors, mode), expected)
 
 
 @pytest.mark.parametrize("mode", "ijn")
 def test_coo_rhs_of_the_zero_tensor_is_zero(mode):
     dims = (4, 3, 5)
     factors = random_factors(np.random.default_rng(1), dims, 2)
-    got = coo_rhs(CooTensor.from_dense(np.zeros(dims)), factors, mode)
+    got = coo_rhs(_coo(np.zeros(dims)), factors, mode)
     assert got.shape == (dims["ijn".index(mode)], 4) and not got.any()
 
 
@@ -408,12 +381,11 @@ def test_coo_plan_runs_cover_each_row_once(mode):
     x = _sparse(np.random.default_rng(4), (6, 5, 7), density=0.2)
     x[:, :, 3] = 0.0
     x[2] = 0.0
-    plan = CooTensor.from_dense(x).plans[mode]
+    plan = _coo(x).plans[mode]
     axis = "ijn".index(mode)
     counts = (x != 0).sum(axis=tuple(a for a in range(3) if a != axis))
     np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
     np.testing.assert_array_equal(np.diff(np.append(plan.starts, len(plan.cols))), counts[counts > 0])
-    assert plan.values is None
     # each nonzero's table column, the other two indices in C order
     slow, fast = (a for a in range(3) if a != axis)
     coords = np.nonzero(x)
@@ -534,9 +506,9 @@ def test_pair_table_in_row_blocks_is_bit_identical_to_the_batched_matmul(
     np.testing.assert_array_equal(pair_table(factors, mode, used), full[:, used])
 
 
-def _holey(rng, dims, binary):
+def _holey(rng, dims, density=0.3):
     # zeroed slices on every axis: empty runs between non-empty ones and at both ends
-    x = _sparse(rng, dims, binary=binary)
+    x = _sparse(rng, dims, density)
     x[[0, 3, dims[0] - 1]] = 0.0
     x[:, [0, 2, dims[1] - 1]] = 0.0
     x[:, :, [1, dims[2] - 1]] = 0.0
@@ -555,18 +527,19 @@ def test_row_blocks_cover_the_rows_in_order_two_or_more_at_a_time(monkeypatch, n
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
-@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("dense", [True, False])
 @pytest.mark.parametrize("mode", "ijn")
 @pytest.mark.parametrize("f", range(1, 7))
-def test_blocked_coo_rhs_is_bit_identical_to_one_gather(monkeypatch, block_bytes, binary, mode, f):
+def test_blocked_coo_rhs_is_bit_identical_to_one_gather(monkeypatch, block_bytes, dense, mode, f):
     # against the whole pair table and one gather. 1 byte: two table rows
     # per block; 5000: a few rows, some blocks cut inside a latent slice;
-    # 2 MiB: one latent slice per block
+    # 2 MiB: one latent slice per block. A dense E gathers nearly every
+    # column the empty slices leave
     monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(70 + f)
     dims = (9, 7, 8)
-    x = _holey(rng, dims, binary)
-    coo = CooTensor.from_dense(x)
+    x = _holey(rng, dims, 0.9 if dense else 0.3)
+    coo = _coo(x)
     assert len(np.unique(coo.plans[mode].cols)) < x.size // dims["ijn".index(mode)]
     factors = random_factors(rng, dims, f)
     np.testing.assert_array_equal(coo_rhs(coo, factors, mode),
@@ -583,7 +556,7 @@ def test_blocked_cell_values_are_bit_identical_to_one_einsum(monkeypatch, block_
     rng = np.random.default_rng(80 + f)
     dims = (9, 7, 8)
     factors = random_factors(rng, dims, f)
-    i, j, n = np.nonzero(_holey(rng, dims, binary=True))
+    i, j, n = np.nonzero(_holey(rng, dims))
     pick = rng.permutation(np.repeat(np.arange(10), 3))
     for cells in ((i, j, n), (i[pick], j[pick], n[pick]), (i[:0], j[:0], n[:0])):
         np.testing.assert_array_equal(cell_values(factors, *cells),
@@ -612,7 +585,7 @@ def test_coo_rhs_peak_memory_is_two_blocks():
     # matmul behind it, stays under BLOCK_BYTES at two rows and more
     dims, f = (260, 346, 100), 6
     rng = np.random.default_rng(0)
-    coo = CooTensor.from_dense((rng.random(dims) < 0.0064).astype(np.uint8))
+    coo = CooTensor.from_cells(dims, np.flatnonzero(rng.random(dims) < 0.0064))
     factors = random_factors(rng, dims, f)
     for mode in "ijn":
         tracemalloc.start()
@@ -624,22 +597,21 @@ def test_coo_rhs_peak_memory_is_two_blocks():
         assert peak < 2 * tensor_ops.BLOCK_BYTES + (1 << 20), mode
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_coo_tensor_retains_only_its_plans(binary):
-    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense, 57.8k nonzeros). Its
-    # coordinates, 1.4 MB, live only while the plans are made, and no value
-    # vector is kept beside them: a 0/1 E has none, a valued E its plans' own
+@pytest.mark.parametrize("dense", [True, False])
+def test_coo_tensor_retains_only_its_plans(dense):
+    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense, 57.8k cells; dense: 3%,
+    # 270k cells). Its coordinates, 1.4 MB at 0.64%, live only while the
+    # plans are made
     dims = (260, 346, 100)
     rng = np.random.default_rng(0)
-    flat = np.flatnonzero(rng.random(dims) < 0.0064)
-    values = None if binary else rng.normal(size=len(flat))
+    flat = np.flatnonzero(rng.random(dims) < (0.03 if dense else 0.0064))
     tracemalloc.start()
     try:
-        coo = CooTensor.from_cells(dims, flat, values)
+        coo = CooTensor.from_cells(dims, flat)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     plans = sum(a.nbytes for plan in coo.plans.values()
-                for a in (plan.cols, plan.values, plan.starts, plan.rows) if a is not None)
+                for a in (plan.cols, plan.starts, plan.rows))
     assert retained < plans + (64 << 10)
-    assert coo.sq_norm == (len(flat) if binary else float(np.dot(values, values)))
+    assert coo.sq_norm == len(flat)
