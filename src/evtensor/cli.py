@@ -163,6 +163,7 @@ def cmd_classify(args) -> int:
     report = "\n".join([
         f"task: {args.task}",
         f"auc: {value:.17g}",
+        f"svm iterations: {model.iterations}",
         f"train events: {n_train}",
         f"test events: {n_test}",
         f"feature length: {len(model.weights)}",

@@ -3,62 +3,50 @@
 Each labeled event at coordinates (i, j, n) gets a feature vector by
 concatenating the vectorized latent slices of the three factors at its
 coordinates -- row i of the matricized g_i, row j of the matricized g_j,
-row n of the matricized g_n -- length 3*f^2 total. The split is fixed:
+row n of the matricized g_n -- length d = 3*f^2 total. The split is fixed:
 events in the first 60% of the frames (TRAIN_FRACTION) train, the rest test.
 Test events therefore sit at frames, and for a moving object mostly at
 pixels, that no training event had (about 9 in 10 of each object's test
-events on the reference scene), so the objects AUC measures extrapolation. A
-linear SVM with the fixed SVM_LAMBDA and SVM_EPOCHS is trained on
-standardized features, and ranking quality is scored with AUC.
-`classify_factors` is that post-solve step; the CLI's classify command and
-the regularization sweep both call it.
+events on the reference scene), so the objects AUC measures extrapolation.
+`classify_factors` trains a linear SVM and scores its ranking by AUC; the
+CLI's classify command and the regularization sweep both call it.
 
-Features are kept in gathered form (`GatheredFeatures`): the three
-matricized factor tables plus each event's row index into each table, so the
-(M, 3*f^2) matrix is never built. A DAVIS-scale scene has ~35k training
-events but only I + J + N = 706 distinct table rows. Each of the SVM's
-full-batch epochs then costs O(3*n + (I+J+N)*d) instead of O(n*d):
+Features are kept in gathered form (`GatheredFeatures`): the three matricized
+factor tables T_a plus each event's row r_a into each, so the (n, d) matrix
+z is never built; a dense (n, d) ndarray is a gather from one table. The
+column mean and std come from each table's integer row counts. The SVM
+minimizes the squared-hinge primal, the bias unregularized,
 
-- margins: ``Zt @ w``, gathered at the three row indices and summed, where
-  ``Zt`` is the standardized tables stacked block-diagonally,
-  (I+J+N) x 3*f^2;
-- gradient: the violators' signed targets summed per row of ``Zt`` (one
-  ``np.bincount``), times ``Zt``.
+    P(w, b) = lambda/2 ||w||^2 + 1/(2n) sum_m max(0, 1 - y_m (z_m . w + b))^2
 
-The products run over the events in order of their frame, the g_n row (one
-stable argsort; the identity for a time-sorted stream). The frame block is
-then one run of events per frame: its gather is one ``np.repeat`` of the
-frame values over the runs, and its sums one ``np.add.reduceat`` over the
-same runs. The i and j blocks stay a gather and a bincount. Training this
-way is bit-identical to training in the caller's order. The margins are
-elementwise, and every summed target is -1, -0, 0 or +1, so each per-row
-sum and the bias gradient's total is a small integer, exact in float64 in
-any order. The standardization's mean and std come from each table's
-integer row counts, ``counts = np.bincount(rows)``, as ``counts @ table / n``
-and ``counts @ (table - mean)**2 / n``: the same under any order of the
-events, with no (n, d) array. `SvmModel.decision_scores` sorts the same way
-and returns its scores in the caller's order.
+by exact finite Newton (Keerthi & DeCoste, JMLR 2005; Chapelle, Neural
+Computation 2007). Each iteration:
 
-A dense (n, d) ndarray is a gather from one table. One table, and tables
-whose mean block width 3*f^2 / 3 is at most `DENSE_MAX_BLOCK_WIDTH`, take the
-dense loop instead: z gathered once, then two GEMVs over it per epoch.
-Per-epoch times on the DAVIS-scale noise task's train split (n = 34,777,
-random factors, 2-vCPU host, three runs each), dense against gathered:
-f = 1 0.25-0.29 against 0.38-0.58 ms, f = 2 0.59-0.62 against 0.45-0.53 ms,
-f = 3 1.07-1.18 against 0.57-0.60 ms, f = 6 3.3-4.8 against 0.52-0.63 ms.
-The crossover lies between f = 1, where the CLI's short solve ends, and
-f = 2. f = 2 stays on the dense loop: the two loops sum in different orders,
-so moving it would change f = 2 answers in their last bits.
+- takes the Newton point of the active set I (events with margin < 1), where
+  P is a quadratic: one (d+1) x (d+1) solve of the normal equations
+  [lambda I + Z_I^T Z_I / n, Z_I^T 1 / n; 1^T Z_I / n, |I| / n] against
+  [Z_I^T y_I / n; sum(y_I) / n]. Z_I^T Z_I comes from the tables: diagonal
+  blocks T_a^T diag(c_a) T_a, c_a the active events' row counts in table a,
+  cross blocks T_a^T C_ab T_b, C_ab their table-row co-occurrence counts.
+  The counts are exact integers: the system ignores the events' order;
+- searches the line to it exactly (P along it is piecewise quadratic);
+- stops when the new point's active set is the one the step was built from:
+  that point is the Newton point of its own active set, P's exact optimum.
+  Reaching SVM_MAX_ITERATIONS first logs a warning.
 
-The regularization sweep reruns the whole pipeline per (lambda1, lambda2)
-grid point and summarizes sensitivity with the AUC gap,
-100 * (highest - lowest) / highest.
+An iteration costs O(n) for the counts and margins, O(n log n) for the kinks,
+O(sum_a rows_a d_a^2 + rows_a rows_b d_b) on the tables and a (d+1)^3 solve.
+
+The regularization sweep reruns the whole pipeline per (lambda1, lambda2) grid
+point and summarizes sensitivity with the AUC gap, 100 * (highest - lowest) /
+highest.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 import time
 from dataclasses import dataclass, replace
 
@@ -75,10 +63,8 @@ TASK_OBJECTS = "objects"
 TASK_NOISE = "noise"
 
 TRAIN_FRACTION = 0.6  # leading share of the frames that trains the SVM
-SVM_LAMBDA = 1e-3     # L2 coefficient of the hinge loss
-SVM_EPOCHS = 500      # full-batch subgradient steps
-
-DENSE_MAX_BLOCK_WIDTH = 4  # f <= 2; see the module docstring for the measured crossover
+SVM_LAMBDA = 1e-3     # L2 coefficient of the squared hinge loss
+SVM_MAX_ITERATIONS = 50  # Newton steps; every committed workload settles within 18
 
 
 class GatheredFeatures:
@@ -190,7 +176,7 @@ class SvmModel:
     mean: np.ndarray
     std: np.ndarray
     reg_lambda: float
-    epochs: int
+    iterations: int  # Newton steps run
 
     def decision_scores(self, features: GatheredFeatures | np.ndarray) -> np.ndarray:
         """Raw signed margins (AUC is rank-based; no calibration)."""
@@ -198,10 +184,7 @@ class SvmModel:
         if features.shape[1] != len(self.weights):
             raise ShapeError(f"features have {features.shape[1]} columns, "
                              f"the model has {len(self.weights)} weights")
-        matvec, _, order = _standardized_products(features, self.mean, self.std)
-        scores = np.empty(len(features))
-        scores[order] = matvec(self.weights) + self.bias
-        return scores
+        return _scores(_standardized(features, self.mean, self.std), self.weights, self.bias)
 
 
 def _gathered(features) -> GatheredFeatures:
@@ -211,55 +194,6 @@ def _gathered(features) -> GatheredFeatures:
         return features
     x = np.asarray(features)
     return GatheredFeatures([x], [np.arange(len(x))])
-
-
-def _standardized_products(features: GatheredFeatures, mean, std):
-    """(w -> z @ w, v -> (v @ z, sum of v), order) for z = (features - mean) /
-    std with its rows taken in ``order``, which the caller applies to its own
-    per-event arrays.
-
-    Only the tables are standardized. One table, or narrow blocks (see the
-    module docstring), gather z from them once and keep the events' order.
-    Otherwise they are stacked block-diagonally into zt, so z = A @ zt for
-    the (n, rows of zt) 0/1 matrix A with one 1 per block in each row. The
-    events are put in order of their last table's row (stably), so that block
-    is a run of events per row: one np.repeat gathers it and one
-    np.add.reduceat sums it. One np.bincount sums v @ A per row of zt: over
-    every other block's event rows, and over the last block's runs.
-    """
-    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
-    ztables = [(t - mean[c0:c1]) / std[c0:c1]
-               for t, c0, c1 in zip(features.tables, cols, cols[1:])]
-    if len(ztables) == 1 or cols[-1] <= DENSE_MAX_BLOCK_WIDTH * len(ztables):
-        z = np.hstack([zk[r] for zk, r in zip(ztables, features.rows)])
-        return (lambda w: z @ w), (lambda v: (v @ z, v.sum())), slice(None)
-    starts = np.cumsum([0] + [len(t) for t in features.tables])
-    zt = np.zeros((starts[-1], cols[-1]))
-    for zk, r0, c0, c1 in zip(ztables, starts, cols, cols[1:]):
-        zt[r0:r0 + len(zk), c0:c1] = zk
-    order = np.argsort(features.rows[-1], kind="stable")
-    *rows, last = (r[order] for r in features.rows)
-    counts = np.bincount(last, minlength=len(features.tables[-1]))
-    repeats = np.concatenate([np.zeros(starts[-2], dtype=counts.dtype), counts])
-    runs = np.flatnonzero(counts)
-    run_starts = (np.cumsum(counts) - counts)[runs]
-    bins = np.concatenate([r + r0 for r, r0 in zip(rows, starts)] + [runs + starts[-2]])
-    index = np.split(bins[:len(last) * len(rows)], len(rows))
-
-    def matvec(w):
-        s = zt @ w
-        out = s[index[0]]
-        for idx in index[1:]:
-            out += s[idx]
-        out += np.repeat(s, repeats)
-        return out
-
-    def rmatvec(v):
-        run_sums = np.add.reduceat(v, run_starts)
-        weights = np.concatenate([v] * len(index) + [run_sums])
-        return np.bincount(bins, weights=weights, minlength=len(zt)) @ zt, run_sums.sum()
-
-    return matvec, rmatvec, order
 
 
 def _column_stats(features: GatheredFeatures) -> tuple[np.ndarray, np.ndarray]:
@@ -274,13 +208,72 @@ def _column_stats(features: GatheredFeatures) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(means), np.concatenate(stds)
 
 
+def _standardized(features: GatheredFeatures, mean, std) -> list[tuple]:
+    """Per table: the table standardized, its event rows, its feature columns."""
+    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
+    return [((t - mean[c0:c1]) / std[c0:c1], r, slice(c0, c1))
+            for t, r, c0, c1 in zip(features.tables, features.rows, cols, cols[1:])]
+
+
+def _scores(parts, w, b) -> np.ndarray:
+    """z @ w + b: per table, its product with its columns of w, gathered."""
+    out = np.full(len(parts[0][1]), float(b))
+    for z, rows, block in parts:
+        out += (z @ w[block])[rows]
+    return out
+
+
+def _newton_step(parts, positive, active, reg_lambda, w, b):
+    """The step from (w, b) to the Newton point of the active set, from n
+    times its normal equations (see the module docstring). With no event
+    active only the regularizer is left: its minimizer is w = 0 at any b."""
+    d = len(w)
+    if not active.any():
+        return -w, 0.0
+    system, rhs = np.zeros((d + 1, d + 1)), np.zeros(d + 1)
+    hits = active & positive
+    pair = np.empty(len(active), dtype=np.intp)
+    for k, (zk, rk, bk) in enumerate(parts):
+        counts = np.bincount(rk, weights=active, minlength=len(zk))
+        system[bk, bk] = zk.T @ (counts[:, None] * zk)
+        system[bk, d] = system[d, bk] = counts @ zk
+        # y summed over each row's active events: +1 on a hit, -1 off it
+        rhs[bk] = (2.0 * np.bincount(rk, weights=hits, minlength=len(zk)) - counts) @ zk
+        for zl, rl, bl in parts[k + 1:]:
+            np.add(np.multiply(rk, len(zl), out=pair), rl, out=pair)
+            counts = np.bincount(pair, weights=active, minlength=len(zk) * len(zl))
+            system[bk, bl] = zk.T @ (counts.reshape(len(zk), len(zl)) @ zl)
+            system[bl, bk] = system[bk, bl].T
+    system[d, d] = np.count_nonzero(active)
+    rhs[d] = 2.0 * np.count_nonzero(hits) - system[d, d]
+    system[np.arange(d), np.arange(d)] += reg_lambda * len(active)
+    solution = np.linalg.solve(system, rhs)
+    return solution[:d] - w, solution[d] - b
+
+
+def _line_search(slack, step, reg_lambda, w, dw) -> float:
+    """The t >= 0 minimizing the primal at w + t dw, along which each slack
+    1 - margin falls by t * step. Its derivative is continuous, non-decreasing
+    and linear between kinks where a slack crosses 0: a binary search over the
+    kinks ahead finds the piece where it turns non-negative."""
+    n = len(slack)
+    kinks = np.divide(slack, step, out=np.zeros(n), where=step != 0)
+    kinks = np.sort(kinks[kinks > 0])
+    # the root's piece ends at the first kink where the derivative is >= 0
+    lo = bisect_left(kinks, True, key=lambda t: reg_lambda * (w + t * dw) @ dw
+                     - step @ np.maximum(slack - t * step, 0.0) / n >= 0)
+    start = kinks[lo - 1] if lo else 0.0
+    live = slack - (0.5 * (start + kinks[lo]) if lo < len(kinks) else start + 1.0) * step > 0
+    offset = reg_lambda * (w @ dw) - step[live] @ slack[live] / n
+    rate = reg_lambda * (dw @ dw) + step[live] @ step[live] / n
+    return max(start, -offset / rate) if rate > 0 else start
+
+
 def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
-              reg_lambda: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS) -> SvmModel:
-    """Deterministic full-batch subgradient descent on the L2-regularized
-    hinge loss. Features are standardized per dimension with train statistics;
-    the bias is left unregularized. Full-batch updates mean a duplicated
-    training set yields the identical model.
-    """
+              reg_lambda: float = SVM_LAMBDA) -> SvmModel:
+    """Exact finite Newton on the squared-hinge primal over features
+    standardized with train statistics (see the module docstring). A
+    reordered or duplicated training set gives the same model up to rounding."""
     features = _gathered(features)
     targets = np.asarray(targets)
     if len(targets) != len(features):
@@ -288,32 +281,29 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
     classes = np.unique(targets)
     if len(classes) < 2:
         raise ProtocolError("training set contains a single class")
-    y = np.where(targets == classes.max(), 1.0, -1.0)
+    positive = targets == classes.max()  # y = +1, else -1
 
     mean, std = _column_stats(features)
     std[std == 0.0] = 1.0  # constant dims carry no signal; avoid divide-by-zero
-    matvec, rmatvec, order = _standardized_products(features, mean, std)
-    y = y[order]
-
-    n, d = features.shape
-    w = np.zeros(d)
-    b = 0.0
-    for t in range(1, epochs + 1):
-        lr = 1.0 / (reg_lambda * (t + 1))
-        margins = matvec(w)
-        margins += b
-        margins *= y
-        # hinge subgradient: margin violators only. As y is +-1 this is
-        # np.where(margins < 1.0, y, 0.0) at a fifth of the cost; its -0.0
-        # entries leave every sum below, and so w and b, bit-identical
-        yv = y * (margins < 1.0)
-        grad, total = rmatvec(yv)
-        grad_w = reg_lambda * w - grad / n
-        grad_b = -total / n
-        w = w - lr * grad_w
-        b = b - lr * grad_b
+    parts = _standardized(features, mean, std)
+    w, b, slack = np.zeros(features.shape[1]), 0.0, np.ones(len(targets))
+    active = slack > 0  # slack = 1 - y (z @ w + b), the margin's shortfall
+    for iteration in range(1, SVM_MAX_ITERATIONS + 1):
+        dw, db = _newton_step(parts, positive, active, reg_lambda, w, b)
+        step = _scores(parts, dw, db)
+        np.negative(step, out=step, where=~positive)  # y times the scores' change
+        t = _line_search(slack, step, reg_lambda, w, dw)
+        w, b = w + t * dw, b + t * db
+        slack -= np.multiply(step, t, out=step)
+        del step  # not held through the next step's counts
+        settled, active = active, slack > 0
+        if np.array_equal(active, settled):
+            break
+    else:
+        logger.warning("the SVM reached its cap of %d Newton steps before its active "
+                       "set settled", SVM_MAX_ITERATIONS)
     return SvmModel(weights=w, bias=b, mean=mean, std=std,
-                    reg_lambda=reg_lambda, epochs=epochs)
+                    reg_lambda=reg_lambda, iterations=iteration)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -452,4 +442,4 @@ def save_model(model: SvmModel, path_or_fh) -> None:
         fh.write("mean " + " ".join("%.17g" % v for v in model.mean) + "\n")
         fh.write("std " + " ".join("%.17g" % v for v in model.std) + "\n")
         fh.write("reg_lambda %.17g\n" % model.reg_lambda)
-        fh.write("epochs %d\n" % model.epochs)
+        fh.write("iterations %d\n" % model.iterations)

@@ -248,7 +248,7 @@ def init_state(e: EventTensor, cfg: SolverConfig) -> SolverState:
     rng = np.random.default_rng(cfg.seed)
     factors = _random_factors(rng, coo.dims, f0, cfg.init_scale)
     empty = FactorStack(*(np.zeros((0, *g.shape)) for g in (factors.g_i, factors.g_j, factors.g_n)))
-    target = RelaxedTarget(e=coo, sq_norm=coo.sq_norm, history=empty, weights=np.zeros(0))
+    target = RelaxedTarget(coo, float(len(coo.plans["i"].cols)), empty, np.zeros(0))
     return SolverState(target=target, factors=factors, s=0, rng=rng)
 
 
@@ -300,7 +300,7 @@ def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple
     cfg = cfg or SolverConfig()
     state = init_state(e, cfg)
     target, e_coo = state.target, state.target.e
-    e_sq = e_coo.sq_norm
+    e_sq = float(len(e_coo.plans["i"].cols))
     alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
     while state.s < cfg.s_max:
         max_residual = 0.0

@@ -38,6 +38,12 @@ logger = logging.getLogger(__name__)
 TRAJECTORY_KINDS = ("linear", "circular", "sinusoidal")
 
 
+def _check_integer(spec, name):
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     kind: str
@@ -58,6 +64,7 @@ class ObjectSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("emission probability must be in [0, 1]")
+        _check_integer(self, "footprint")
         if self.footprint < 0:
             raise ValueError("footprint radius must be >= 0")
 
@@ -85,6 +92,9 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a fractional count generates a scene, or fails deep inside generate
+        for name in ("n_frames", "duration_us"):
+            _check_integer(self, name)
         if min(self.geometry) < 1:
             raise ValueError(f"geometry {self.geometry} needs at least one row and one column")
         if self.n_frames < 1:

@@ -260,18 +260,17 @@ class CooPlan:
 @dataclass(frozen=True)
 class CooTensor:
     """The 1-cells of a binary (I, J, N) tensor as their sort plans alone, one
-    per mode, and their count, E's squared norm; no coordinates are kept."""
+    per mode; no coordinates are kept. Each plan's len(cols) is the cell
+    count, E's squared norm."""
 
     dims: tuple[int, int, int]
     plans: dict[str, CooPlan]
-    sq_norm: float
 
     @classmethod
     def from_cells(cls, dims, flat) -> CooTensor:
         """E from the ascending, distinct C-order flat indices of its 1-cells:
-        one sort plan per mode and sq_norm, the cell count. The coordinates
-        live only while the plans are made. This is the one place the plans
-        are made."""
+        one sort plan per mode. The coordinates live only while the plans are
+        made. This is the one place the plans are made."""
         dims = tuple(int(d) for d in dims)
         coords = np.empty((3, len(flat)), dtype=np.intp)
         np.divmod(flat, dims[1] * dims[2], out=(coords[0], coords[1]))
@@ -287,7 +286,7 @@ class CooTensor:
             starts = np.flatnonzero(np.diff(key, prepend=-1))
             cols = (coords[slow] * dims[fast] + coords[fast])[order]
             plans[mode] = CooPlan(cols=cols, starts=starts, rows=key[starts], n_rows=dims[axis])
-        return cls(dims, plans, float(len(flat)))
+        return cls(dims, plans)
 
 
 def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0, first=slice(None)):

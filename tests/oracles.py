@@ -494,45 +494,62 @@ def extract_features(stream, tensor, factors):
     )
 
 
-def train_svm_gathered(features, targets, mean, std, reg_lambda=1e-3, epochs=500):
-    """`train_svm` on gathered features, standardized by the given mean and
-    std, as it ran before it sorted the events by frame: every epoch gathers
-    each table block at its event rows and bincounts it back, in the caller's
-    event order. Returns (weights, bias)."""
+def svm_primal_gradient(model, x, targets):
+    """The gradient in (w, b) of the squared-hinge primal that `train_svm`
+    minimizes, at the model's weights and bias, from the dense standardized
+    features (x - mean) / std."""
     targets = np.asarray(targets)
-    classes = np.unique(targets)
-    y = np.where(targets == classes.max(), 1.0, -1.0)
+    y = np.where(targets == targets.max(), 1.0, -1.0)
+    z = (np.asarray(x) - model.mean) / model.std
+    slack = 1.0 - y * (z @ model.weights + model.bias)
+    v = np.where(slack > 0, y * slack, 0.0)
+    return np.r_[model.reg_lambda * model.weights - v @ z / len(y), -v.sum() / len(y)]
 
-    starts = np.cumsum([0] + [len(t) for t in features.tables])
-    cols = np.cumsum([0] + [t.shape[1] for t in features.tables])
-    zt = np.zeros((starts[-1], cols[-1]))
-    for table, r0, c0, c1 in zip(features.tables, starts, cols, cols[1:]):
-        zt[r0:r0 + len(table), c0:c1] = (table - mean[c0:c1]) / std[c0:c1]
-    index = [r + r0 for r, r0 in zip(features.rows, starts)]
 
-    def matvec(w):
-        s = zt @ w
-        out = s[index[0]]
-        for rows in index[1:]:
-            out += s[rows]
-        return out
+def train_svm_dense(x, targets, reg_lambda=1e-3, max_iterations=50):
+    """`train_svm` on a dense (n, d) matrix, written out: dense column
+    statistics, z = (x - mean) / std, and finite Newton on the squared-hinge
+    primal whose step solves the active events' dense normal equations and
+    whose line search bisects the primal's derivative along the step."""
+    from evtensor.evaluation import SvmModel
 
-    def rmatvec(v):
-        return np.concatenate([np.bincount(r, weights=v, minlength=len(t))
-                               for t, r in zip(features.tables, features.rows)]) @ zt
+    x = np.asarray(x, dtype=np.float64)
+    targets = np.asarray(targets)
+    y = np.where(targets == targets.max(), 1.0, -1.0)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    z1 = np.hstack([(x - mean) / std, np.ones((len(x), 1))])
+    n, d = z1.shape
+    reg = np.full(d, reg_lambda)
+    reg[-1] = 0.0  # the bias is not regularized
+    u = np.zeros(d)
 
-    n, d = features.shape
-    w = np.zeros(d)
-    b = 0.0
-    for t in range(1, epochs + 1):
-        lr = 1.0 / (reg_lambda * (t + 1))
-        margins = y * (matvec(w) + b)
-        yv = y * (margins < 1.0)
-        grad_w = reg_lambda * w - rmatvec(yv) / n
-        grad_b = -yv.sum() / n
-        w = w - lr * grad_w
-        b = b - lr * grad_b
-    return w, b
+    for iteration in range(1, max_iterations + 1):
+        margins = y * (z1 @ u)
+        active = margins < 1.0
+        za = z1[active]
+        du = np.linalg.solve(np.diag(reg) + za.T @ za / n, za.T @ y[active] / n) - u
+        dmargins = y * (z1 @ du)
+
+        def slope(t):
+            slack = np.maximum(1.0 - margins - t * dmargins, 0.0)
+            return (reg * (u + t * du)) @ du - slack @ dmargins / n
+
+        hi = 1.0
+        while slope(hi) < 0:
+            hi *= 2.0
+        lo = 0.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        u = u + hi * du
+        if np.array_equal(y * (z1 @ u) < 1.0, active):
+            break
+    return SvmModel(weights=u[:-1], bias=u[-1], mean=mean, std=std,
+                    reg_lambda=reg_lambda, iterations=iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +770,7 @@ def load_model(path_or_fh):
         mean=np.array(field("mean"), dtype=np.float64),
         std=np.array(field("std"), dtype=np.float64),
         reg_lambda=float(field("reg_lambda")[0]),
-        epochs=int(field("epochs")[0]),
+        iterations=int(field("iterations")[0]),
     )
     if not len(model.weights) == len(model.mean) == len(model.std):
         raise ShapeError(f"model file has {len(model.weights)} weights, {len(model.mean)} "

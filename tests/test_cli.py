@@ -172,8 +172,7 @@ STREAM = EventStream(i=[0, 1, 2], j=[0, 1, 0], t=[0, 50, 100], geometry=(3, 2),
                      labels=[0, 1, -1])
 TENSOR = bin_to_tensor(STREAM, 4)
 FACTORS = random_factors(np.random.default_rng(3), (4, 5, 6), 2)
-MODEL = train_svm(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.2]]), np.array([0, 1, 1]),
-                  epochs=3)
+MODEL = train_svm(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.2]]), np.array([0, 1, 1]))
 
 
 def _text(path) -> str:

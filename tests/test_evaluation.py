@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,26 +160,6 @@ def test_gathered_features_index_like_the_dense_array():
             np.asarray(gathered, copy=False)
 
 
-def _takes_the_gathered_kernel(features):
-    """Whether the SVM's products sort `features` by frame: the dense kernel
-    keeps the events' order, its `order` slice(None)."""
-    d = features.shape[1]
-    order = evaluation._standardized_products(features, np.zeros(d), np.ones(d))[2]
-    return not isinstance(order, slice)
-
-
-@pytest.mark.parametrize("f,gathered", [(1, False), (2, False), (3, True), (6, True)])
-def test_width_rule_keeps_only_wide_features_gathered(f, gathered):
-    # mean block width f^2: gathering loses to the dense loop at f <= 2. A
-    # one-table gather, as a dense array becomes, always takes the dense loop
-    stream, tensor, factors = fitted_pieces(f=f)
-    feats = extract_features(stream, tensor, factors).features
-    assert _takes_the_gathered_kernel(feats) == gathered
-    one_table = evaluation._gathered(np.asarray(feats))
-    assert len(one_table.tables) == 1
-    assert not _takes_the_gathered_kernel(one_table)
-
-
 # ---------------------------------------------------------------------------
 # temporal split
 
@@ -264,7 +245,7 @@ def test_binary_task_objects_needs_exactly_two_classes():
 def test_svm_separable_two_points():
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1])
-    model = train_svm(x, y, epochs=200)
+    model = train_svm(x, y)
     scores = model.decision_scores(x)
     assert ((scores > 0).astype(int) == y).all()
 
@@ -284,34 +265,20 @@ def test_svm_rerun_bitwise_identical():
     assert m1.bias == m2.bias
 
 
-def _svm_weights_dividing_a_fresh_difference(features, targets, mean, std,
-                                             reg_lambda=1e-3, epochs=500):
-    """train_svm's loop with its standardization by the given mean and std
-    written as one expression, (features - mean) / std."""
-    y = np.where(targets == targets.max(), 1.0, -1.0)
-    z = (features - mean) / std
-    n, d = z.shape
-    w = np.zeros(d)
-    b = 0.0
-    for t in range(1, epochs + 1):
-        lr = 1.0 / (reg_lambda * (t + 1))
-        margins = y * (z @ w + b)
-        yv = np.where(margins < 1.0, y, 0.0)
-        w = w - lr * (reg_lambda * w - (yv @ z) / n)
-        b = b - lr * (-yv.sum() / n)
-    return w, b
-
-
 def test_svm_in_place_standardization_is_bit_identical():
+    # the model's scores on a dense matrix are those of the fresh difference
+    # (x - mean) / std to the last bit; a constant dimension gets std 1 and,
+    # its standardized column all zero, no weight
     rng = np.random.default_rng(12)
     x = rng.normal(loc=3.0, scale=[0.5, 2.0, 7.0, 1e-3, 40.0], size=(300, 5))
     x[:, 1] = 4.0  # a constant dimension
     y = (x[:, 0] + 0.3 * rng.normal(size=300) > 3.0).astype(int)
     model = train_svm(x, y)
     assert model.std[1] == 1.0  # the constant dimension's std, replaced
-    w, b = _svm_weights_dividing_a_fresh_difference(x, y, model.mean, model.std)
-    np.testing.assert_array_equal(model.weights, w)
-    assert model.bias == b
+    assert model.weights[1] == 0.0
+    assert np.all(model.weights[[0, 2, 3, 4]] != 0.0)
+    fresh = (x - model.mean) / model.std @ model.weights + model.bias
+    np.testing.assert_array_equal(model.decision_scores(x), fresh)
 
 
 def test_svm_shape_mismatches_name_both_sizes():
@@ -323,7 +290,7 @@ def test_svm_shape_mismatches_name_both_sizes():
             train_svm(features, y[:-1])
     narrower = extract_features(stream, tensor,
                                 random_factors(np.random.default_rng(3), tensor.dims, 2))
-    model = train_svm(narrower.features, y, epochs=5)
+    model = train_svm(narrower.features, y)
     for features in (gathered, np.asarray(gathered)):
         with pytest.raises(ShapeError, match="27 columns, the model has 12 weights"):
             model.decision_scores(features)
@@ -363,12 +330,14 @@ def test_model_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.mean, model.mean)
     np.testing.assert_array_equal(loaded.std, model.std)
     assert loaded.bias == model.bias
+    assert loaded.iterations == model.iterations >= 1
 
 
-@pytest.mark.parametrize("keep,missing", [(1, "bias"), (2, "mean"), (3, "std")])
+@pytest.mark.parametrize("keep,missing", [(1, "bias"), (2, "mean"), (3, "std"),
+                                          (5, "iterations")])
 def test_truncated_model_file_names_the_missing_field(tmp_path, keep, missing):
     rng = np.random.default_rng(5)
-    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), epochs=5)
+    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40))
     path = tmp_path / "svm.model"
     save_model(model, str(path))
     lines = path.read_text().splitlines(keepends=True)
@@ -379,7 +348,7 @@ def test_truncated_model_file_names_the_missing_field(tmp_path, keep, missing):
 
 def test_model_file_with_a_short_std_row_is_rejected(tmp_path):
     rng = np.random.default_rng(5)
-    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), epochs=5)
+    model = train_svm(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40))
     path = tmp_path / "svm.model"
     save_model(model, str(path))
     text = path.read_text()
@@ -390,7 +359,7 @@ def test_model_file_with_a_short_std_row_is_rejected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# gathered against dense training on the reference scene
+# the gathered Newton solve against the dense oracle on the reference scene
 
 
 @pytest.fixture(scope="module")
@@ -405,21 +374,102 @@ def ref_scene_fit():
 @pytest.mark.parametrize("task", ["objects", "noise"])
 def test_gathered_svm_matches_dense_oracle_on_reference_scene(ref_scene_fit, task):
     stream, tensor, factors = ref_scene_fit
-    assert factors.g_i.shape[1] >= 3  # wide enough for the gathered path
     gathered = temporal_split(extract_features(stream, tensor, factors))
     dense = temporal_split(oracles.extract_features(stream, tensor, factors))
     mask, y = binary_task(gathered.labels, task)
     tr, te = mask & gathered.is_train, mask & ~gathered.is_train
     y_tr, y_te = y[gathered.is_train[mask]], y[~gathered.is_train[mask]]
-    assert _takes_the_gathered_kernel(gathered.features[tr])
     m_g = train_svm(gathered.features[tr], y_tr)
-    m_d = train_svm(dense.features[tr], y_tr)
+    m_d = oracles.train_svm_dense(dense.features[tr], y_tr)
+    assert m_g.iterations > 1
     np.testing.assert_allclose(m_g.mean, m_d.mean, rtol=1e-10, atol=1e-15)
     np.testing.assert_allclose(m_g.std, m_d.std, rtol=1e-10)
     np.testing.assert_allclose(m_g.weights, m_d.weights, rtol=1e-9)
     assert m_g.bias == pytest.approx(m_d.bias, rel=1e-9)
-    assert (auc(m_g.decision_scores(gathered.features[te]), y_te)
-            == auc(m_d.decision_scores(dense.features[te]), y_te))
+    dense_scores = (dense.features[te] - m_d.mean) / m_d.std @ m_d.weights + m_d.bias
+    assert auc(m_g.decision_scores(gathered.features[te]), y_te) == auc(dense_scores, y_te)
+
+
+def _random_svm_data(seed):
+    """A dense training set whose label follows one column, with noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=1.0, scale=[0.5, 2.0, 1.0, 3.0, 0.1, 1.0], size=(400, 6))
+    return x, (x[:, 0] - x[:, 3] / 4 + 0.5 * rng.normal(size=400) > 1.0).astype(int)
+
+
+def _assert_at_the_optimum(model, x, y):
+    gradient = oracles.svm_primal_gradient(model, x, y)
+    at_zero = replace(model, weights=np.zeros_like(model.weights), bias=0.0)
+    scale = np.linalg.norm(oracles.svm_primal_gradient(at_zero, x, y))
+    assert np.linalg.norm(gradient) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_svm_stops_at_the_primal_optimum_on_the_reference_scene(ref_scene_fit, task):
+    features, y, _ = _train_and_test_features(*ref_scene_fit, task)
+    model = train_svm(features, y)
+    assert 1 < model.iterations < evaluation.SVM_MAX_ITERATIONS
+    _assert_at_the_optimum(model, np.asarray(features), y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_svm_stops_at_the_primal_optimum_on_random_data(seed):
+    x, y = _random_svm_data(seed)
+    model = train_svm(x, y)
+    assert 1 < model.iterations < evaluation.SVM_MAX_ITERATIONS
+    _assert_at_the_optimum(model, x, y)
+
+
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_svm_is_the_same_under_event_order_and_duplication(ref_scene_fit, task):
+    features, y, _ = _train_and_test_features(*ref_scene_fit, task)
+    model = train_svm(features, y)
+    rerun = train_svm(features, y)
+    np.testing.assert_array_equal(rerun.weights, model.weights)
+    assert rerun.bias == model.bias
+    for keep in (np.random.default_rng(7).permutation(len(y)), np.tile(np.arange(len(y)), 2)):
+        other = train_svm(features[keep], y[keep])
+        np.testing.assert_allclose(other.weights, model.weights, rtol=1e-10)
+        assert other.bias == pytest.approx(model.bias, rel=1e-10)
+
+
+def test_svm_reaching_its_iteration_cap_warns(monkeypatch, caplog):
+    x, y = _random_svm_data(0)
+    monkeypatch.setattr(evaluation, "SVM_MAX_ITERATIONS", 1)
+    with caplog.at_level("WARNING", logger="evtensor.evaluation"):
+        model = train_svm(x, y)
+    assert model.iterations == 1
+    assert "cap of 1 Newton steps" in caplog.text
+
+
+def test_newton_step_with_no_active_event_keeps_the_bias():
+    # every margin at or past 1 leaves only the regularizer: its minimizer is
+    # w = 0 at any bias, so the step keeps the bias instead of a singular solve
+    features = GatheredFeatures([np.arange(6.0).reshape(3, 2), np.ones((2, 1))],
+                                [np.array([0, 2, 1]), np.array([1, 0, 1])])
+    parts = evaluation._standardized(features, np.zeros(3), np.ones(3))
+    w = np.array([0.5, -1.0, 2.0])
+    dw, db = evaluation._newton_step(parts, np.array([True, False, True]),
+                                     np.zeros(3, dtype=bool), 1e-3, w, 0.25)
+    np.testing.assert_array_equal(w + dw, np.zeros(3))
+    assert db == 0.0
+
+
+def test_svm_through_an_empty_active_set_ends_at_the_optimum(monkeypatch):
+    # on these four points the fifth step starts with every margin past 1
+    x = np.array([[0.0, 1.5], [0.3, -0.3], [11.0, 14.0], [-0.5, -1.5]])
+    y = np.array([0, 0, 1, 0])
+    sizes = []
+    newton_step = evaluation._newton_step
+
+    def recording(*args):
+        sizes.append(int(np.count_nonzero(args[2])))
+        return newton_step(*args)
+
+    monkeypatch.setattr(evaluation, "_newton_step", recording)
+    model = train_svm(x, y)
+    assert 0 in sizes and sizes[-1] > 0
+    _assert_at_the_optimum(model, x, y)
 
 
 def _train_and_test_features(stream, tensor, factors, task):
@@ -443,20 +493,6 @@ def _events_of(features, y, events):
     else:
         keep = np.arange(len(y))
     return features[keep], y[keep]
-
-
-@pytest.mark.parametrize("events", ["as_split", "shuffled", "frames_with_gaps", "one_frame"])
-@pytest.mark.parametrize("task", ["objects", "noise"])
-def test_frame_sorted_svm_is_bit_identical_to_the_gathered_loop(ref_scene_fit, task, events):
-    # the epochs sum only small integers, so training over frame-sorted events
-    # reproduces the loop over the caller's order to the last bit
-    features, y = _events_of(*_train_and_test_features(*ref_scene_fit, task)[:2], events)
-    assert _takes_the_gathered_kernel(features)
-    assert len(np.unique(y)) == 2
-    model = train_svm(features, y)
-    weights, bias = oracles.train_svm_gathered(features, y, model.mean, model.std)
-    np.testing.assert_array_equal(model.weights, weights)
-    assert model.bias == bias
 
 
 @pytest.mark.parametrize("task", ["objects", "noise"])
@@ -493,6 +529,27 @@ def test_column_stats_peak_memory_is_table_sized_not_event_sized():
     assert mean.shape == std.shape == (3 * f * f,)
     assert peak < 3 * max(t.nbytes for t in tables) + (64 << 10)
     assert peak < n * 8
+
+
+def test_train_svm_peak_memory_is_a_few_event_arrays():
+    # DAVIS-scale tables at f = 6 and the noise task's 34,777 training
+    # events. Each Newton step holds a few event-sized arrays and one table-
+    # row co-occurrence count, never an (events, columns) block; the 500-epoch
+    # subgradient loop it replaced peaked at 12 event-sized float64 arrays
+    rng = np.random.default_rng(0)
+    f, n = 6, 34_777
+    tables = [rng.normal(size=(rows, f * f)) for rows in (260, 346, 100)]
+    rows = [rng.integers(0, len(t), size=n) for t in tables]
+    features = GatheredFeatures(tables, rows)
+    y = (sum(t[r, 0] for t, r in zip(tables, rows)) + rng.normal(size=n) > 0.5).astype(int)
+    tracemalloc.start()
+    try:
+        model = train_svm(features, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.iterations > 1
+    assert peak < 9 * n * 8
 
 
 @pytest.mark.parametrize("task", ["objects", "noise"])

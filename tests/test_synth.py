@@ -218,6 +218,27 @@ def test_a_non_finite_scene_number_is_named(name, value):
         load_scene_spec(io.StringIO(text))
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2.0), True, "2"],
+                         ids=["fraction", "whole_float", "numpy_float", "bool", "str"])
+@pytest.mark.parametrize("name", ["footprint", "n_frames", "duration_us"])
+def test_a_non_integer_scene_count_is_named(name, value):
+    # unchecked, footprint = 1.5 generated a scene and n_frames = 2.5 failed
+    # inside generate as "'float' object cannot be interpreted as an integer"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        if name == "footprint":
+            ObjectSpec(kind="linear", start=(1.0, 1.0), footprint=value)
+        else:
+            SceneSpec(**{"geometry": (8, 8), "n_frames": 2, "duration_us": 20,
+                         "objects": (static_object(),), name: value})
+
+
+def test_numpy_integer_scene_counts_are_accepted():
+    obj = ObjectSpec(kind="linear", start=(1.0, 1.0), footprint=np.int64(1))
+    spec = SceneSpec(geometry=(8, 8), n_frames=np.int32(2), duration_us=np.int64(20),
+                     objects=(obj,))
+    assert len(generate(spec)) > 0
+
+
 def test_object_spec_validation():
     with pytest.raises(ValueError):
         ObjectSpec(kind="warp", start=(0, 0))

@@ -313,11 +313,12 @@ def test_pair_rhs_unknown_mode():
 
 @pytest.mark.parametrize("kind", ["ones", "bool"])
 def test_coo_sq_norm_is_the_dot_of_the_values(kind):
-    # E holds only 1s, so its squared norm is its cell count
+    # E holds only 1s, so its squared norm is its cell count, each plan's length
     mask = np.random.default_rng(4).random((30, 20, 10)) < 0.1
     data = mask.astype(np.uint8) if kind == "ones" else mask
     values = data[np.nonzero(data)].astype(np.float64)
-    assert _coo(data).sq_norm == float(np.dot(values, values)) == mask.sum()
+    for plan in _coo(data).plans.values():
+        assert len(plan.cols) == float(np.dot(values, values)) == mask.sum()
 
 
 def _assert_plans_equal(coo, expected):
@@ -614,4 +615,4 @@ def test_coo_tensor_retains_only_its_plans(dense):
     plans = sum(a.nbytes for plan in coo.plans.values()
                 for a in (plan.cols, plan.starts, plan.rows))
     assert retained < plans + (64 << 10)
-    assert coo.sq_norm == len(flat)
+    assert all(len(plan.cols) == len(flat) for plan in coo.plans.values())
