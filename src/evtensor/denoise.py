@@ -34,8 +34,8 @@ def score_events(stream: EventStream, tensor: EventTensor,
 
     For an event at (i, j, n) the score is the reconstruction's entry there,
     sum over (x, y, z) of g_i[i, x, y] * g_j[x, j, z] * g_n[y, z, n], read
-    by tensor_ops.cell_values, whose every transient that grows with the
-    number of events M stays under tensor_ops.BLOCK_BYTES.
+    by tensor_ops.cell_values, which holds a few event-sized vectors beside
+    one or two blocks of table rows.
     """
     return cell_values(factors, stream.i, stream.j, event_frames(stream, tensor, factors.dims))
 

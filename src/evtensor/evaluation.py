@@ -223,7 +223,7 @@ def _scores(parts, w, b) -> np.ndarray:
     return out
 
 
-def _newton_step(parts, positive, active, reg_lambda, w, b):
+def _newton_step(parts, positive, active, w, b):
     """The step from (w, b) to the Newton point of the active set, from n
     times its normal equations (see the module docstring). With no event
     active only the regularizer is left: its minimizer is w = 0 at any b."""
@@ -246,12 +246,12 @@ def _newton_step(parts, positive, active, reg_lambda, w, b):
             system[bl, bk] = system[bk, bl].T
     system[d, d] = np.count_nonzero(active)
     rhs[d] = 2.0 * np.count_nonzero(hits) - system[d, d]
-    system[np.arange(d), np.arange(d)] += reg_lambda * len(active)
+    system[np.arange(d), np.arange(d)] += SVM_LAMBDA * len(active)
     solution = np.linalg.solve(system, rhs)
     return solution[:d] - w, solution[d] - b
 
 
-def _line_search(slack, step, reg_lambda, w, dw) -> float:
+def _line_search(slack, step, w, dw) -> float:
     """The t >= 0 minimizing the primal at w + t dw, along which each slack
     1 - margin falls by t * step. Its derivative is continuous, non-decreasing
     and linear between kinks where a slack crosses 0: a binary search over the
@@ -260,17 +260,16 @@ def _line_search(slack, step, reg_lambda, w, dw) -> float:
     kinks = np.divide(slack, step, out=np.zeros(n), where=step != 0)
     kinks = np.sort(kinks[kinks > 0])
     # the root's piece ends at the first kink where the derivative is >= 0
-    lo = bisect_left(kinks, True, key=lambda t: reg_lambda * (w + t * dw) @ dw
+    lo = bisect_left(kinks, True, key=lambda t: SVM_LAMBDA * (w + t * dw) @ dw
                      - step @ np.maximum(slack - t * step, 0.0) / n >= 0)
     start = kinks[lo - 1] if lo else 0.0
     live = slack - (0.5 * (start + kinks[lo]) if lo < len(kinks) else start + 1.0) * step > 0
-    offset = reg_lambda * (w @ dw) - step[live] @ slack[live] / n
-    rate = reg_lambda * (dw @ dw) + step[live] @ step[live] / n
+    offset = SVM_LAMBDA * (w @ dw) - step[live] @ slack[live] / n
+    rate = SVM_LAMBDA * (dw @ dw) + step[live] @ step[live] / n
     return max(start, -offset / rate) if rate > 0 else start
 
 
-def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
-              reg_lambda: float = SVM_LAMBDA) -> SvmModel:
+def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray) -> SvmModel:
     """Exact finite Newton on the squared-hinge primal over features
     standardized with train statistics (see the module docstring). A
     reordered or duplicated training set gives the same model up to rounding."""
@@ -289,10 +288,10 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
     w, b, slack = np.zeros(features.shape[1]), 0.0, np.ones(len(targets))
     active = slack > 0  # slack = 1 - y (z @ w + b), the margin's shortfall
     for iteration in range(1, SVM_MAX_ITERATIONS + 1):
-        dw, db = _newton_step(parts, positive, active, reg_lambda, w, b)
+        dw, db = _newton_step(parts, positive, active, w, b)
         step = _scores(parts, dw, db)
         np.negative(step, out=step, where=~positive)  # y times the scores' change
-        t = _line_search(slack, step, reg_lambda, w, dw)
+        t = _line_search(slack, step, w, dw)
         w, b = w + t * dw, b + t * db
         slack -= np.multiply(step, t, out=step)
         del step  # not held through the next step's counts
@@ -303,7 +302,7 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray,
         logger.warning("the SVM reached its cap of %d Newton steps before its active "
                        "set settled", SVM_MAX_ITERATIONS)
     return SvmModel(weights=w, bias=b, mean=mean, std=std,
-                    reg_lambda=reg_lambda, iterations=iteration)
+                    reg_lambda=SVM_LAMBDA, iterations=iteration)
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -50,10 +50,10 @@ A sweep is one loop over the modes. For each mode it forms, for the current
 factors, X_m H_m^T (RelaxedTarget.product) and H_m H_m^T (tensor_ops.pair_gram,
 from per-factor Grams) and hands both to update_factor. With K history terms
 at rank f, X_m H_m^T is the sum of
-  - E's part (tensor_ops.coo_rhs): the mode's pair table, O(f^3) per column
-    over only the columns of J*N, I*N or I*J that E's nonzeros touch, built
-    a block of rows at a time, each block gathered at the nonzeros and
-    segment-summed by row, O(nnz f^2), in sort plans made once per E;
+  - E's part (tensor_ops.coo_rhs): the mode's whole pair table, O(f^3) per
+    column of J*N, I*N or I*J, built a block of rows at a time, each block
+    gathered at the nonzeros and segment-summed by row, O(nnz f^2), in sort
+    plans made once per E;
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
 so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2. It holds

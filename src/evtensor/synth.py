@@ -239,12 +239,17 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
         velocity = 0.0, 0.6
         footprint = 1
         prob = 0.8
+
+    An object may also set radius, freq and phase. Any other section or key
+    raises a ValueError naming it, so that a misspelled one is not dropped.
     """
     parser = configparser.ConfigParser()
     with open_text(path_or_fh) as fh:
         parser.read_file(fh)
     if "scene" not in parser:
         raise ValueError("scene file lacks a [scene] section")
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ValueError("unknown section [DEFAULT] in the scene file")
     sc = parser["scene"]
     for key in ("rows", "cols", "frames"):
         if key not in sc:
@@ -262,9 +267,18 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
 
     objects = []
     for name in parser.sections():
-        if not name.startswith("object"):
-            continue
         sec = parser[name]
+        if name == "scene":
+            known = "rows cols frames duration_us noise_per_frame seed"
+        elif name.startswith("object.") and name != "object.":
+            known = "kind start velocity radius freq phase footprint prob"
+        else:
+            raise ValueError(f"unknown section [{name}] in the scene file")
+        unknown = set(sec) - set(known.split())
+        if unknown:
+            raise ValueError(f"unknown key {min(unknown)!r} in [{name}]")
+        if name == "scene":
+            continue
         objects.append(ObjectSpec(
             kind=sec.get("kind", "linear"),
             start=pair(sec, "start"),

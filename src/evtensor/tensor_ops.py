@@ -68,9 +68,9 @@ f3tn_contract in mode i, whose columns j*N + n are R's C order, and
 cell_values in mode j, row j of G_j against column i*N + n. Mode j is on
 purpose: the two sum in different orders, so checking per-cell scores against
 f3tn_contract compares two contraction orders, not one with itself.
-cell_values builds mode j's table only at the cells' distinct (i, n)
-columns, a block of them at a time, and scores their cells a block at a
-time, so no product over events or nonzeros holds more than BLOCK_BYTES.
+cell_values streams mode j's table as coo_rhs does, a block of rows at a
+time (_table_blocks), and adds each row's product at the cells' columns to
+their scores: it holds a few cell-sized vectors beside one or two blocks.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ BLOCK_BYTES = 2 << 20
 def row_blocks(n: int, row_bytes: int) -> list[slice]:
     """Slices cutting range(n) into consecutive blocks of BLOCK_BYTES //
     row_bytes rows, at least two, the last one taking what is left. A lone
-    last row joins the block before it: np.einsum sums the products of a
-    single cell in another order than those of several (cell_values)."""
+    last row joins the block before it."""
     step = max(2, BLOCK_BYTES // row_bytes)
     starts = list(range(0, max(n - 1, 1), step))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
@@ -289,20 +288,19 @@ class CooTensor:
         return cls(dims, plans)
 
 
-def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0, first=slice(None)):
+def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):
     """The mode's pair table (see pair_table) a block of rows at a time, as
     (rows, block) pairs, block the table's rows `rows`. A block is one
     latent index q of the second factor and a row_blocks block of the first
     factor's open index p: the rows q*f + p are (p, data; shared) of the
-    first @ (shared; data) of the second at q, over the first factor's data
-    indices in `first` only, so column 0 is at data index first.start.
-    Every entry sums the same f products in the same order as in one
-    batched matmul, so each block is bit-identical to those rows of it. The
-    blocks are cut so that the product and `row_bytes` per row, the
-    caller's own transient, stay under BLOCK_BYTES (two rows at least)."""
+    first @ (shared; data) of the second at q. Every entry sums the same f
+    products in the same order as in one batched matmul, so each block is
+    bit-identical to those rows of it. The blocks are cut so that the
+    product and `row_bytes` per row, the caller's own transient, stay under
+    BLOCK_BYTES (two rows at least)."""
     (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
     f = factors.rank
-    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)[:, first]
+    a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
     b = getattr(factors, name_b).transpose(3 - data_b - shared_b, shared_b, data_b)
     n_a, n_b = a.shape[1], b.shape[2]
     a = a.reshape(-1, f)
@@ -313,28 +311,18 @@ def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0, first=sl
             yield slice(q * f + p.start, q * f + p.stop), block.reshape(p.stop - p.start, -1)
 
 
-def pair_table(factors: FactorTriple, mode: str, used: np.ndarray | None = None) -> np.ndarray:
+def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
     """H_m itself with its columns reordered, (f^2, product of the two other
     dims): rows in matricize_factor(g_m)'s column order, columns the other two
     indices in C order (j*N + n for mode i, i*N + n for mode j, i*J + j for
-    mode n). With `used`, ascending distinct column indices, only those
-    columns, in that order, from the first factor's data indices that they
-    span. O(f^3) per column, written in this layout directly from the
+    mode n). O(f^3) per column, written in this layout directly from the
     blocks of _table_blocks, so no transient is larger than BLOCK_BYTES or
-    two of its rows over every column."""
+    two of its rows."""
     if mode not in PAIRS:
         raise ValueError(f"unknown mode {mode!r}")
-    f = factors.rank
-    n_a, n_b = (d for m, d in zip(MODES, factors.dims) if m != mode)
-    lo, hi = (used[0] // n_b, used[-1] // n_b + 1) if used is not None and len(used) else (0, n_a)
-    out = np.empty((f * f, n_a * n_b if used is None else len(used)))
-    for rows, block in _table_blocks(factors, mode, first=slice(lo, hi)):
-        if used is None:
-            out[rows] = block
-        else:
-            # used is in range, so "clip" clips nothing and writes straight
-            # into out; "raise" would gather into a buffer and copy it again
-            np.take(block, used - lo * n_b, axis=1, out=out[rows], mode="clip")
+    out = np.empty((factors.rank ** 2, np.prod(factors.dims) // factors.dims[MODES.index(mode)]))
+    for rows, block in _table_blocks(factors, mode):
+        out[rows] = block
     return out
 
 
@@ -368,32 +356,17 @@ def f3tn_contract(factors: FactorTriple) -> np.ndarray:
 
 def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
     """The reconstruction at the cells (i[k], j[k], n[k]), O(f^2) per cell
-    after mode j's pair table at the cells' distinct columns: row j of G_j
-    against column i*N + n of the table, and no full tensor. The table is
-    made a block of columns at a time, whose cells go a block at a time; the
-    table block and the cells' two gathered operands hold BLOCK_BYTES / 2 each."""
+    after mode j's pair table, streamed a block of rows at a time: each row r
+    adds G_j[j, r] * table[r, i*N + n], so every cell sums its f^2 products
+    in one order, that of one einsum over many cells, alone or among others."""
     cols = np.ravel_multi_index((i, n), (factors.dims[0], factors.dims[2]))
-    j = np.asarray(j)
-    if len(cols) == 1:
-        # np.einsum sums a lone cell's products in another order than those
-        # of several cells, so a lone cell is scored as a pair with itself
-        return cell_values(factors, np.repeat(i, 2), np.repeat(j, 2), np.repeat(n, 2))[:1]
-    # the distinct columns marked over the table's width, and each cell's
-    # position among them from the marks' running count: np.unique's values
-    # and inverse without its sort
-    touched = np.zeros(factors.dims[0] * factors.dims[2], dtype=bool)
-    touched[cols] = True
-    used = np.flatnonzero(touched)
-    cols = np.cumsum(touched)[cols] - 1
     g_j = matricize_factor(factors.g_j, "j")
-    out = np.empty(len(cols))
-    # row_blocks keeps two columns, and so two cells, in every block
-    for block in row_blocks(len(used), 16 * g_j.shape[1]):
-        table = pair_table(factors, "j", used[block])
-        mine = np.flatnonzero((cols >= block.start) & (cols < block.stop))
-        for cells in row_blocks(len(mine), 32 * g_j.shape[1]):
-            k = mine[cells]
-            out[k] = np.einsum("mk,km->m", g_j[j[k]], np.take(table, cols[k] - block.start, 1))
+    out = np.zeros(len(cols))
+    for rows, block in _table_blocks(factors, "j"):
+        for r, row in enumerate(block, rows.start):
+            term = np.take(g_j[:, r], j)
+            term *= np.take(row, cols)
+            out += term
     return out
 
 

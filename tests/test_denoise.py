@@ -195,8 +195,9 @@ def test_report_csv_rejects_a_misaligned_report(tmp_path, field, resize):
 
 
 def _davis_scale_scored():
-    """The DAVIS-scale scene (260 x 346 x 100, 57,843 events), its tensor and
-    random factors at f = 6, and score_events' tracemalloc peak on them."""
+    """The DAVIS-scale scene (260 x 346 x 100, 57,843 events), its tensor,
+    random factors at f = 6, score_events' scores on them and its
+    tracemalloc peak."""
     spec = SceneSpec(
         geometry=(260, 346), n_frames=100, duration_us=1_000_000,
         objects=(ObjectSpec(kind="linear", start=(20.0, 20.0), velocity=(2.1, 3.0),
@@ -215,25 +216,30 @@ def _davis_scale_scored():
     finally:
         tracemalloc.stop()
     assert len(scores) == len(stream)
-    return stream, tensor, peak
+    return stream, tensor, factors, scores, peak
 
 
 def test_score_events_peak_memory_is_the_table_at_the_events_columns_and_two_blocks():
     # mode j's whole pair table is 7.5 MB, the events touch 11,417 of its
-    # 26,000 columns; the table at those, 3.3 MB, bounds what is made of it
-    # at once, and event blocks of at most BLOCK_BYTES go beside it
-    stream, tensor, peak = _davis_scale_scored()
-    used = len(np.unique(stream.i * tensor.dims[2] + bin_indices(stream.t, tensor.bin_edges)))
+    # 26,000 columns; the table at those is 3.3 MB. Streamed a block of
+    # rows at a time, the table holds at most two blocks beside a few
+    # event-sized vectors, well inside this bound. The scores are the
+    # unblocked oracle's bit for bit at DAVIS scale, not only on small tensors
+    stream, tensor, factors, scores, peak = _davis_scale_scored()
+    frames = bin_indices(stream.t, tensor.bin_edges)
+    used = len(np.unique(stream.i * tensor.dims[2] + frames))
     assert peak < 8 * 6 * 6 * used + 2 * tensor_ops.BLOCK_BYTES + (1 << 20)
+    np.testing.assert_array_equal(scores, oracles.cell_values_unblocked(factors, stream.i,
+                                                                        stream.j, frames))
 
 
 @pytest.mark.parametrize("block_bytes", [1 << 18, 1 << 19])
 def test_score_events_makes_the_table_a_block_of_columns_at_a_time(monkeypatch, block_bytes):
     # at a BLOCK_BYTES well under the 3.3 MB table at the events' columns,
-    # the peak is a few per-event arrays (the cells' columns and positions,
-    # the frames, the scores, one table block's cells) and two blocks: 2.7
-    # and 3.0 MB here, where the whole table at those columns made it 5.0
-    # and 5.1 MB
+    # the peak is a few per-event arrays (the frames, the cells' columns,
+    # the scores, one table row's term and its gather) and two blocks of
+    # table rows, two rows of 208 kB each: 2.9 MB at both sizes here, where
+    # the whole table at those columns made it 5.0 and 5.1 MB
     monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
-    stream, _, peak = _davis_scale_scored()
+    stream, *_, peak = _davis_scale_scored()
     assert peak < 6 * 8 * len(stream) + 2 * block_bytes

@@ -450,7 +450,7 @@ def test_newton_step_with_no_active_event_keeps_the_bias():
     parts = evaluation._standardized(features, np.zeros(3), np.ones(3))
     w = np.array([0.5, -1.0, 2.0])
     dw, db = evaluation._newton_step(parts, np.array([True, False, True]),
-                                     np.zeros(3, dtype=bool), 1e-3, w, 0.25)
+                                     np.zeros(3, dtype=bool), w, 0.25)
     np.testing.assert_array_equal(w + dw, np.zeros(3))
     assert db == 0.0
 

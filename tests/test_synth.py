@@ -190,6 +190,21 @@ def test_scene_file_errors():
     assert "start" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("\nnoise_per_frame =", "\nnoise_per_frme =", "'noise_per_frme' in [scene]"),
+    ("\nvelocity =", "\nvelocty =", "'velocty' in [object.0]"),
+    ("\n[object.1]", "\n[obect.1]", "[obect.1]"),
+    ("\n[scene]", "\n[DEFAULT]\nprob = 0.5\n[scene]", "[DEFAULT]"),
+], ids=["scene_key", "object_key", "section", "default_section"])
+def test_an_unknown_scene_section_or_key_is_named(old, new, named):
+    # unchecked, the misspellings drop the scene's noise, an object's motion
+    # or an object, and [DEFAULT]'s keys land in every section
+    text = (SCENES / "davis.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_scene_spec(io.StringIO(text.replace(old, new)))
+
+
 def test_the_ref_scene_file_is_the_reference_scene():
     # the benchmark's ref.cfg writes two_object_scene()'s values out in full
     assert load_scene_spec(SCENES / "ref.cfg") == two_object_scene()
