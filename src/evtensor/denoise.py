@@ -16,16 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, format_rows, open_text
-from .tensor_ops import FactorTriple, cell_values, row_blocks
+from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text, write_rows
+from .tensor_ops import FactorTriple, cell_values
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_QUANTILE = 0.2  # drop the lowest-scoring 20% by default
-
-# bytes a report cell takes while format_rows formats it: its Python number
-# and four references to it (about 38 measured)
-_OBJECT_CELL_BYTES = 64
 
 
 def score_events(stream: EventStream, tensor: EventTensor,
@@ -118,17 +114,15 @@ def quantile_threshold(scores: np.ndarray, quantile: float = DEFAULT_QUANTILE) -
 
 
 def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> None:
-    """Per-event report rows: t,i,j[,label],score,kept, each through one
-    ``%``-format, a block of rows at a time. A report whose scores or kept
-    mask do not align with the stream raises ConsistencyError before anything
-    is written."""
+    """Per-event report rows: t,i,j[,label],score,kept, the score as
+    ``%.17g`` and the rest as ``%d``, written by :func:`events.write_rows` a
+    block of rows at a time. A report whose scores or kept mask do not align
+    with the stream raises ConsistencyError before anything is written."""
     if len(report.scores) != len(stream) or len(report.kept) != len(stream):
         raise ConsistencyError("the report is not aligned with the event stream")
     labels = (stream.labels,) if stream.has_labels else ()
     columns = (stream.t, stream.i, stream.j, *labels,
-               report.scores, np.asarray(report.kept, dtype=bool))
-    row = "%d," * (3 + len(labels)) + "%.17g,%d\n"
+               np.asarray(report.scores, dtype=np.float64), np.asarray(report.kept, dtype=bool))
     with open_text(path_or_fh, "w") as fh:
         fh.write("t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n")
-        for rows in row_blocks(len(stream), _OBJECT_CELL_BYTES * len(columns)):
-            fh.write(format_rows(row, [c[rows] for c in columns]))
+        write_rows(fh, columns)

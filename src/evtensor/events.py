@@ -24,14 +24,15 @@ integer, which that path accepts. Only then is the body decoded back to text
 and split into lines, as ``readlines()`` splits it, so the line numbers it
 reports are the file's.
 
-The writers hold no event-sized text: they format a block of rows at a
-time, cut by :func:`tensor_ops.row_blocks` so that each block's transient
-stays under about ``tensor_ops.BLOCK_BYTES``, and write each block as soon
-as it is formatted. :func:`write_events_csv` writes each integer column as
-decimal digit bytes from one ``divmod`` per place (:func:`format_int_rows`),
-byte for byte what ``%d`` gives; the denoise report keeps one ``%``-format
-per row (:func:`format_rows`) for its ``%.17g`` score. The tensor dump is a
-template of ``0`` digits with ``1`` written at each frame's cells.
+Every data file but the tensor dump is written by :func:`write_rows`, a
+:func:`tensor_ops.row_blocks` block of rows at a time, so no writer holds
+event-sized text. A block is one (units, rows) uint16 array whose two-byte
+units are each written for all rows at once from tables of digit pairs:
+an integer field is as many units as its widest ``%d``, a ``%.17g`` field
+23 (a head of sign and ``0.000``, 18 digits each with a slot for a point,
+an exponent), a separator one; the 0 bytes a field leaves are dropped as
+the rows are read out. The tensor dump is a template of ``0`` digits with
+``1`` written at each frame's cells.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -60,9 +61,10 @@ NOISE_LABEL = -1
 
 _KNOWN_COLUMNS = ("t", "i", "j", "label", "polarity")
 
-# bytes a cell takes while format_int_rows writes it: its uint64 magnitude,
-# the divmod results, the masks and its digit bytes (about 26 measured)
-_DIGIT_CELL_BYTES = 32
+# bytes a cell takes while write_rows writes it, its text included (measured:
+# 20-60 for an integer, 140-170 for a float)
+_INT_CELL_BYTES = 32
+_FLOAT_CELL_BYTES = 160
 
 
 @contextlib.contextmanager
@@ -286,50 +288,118 @@ def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
     )
 
 
-def format_rows(row: str, columns) -> str:
-    """Every row of the equal-length `columns` through the %-format `row`, as
-    one string. The cells go to one ``%`` as Python objects, so integers stay
-    exact and floats format as Python floats. That makes a Python number and
-    four references per cell while it runs, so a writer passes it one block
-    of rows at a time."""
-    cells = np.column_stack([np.asarray(c).astype(object) for c in columns])
-    return (row * len(cells)) % tuple(cells.ravel().tolist())
+_PAIRS = [f"{k:02d}" for k in range(100)]
+# an integer's two places as one uint16 unit by pair value k: both at k, at
+# 100 + k without a leading zero, at 200 neither (0 bytes stay out of files)
+_INT_PAIRS = np.frombuffer("".join(_PAIRS + [d if d >= "10" else "\0" + d[1] for d in _PAIRS])
+                           .encode() + b"\0\0", np.uint16)
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+# 10**k for k <= 22, each exact, and the halves of its Veltkamp split
+_TEN = np.array([float(10 ** k) for k in range(23)])
+_TEN_HI = _TEN * 134217729.0 - (_TEN * 134217729.0 - _TEN)
+_TEN_LO = _TEN - _TEN_HI
 
 
-def format_int_rows(columns) -> str:
-    """Every row of the equal-length int64 `columns`, comma-separated, one line
-    per row: byte for byte ``format_rows("%d,...,%d\\n", columns)``, at array
-    speed. Each column gets a field as wide as its widest number (sign
-    included) in one (rows, width) uint8 buffer; one ``divmod`` per place
-    writes its digits right-aligned and a negative number's sign before
-    them. The places left of a number stay 0 bytes, which one mask drops."""
-    columns = [np.asarray(c, dtype=np.int64) for c in columns]
-    n = len(columns[0])
-    fields = []
-    for c in columns:
-        neg = c < 0
-        # magnitudes as uint64, exact for iinfo(int64).min too
-        mag = c.astype(np.uint64)
-        np.negative(mag, out=mag, where=neg)
-        has_neg = bool(neg.any())
-        width = (len(str(int(mag.max()))) if n else 1) + has_neg
-        fields.append((mag, neg if has_neg else None, width))
-    buf = np.zeros((n, sum(width + 1 for *_, width in fields)), dtype=np.uint8)
-    end = -1
-    for mag, neg, width in fields:
-        end += width + 1
-        buf[:, end] = ord(",")
-        # a place holds a digit if it is a number's last or a nonzero rest remains
-        live = np.ones(n, dtype=bool)
-        for place in range(end - 1, end - 1 - width, -1):
-            mag, digit = np.divmod(mag, np.uint64(10))
-            np.add(digit, ord("0"), out=buf[:, place], where=live, casting="unsafe")
-            more = mag > 0
-            if neg is not None:
-                buf[live & ~more & neg, place - 1] = ord("-")
-            live = more
-    buf[:, -1] = ord("\n")
-    return buf[buf != 0].tobytes().decode("ascii")
+def _float_tables():
+    """Units of a field's head and exponent, `edges[:, kind + 26 sign]`, where
+    kind is E + 6 for a decimal exponent E in [-6, 16], 23 for a value that
+    Python's ``%`` writes, 24 for nan and 25 for inf; and of a digit pair of
+    value k, `pairs[k + 100 s + 200 p]`: s tells that all later digits are 0
+    (trailing zeros of a fraction go, and a point with nothing after it), p
+    where the point falls: 0 before the pair, 1 inside it, 2 after it, 3
+    further on. `at[m, kind]` is 200 p of pair m."""
+    edges = [(s + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "") if e < 17 else
+              ("", "nan", s + "inf")[e - 17]).ljust(6, "\0")
+             + (f"e{e:+03d}" if e in (-6, -5) else "\0" * 4)
+             for s in ("", "-") for e in range(-6, 20)]
+    pairs = []
+    for p in range(4):
+        for s in (0, 1):
+            for a, b in (d.rstrip("0").ljust(2, "\0") if s and p == 0 else d for d in _PAIRS):
+                pairs.append(a + "\0\0\0" if s and p == 1 and b == "0" else
+                             a + ".\0"[p != 1] + b + ".\0"[p != 2 or s])
+    whole = [e + 1 if 0 <= e < 17 else int(e in (-6, -5)) for e in range(-6, 20)]
+    at = [200 * min(max(w - 2 * m, 0), 3) for m in range(9) for w in whole]
+    edges = "".join(e[u:u + 2] for u in range(0, 10, 2) for e in edges)
+    return (np.frombuffer(edges.encode(), np.uint16).reshape(5, 52),
+            np.frombuffer("".join(pairs).encode(), np.uint32), np.array(at).reshape(9, 26))
+
+
+_FLOAT_EDGES, _FLOAT_PAIRS, _FLOAT_AT = _float_tables()
+
+
+def _int_field(c, units) -> None:
+    """``%d`` of each int64 in `c`, right-aligned in the (k, n) uint16 `units`,
+    two places a unit; the sign goes just before the first digit."""
+    neg = c < 0
+    mag = np.abs(c).astype(np.uint64)  # |iinfo(int64).min| wraps to itself: 2**63 here
+    for u in range(len(units) - 1, -1, -1):
+        rest = mag // np.uint64(100)
+        pair = (mag - rest * np.uint64(100)).astype(np.intp) + 100 * (rest == 0)
+        units[u] = _INT_PAIRS[pair + 100 * ((mag == 0) & (u < len(units) - 1))]
+        mag = rest
+    at = 2 * len(units) - 1 - np.searchsorted(_POW10, np.abs(c[neg]).astype(np.uint64), "right")
+    units.view(np.uint8)[at // 2, 2 * np.flatnonzero(neg) + at % 2] = ord("-")
+
+
+def _float_field(x, units) -> None:
+    """``'%.17g' % v`` of each double in `x`, in the (23, n) uint16 `units`.
+    For 1e-6 < |v| < 1e17 the 17 digits D = round-half-even(|v| 10**(16 - E))
+    are p + rint(err), where p + err is the exact product of |v| and
+    10**(16 - E) (Dekker's two-product; p is an even integer). Zero, nan and
+    inf are constants; any other value takes Python's own ``%``."""
+    ax = np.abs(x)
+    win = (ax > 1e-6) & (ax < 1e17)
+    ax[~win] = 1.0
+    exp = np.clip(np.floor(np.log10(ax)), -6, 16).astype(np.int64)
+    while True:  # the exact product mends an estimate of E that is one off
+        p, hi, lo = ax * _TEN[16 - exp], _TEN_HI[16 - exp], _TEN_LO[16 - exp]
+        ah = ax * 134217729.0 - (ax * 134217729.0 - ax)
+        err = ((ah * hi - p) + ah * lo + (ax - ah) * hi) + (ax - ah) * lo
+        miss = ((p > 1e17) | (p == 1e17) & (err >= 0)).astype(np.int64)
+        miss -= (p < 1e16) | (p == 1e16) & (err < 0)
+        if not miss.any():
+            break
+        exp += miss
+    # ten times D: 18 digits, the last a 0 that never shows. D never rounds up
+    # to 10**17: no double lies within half a 17th digit below 1e-5 ... 1e17
+    digits = 10 * (p.astype(np.int64) + np.rint(err).astype(np.int64)) * win
+    kind = np.where(win, exp + 6,
+                    np.where(x == 0, 6, np.where(np.isfinite(x), 23, 24 + np.isinf(x))))
+    units[[0, 1, 2, 21, 22]] = np.take(_FLOAT_EDGES, kind + 26 * np.signbit(x), axis=1)
+    kinds = np.bincount(kind, minlength=26) > 0  # a pair past every row's point needs no offset
+    tail = np.full(len(x), 100)  # 100 while all later digits are 0
+    for m in range(8, -1, -1):
+        # floor division by a constant is vectorized, divmod is not
+        rest = digits // 100
+        pair = digits - 100 * rest
+        index = pair + tail + (_FLOAT_AT[m][kind] if _FLOAT_AT[m, kinds].any() else 0)
+        units[3 + 2 * m:5 + 2 * m] = _FLOAT_PAIRS[index].view(np.uint16).reshape(-1, 2).T
+        tail *= pair == 0
+        digits = rest
+    rare = np.flatnonzero(kind == 23)
+    text = np.array([b"%.17g" % v for v in x[rare].tolist()], dtype="S24")
+    units[:12, rare] = text.view(np.uint16).reshape(-1, 12).T
+
+
+def write_rows(fh, columns, sep: str = ",") -> None:
+    """Write the rows of the equal-length array `columns` to the text stream
+    `fh`, `sep`-separated, each cell byte for byte ``%d`` of an integer or
+    boolean and ``%.17g`` of a float, a :func:`tensor_ops.row_blocks` block
+    at a time, as the module docstring tells."""
+    floats = [c.dtype.kind == "f" for c in columns]
+    row_bytes = sum(_FLOAT_CELL_BYTES if f else _INT_CELL_BYTES for f in floats)
+    for rows in row_blocks(len(columns[0]), row_bytes):
+        block = [c[rows].astype(np.float64 if f else np.int64) for c, f in zip(columns, floats)]
+        sizes = [23 if f else (len(max(str(c.min(initial=0)), str(c.max(initial=0)), key=len)) + 1)
+                 // 2 for c, f in zip(block, floats)]
+        ends = np.cumsum(sizes) + np.arange(len(sizes))
+        buf = np.empty((ends[-1] + 1, len(block[0])), dtype=np.uint16)
+        for c, f, end, size in zip(block, floats, ends, sizes):
+            (_float_field if f else _int_field)(c, buf[end - size:end])
+        buf[ends] = ord(sep)
+        buf[-1] = ord("\n")
+        fh.write(buf.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
@@ -338,8 +408,7 @@ def write_events_csv(stream: EventStream, path_or_fh) -> None:
     columns = (stream.t, stream.i, stream.j) + ((stream.labels,) if stream.has_labels else ())
     with open_text(path_or_fh, "w") as fh:
         fh.write("t,i,j,label\n" if stream.has_labels else "t,i,j\n")
-        for rows in row_blocks(len(stream), _DIGIT_CELL_BYTES * len(columns)):
-            fh.write(format_int_rows([c[rows] for c in columns]))
+        write_rows(fh, columns)
 
 
 def compute_bin_edges(t_min: int, t_max: int, n_bins: int) -> np.ndarray:

@@ -98,7 +98,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NumericalError
-from .events import EventTensor, _header_ints, open_text
+from .events import EventTensor, _header_ints, open_text, write_rows
 from .tensor_ops import (
     MODES,
     CooTensor,
@@ -351,12 +351,12 @@ def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple
 
 def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
     """Text checkpoint: header ``I J N f``, then the three matricized factors
-    (one row per line, 17 significant digits -- exact float64 round-trip)."""
+    (one row per line, ``%.17g`` values -- exact float64 round-trip)."""
     ii, jj, nn = factors.dims
     with open_text(path_or_fh, "w") as fh:
         fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
         for mode in MODES:
-            np.savetxt(fh, matricize_factor(factors.factor(mode), mode), fmt="%.17g")
+            write_rows(fh, matricize_factor(factors.factor(mode), mode).T, " ")
 
 
 def load_checkpoint(path_or_fh) -> FactorTriple:
@@ -384,11 +384,12 @@ def load_checkpoint(path_or_fh) -> FactorTriple:
 
 
 def write_trace_csv(state: SolverState, path_or_fh, metadata: dict | None = None) -> None:
-    """Trace export: ``s,f,objective,rel_change`` rows, preceded by optional
-    ``# key: value`` comment headers."""
+    """Trace export: ``s,f,objective,rel_change`` rows (``%d,%d,%.17g,%.17g``),
+    preceded by optional ``# key: value`` comment headers."""
+    counts = np.array([(r.s, r.f) for r in state.trace], dtype=np.int64).reshape(-1, 2)
+    values = np.array([(r.objective, r.rel_change) for r in state.trace]).reshape(-1, 2)
     with open_text(path_or_fh, "w") as fh:
         for key in sorted(metadata or {}):
             fh.write(f"# {key}: {metadata[key]}\n")
         fh.write("s,f,objective,rel_change\n")
-        for rec in state.trace:
-            fh.write("%d,%d,%.17g,%.17g\n" % (rec.s, rec.f, rec.objective, rec.rel_change))
+        write_rows(fh, [*counts.T, *values.T])

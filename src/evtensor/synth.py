@@ -109,21 +109,15 @@ class SceneSpec:
             raise ValueError("a scene with no objects and no noise would be empty")
 
 
-def _footprint_offsets(footprint):
-    """(di, dj) offsets of the L-inf ball of radius `footprint`, di outer and
-    dj inner."""
-    r = np.arange(-footprint, footprint + 1)
-    return np.repeat(r, r.size), np.tile(r, r.size)
-
-
-def _footprint_pixels(pos, offsets, geometry):
-    """Pixels of the footprint around pos that lie on the sensor, as row and
-    column arrays in offset order, and the count clipped away."""
+def _footprint_pixels(pos, footprint, geometry):
+    """Pixels of the L-inf ball of radius `footprint` around pos that lie on
+    the sensor, as row and column arrays (rows outer, columns inner), and
+    the count clipped away. Only the part on the sensor is built."""
     rows, cols = geometry
-    i = int(round(pos[0])) + offsets[0]
-    j = int(round(pos[1])) + offsets[1]
-    inside = (i >= 0) & (i < rows) & (j >= 0) & (j < cols)
-    return i[inside], j[inside], inside.size - int(np.count_nonzero(inside))
+    footprint, ci, cj = int(footprint), int(round(pos[0])), int(round(pos[1]))
+    i = np.arange(max(ci - footprint, 0), min(ci + footprint + 1, rows))
+    j = np.arange(max(cj - footprint, 0), min(cj + footprint + 1, cols))
+    return np.repeat(i, j.size), np.tile(j, i.size), (2 * footprint + 1) ** 2 - i.size * j.size
 
 
 def generate(spec: SceneSpec) -> EventStream:
@@ -136,7 +130,6 @@ def generate(spec: SceneSpec) -> EventStream:
     frame_rngs = [np.random.default_rng(s) for s in
                   np.random.SeedSequence(spec.seed).spawn(spec.n_frames)]
     rows, cols = spec.geometry
-    offsets = [_footprint_offsets(obj.footprint) for obj in spec.objects]
     ev_i, ev_j, ev_t, ev_label = [], [], [], []
     warned = set()
 
@@ -145,7 +138,7 @@ def generate(spec: SceneSpec) -> EventStream:
         lo, hi = int(edges[n]), int(edges[n + 1])
         midpoint = n + 0.5
         for obj_id, obj in enumerate(spec.objects):
-            pix_i, pix_j, clipped = _footprint_pixels(obj.position(midpoint), offsets[obj_id],
+            pix_i, pix_j, clipped = _footprint_pixels(obj.position(midpoint), obj.footprint,
                                                       spec.geometry)
             if clipped and obj_id not in warned:
                 warned.add(obj_id)
@@ -199,8 +192,8 @@ def describe(spec: SceneSpec) -> SceneSummary:
         midpoint = n + 0.5
         obj_prob: dict[tuple[int, int], float] = {}
         for obj in spec.objects:
-            pix_i, pix_j, _ = _footprint_pixels(obj.position(midpoint),
-                                                _footprint_offsets(obj.footprint), spec.geometry)
+            pix_i, pix_j, _ = _footprint_pixels(obj.position(midpoint), obj.footprint,
+                                                spec.geometry)
             expected_events += obj.prob * pix_i.size
             for p in zip(pix_i.tolist(), pix_j.tolist()):
                 keep = obj_prob.get(p, 1.0)

@@ -297,7 +297,7 @@ def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):
     products in the same order as in one batched matmul, so each block is
     bit-identical to those rows of it. The blocks are cut so that the
     product and `row_bytes` per row, the caller's own transient, stay under
-    BLOCK_BYTES (two rows at least)."""
+    BLOCK_BYTES (two rows at least). No local here keeps a yielded block."""
     (name_a, data_a, shared_a), (name_b, data_b, shared_b) = PAIRS[mode]
     f = factors.rank
     a = getattr(factors, name_a).transpose(3 - data_a - shared_a, data_a, shared_a)
@@ -307,8 +307,8 @@ def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):
     blocks = row_blocks(f, 8 * n_a * n_b + row_bytes)
     for q in range(f):
         for p in blocks:
-            block = a[p.start * n_a:p.stop * n_a] @ b[q]
-            yield slice(q * f + p.start, q * f + p.stop), block.reshape(p.stop - p.start, -1)
+            yield (slice(q * f + p.start, q * f + p.stop),
+                   (a[p.start * n_a:p.stop * n_a] @ b[q]).reshape(p.stop - p.start, -1))
 
 
 def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
@@ -323,6 +323,7 @@ def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
     out = np.empty((factors.rank ** 2, np.prod(factors.dims) // factors.dims[MODES.index(mode)]))
     for rows, block in _table_blocks(factors, mode):
         out[rows] = block
+        del block
     return out
 
 
@@ -343,7 +344,7 @@ def coo_rhs(coo: CooTensor, factors: FactorTriple, mode: str) -> np.ndarray:
             gathered = np.take(block, plan.cols, axis=1)
             # reduceat over the non-empty runs only: an empty one would read its neighbour
             out[rows, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
-            del gathered  # before the next block's matmul
+            del gathered, block  # before the next block's matmul
     return out.T
 
 
@@ -367,6 +368,7 @@ def cell_values(factors: FactorTriple, i, j, n) -> np.ndarray:
             term = np.take(g_j[:, r], j)
             term *= np.take(row, cols)
             out += term
+        del block, row  # before the next block's matmul
     return out
 
 

@@ -288,6 +288,39 @@ def write_events_csv(stream, path_or_fh) -> None:
                 fh.write(f"{t},{i},{j}\n")
 
 
+def format_rows(row: str, columns) -> str:
+    """Every row of the equal-length `columns` through the %-format `row`, as
+    one string: the cells go to one ``%`` as Python objects, so integers stay
+    exact and floats format as Python floats."""
+    cells = np.column_stack([np.asarray(c).astype(object) for c in columns])
+    return (row * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def save_checkpoint_savetxt(factors, path_or_fh) -> None:
+    """The checkpoint through ``np.savetxt``: header ``I J N f``, then each
+    matricized factor's rows as space-separated ``%.17g`` values."""
+    from evtensor.events import open_text
+    from evtensor.tensor_ops import matricize_factor
+
+    ii, jj, nn = factors.dims
+    with open_text(path_or_fh, "w") as fh:
+        fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
+        for mode in ("i", "j", "n"):
+            np.savetxt(fh, matricize_factor(factors.factor(mode), mode), fmt="%.17g")
+
+
+def write_trace_csv(state, path_or_fh, metadata=None) -> None:
+    """Row-at-a-time trace writer: one ``%`` per trace record."""
+    from evtensor.events import open_text
+
+    with open_text(path_or_fh, "w") as fh:
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key}: {metadata[key]}\n")
+        fh.write("s,f,objective,rel_change\n")
+        for rec in state.trace:
+            fh.write("%d,%d,%.17g,%.17g\n" % (rec.s, rec.f, rec.objective, rec.rel_change))
+
+
 def parse_events_readlines(path, geometry):
     """A valid event CSV parsed as parse_events did before it read the body as
     one string: a readlines() list handed to np.loadtxt."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtensor import denoise, events, tensor_ops
+from evtensor import events, tensor_ops
 from evtensor.denoise import DenoiseReport, write_report_csv
 from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
@@ -16,11 +16,10 @@ from evtensor.events import (
     EventTensor,
     bin_to_tensor,
     compute_bin_edges,
-    format_int_rows,
-    format_rows,
     parse_events,
     tensor_density,
     write_events_csv,
+    write_rows,
     write_tensor_dump,
 )
 
@@ -255,6 +254,12 @@ def test_write_events_csv_bytes_equal_the_row_writer(labels):
     assert fast.getvalue() == rows.getvalue()
 
 
+def rows_text(columns, sep=","):
+    buf = io.StringIO()
+    write_rows(buf, columns, sep)
+    return buf.getvalue()
+
+
 INT64 = np.iinfo(np.int64)
 _EXTREMES = [INT64.min, INT64.min + 1, -(10**18), -10, -9, -1, 0, 1, 9, 10, 10**18,
              INT64.max - 1, INT64.max]
@@ -266,11 +271,47 @@ def test_int_rows_equal_percent_d_at_the_int64_extremes_in_every_column(n_column
     columns = [rng.permutation(np.r_[_EXTREMES, rng.integers(INT64.min, INT64.max, 50) >>
                                      rng.integers(0, 64, 50)]) for _ in range(n_columns)]
     row = ",".join(["%d"] * n_columns) + "\n"
-    assert format_int_rows(columns) == format_rows(row, columns)
+    assert rows_text(columns) == oracles.format_rows(row, columns)
     for k in (0, 1):
         one = [c[k:k + 1] for c in columns]
-        assert format_int_rows(one) == format_rows(row, one)
-    assert format_int_rows([c[:0] for c in columns]) == ""
+        assert rows_text(one) == oracles.format_rows(row, one)
+    assert rows_text([c[:0] for c in columns]) == ""
+
+
+def _float_edges() -> np.ndarray:
+    """Doubles where a %.17g field can go wrong, each also one ulp either
+    side: the subnormals, +-0, nan, +-inf, the 1e-6 and 1e17 edges of the
+    two-product window, the powers of ten, integers near 2**53, and exact
+    halves at the 17th digit (x * 10 or x * 100 ends in .5, both ways of
+    rounding to even)."""
+    edges = np.array([5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 0.0, 1e-6, 1e17,
+                      2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 54,
+                      1e15 + 0.25, 1e15 + 0.75, 1234567890123456.25, 1e14 + 0.125, 1e14 + 0.375,
+                      0.5, 1.5, 2.5, 1.0, 100.0, 123.0, 1.0 / 3.0]
+                     + [10.0 ** k for k in range(-8, 24)])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    edges = np.concatenate([edges, -edges])
+    return np.concatenate([edges, [np.nan, -np.nan, np.inf, -np.inf]])
+
+
+def test_float_field_is_percent_17g_over_random_bit_patterns_and_edges():
+    # a million random bit patterns span the whole double range (nan, inf and
+    # subnormals included); half a million more keep the exponent inside the
+    # two-product window, where nearly every value in a data file lies
+    rng = np.random.default_rng(20240115)
+    anywhere = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
+    mantissa = rng.integers(0, 2 ** 52, 5 * 10 ** 5, dtype=np.uint64)
+    exponent = rng.integers(1023 - 20, 1023 + 57, 5 * 10 ** 5).astype(np.uint64)
+    sign = rng.integers(0, 2, 5 * 10 ** 5, dtype=np.uint64)
+    window = (sign << np.uint64(63) | exponent << np.uint64(52) | mantissa).view(np.float64)
+    for values in (_float_edges(), anywhere, window):
+        with np.errstate(all="raise"):
+            fast = rows_text([values])
+        want = ["%.17g\n" % v for v in values.tolist()]
+        if fast != "".join(want):
+            got = fast.splitlines(keepends=True)
+            bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+            pytest.fail(f"{len(got)} lines for {len(want)} values; first mismatches {bad[:5]}")
 
 
 @pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
@@ -342,7 +383,8 @@ def report_for(stream, seed=0):
 
 @pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
 def test_write_report_csv_is_one_format_rows_at_block_boundaries(monkeypatch, labels):
-    calls = spy_row_blocks(monkeypatch, denoise)
+    # the report's rows go through events.write_rows, which cuts the blocks
+    calls = spy_row_blocks(monkeypatch, events)
     write_report_csv(davis_like_stream(3, labels), report_for(davis_like_stream(3)), io.StringIO())
     block = block_rows(calls[-1][0])
     for n in (1, block - 1, block, block + 1, 2 * block + 1):
@@ -351,8 +393,9 @@ def test_write_report_csv_is_one_format_rows_at_block_boundaries(monkeypatch, la
         buf = io.StringIO()
         write_report_csv(stream, report, buf)
         label = (stream.labels,) if labels else ()
-        whole = format_rows("%d," * (3 + len(label)) + "%.17g,%d\n",
-                            (stream.t, stream.i, stream.j, *label, report.scores, report.kept))
+        whole = oracles.format_rows("%d," * (3 + len(label)) + "%.17g,%d\n",
+                                    (stream.t, stream.i, stream.j, *label, report.scores,
+                                     report.kept))
         header = "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n"
         assert buf.getvalue() == header + whole, n
         assert len(calls[-1][1]) == max(1, n // block), n

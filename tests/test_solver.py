@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -635,6 +636,69 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(loaded.g_n, factors.g_n)
     with open(path) as fh:
         assert fh.readline().strip() == "4 5 6 3"
+
+
+def _spy_row_blocks(monkeypatch):
+    """Every row_blocks call the row writer makes, as (row_bytes, blocks)."""
+    import evtensor.events as events_module
+
+    calls = []
+
+    def spy(n, row_bytes):
+        blocks = tensor_ops_module.row_blocks(n, row_bytes)
+        calls.append((row_bytes, blocks))
+        return blocks
+
+    monkeypatch.setattr(events_module, "row_blocks", spy)
+    return calls
+
+
+def _block_rows(row_bytes):
+    return tensor_ops_module.row_blocks(1 << 24, row_bytes)[0].stop
+
+
+def test_checkpoint_is_savetxt_at_block_boundaries(monkeypatch):
+    # each factor's rows are written a block at a time; the text is
+    # np.savetxt's, exact zeros, negative zeros and values outside the
+    # exact window (written by Python's %) included
+    calls = _spy_row_blocks(monkeypatch)
+    rng = np.random.default_rng(23)
+    save_checkpoint(random_factors(rng, (2, 2, 2), 2), io.StringIO())
+    block = _block_rows(calls[-1][0])
+    for rows in (block - 1, block, block + 1, 2 * block + 1):
+        factors = random_factors(rng, (rows, 3, 2), 2)
+        for g in (factors.g_i, factors.g_j, factors.g_n):
+            flat = g.reshape(-1)
+            flat[::5] = 0.0
+            flat[1::7] = -0.0
+            flat[2::11] *= 1e-9
+            flat[3::13] *= 1e20
+        fast, slow = io.StringIO(), io.StringIO()
+        save_checkpoint(factors, fast)
+        oracles.save_checkpoint_savetxt(factors, slow)
+        assert fast.getvalue() == slow.getvalue(), rows
+        assert [len(b) for _, b in calls[-3:]] == [max(1, rows // block), 1, 1], rows
+
+
+def test_trace_csv_is_the_percent_rows_at_block_boundaries(monkeypatch):
+    calls = _spy_row_blocks(monkeypatch)
+    # the writer reads only the state's trace
+    write_trace_csv(types.SimpleNamespace(trace=[]), io.StringIO())
+    block = _block_rows(calls[-1][0])
+    rng = np.random.default_rng(29)
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        objective = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+        rel_change = np.abs(rng.normal(size=n))
+        rel_change[::3] = np.inf
+        rel_change[1::5] = np.nan
+        state = types.SimpleNamespace(trace=[
+            solver_module.TraceRecord(s=k, f=1 + k % 7, objective=float(o), rel_change=float(r))
+            for k, (o, r) in enumerate(zip(objective, rel_change))])
+        fast, slow = io.StringIO(), io.StringIO()
+        write_trace_csv(state, fast, metadata={"model": "ENTN", "seed": 3})
+        oracles.write_trace_csv(state, slow, metadata={"model": "ENTN", "seed": 3})
+        assert fast.getvalue() == slow.getvalue(), n
+        assert len(calls[-1][1]) == max(1, n // block), n
 
 
 def test_trace_csv_format():

@@ -254,6 +254,26 @@ def test_numpy_integer_scene_counts_are_accepted():
     assert len(generate(spec)) > 0
 
 
+@pytest.mark.parametrize("footprint", [10 ** 7, np.int64(10 ** 12)], ids=["1e7", "numpy_1e12"])
+def test_a_footprint_beyond_the_sensor_is_the_sensor(footprint, caplog):
+    # the whole L-inf ball of a 10**7 footprint took 2.8 PiB of offsets (a
+    # MemoryError) before it was clipped; only its part on the sensor is made
+    def scene(radius):
+        moving = ObjectSpec(kind="linear", start=(1.0, 6.0), velocity=(2.5, -1.0),
+                            footprint=radius, prob=0.4)
+        return SceneSpec(geometry=(8, 6), n_frames=3, duration_us=30, noise_per_frame=2.0,
+                         objects=(moving, static_object(prob=0.5, footprint=1, start=(3.0, 2.0))))
+    # a radius of 13 covers the sensor from every centre the object passes
+    big, covering = scene(footprint), scene(13)
+    with caplog.at_level("WARNING", logger="evtensor.synth"):
+        a = generate(big)
+    assert "object 0 footprint leaves the sensor" in caplog.text
+    b = generate(covering)
+    for name in ("t", "i", "j", "labels"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert describe(big) == describe(covering)
+
+
 def test_object_spec_validation():
     with pytest.raises(ValueError):
         ObjectSpec(kind="warp", start=(0, 0))
