@@ -150,12 +150,12 @@ def binary_task(labels: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
 
     'objects': keep only object-labeled events (exactly two object classes
     required); positives are the higher object id. 'noise': keep everything;
-    positives are signal (label >= 0), negatives noise.
+    positives are signal (label != NOISE_LABEL), negatives noise.
     Returns (row mask, 0/1 targets for the masked rows).
     """
     if task == TASK_NOISE:
         mask = np.ones(len(labels), dtype=bool)
-        return mask, (labels >= 0).astype(np.int64)
+        return mask, (labels != NOISE_LABEL).astype(np.int64)
     if task == TASK_OBJECTS:
         mask = labels != NOISE_LABEL
         classes = np.unique(labels[mask])

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
-from .tensor_ops import row_blocks
+from .tensor_ops import CooPlan, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -474,21 +474,17 @@ def write_tensor_dump(tensor: EventTensor, path_or_fh) -> None:
 
     The text is built from the 1-cells, one frame at a time: a frame's text
     is an all-``0`` template with ``1`` written at that frame's cells, which
-    are reset once it is written. The cells, C-order flat indices, are
-    grouped by frame with one stable sort, so no pass reads the tensor a
-    frame at a time across its strides."""
+    are reset once it is written. The cells are grouped by frame with the
+    solver's own mode-n sort plan (:meth:`tensor_ops.CooPlan.of`), so no
+    pass reads the tensor a frame at a time across its strides."""
     if not isinstance(tensor, EventTensor):
         raise TypeError("write_tensor_dump takes an EventTensor(cells, dims, bin_edges), as "
                         f"bin_to_tensor makes it, not {type(tensor).__name__}")
-    flat, (rows, cols, n_bins) = tensor.cells, tensor.dims
-    frame = flat % n_bins
-    # a stable sort on the narrowest dtype: numpy radix-sorts 8- and 16-bit keys
-    order = np.argsort(frame.astype(np.min_scalar_type(n_bins)), kind="stable")
-    # a cell's digit sits at byte 2 * (i * J + j) of its frame's text
-    digits = 2 * (flat // n_bins)[order]
-    # frame n's digits are digits[bounds[n]:bounds[n + 1]]
-    bounds = np.zeros(n_bins + 1, dtype=np.intp)
-    np.cumsum(np.bincount(frame, minlength=n_bins), out=bounds[1:])
+    rows, cols, n_bins = tensor.dims
+    # frame n's cells are plan.cols[bounds[n]:bounds[n + 1]], and a cell's
+    # digit sits at byte 2 * (i * J + j), twice its column, of the frame's text
+    plan = CooPlan.of(tensor.dims, tensor.cells, "n")
+    bounds = np.append(plan.starts, len(plan.cols))[np.searchsorted(plan.rows, np.arange(n_bins + 1))]
     # one ASCII byte per character: digit, space, digit, ..., digit, newline
     text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
     text[:, 0::2] = ord("0")
@@ -497,7 +493,7 @@ def write_tensor_dump(tensor: EventTensor, path_or_fh) -> None:
     with open_text(path_or_fh, "w") as fh:
         fh.write(f"{rows} {cols} {n_bins}\n")
         for n in range(n_bins):
-            ones = digits[bounds[n]:bounds[n + 1]]
+            ones = 2 * plan.cols[bounds[n]:bounds[n + 1]]
             text[ones] = ord("1")
             fh.write(text.tobytes().decode("ascii"))
             text[ones] = ord("0")

@@ -52,8 +52,8 @@ from per-factor Grams) and hands both to update_factor. With K history terms
 at rank f, X_m H_m^T is the sum of
   - E's part (tensor_ops.coo_rhs): the mode's whole pair table, O(f^3) per
     column of J*N, I*N or I*J, built a block of rows at a time, each block
-    gathered at the nonzeros and segment-summed by row, O(nnz f^2), in sort
-    plans made once per E;
+    gathered at the nonzeros and segment-summed by row, O(nnz f^2), in the
+    mode's sort plan (tensor_ops.CooPlan), the three made once per solve;
   - the history's part (tensor_ops.history_rhs): sum_k w_k G_m^k H_m^k H_m^T
     from batched cross-Grams, O(K (I+J+N) f^4 + K f^6),
 so a sweep costs about K (I+J+N) f^4 + three pair tables + nnz f^2. It holds
@@ -101,7 +101,7 @@ from .errors import NumericalError
 from .events import EventTensor, _header_ints, open_text, write_rows
 from .tensor_ops import (
     MODES,
-    CooTensor,
+    CooPlan,
     FactorStack,
     FactorTriple,
     coo_rhs,
@@ -178,10 +178,10 @@ def _pad(stack: FactorStack, f: int) -> FactorStack:
 @dataclass
 class RelaxedTarget:
     """X_s = e_weight E + sum_k weights[k] R(history[k]), exactly and without
-    its cells: E as its nonzeros, the past factor triples stacked oldest
-    first."""
+    its cells: E as its sort plans by mode, the past factor triples stacked
+    oldest first."""
 
-    e: CooTensor
+    e: dict[str, CooPlan]
     sq_norm: float
     history: FactorStack
     weights: np.ndarray
@@ -192,7 +192,7 @@ class RelaxedTarget:
         p = history_rhs(_pad(self.history, factors.rank), self.weights, factors, mode)
         if not self.e_weight:
             return p, None
-        p_e = coo_rhs(self.e, factors, mode)
+        p_e = coo_rhs(self.e[mode], factors)
         p += self.e_weight * p_e
         return p, p_e
 
@@ -243,12 +243,12 @@ def init_state(e: EventTensor, cfg: SolverConfig) -> SolverState:
     if not isinstance(e, EventTensor):
         raise TypeError("the solver takes an EventTensor(cells, dims, bin_edges), as "
                         f"bin_to_tensor makes it, not {type(e).__name__}")
-    coo = CooTensor.from_cells(e.dims, e.cells)
+    plans = {mode: CooPlan.of(e.dims, e.cells, mode) for mode in MODES}
     f0 = max(1, cfg.f_max - 5)
     rng = np.random.default_rng(cfg.seed)
-    factors = _random_factors(rng, coo.dims, f0, cfg.init_scale)
+    factors = _random_factors(rng, e.dims, f0, cfg.init_scale)
     empty = FactorStack(*(np.zeros((0, *g.shape)) for g in (factors.g_i, factors.g_j, factors.g_n)))
-    target = RelaxedTarget(coo, float(len(coo.plans["i"].cols)), empty, np.zeros(0))
+    target = RelaxedTarget(plans, float(len(e.cells)), empty, np.zeros(0))
     return SolverState(target=target, factors=factors, s=0, rng=rng)
 
 
@@ -299,8 +299,8 @@ def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple
     exhausts s_max returns normally with `converged=False`."""
     cfg = cfg or SolverConfig()
     state = init_state(e, cfg)
-    target, e_coo = state.target, state.target.e
-    e_sq = float(len(e_coo.plans["i"].cols))
+    target = state.target
+    e_sq = target.sq_norm  # ||X_0||^2 = ||E||^2
     alpha, beta = 1.0 / (1.0 + cfg.lambda2), cfg.lambda2 / (1.0 + cfg.lambda2)
     while state.s < cfg.s_max:
         max_residual = 0.0
@@ -316,7 +316,7 @@ def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple
         r_sq = float(np.vdot(g_n, g_n @ gram))
         r_x = float(np.vdot(g_n, product))
         if p_e is None:
-            p_e = coo_rhs(e_coo, state.factors, "n")
+            p_e = coo_rhs(target.e["n"], state.factors)
         r_e = float(np.vdot(g_n, p_e))
         x_norm = math.sqrt(max(target.sq_norm, 0.0))
         delta = alpha * math.sqrt(max(r_sq - 2.0 * r_x + target.sq_norm, 0.0))

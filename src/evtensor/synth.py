@@ -25,9 +25,11 @@ object, see `load_scene_spec`.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -213,6 +215,44 @@ def describe(spec: SceneSpec) -> SceneSummary:
 # scene file I/O and the frozen reference scene
 
 
+def _ini_keys(cls, defaults: dict, **keys) -> dict:
+    """Key -> (type, default) of a scene file section for each field of the
+    dataclass cls: `keys` names a field's key where it is not the field's
+    name (None: no key), and `defaults` a field's default where it has none
+    in cls. The default is MISSING where neither gives one."""
+    hints = typing.get_type_hints(cls)
+    return {keys.get(f.name, f.name): (hints[f.name], defaults.get(f.name, f.default))
+            for f in dataclasses.fields(cls) if keys.get(f.name, f.name)}
+
+
+# rows and cols are the geometry, and each object is a section of its own
+_SCENE_KEYS = {"rows": (int, MISSING), "cols": (int, MISSING), **_ini_keys(
+    SceneSpec, {"duration_us": 1_000_000}, geometry=None, n_frames="frames", objects=None)}
+_OBJECT_KEYS = _ini_keys(ObjectSpec, {"kind": "linear"})
+
+
+def _read_section(section, keys: dict) -> dict:
+    """Key -> value of a scene file section, each key read as its type in
+    `keys`, a tuple from comma- or space-separated numbers, and a key the
+    file leaves out at its default. A missing, unknown or unreadable key
+    raises ValueError naming it and the section."""
+    required = {key for key, (_, default) in keys.items() if default is MISSING}
+    for problem, names in (("unknown", set(section) - set(keys)), ("missing", required - set(section))):
+        if names:
+            raise ValueError(f"{problem} key {min(names)!r} in [{section.name}]")
+    values = {key: default for key, (_, default) in keys.items() if key not in section}
+    for key in section:
+        hint, text = keys[key][0], section[key]
+        types, parts = typing.get_args(hint), text.replace(",", " ").split()
+        try:
+            if types and len(parts) != len(types):
+                raise ValueError(f"needs {len(types)} numbers, got {text!r}")
+            values[key] = tuple(t(p) for t, p in zip(types, parts)) if types else hint(text)
+        except ValueError as exc:
+            raise ValueError(f"key {key!r} in [{section.name}]: {exc}") from None
+    return values
+
+
 def load_scene_spec(path_or_fh) -> SceneSpec:
     """Read an INI scene file.
 
@@ -233,90 +273,42 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
         footprint = 1
         prob = 0.8
 
-    An object may also set radius, freq and phase. Any other section or key
-    raises a ValueError naming it, so that a misspelled one is not dropped.
+    An object may also set radius, freq and phase. Each key is read as the
+    type of the spec field it sets. Any other section or key, and a value
+    its type refuses, raises a ValueError naming it and its section, so that
+    a misspelled one is not dropped.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is read as written
     with open_text(path_or_fh) as fh:
         parser.read_file(fh)
     if "scene" not in parser:
         raise ValueError("scene file lacks a [scene] section")
     if parser.defaults():  # configparser would copy its keys into every section
         raise ValueError("unknown section [DEFAULT] in the scene file")
-    sc = parser["scene"]
-    for key in ("rows", "cols", "frames"):
-        if key not in sc:
-            raise ValueError(f"missing key {key!r} in [scene]")
-
-    def pair(section, key, default=None):
-        if key not in section:
-            if default is None:
-                raise ValueError(f"missing key {key!r} in [{section.name}]")
-            return default
-        parts = [float(v) for v in section[key].replace(",", " ").split()]
-        if len(parts) != 2:
-            raise ValueError(f"key {key!r} in [{section.name}] needs two numbers")
-        return (parts[0], parts[1])
-
     objects = []
     for name in parser.sections():
-        sec = parser[name]
-        if name == "scene":
-            known = "rows cols frames duration_us noise_per_frame seed"
-        elif name.startswith("object.") and name != "object.":
-            known = "kind start velocity radius freq phase footprint prob"
-        else:
+        if name != "scene" and (not name.startswith("object.") or name == "object."):
             raise ValueError(f"unknown section [{name}] in the scene file")
-        unknown = set(sec) - set(known.split())
-        if unknown:
-            raise ValueError(f"unknown key {min(unknown)!r} in [{name}]")
-        if name == "scene":
-            continue
-        objects.append(ObjectSpec(
-            kind=sec.get("kind", "linear"),
-            start=pair(sec, "start"),
-            velocity=pair(sec, "velocity", (0.0, 0.0)),
-            radius=sec.getfloat("radius", 0.0),
-            freq=sec.getfloat("freq", 0.0),
-            phase=sec.getfloat("phase", 0.0),
-            footprint=sec.getint("footprint", 1),
-            prob=sec.getfloat("prob", 0.8),
-        ))
-    return SceneSpec(
-        geometry=(sc.getint("rows"), sc.getint("cols")),
-        n_frames=sc.getint("frames"),
-        duration_us=sc.getint("duration_us", 1_000_000),
-        objects=tuple(objects),
-        noise_per_frame=sc.getfloat("noise_per_frame", 0.0),
-        seed=sc.getint("seed", 0),
-    )
+        if name != "scene":
+            objects.append(ObjectSpec(**_read_section(parser[name], _OBJECT_KEYS)))
+    v = _read_section(parser["scene"], _SCENE_KEYS)
+    return SceneSpec(geometry=(v.pop("rows"), v.pop("cols")), n_frames=v.pop("frames"),
+                     objects=tuple(objects), **v)
 
 
 def scene_spec_to_ini(spec: SceneSpec) -> str:
-    """Render a spec back to the INI format (the `gen` command's spec echo)."""
-    lines = [
-        "[scene]",
-        f"rows = {spec.geometry[0]}",
-        f"cols = {spec.geometry[1]}",
-        f"frames = {spec.n_frames}",
-        f"duration_us = {spec.duration_us}",
-        f"noise_per_frame = {spec.noise_per_frame}",
-        f"seed = {spec.seed}",
-    ]
-    for k, obj in enumerate(spec.objects):
-        lines += [
-            "",
-            f"[object.{k}]",
-            f"kind = {obj.kind}",
-            f"start = {obj.start[0]}, {obj.start[1]}",
-            f"velocity = {obj.velocity[0]}, {obj.velocity[1]}",
-            f"radius = {obj.radius}",
-            f"freq = {obj.freq}",
-            f"phase = {obj.phase}",
-            f"footprint = {obj.footprint}",
-            f"prob = {obj.prob}",
-        ]
-    return "\n".join(lines) + "\n"
+    """Render a spec back to the INI format (the `gen` command's spec echo),
+    each section's keys as load_scene_spec reads them."""
+    scene = {"rows": spec.geometry[0], "cols": spec.geometry[1], "frames": spec.n_frames}
+    lines = []
+    for name, keys, part in [("scene", _SCENE_KEYS, spec), *(
+            (f"object.{k}", _OBJECT_KEYS, obj) for k, obj in enumerate(spec.objects))]:
+        lines += ["", f"[{name}]"]
+        for key, (hint, _) in keys.items():
+            value = scene[key] if key in scene else getattr(part, key)
+            text = ", ".join(f"{v}" for v in value) if typing.get_args(hint) else f"{value}"
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def two_object_scene(noise_fraction: float = 0.2, seed: int = 7) -> SceneSpec:

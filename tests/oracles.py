@@ -159,12 +159,11 @@ def pair_table_batched(factors, mode: str) -> np.ndarray:
     return np.matmul(a.reshape(-1, f), b).reshape(f * f, -1)
 
 
-def coo_rhs_unblocked(coo, factors, mode: str) -> np.ndarray:
-    """E_m H_m^T from the full pair table and one (f^2, nnz) gather at the
-    nonzeros' table columns, summed by one np.add.reduceat."""
-    table = pair_table_batched(factors, mode)
-    plan = coo.plans[mode]
-    out = np.zeros((table.shape[0], plan.n_rows))
+def coo_rhs_unblocked(plan, factors) -> np.ndarray:
+    """E_m H_m^T in the plan's mode from the full pair table and one (f^2,
+    nnz) gather at the nonzeros' table columns, summed by one np.add.reduceat."""
+    table = pair_table_batched(factors, plan.mode)
+    out = np.zeros((table.shape[0], plan.dims["ijn".index(plan.mode)]))
     if len(plan.starts):
         gathered = np.take(table, plan.cols, axis=1)
         out[:, plan.rows] = np.add.reduceat(gathered, plan.starts, axis=1)
@@ -731,12 +730,11 @@ def solve_dense(e, cfg=None):
     return state.factors, state
 
 
-def coo_cells(coo):
-    """A CooTensor's 1-cells as (i, j, n) in C order, read back from its
-    mode-i plan: a stable sort by i leaves C order as it is."""
-    plan = coo.plans["i"]
+def coo_cells(plan):
+    """E's 1-cells as (i, j, n) in C order, read back from its mode-i sort
+    plan: a stable sort by i leaves C order as it is."""
     i = np.repeat(plan.rows, np.diff(np.append(plan.starts, len(plan.cols))))
-    j, n = np.divmod(plan.cols, coo.dims[2])
+    j, n = np.divmod(plan.cols, plan.dims[2])
     return i, j, n
 
 
@@ -744,8 +742,8 @@ def dense_target(target) -> np.ndarray:
     """The library's RelaxedTarget as the dense X it stands for."""
     from evtensor.tensor_ops import FactorTriple, f3tn_contract
 
-    x = np.zeros(target.e.dims)
-    x[coo_cells(target.e)] = target.e_weight
+    x = np.zeros(target.e["i"].dims)
+    x[coo_cells(target.e["i"])] = target.e_weight
     for k, w in enumerate(target.weights):
         triple = FactorTriple(g_i=target.history.g_i[k], g_j=target.history.g_j[k],
                               g_n=target.history.g_n[k])

@@ -25,7 +25,8 @@ from evtensor.evaluation import (
     train_svm,
     write_results_csv,
 )
-from evtensor.events import EventStream, bin_to_tensor
+from evtensor.denoise import filter_events
+from evtensor.events import NOISE_LABEL, EventStream, bin_to_tensor
 from evtensor.solver import SolverConfig, solve
 from evtensor.synth import generate, two_object_scene
 from evtensor.tensor_ops import matricize_factor
@@ -225,10 +226,21 @@ def test_binary_task_objects_excludes_noise():
 
 
 def test_binary_task_noise_keeps_all():
-    labels = np.array([0, 1, -1])
+    labels = np.array([0, 1, -1, -2])
     mask, y = binary_task(labels, "noise")
     assert mask.all()
-    np.testing.assert_array_equal(y, [1, 1, 0])
+    np.testing.assert_array_equal(y, [1, 1, 0, 1])
+
+
+def test_the_noise_tasks_positives_are_the_denoise_reports_signal():
+    # every label but NOISE_LABEL is signal, -2 included, in both: keeping
+    # exactly the noise task's positives keeps all the report's signal
+    labels = np.array([0, 1, NOISE_LABEL, -2])
+    stream = EventStream(i=[0, 0, 0, 0], j=[0, 1, 2, 3], t=[0, 1, 2, 3], geometry=(1, 4),
+                         labels=labels)
+    _, y = binary_task(labels, "noise")
+    _, report = filter_events(stream, y.astype(np.float64), 0.5)
+    assert report.precision == report.recall == 1.0
 
 
 def test_binary_task_objects_needs_exactly_two_classes():

@@ -367,7 +367,7 @@ def test_write_events_csv_is_the_row_writer_at_block_boundaries(monkeypatch, lab
         write_events_csv(stream, fast)
         oracles.write_events_csv(stream, rows)
         assert fast.getvalue() == rows.getvalue(), n
-        assert len(calls[-1][1]) == max(1, n // block), n
+        assert len(calls[-1][1]) == -(-n // block), n
 
 
 def report_for(stream, seed=0):
@@ -398,7 +398,7 @@ def test_write_report_csv_is_one_format_rows_at_block_boundaries(monkeypatch, la
                                      report.kept))
         header = "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n"
         assert buf.getvalue() == header + whole, n
-        assert len(calls[-1][1]) == max(1, n // block), n
+        assert len(calls[-1][1]) == -(-n // block), n
     for cell in (",-0,", ",nan,", ",inf,", ",-inf,"):
         assert cell in buf.getvalue()
 
@@ -716,6 +716,28 @@ def test_tensor_dump_from_the_nonzeros_equals_the_per_frame_dump(data):
         write_tensor_dump(tensor, fast)
         oracles.write_tensor_dump(tensor, frames)
         assert fast.getvalue() == frames.getvalue()
+
+
+def test_tensor_dump_groups_by_the_solvers_mode_n_plan(monkeypatch):
+    # a DAVIS-sized E (260 x 346 x 100, 0.64% dense) with empty frames first,
+    # last and between: the dump's frames are the runs of the one sort plan
+    # the solver makes for mode n, and its text is the per-frame dump's
+    dims = (260, 346, 100)
+    data = (np.random.default_rng(5).random(dims) < 0.0064).astype(np.uint8)
+    data[:, :, [0, 1, 50, 99]] = 0
+    tensor = oracles.event_tensor(data)
+    made, of = [], tensor_ops.CooPlan.of
+
+    def spy(dims, flat, mode):
+        made.append(mode)
+        return of(dims, flat, mode)
+
+    monkeypatch.setattr(tensor_ops.CooPlan, "of", spy)
+    fast, frames = io.StringIO(), io.StringIO()
+    write_tensor_dump(tensor, fast)
+    oracles.write_tensor_dump(tensor, frames)
+    assert made == ["n"]
+    assert fast.getvalue() == frames.getvalue()
 
 
 @pytest.mark.parametrize("header", ["", "3 4\n", "3 4 x\n", "3 -4 2\n"],

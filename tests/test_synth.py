@@ -176,6 +176,15 @@ def test_scene_ini_roundtrip():
         assert a.kind == b.kind
         assert a.start == b.start
         assert a.prob == b.prob
+    assert loaded == spec
+
+
+def test_a_key_left_out_takes_its_fields_default():
+    # kind and duration_us, whose fields have no default, are linear and 1 s
+    text = "[scene]\nrows = 8\ncols = 6\nframes = 3\n[object.0]\nstart = 4, 2\n"
+    assert load_scene_spec(io.StringIO(text)) == SceneSpec(
+        geometry=(8, 6), n_frames=3, duration_us=1_000_000,
+        objects=(ObjectSpec(kind="linear", start=(4.0, 2.0)),))
 
 
 def test_scene_file_errors():
@@ -199,6 +208,27 @@ def test_scene_file_errors():
 def test_an_unknown_scene_section_or_key_is_named(old, new, named):
     # unchecked, the misspellings drop the scene's noise, an object's motion
     # or an object, and [DEFAULT]'s keys land in every section
+    text = (SCENES / "davis.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_scene_spec(io.StringIO(text.replace(old, new)))
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("\nradius = 80.0", "\nradius = abc", "key 'radius' in [object.1]: could not convert"),
+    ("\nfootprint = 8\nprob = 0.8\n\n", "\nfootprint = 1.5\nprob = 0.8\n\n",
+     "key 'footprint' in [object.0]: invalid literal for int()"),
+    ("\nvelocity = 2.1, 3.0", "\nvelocity = a, b", "key 'velocity' in [object.0]: could not"),
+    ("\nvelocity = 2.1, 3.0", "\nvelocity = 2.1", "key 'velocity' in [object.0]: needs 2 numbers"),
+    ("\nseed = 7", "\nseed = 2.5", "key 'seed' in [scene]: invalid literal for int()"),
+    ("\nframes = 100", "\nframes = 1e2", "key 'frames' in [scene]: invalid literal for int()"),
+    ("\nnoise_per_frame = 115.6", "\nnoise_per_frame = 20%",
+     "key 'noise_per_frame' in [scene]: could not convert string to float: '20%'"),
+], ids=["radius", "footprint", "velocity", "velocity_count", "seed", "frames", "percent"])
+def test_an_unreadable_scene_value_is_named(old, new, named):
+    # each key is read as its field's type; a refused value once raised
+    # numpy's or int()'s message alone, with no key or section, and a '%'
+    # configparser's InterpolationSyntaxError, not even a ValueError
     text = (SCENES / "davis.cfg").read_text(encoding="utf-8")
     assert text.count(old) == 1
     with pytest.raises(ValueError, match=re.escape(named)):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from evtensor import tensor_ops
 from evtensor.errors import ShapeError
 from evtensor.tensor_ops import (
-    CooTensor,
+    MODES,
+    CooPlan,
     FactorStack,
     FactorTriple,
     cell_values,
@@ -41,10 +42,10 @@ from oracles import (
 )
 
 
-def _coo(data) -> CooTensor:
-    """E's sort plans from a dense 0/1 array, through its EventTensor."""
+def _plan(data, mode) -> CooPlan:
+    """E's mode-m sort plan from a dense 0/1 array, through its EventTensor."""
     tensor = event_tensor(data)
-    return CooTensor.from_cells(tensor.dims, tensor.cells)
+    return CooPlan.of(tensor.dims, tensor.cells, mode)
 
 
 def _sparse(rng, dims, density=0.3):
@@ -244,7 +245,7 @@ def test_pair_rhs_equals_unfolded_product(mode, f):
     rng = np.random.default_rng(10 + f)
     factors = random_factors(rng, (7, 5, 4), f)
     x = _sparse(rng, (7, 5, 4), density=0.5)
-    _assert_close(coo_rhs(_coo(x), factors, mode),
+    _assert_close(coo_rhs(_plan(x, mode), factors),
                   unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
@@ -261,13 +262,13 @@ def test_pair_gram_and_rhs_property(dims, f, mode, seed):
     x = _sparse(rng, dims, density=0.5)
     h = pair_contraction(factors, mode)
     _assert_close(pair_gram(factors, mode), h @ h.T)
-    _assert_close(coo_rhs(_coo(x), factors, mode), unfold(x, mode) @ h.T)
+    _assert_close(coo_rhs(_plan(x, mode), factors), unfold(x, mode) @ h.T)
 
 
 def test_pair_rhs_shape_mismatch():
     factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
     with pytest.raises(ShapeError):
-        coo_rhs(_coo(np.zeros((3, 4, 6))), factors, "i")
+        coo_rhs(_plan(np.zeros((3, 4, 6)), "i"), factors)
 
 
 UNEVEN_DIMS = [(3, 8, 5), (9, 2, 6), (4, 6, 11)]
@@ -280,7 +281,7 @@ def test_pair_rhs_equals_unfolded_product_on_uneven_shapes(dims, mode, f):
     rng = np.random.default_rng(20 + f)
     factors = random_factors(rng, dims, f)
     x = _sparse(rng, dims, density=0.5)
-    _assert_close(coo_rhs(_coo(x), factors, mode),
+    _assert_close(coo_rhs(_plan(x, mode), factors),
                   unfold(x, mode) @ pair_contraction(factors, mode).T)
 
 
@@ -291,20 +292,18 @@ def test_pair_rhs_with_the_shared_product_is_bit_identical(dims, mode, f):
     rng = np.random.default_rng(30 + f)
     factors = random_factors(rng, dims, f)
     x = _sparse(rng, dims, density=0.5)
-    coo = _coo(x)
-    # the sort plan E's CooTensor makes once and every sweep of a solve shares:
+    # the sort plan a solve makes once per mode and every sweep shares:
     # reading it leaves it as it was
-    shared = coo.plans[mode]
-    assert shared.cols.shape == (x.sum(),) and shared.n_rows == dims["ijn".index(mode)]
-    first = coo_rhs(coo, factors, mode)
-    np.testing.assert_array_equal(coo_rhs(coo, factors, mode), first)
-    np.testing.assert_array_equal(coo_rhs(_coo(x), factors, mode), first)
+    shared = _plan(x, mode)
+    assert shared.cols.shape == (x.sum(),) and shared.dims == dims and shared.mode == mode
+    first = coo_rhs(shared, factors)
+    np.testing.assert_array_equal(coo_rhs(shared, factors), first)
+    np.testing.assert_array_equal(coo_rhs(_plan(x, mode), factors), first)
 
 
 def test_pair_rhs_unknown_mode():
-    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
-    with pytest.raises(ValueError):
-        coo_rhs(_coo(np.zeros((3, 4, 5))), factors, "k")
+    with pytest.raises(ValueError, match="unknown mode 'k'"):
+        _plan(np.zeros((3, 4, 5)), "k")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +316,13 @@ def test_coo_sq_norm_is_the_dot_of_the_values(kind):
     mask = np.random.default_rng(4).random((30, 20, 10)) < 0.1
     data = mask.astype(np.uint8) if kind == "ones" else mask
     values = data[np.nonzero(data)].astype(np.float64)
-    for plan in _coo(data).plans.values():
-        assert len(plan.cols) == float(np.dot(values, values)) == mask.sum()
+    for mode in MODES:
+        assert len(_plan(data, mode).cols) == float(np.dot(values, values)) == mask.sum()
 
 
-def _assert_plans_equal(coo, expected):
+def _assert_plans_equal(dims, flat, expected):
     for mode, (cols, starts, rows) in expected.items():
-        plan = coo.plans[mode]
+        plan = CooPlan.of(dims, flat, mode)
         for got, want in ((plan.cols, cols), (plan.starts, starts), (plan.rows, rows)):
             assert got.dtype == want.dtype, mode
             np.testing.assert_array_equal(got, want)
@@ -335,9 +334,9 @@ _ODD = list(odd_tensors())
 @pytest.mark.parametrize("data", [d for _, d in _ODD], ids=[name for name, _ in _ODD])
 def test_coo_plans_of_any_dtype_and_values_equal_the_sorted_ones(data):
     # the cells at the array's nonzeros, of every shape and layout
-    coo = CooTensor.from_cells(data.shape, np.flatnonzero(data))
-    np.testing.assert_array_equal(coo_cells(coo), np.nonzero(data))
-    _assert_plans_equal(coo, coo_plans(data))
+    flat = np.flatnonzero(data)
+    np.testing.assert_array_equal(coo_cells(CooPlan.of(data.shape, flat, "i")), np.nonzero(data))
+    _assert_plans_equal(data.shape, flat, coo_plans(data))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -348,7 +347,7 @@ def test_coo_plans_with_empty_rows_and_frames_equal_the_sorted_ones(seed):
     if seed >= 3:
         dims[seed % 3] = 300
     x = _holey(rng, dims).astype([np.uint8, np.float64][seed % 2])
-    _assert_plans_equal(_coo(x), coo_plans(x))
+    _assert_plans_equal(dims, event_tensor(x).cells, coo_plans(x))
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -366,14 +365,14 @@ def test_coo_rhs_with_empty_rows_columns_and_frames(dense, mode, f):
     x[:, :, [1, 5, 7]] = 0.0
     factors = random_factors(rng, dims, f)
     expected = unfold(x, mode) @ pair_contraction(factors, mode).T
-    _assert_close(coo_rhs(_coo(x), factors, mode), expected)
+    _assert_close(coo_rhs(_plan(x, mode), factors), expected)
 
 
 @pytest.mark.parametrize("mode", "ijn")
 def test_coo_rhs_of_the_zero_tensor_is_zero(mode):
     dims = (4, 3, 5)
     factors = random_factors(np.random.default_rng(1), dims, 2)
-    got = coo_rhs(_coo(np.zeros(dims)), factors, mode)
+    got = coo_rhs(_plan(np.zeros(dims), mode), factors)
     assert got.shape == (dims["ijn".index(mode)], 4) and not got.any()
 
 
@@ -382,7 +381,7 @@ def test_coo_plan_runs_cover_each_row_once(mode):
     x = _sparse(np.random.default_rng(4), (6, 5, 7), density=0.2)
     x[:, :, 3] = 0.0
     x[2] = 0.0
-    plan = _coo(x).plans[mode]
+    plan = _plan(x, mode)
     axis = "ijn".index(mode)
     counts = (x != 0).sum(axis=tuple(a for a in range(3) if a != axis))
     np.testing.assert_array_equal(plan.rows, np.flatnonzero(counts))
@@ -518,9 +517,9 @@ def test_row_blocks_cover_the_rows_in_order_two_or_more_at_a_time(monkeypatch, n
     monkeypatch.setattr(tensor_ops, "BLOCK_BYTES", block_bytes)
     blocks = tensor_ops.row_blocks(n, 8)
     step = max(2, block_bytes // 8)
-    np.testing.assert_array_equal(np.concatenate([np.arange(n)[b] for b in blocks]), np.arange(n))
+    assert [k for b in blocks for k in range(n)[b]] == list(range(n))
     sizes = [len(range(n)[b]) for b in blocks]
-    assert all(2 <= size <= step + 1 for size in sizes) or sizes == [n]
+    assert len(sizes) == -(-n // step) and all(size == step for size in sizes[:-1])
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
@@ -536,11 +535,10 @@ def test_blocked_coo_rhs_is_bit_identical_to_one_gather(monkeypatch, block_bytes
     rng = np.random.default_rng(70 + f)
     dims = (9, 7, 8)
     x = _holey(rng, dims, 0.9 if dense else 0.3)
-    coo = _coo(x)
-    assert len(np.unique(coo.plans[mode].cols)) < x.size // dims["ijn".index(mode)]
+    plan = _plan(x, mode)
+    assert len(np.unique(plan.cols)) < x.size // dims["ijn".index(mode)]
     factors = random_factors(rng, dims, f)
-    np.testing.assert_array_equal(coo_rhs(coo, factors, mode),
-                                  coo_rhs_unblocked(coo, factors, mode))
+    np.testing.assert_array_equal(coo_rhs(plan, factors), coo_rhs_unblocked(plan, factors))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000, 2 << 20])
@@ -584,12 +582,13 @@ def test_coo_rhs_peak_memory_is_two_blocks():
     # matmul behind it, stays under BLOCK_BYTES at two rows and more
     dims, f = (260, 346, 100), 6
     rng = np.random.default_rng(0)
-    coo = CooTensor.from_cells(dims, np.flatnonzero(rng.random(dims) < 0.0064))
+    flat = np.flatnonzero(rng.random(dims) < 0.0064)
     factors = random_factors(rng, dims, f)
     for mode in "ijn":
+        plan = CooPlan.of(dims, flat, mode)
         tracemalloc.start()
         try:
-            coo_rhs(coo, factors, mode)
+            coo_rhs(plan, factors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -606,11 +605,10 @@ def test_coo_tensor_retains_only_its_plans(dense):
     flat = np.flatnonzero(rng.random(dims) < (0.03 if dense else 0.0064))
     tracemalloc.start()
     try:
-        coo = CooTensor.from_cells(dims, flat)
+        plans = [CooPlan.of(dims, flat, mode) for mode in MODES]
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    plans = sum(a.nbytes for plan in coo.plans.values()
-                for a in (plan.cols, plan.starts, plan.rows))
-    assert retained < plans + (64 << 10)
-    assert all(len(plan.cols) == len(flat) for plan in coo.plans.values())
+    held = sum(a.nbytes for plan in plans for a in (plan.cols, plan.starts, plan.rows))
+    assert retained < held + (64 << 10)
+    assert all(len(plan.cols) == len(flat) for plan in plans)
