@@ -38,21 +38,18 @@ def score_events(stream: EventStream, tensor: EventTensor,
 
 @dataclass
 class DenoiseReport:
+    """A threshold's scores, kept mask and signal retention; none kept is n_kept == 0."""
+
     threshold: float
     scores: np.ndarray
     kept: np.ndarray               # boolean mask over the stream's events
     precision: float | None = None  # of kept events being signal (labels only)
     recall: float | None = None     # of signal events being kept
     f1: float | None = None
-    empty_kept: bool = False
 
     @property
     def n_kept(self) -> int:
         return int(self.kept.sum())
-
-    @property
-    def n_removed(self) -> int:
-        return len(self.kept) - self.n_kept
 
     def summary(self) -> str:
         lines = [
@@ -63,7 +60,7 @@ class DenoiseReport:
             lines.append(f"signal precision: {self.precision:.4f}")
             lines.append(f"signal recall: {self.recall:.4f}")
             lines.append(f"signal F1: {self.f1:.4f}")
-        if self.empty_kept:
+        if not self.n_kept:
             lines.append("warning: threshold removed every event")
         return "\n".join(lines)
 
@@ -74,8 +71,7 @@ def filter_events(stream: EventStream, scores: np.ndarray,
 
     When the stream is labeled, the report carries precision/recall/F1 of
     signal retention (object labels positive, noise negative). An empty kept
-    set reports precision 0 with the `empty_kept` flag and returns None for
-    the filtered stream.
+    set reports precision 0 and returns None for the filtered stream.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != stream.t.shape:
@@ -87,14 +83,12 @@ def filter_events(stream: EventStream, scores: np.ndarray,
         signal = stream.labels != NOISE_LABEL
         n_signal = int(signal.sum())
         kept_signal = int((kept & signal).sum())
-        n_kept = int(kept.sum())
-        report.precision = kept_signal / n_kept if n_kept else 0.0
+        report.precision = kept_signal / report.n_kept if report.n_kept else 0.0
         report.recall = kept_signal / n_signal if n_signal else 0.0
         denom = report.precision + report.recall
         report.f1 = 2 * report.precision * report.recall / denom if denom else 0.0
 
-    if not kept.any():
-        report.empty_kept = True
+    if not report.n_kept:
         return None, report
 
     filtered = EventStream(

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the specs' one field check."""
+
+import typing
+
+import numpy as np
 
 
 class EventParseError(ValueError):
@@ -35,3 +39,21 @@ class ProtocolError(ValueError):
 
 class ConsistencyError(ValueError):
     """Event coordinates do not match the factor/tensor dimensions they are paired with."""
+
+
+def check_fields(spec, integers=(), finite=()):
+    """Raise a ValueError naming the first field of the dataclass `spec` that
+    breaks its rule: in `integers`, an int or np.integer but not a bool; in
+    `finite`, neither inf nor NaN. A field typed ``tuple[int, int]`` must
+    hold two entries, each held to the rule."""
+    hints = typing.get_type_hints(type(spec))
+    for name in (*integers, *finite):
+        value, size = getattr(spec, name), len(typing.get_args(hints[name]))
+        entries = value if size and isinstance(value, (tuple, list)) else (value,)
+        if size and len(entries) != size:
+            raise ValueError(f"{name} must hold {size} entries, got {value!r}")
+        if name in integers and not all(
+                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+            raise ValueError(f"{name} must be {'integers' if size else 'an integer'}, got {value!r}")
+        if name in finite and not np.all(np.isfinite(entries)):
+            raise ValueError(f"{name} must be finite, got {value}")

@@ -394,28 +394,25 @@ class SweepResult:
 def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
                   base_cfg: SolverConfig, task: str = TASK_OBJECTS) -> SweepResult:
     """Run the full pipeline per (lambda1, lambda2) grid point, seeded
-    identically; per-cell failures are recorded without aborting the sweep."""
+    identically; per-cell failures are recorded without aborting the sweep.
+    Each point makes one SweepCell: one whose solve or classify raised reads
+    auc nan, not converged, 0 iters and the error's text."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid is empty")
     cells = []
     for lambda1, lambda2 in grid:
         start = time.perf_counter()
+        value, converged, iters, error = float("nan"), False, 0, None
         try:
             factors, state = solve(tensor, replace(base_cfg, lambda1=lambda1, lambda2=lambda2))
             value = classify_factors(stream, tensor, factors, task)[0]
-            cells.append(SweepCell(
-                lambda1=lambda1, lambda2=lambda2, auc=value,
-                converged=state.converged, iters=state.s,
-                seconds=time.perf_counter() - start,
-            ))
+            converged, iters = state.converged, state.s
         except Exception as exc:  # record and continue; sweeps must not abort
             logger.warning("sweep cell (%g, %g) failed: %s", lambda1, lambda2, exc)
-            cells.append(SweepCell(
-                lambda1=lambda1, lambda2=lambda2, auc=float("nan"),
-                converged=False, iters=0,
-                seconds=time.perf_counter() - start, error=str(exc),
-            ))
+            error = str(exc)
+        cells.append(SweepCell(lambda1=lambda1, lambda2=lambda2, auc=value, converged=converged,
+                               iters=iters, seconds=time.perf_counter() - start, error=error))
     return SweepResult(cells=cells)
 
 
@@ -427,8 +424,7 @@ def write_results_csv(result: SweepResult, path_or_fh) -> None:
             fh.write("%g,%g,%.17g,%s,%d,%.3f\n"
                      % (c.lambda1, c.lambda2, c.auc, str(c.converged).lower(), c.iters, c.seconds))
         fh.write("# overall_gap_percent: %.6g\n" % result.overall_gap())
-        for axis in ("lambda1", "lambda2"):
-            held = "lambda2" if axis == "lambda1" else "lambda1"
+        for axis, held in (("lambda1", "lambda2"), ("lambda2", "lambda1")):
             for value, gap in result.axis_gaps(axis):
                 fh.write("# gap_percent_varying_%s[%s=%g]: %.6g\n" % (axis, held, value, gap))
 

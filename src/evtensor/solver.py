@@ -97,7 +97,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_fields
 from .events import EventTensor, _header_ints, open_text, write_rows
 from .tensor_ops import (
     MODES,
@@ -131,23 +131,14 @@ class SolverConfig:
     init_scale: ClassVar[float] = 0.1
 
     def __post_init__(self):
-        # a fractional cap lets the rank pass it: growth runs while f < f_max
-        for name in ("f_max", "s_max", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        # NaN passes every comparison below and inf the sign checks
-        for name in ("lambda1", "lambda2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.f_max < 1:
-            raise ValueError("f_max must be >= 1")
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be >= 0")
+        """Types by check_fields (a fractional cap lets the rank pass it, a NaN
+        weight every comparison below), then ranges (a negative seed fails in numpy)."""
+        check_fields(self, integers=("f_max", "s_max", "seed"), finite=("lambda1", "lambda2"))
+        for name, low in (("f_max", 1), ("lambda1", 0), ("s_max", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.lambda2 <= 0:
             raise ValueError("lambda2 must be > 0")
-        if self.s_max < 1:
-            raise ValueError("s_max must be >= 1")
 
 
 @dataclass

@@ -33,17 +33,12 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
+from .errors import check_fields
 from .events import NOISE_LABEL, EventStream, compute_bin_edges, open_text
 
 logger = logging.getLogger(__name__)
 
 TRAJECTORY_KINDS = ("linear", "circular", "sinusoidal")
-
-
-def _check_integer(spec, name):
-    value = getattr(spec, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,30 +53,26 @@ class ObjectSpec:
     prob: float = 0.8              # per-frame emission probability per footprint pixel
 
     def __post_init__(self):
+        """Kind, types by check_fields (a NaN or a one-entry start fails inside
+        generate, a fractional footprint generates), then ranges."""
         if self.kind not in TRAJECTORY_KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        # inf or NaN would fail inside generate, as numpy's or int()'s own errors
-        for name in ("start", "velocity", "radius", "freq", "phase"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(self, integers=("footprint",),
+                     finite=("start", "velocity", "radius", "freq", "phase"))
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError("emission probability must be in [0, 1]")
-        _check_integer(self, "footprint")
         if self.footprint < 0:
             raise ValueError("footprint radius must be >= 0")
 
     def position(self, midpoint: float) -> tuple[float, float]:
         i0, j0 = self.start
-        if self.kind == "linear":
-            return (i0 + self.velocity[0] * midpoint, j0 + self.velocity[1] * midpoint)
+        angle = 2.0 * math.pi * self.freq * midpoint + self.phase
         if self.kind == "circular":
-            angle = 2.0 * math.pi * self.freq * midpoint + self.phase
             return (i0 + self.radius * math.cos(angle), j0 + self.radius * math.sin(angle))
-        return (
-            i0 + self.velocity[0] * midpoint,
-            j0 + self.velocity[1] * midpoint
-            + self.radius * math.sin(2.0 * math.pi * self.freq * midpoint + self.phase),
-        )
+        j = j0 + self.velocity[1] * midpoint
+        if self.kind == "sinusoidal":
+            j += self.radius * math.sin(angle)
+        return (i0 + self.velocity[0] * midpoint, j)
 
 
 @dataclass(frozen=True)
@@ -94,19 +85,20 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a fractional count generates a scene, or fails deep inside generate
-        for name in ("n_frames", "duration_us"):
-            _check_integer(self, name)
+        """Types by check_fields (a fractional count or geometry generates, a
+        one-entry geometry or a bool seed fails inside generate), then ranges."""
+        check_fields(self, integers=("geometry", "n_frames", "duration_us", "seed"),
+                     finite=("noise_per_frame",))
         if min(self.geometry) < 1:
             raise ValueError(f"geometry {self.geometry} needs at least one row and one column")
         if self.n_frames < 1:
             raise ValueError("a scene needs at least one frame")
         if self.duration_us < self.n_frames:
             raise ValueError("duration too short for the frame count")
-        if not math.isfinite(self.noise_per_frame):
-            raise ValueError(f"noise_per_frame must be finite, got {self.noise_per_frame}")
         if self.noise_per_frame < 0:
             raise ValueError("noise rate must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.objects and self.noise_per_frame == 0:
             raise ValueError("a scene with no objects and no noise would be empty")
 
@@ -182,33 +174,24 @@ class SceneSummary:
 def describe(spec: SceneSpec) -> SceneSummary:
     """Closed-form expectations: total emitted events, and the expected
     fraction of distinct (i, j, frame) cells activated (duplicates collapse
-    under binarization, so density is below the raw event rate)."""
-    rows, cols = spec.geometry
-    n_pix = rows * cols
+    under binarization, so density is below the raw event rate). A frame's
+    `miss` holds each pixel's product of 1 - prob over the objects covering it;
+    the frame adds n_pix - sum(miss) * (1 - p_noise) expected active cells."""
+    n_pix = spec.geometry[0] * spec.geometry[1]
     # probability a given pixel sees >= 1 noise event in one frame
-    p_noise = 1.0 - math.exp(-spec.noise_per_frame / n_pix) if n_pix else 0.0
+    p_noise = 1.0 - math.exp(-spec.noise_per_frame / n_pix)
 
     expected_events = spec.noise_per_frame * spec.n_frames
     expected_active = 0.0
     for n in range(spec.n_frames):
-        midpoint = n + 0.5
-        obj_prob: dict[tuple[int, int], float] = {}
+        miss = np.ones(spec.geometry)
         for obj in spec.objects:
-            pix_i, pix_j, _ = _footprint_pixels(obj.position(midpoint), obj.footprint,
+            pix_i, pix_j, _ = _footprint_pixels(obj.position(n + 0.5), obj.footprint,
                                                 spec.geometry)
             expected_events += obj.prob * pix_i.size
-            for p in zip(pix_i.tolist(), pix_j.tolist()):
-                keep = obj_prob.get(p, 1.0)
-                obj_prob[p] = keep * (1.0 - obj.prob)
-        # footprint cells: miss if all covering objects miss and noise misses
-        quiet = 1.0 - p_noise
-        for p, miss in obj_prob.items():
-            expected_active += 1.0 - miss * quiet
-        expected_active += (n_pix - len(obj_prob)) * p_noise
-    return SceneSummary(
-        expected_events=expected_events,
-        expected_density=expected_active / (n_pix * spec.n_frames),
-    )
+            miss[pix_i, pix_j] *= 1.0 - obj.prob  # an object's pixels are distinct
+        expected_active += n_pix - float(miss.sum()) * (1.0 - p_noise)
+    return SceneSummary(expected_events, expected_active / (n_pix * spec.n_frames))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +214,12 @@ _SCENE_KEYS = {"rows": (int, MISSING), "cols": (int, MISSING), **_ini_keys(
 _OBJECT_KEYS = _ini_keys(ObjectSpec, {"kind": "linear"})
 
 
-def _read_section(section, keys: dict) -> dict:
-    """Key -> value of a scene file section, each key read as its type in
-    `keys`, a tuple from comma- or space-separated numbers, and a key the
-    file leaves out at its default. A missing, unknown or unreadable key
-    raises ValueError naming it and the section."""
+def _read_section(section, keys: dict, build):
+    """build(**values), values the scene file section's keys, each read as its
+    type in `keys`, a tuple from comma- or space-separated numbers, and a key
+    the file leaves out at its default. A missing, unknown or unreadable key
+    raises ValueError naming it and the section, and one that build raises is
+    prefixed with the section."""
     required = {key for key, (_, default) in keys.items() if default is MISSING}
     for problem, names in (("unknown", set(section) - set(keys)), ("missing", required - set(section))):
         if names:
@@ -250,7 +234,10 @@ def _read_section(section, keys: dict) -> dict:
             values[key] = tuple(t(p) for t, p in zip(types, parts)) if types else hint(text)
         except ValueError as exc:
             raise ValueError(f"key {key!r} in [{section.name}]: {exc}") from None
-    return values
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ValueError(f"[{section.name}]: {exc}") from None
 
 
 def load_scene_spec(path_or_fh) -> SceneSpec:
@@ -276,7 +263,8 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
     An object may also set radius, freq and phase. Each key is read as the
     type of the spec field it sets. Any other section or key, and a value
     its type refuses, raises a ValueError naming it and its section, so that
-    a misspelled one is not dropped.
+    a misspelled one is not dropped; a value the spec refuses (prob = 1.5)
+    raises the spec's ValueError prefixed with its section.
     """
     parser = configparser.ConfigParser(interpolation=None)  # a '%' is read as written
     with open_text(path_or_fh) as fh:
@@ -290,10 +278,9 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
         if name != "scene" and (not name.startswith("object.") or name == "object."):
             raise ValueError(f"unknown section [{name}] in the scene file")
         if name != "scene":
-            objects.append(ObjectSpec(**_read_section(parser[name], _OBJECT_KEYS)))
-    v = _read_section(parser["scene"], _SCENE_KEYS)
-    return SceneSpec(geometry=(v.pop("rows"), v.pop("cols")), n_frames=v.pop("frames"),
-                     objects=tuple(objects), **v)
+            objects.append(_read_section(parser[name], _OBJECT_KEYS, ObjectSpec))
+    return _read_section(parser["scene"], _SCENE_KEYS, lambda rows, cols, frames, **v: SceneSpec(
+        geometry=(rows, cols), n_frames=frames, objects=tuple(objects), **v))
 
 
 def scene_spec_to_ini(spec: SceneSpec) -> str:

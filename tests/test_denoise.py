@@ -86,7 +86,7 @@ def test_filter_minus_infinity_keeps_everything():
     kept, report = filter_events(labeled, scores, -np.inf)
     assert len(kept) == len(labeled)
     assert report.recall == 1.0
-    assert report.n_removed == 0
+    assert report.n_kept == len(labeled)
 
 
 def test_filter_plus_infinity_keeps_nothing():
@@ -98,7 +98,6 @@ def test_filter_plus_infinity_keeps_nothing():
     scores = score_events(labeled, tensor, factors)
     kept, report = filter_events(labeled, scores, np.inf)
     assert kept is None
-    assert report.empty_kept
     assert report.precision == 0.0
     assert report.n_kept == 0
 

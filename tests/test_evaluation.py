@@ -13,11 +13,13 @@ import evtensor
 from evtensor import evaluation
 from evtensor.errors import ConsistencyError, ProtocolError, ShapeError
 from evtensor.evaluation import (
+    TASK_OBJECTS,
     FeatureMatrix,
     GatheredFeatures,
     auc,
     auc_gap,
     binary_task,
+    classify_factors,
     extract_features,
     save_model,
     sweep_lambdas,
@@ -687,6 +689,25 @@ def test_sweep_records_cell_failures_without_aborting():
     assert np.isnan(result.cells[0].auc)
     assert result.cells[0].error
     assert not np.isnan(result.cells[1].auc)
+
+
+def test_a_sweep_point_whose_classify_fails_after_its_solve_records_a_failed_cell():
+    # objects only in the training frames: the solve runs, then the objects
+    # task finds no test event; the cell must not keep the solve's sweeps
+    stream = labeled_stream()
+    labels = np.where(stream.t >= 600, NOISE_LABEL, stream.labels)  # frames 6..9 test
+    stream = EventStream(i=stream.i, j=stream.j, t=stream.t, geometry=stream.geometry,
+                         labels=labels, t_min=0, t_max=1000)
+    tensor = bin_to_tensor(stream, 10)
+    factors, state = solve(tensor, replace(small_cfg(), lambda1=0.2, lambda2=0.3))
+    assert state.s > 0
+    with pytest.raises(ProtocolError) as err:
+        classify_factors(stream, tensor, factors, TASK_OBJECTS)
+    [cell] = sweep_lambdas(tensor, stream, [(0.2, 0.3)], small_cfg(), task=TASK_OBJECTS).cells
+    assert np.isnan(cell.auc)
+    assert (cell.lambda1, cell.lambda2, cell.converged, cell.iters, cell.error) == (
+        0.2, 0.3, False, 0, str(err.value))
+    assert cell.seconds >= 0.0
 
 
 def test_sweep_empty_grid_rejected():

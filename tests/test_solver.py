@@ -101,6 +101,14 @@ def test_config_rejects_non_integer_counts(name, value):
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [-1, np.int64(-3)], ids=["int", "numpy"])
+def test_config_rejects_a_negative_seed(value):
+    # once accepted, then refused inside solve by numpy's default_rng with a
+    # bare "expected non-negative integer" that named no field
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SolverConfig(seed=value)
+
+
 def test_fractional_rank_cap_is_refused_and_numpy_integers_pass():
     # growth runs while f < f_max, so f_max = 2.5 used to end at rank 3
     with pytest.raises(ValueError, match="f_max"):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evtensor.events import NOISE_LABEL, bin_to_tensor, tensor_density, write_events_csv
 from evtensor.synth import (
@@ -149,6 +151,68 @@ def test_describe_matches_monte_carlo_mean():
     assert abs(np.mean(densities) - summary.expected_density) <= 3 * sem_dens
 
 
+def describe_bruteforce(spec):
+    """Expected events and density by testing every pixel of every frame
+    against every object's L-inf footprint, centred on its rounded position."""
+    rows, cols = spec.geometry
+    n_pix = rows * cols
+    p_noise = 1.0 - math.exp(-spec.noise_per_frame / n_pix)
+    ii, jj = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    events = spec.noise_per_frame * spec.n_frames
+    active = 0.0
+    for n in range(spec.n_frames):
+        miss = np.ones((rows, cols))
+        for obj in spec.objects:
+            ci, cj = (round(x) for x in obj.position(n + 0.5))
+            covered = (abs(ii - ci) <= obj.footprint) & (abs(jj - cj) <= obj.footprint)
+            events += obj.prob * covered.sum()
+            miss = np.where(covered, miss * (1.0 - obj.prob), miss)
+        active += (1.0 - miss * (1.0 - p_noise)).sum()
+    return events, active / (n_pix * spec.n_frames)
+
+
+def random_scene(rng):
+    """A small scene: up to four objects of any kind, placed so that they
+    overlap and leave the sensor, or none and noise alone."""
+    rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
+    objects = []
+    for _ in range(int(rng.integers(0, 5))):
+        objects.append(ObjectSpec(
+            kind=str(rng.choice(["linear", "circular", "sinusoidal"])),
+            start=(float(rng.uniform(-3, rows + 3)), float(rng.uniform(-3, cols + 3))),
+            velocity=(float(rng.normal(0, 1.5)), float(rng.normal(0, 1.5))),
+            radius=float(rng.uniform(0, 6)), freq=float(rng.uniform(0, 0.3)),
+            phase=float(rng.uniform(0, 6.3)), footprint=int(rng.integers(0, 4)),
+            prob=float(rng.choice([0.0, 1.0, rng.uniform()]))))
+    noise = float(rng.choice([0.0, rng.uniform(0.1, 20.0)])) if objects else 3.0
+    return SceneSpec(geometry=(rows, cols), n_frames=int(rng.integers(1, 7)),
+                     duration_us=1000, objects=tuple(objects), noise_per_frame=noise)
+
+
+def _clipped(obj, spec, n):
+    """Whether the object's footprint leaves the sensor at frame n."""
+    ci, cj = (round(x) for x in obj.position(n + 0.5))
+    fp = obj.footprint
+    return ci - fp < 0 or cj - fp < 0 or ci + fp >= spec.geometry[0] or cj + fp >= spec.geometry[1]
+
+
+def test_describe_matches_a_per_pixel_brute_force():
+    rng = np.random.default_rng(2024)
+    kinds = {"overlap": 0, "clipped": 0, "noise_only": 0}
+    for _ in range(300):
+        spec = random_scene(rng)
+        summary = describe(spec)
+        events, density = describe_bruteforce(spec)
+        assert summary.expected_events == pytest.approx(events, rel=1e-12, abs=1e-300)
+        assert summary.expected_density == pytest.approx(density, rel=1e-12, abs=1e-300)
+        assert type(summary.expected_density) is float
+        kinds["noise_only"] += not spec.objects
+        kinds["overlap"] += len(spec.objects) > 1
+        kinds["clipped"] += any(
+            any(_clipped(obj, spec, n) for obj in spec.objects) for n in range(spec.n_frames))
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_reference_scene_density_in_band():
     spec = two_object_scene(noise_fraction=0.2, seed=7)
     stream = generate(spec)
@@ -235,6 +299,20 @@ def test_an_unreadable_scene_value_is_named(old, new, named):
         load_scene_spec(io.StringIO(text.replace(old, new)))
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("\nprob = 0.8\n\n", "\nprob = 1.5\n\n", "[object.0]: emission probability must be in [0, 1]"),
+    ("\nkind = circular", "\nkind = zig", "[object.1]: unknown trajectory kind 'zig'"),
+    ("\nframes = 100", "\nframes = 0", "[scene]: a scene needs at least one frame"),
+    ("\nseed = 7", "\nseed = -7", "[scene]: seed must be >= 0"),
+], ids=["prob", "kind", "frames", "seed"])
+def test_a_value_the_spec_refuses_is_named_with_its_section(old, new, named):
+    # the spec's own message once came alone, naming neither section nor key
+    text = (SCENES / "davis.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_scene_spec(io.StringIO(text.replace(old, new)))
+
+
 def test_the_ref_scene_file_is_the_reference_scene():
     # the benchmark's ref.cfg writes two_object_scene()'s values out in full
     assert load_scene_spec(SCENES / "ref.cfg") == two_object_scene()
@@ -284,6 +362,34 @@ def test_numpy_integer_scene_counts_are_accepted():
     assert len(generate(spec)) > 0
 
 
+OBJ = ObjectSpec(kind="linear", start=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: SceneSpec(geometry=(8, 8), n_frames=2, duration_us=20, objects=(OBJ,), seed=2.5),
+     "seed must be an integer, got 2.5"),
+    (lambda: SceneSpec(geometry=(8, 8), n_frames=2, duration_us=20, objects=(OBJ,), seed=True),
+     "seed must be an integer, got True"),
+    (lambda: SceneSpec(geometry=(8, 8), n_frames=2, duration_us=20, objects=(OBJ,), seed=-1),
+     "seed must be >= 0"),
+    (lambda: SceneSpec(geometry=(64.5, 48), n_frames=2, duration_us=20, objects=(OBJ,)),
+     "geometry must be integers, got (64.5, 48)"),
+    (lambda: SceneSpec(geometry=(64,), n_frames=2, duration_us=20, objects=(OBJ,)),
+     "geometry must hold 2 entries, got (64,)"),
+    (lambda: ObjectSpec(kind="linear", start=(1.0,)), "start must hold 2 entries, got (1.0,)"),
+    (lambda: ObjectSpec(kind="linear", start=(1.0, 1.0), velocity=(1.0, 0.0, 2.0)),
+     "velocity must hold 2 entries, got (1.0, 0.0, 2.0)"),
+], ids=["seed_fraction", "seed_bool", "seed_negative", "geometry_fraction", "geometry_one",
+        "start_one", "velocity_three"])
+def test_a_spec_value_that_failed_later_is_named(make, named):
+    # each was accepted: a fractional, bool or negative seed then failed in
+    # SeedSequence or ran as seed 1, a 64.5-row scene was truncated to 64 rows
+    # when binned, and a short geometry, start or a long velocity failed
+    # while unpacking inside generate
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
+
+
 @pytest.mark.parametrize("footprint", [10 ** 7, np.int64(10 ** 12)], ids=["1e7", "numpy_1e12"])
 def test_a_footprint_beyond_the_sensor_is_the_sensor(footprint, caplog):
     # the whole L-inf ball of a 10**7 footprint took 2.8 PiB of offsets (a
@@ -325,6 +431,45 @@ def test_trajectory_positions():
                      radius=2.0, freq=0.25)
     pi, pj = sin.position(1.0)
     assert pi == pytest.approx(1.0) and pj == pytest.approx(2.0)
+
+
+def position_three_branches(obj, midpoint):
+    """Each trajectory kind's formula written out on its own."""
+    i0, j0 = obj.start
+    if obj.kind == "linear":
+        return (i0 + obj.velocity[0] * midpoint, j0 + obj.velocity[1] * midpoint)
+    if obj.kind == "circular":
+        angle = 2.0 * math.pi * obj.freq * midpoint + obj.phase
+        return (i0 + obj.radius * math.cos(angle), j0 + obj.radius * math.sin(angle))
+    return (i0 + obj.velocity[0] * midpoint,
+            j0 + obj.velocity[1] * midpoint
+            + obj.radius * math.sin(2.0 * math.pi * obj.freq * midpoint + obj.phase))
+
+
+# signed zeros among them, so that a drift can come out as -0.0
+_coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@given(kind=st.sampled_from(["linear", "circular", "sinusoidal"]),
+       start=st.tuples(_coord, _coord), velocity=st.tuples(_coord, _coord),
+       radius=_coord, freq=_coord, phase=_coord,
+       midpoint=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0, 1e4)))
+def test_position_is_bit_identical_to_the_three_branch_formula(kind, start, velocity, radius,
+                                                              freq, phase, midpoint):
+    obj = ObjectSpec(kind=kind, start=start, velocity=velocity, radius=radius, freq=freq,
+                     phase=phase)
+    got, want = obj.position(midpoint), position_three_branches(obj, midpoint)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("kind", ["linear", "sinusoidal"])
+def test_a_drift_of_minus_zero_is_the_three_branch_formulas(kind):
+    # a linear drift stays -0.0; adding a 0.0 wobble to it would give +0.0
+    obj = ObjectSpec(kind=kind, start=(-0.0, -0.0), velocity=(-0.0, -0.0))
+    got = obj.position(0.5)
+    assert [x.hex() for x in got] == [x.hex() for x in position_three_branches(obj, 0.5)]
+    assert math.copysign(1.0, got[1]) == (-1.0 if kind == "linear" else 1.0)
 
 
 # ---------------------------------------------------------------------------
