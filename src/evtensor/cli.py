@@ -9,7 +9,10 @@ sweep results CSV whose schema includes a seconds column).
 
 Every file flag takes a path, read or written as UTF-8. BLAS worker threads
 are capped through the environment (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``
-set before the command starts); the CLI has no thread flag of its own.
+set before the command starts); the CLI has no thread flag of its own. Each
+flag is used, and only under its full name, never a prefix of it: ``denoise``
+takes ``--tau`` or ``--quantile``, not both, and ``sweep`` its lambdas from
+its grids alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import json
 import logging
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -65,13 +69,11 @@ SOLVER_FLAG_HELP = {
 
 
 def _parse_geometry(text: str) -> tuple[int, int]:
-    try:
-        rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
-    except ValueError:
+    shape = tuple(int(v) if v.strip().isdecimal() else 0 for v in text.lower().split("x"))
+    if len(shape) != 2 or min(shape) < 1:
         raise argparse.ArgumentTypeError(
-            f"geometry must look like 346x260, got {text!r}"
-        ) from None
+            f"geometry must be two positive integers, rows x cols like 260x346, got {text!r}")
+    return shape
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -92,11 +94,12 @@ def _echo_config(args: argparse.Namespace, primary_output: str) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)
+                           if f.name in args})
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    for f in fields(SolverConfig):
+def _add_solver_flags(p: argparse.ArgumentParser, skip=()) -> None:
+    for f in [f for f in fields(SolverConfig) if f.name not in skip]:
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
                        help=SOLVER_FLAG_HELP[f.name] + " (default %(default)s)")
 
@@ -132,15 +135,8 @@ def cmd_decompose(args) -> int:
     factors, state = solve(tensor, cfg)
     elapsed = time.perf_counter() - start
     save_checkpoint(factors, args.checkpoint)
-    metadata = {
-        "model": "FCTN-ablation" if cfg.lambda1 == 0.0 else "ENTN",
-        "lambda1": cfg.lambda1,
-        "lambda2": cfg.lambda2,
-        "f_max": cfg.f_max,
-        "seed": cfg.seed,
-        "converged": str(state.converged).lower(),
-    }
-    write_trace_csv(state, args.trace, metadata)
+    write_trace_csv(state, args.trace, {**asdict(cfg), "converged": str(state.converged).lower(),
+                                        "model": "FCTN-ablation" if cfg.lambda1 == 0.0 else "ENTN"})
     _echo_config(args, args.checkpoint)
     last = state.trace[-1]
     print(f"final rank: {state.f}")
@@ -208,13 +204,14 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="evtensor",
+        prog="evtensor", allow_abbrev=False,
         description="Event-stream representation learning with a 3rd-order tensor network.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for info, -vv for debug (logs go to stderr)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("gen", help="generate a labeled synthetic scene CSV")
     p.add_argument("--spec", required=True, help="INI scene file")
@@ -254,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="filter low-reconstruction events")
     p.add_argument("--events", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tau", type=float, default=None, help="absolute score threshold")
-    p.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE,
-                   help="quantile threshold when --tau is not given (default %(default)s)")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--tau", type=float, default=None, help="absolute score threshold")
+    threshold.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE,
+                           help="quantile threshold when --tau is not given (default %(default)s)")
     p.add_argument("--out", required=True, help="filtered event CSV")
     p.add_argument("--report", required=True, help="per-event report CSV")
     p.set_defaults(func=cmd_denoise)
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2-grid", type=_parse_grid, required=True, metavar="A,B,...")
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)
     p.add_argument("--out", required=True, help="results CSV")
-    _add_solver_flags(p)
+    _add_solver_flags(p, skip=("lambda1", "lambda2"))
     p.set_defaults(func=cmd_sweep)
 
     return parser

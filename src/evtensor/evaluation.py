@@ -396,10 +396,14 @@ def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
     """Run the full pipeline per (lambda1, lambda2) grid point, seeded
     identically; per-cell failures are recorded without aborting the sweep.
     Each point makes one SweepCell: one whose solve or classify raised reads
-    auc nan, not converged, 0 iters and the error's text."""
+    auc nan, not converged, 0 iters and the error's text. A stream without
+    labels, or with none that pose `task`, raises ProtocolError before any solve."""
     grid = list(grid)
     if not grid:
         raise ValueError("sweep grid is empty")
+    if not stream.has_labels:
+        raise ProtocolError("a sweep needs a labeled stream")
+    binary_task(stream.labels, task)
     cells = []
     for lambda1, lambda2 in grid:
         start = time.perf_counter()

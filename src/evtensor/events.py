@@ -15,27 +15,29 @@ Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
 accepted and ignored. The CSV does not carry the recording window, so a
 parsed stream bins over its first to last timestamp: perfbench's davis scene
-at seed 7 has 57,778 cells binned in memory over 0 to 1,000,000 us and
-57,738 read back from its CSV, over 22 to 999,973 us. :func:`parse_events`
-reads the body as its UTF-8 bytes and decodes them with one ``np.loadtxt``
-call into an int64 array, checked column by column; the bytes and then that
-array are dropped as soon as its columns are copied out. Input that this
-decode or these checks refuse is read line by line instead: any malformed,
+at seed 7 has 57,778 cells binned in memory over 0 to 1,000,000 us and 57,738
+read back from its CSV, over 22 to 999,973 us. :func:`parse_events` reads the
+body as its UTF-8 bytes and decodes them with one ``np.loadtxt`` call into an
+int64 array, whose columns, as views, make the :class:`EventStream`: its
+checks are the one statement of the event rules. Input that this decode or
+those checks refuse is read line by line instead: any malformed,
 negative-time or out-of-geometry record, and also whitespace-only lines,
-spellings that only Python's ``int()`` takes (``1_000``) and a polarity
-field that is not an integer, which that path accepts. Only then is the body
+spellings that only Python's ``int()`` takes (``1_000``) and a polarity field
+that is not an integer, which that path accepts. Only then is the body
 decoded back to text and split into lines, as ``readlines()`` splits it, so
 the line numbers it reports are the file's.
 
-Every data file but the tensor dump is written by :func:`write_rows`, a
-:func:`tensor_ops.row_blocks` block of rows at a time, so no writer holds
-event-sized text. A block is one (units, rows) uint16 array whose two-byte
-units are each written for all rows at once from tables of digit pairs:
-an integer field is as many units as its widest ``%d``, a ``%.17g`` field
-23 (a head of sign and ``0.000``, 18 digits each with a slot for a point,
-an exponent), a separator one; the 0 bytes a field leaves are dropped as
-the rows are read out. The tensor dump is a template of ``0`` digits with
-``1`` written at each frame's cells.
+The event CSV, the checkpoint, the trace and the denoise report are written
+by :func:`write_rows`, a :func:`tensor_ops.row_blocks` block of rows at a
+time, so no writer holds event-sized text; the model file, the sweep CSV, the
+classify report and the echoes, none of them event-sized, are formatted with
+``%`` or f-strings. A block is one (units, rows) uint16 array whose two-byte
+units are each written for all rows at once from tables of digit pairs: an
+integer field is as many units as its widest ``%d``, a ``%.17g`` field 23 (a
+head of sign and ``0.000``, 18 digits each with a slot for a point, an
+exponent), a separator one; the 0 bytes a field leaves are dropped as the
+rows are read out. The tensor dump is a template of ``0`` digits with ``1``
+written at each frame's cells.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -192,8 +194,8 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     timestamps, as the file holds no recording window.
 
     The body is read as its UTF-8 bytes and decoded with one ``np.loadtxt``
-    call, so no list of lines is made.
-    Where that decode or the column checks after it refuse the body,
+    call, so no list of lines is made; its columns make the EventStream. Where
+    the decode, the column count or EventStream's checks refuse the body,
     :func:`_parse_lines` reads it line by line. That path is kept because it
     is the only one that runs on such input: it names the offending line, and
     it accepts the inputs the module docstring lists. Its lines are those
@@ -227,19 +229,10 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
             warnings.simplefilter("error", DeprecationWarning)
             body = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=np.int64, comments=None,
                               ndmin=2, encoding="utf-8")
+        fields = dict(zip(columns, body.T, strict=True))  # views; a wrong column count raises
+        return EventStream(fields["i"], fields["j"], fields["t"], geometry, fields.get("label"))
     except (ValueError, DeprecationWarning):
-        body = None
-    if body is not None and body.shape[1] == len(columns):
-        t, i, j = (body[:, columns.index(c)] for c in ("t", "i", "j"))
-        rows, cols = geometry
-        if t.min() >= 0 and i.min() >= 0 and i.max() < rows and j.min() >= 0 and j.max() < cols:
-            # the text and then the body go as soon as the columns are copied out
-            del raw, t, i, j
-            fields = {c: body[:, k].copy() for k, c in enumerate(columns) if c != "polarity"}
-            del body
-            return EventStream(i=fields["i"], j=fields["j"], t=fields["t"], geometry=geometry,
-                               labels=fields.get("label"))
-    text = raw.decode("utf-8", "surrogatepass")
+        text = raw.decode("utf-8", "surrogatepass")
     return _parse_lines(io.StringIO(text).readlines(), columns, geometry)
 
 
@@ -462,7 +455,7 @@ def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
     if tensor.dims != dims:
         raise ConsistencyError(f"factor dims {dims} disagree with tensor dims {tensor.dims}")
     frames = bin_indices(stream.t, tensor.bin_edges)
-    if stream.i.max() >= dims[0] or stream.j.max() >= dims[1] or frames.max() >= dims[2]:
+    if stream.i.max() >= dims[0] or stream.j.max() >= dims[1]:
         raise ConsistencyError("event coordinates exceed factor dimensions")
     return frames
 

@@ -3,8 +3,10 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -303,13 +305,21 @@ def _subparser(name: str) -> argparse.ArgumentParser:
     return sub.choices[name]
 
 
-@pytest.mark.parametrize("command", ["decompose", "sweep"])
-def test_solver_flags_mirror_the_solver_config_fields(command):
+# sweep sets lambda1 and lambda2 from its grids, so it has flags for the rest
+@pytest.mark.parametrize("command, flagged", [
+    ("decompose", ["f_max", "lambda1", "lambda2", "s_max", "seed"]),
+    ("sweep", ["f_max", "s_max", "seed"]),
+], ids=["decompose", "sweep"])
+def test_solver_flags_mirror_the_solver_config_fields(command, flagged):
     actions = _subparser(command)._actions
     config_fields = dataclasses.fields(SolverConfig)
     assert len(config_fields) == 5
     for field in config_fields:
-        (action,) = [a for a in actions if a.dest == field.name]
+        matching = [a for a in actions if a.dest == field.name]
+        if field.name not in flagged:
+            assert matching == []
+            continue
+        (action,) = matching
         assert action.option_strings == ["--" + field.name.replace("_", "-")]
         assert action.default == field.default
         assert action.type is type(field.default)
@@ -338,14 +348,105 @@ def test_fixed_protocol_values_have_no_flag(capsys, command, flag):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["decompose", "sweep"])
+@pytest.mark.parametrize("command", ["decompose"])
 def test_non_finite_solver_setting_exits_1(tmp_path, caplog, command):
     events = str(tmp_path / "events.csv")
     write_events_csv(STREAM, events)
     out = tmp_path / "out.txt"
-    argv = {"decompose": ["--checkpoint", str(out), "--trace", str(tmp_path / "trace.csv")],
-            "sweep": ["--lambda1-grid", "0", "--lambda2-grid", "0.1", "--out", str(out)]}[command]
     assert cli.main([command, "--events", events, "--geometry", "3x2", "--frames", "4",
-                     *argv, "--lambda2", "nan"]) == 1
+                     "--checkpoint", str(out), "--trace", str(tmp_path / "trace.csv"),
+                     "--lambda2", "nan"]) == 1
     assert "lambda2 must be finite" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda1", "5"), ("--lambda2", "5"),
+                                         ("--lambda2", "nan")],
+                         ids=["lambda1-5", "lambda2-5", "lambda2-nan"])
+def test_sweep_takes_its_lambdas_from_its_grids_alone(tmp_path, capsys, flag, value):
+    # a lambda flag beside the grids would be checked, then overridden by each grid point
+    events = str(tmp_path / "events.csv")
+    write_events_csv(STREAM, events)
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--events", events, "--geometry", "3x2", "--frames", "4",
+                  "--lambda1-grid", "0.1", "--lambda2-grid", "0.1", "--out", str(out),
+                  flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each subcommand's full argv, and a flag's prefix to add to it
+PREFIXES = {
+    "gen": (["--spec", "s", "--out", "o"], "--sp", "s"),
+    "bin": (["--events", "e", "--geometry", "2x2", "--frames", "1", "--out", "o"],
+            "--geom", "64x48"),
+    "decompose": (["--events", "e", "--geometry", "2x2", "--frames", "1", "--checkpoint", "c",
+                   "--trace", "t"], "--check", "c"),
+    "classify": (["--events", "e", "--checkpoint", "c", "--report", "r"], "--rep", "r"),
+    "denoise": (["--events", "e", "--checkpoint", "c", "--out", "o", "--report", "r"],
+                "--quant", "0.3"),
+    "sweep": (["--events", "e", "--geometry", "2x2", "--frames", "1", "--lambda1-grid", "0",
+               "--lambda2-grid", "0.1", "--out", "o"], "--lambda1", "5"),
+}
+
+
+@pytest.mark.parametrize("command", list(PREFIXES))
+def test_no_flag_answers_to_a_prefix_of_its_name(capsys, command):
+    argv, prefix, value = PREFIXES[command]
+    assert cli.build_parser().parse_args([command, *argv]).command == command
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, *argv, prefix, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {prefix} {value}" in capsys.readouterr().err
+
+
+def test_the_top_parser_takes_no_prefix_and_counts_repeated_v(capsys):
+    argv = ["gen", *PREFIXES["gen"][0]]
+    assert cli.build_parser().parse_args(["-vv", *argv]).verbose == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--verb", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verb" in capsys.readouterr().err
+
+
+def test_denoise_takes_one_threshold_rule(tmp_path, capsys):
+    out, report = tmp_path / "filtered.csv", tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["denoise", "--events", "e", "--checkpoint", "c", "--out", str(out),
+                  "--report", str(report), "--tau", "0.1", "--quantile", "0.3"])
+    assert exc.value.code == 2
+    assert "argument --quantile: not allowed with argument --tau" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_trace_echoes_every_solver_setting(pipeline_dir):
+    work, _ = pipeline_dir
+    header = [line for line in (work / "trace.csv").read_text().splitlines()
+              if line.startswith("# ")]
+    echoed = dict(line[2:].split(": ", 1) for line in header)
+    assert len(echoed) == len(header)
+    assert echoed.pop("converged") in ("true", "false")
+    cfg = SolverConfig(s_max=4, f_max=2)
+    assert echoed == {**{f.name: str(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)},
+                      "model": "ENTN"}
+
+
+@pytest.mark.parametrize("geometry", ["0x48", "-3x5", "64x0", "64", "64x48x2", "ax4", ""])
+def test_geometry_must_be_two_positive_integers(capsys, geometry):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["bin", "--events", "e", f"--geometry={geometry}",
+                                       "--frames", "1", "--out", "o"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --geometry: geometry must be two positive integers, rows x cols" in err
+    assert cli._parse_geometry("260x346") == (260, 346)
+
+
+def test_the_project_script_is_the_cli_main():
+    # tomllib is not in Python 3.10, the oldest supported
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^evtensor = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    assert target == ("evtensor.cli", "main")
+    assert callable(getattr(importlib.import_module(target[0]), target[1]))

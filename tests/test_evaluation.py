@@ -717,6 +717,25 @@ def test_sweep_empty_grid_rejected():
         sweep_lambdas(tensor, stream, [], small_cfg())
 
 
+@pytest.mark.parametrize("labeled, message", [
+    (False, "a sweep needs a labeled stream"),
+    (True, r"object task needs exactly two object classes, found \[0\]"),
+], ids=["unlabeled", "one-object-class"])
+def test_a_sweep_its_labels_cannot_serve_fails_before_the_first_solve(monkeypatch, labeled,
+                                                                       message):
+    # every grid point would fail alike, so no point is solved
+    stream = labeled_stream()
+    labels = np.where(stream.labels == 1, NOISE_LABEL, stream.labels) if labeled else None
+    stream = EventStream(i=stream.i, j=stream.j, t=stream.t, geometry=stream.geometry,
+                         labels=labels, t_min=0, t_max=1000)
+    solves = []
+    monkeypatch.setattr(evaluation, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ProtocolError, match=message):
+        sweep_lambdas(bin_to_tensor(stream, 10), stream, [(0.1, 0.1), (0.2, 0.1)], small_cfg(),
+                      task=TASK_OBJECTS)
+    assert solves == []
+
+
 def test_results_csv_layout(tmp_path):
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)

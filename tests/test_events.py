@@ -216,6 +216,31 @@ def test_parse_header_only_raises_without_warning(text):
             parse_events(io.StringIO(text), DAVIS)
 
 
+@pytest.mark.parametrize("body, error, message", [
+    ("1,2,3\n-4,2,3\n", EventParseError, "line 3: negative timestamp -4"),
+    ("1,2,3\n4,346,3\n", GeometryError, "line 3: i=346 outside geometry rows [0, 346)"),
+    ("1,2,3\n4,2,-1\n", GeometryError, "line 3: j=-1 outside geometry cols [0, 260)"),
+    ("\n", EmptyStreamError, "source contains a header but zero events"),
+], ids=["negative-t", "i-outside", "j-outside", "header-only"])
+def test_a_body_event_stream_refuses_is_named_by_the_line_path(monkeypatch, body, error, message):
+    # each body but the empty one decodes as int64, so the fast path hands its
+    # columns to EventStream, whose checks refuse them; the empty body fails
+    # the column count. The line path then names the line
+    refusals = []
+
+    def event_stream(*args, **kwargs):
+        try:
+            return EventStream(*args, **kwargs)
+        except ValueError as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(events, "EventStream", event_stream)
+    with pytest.raises(error, match=re.escape(message)):
+        parse_events(io.StringIO("t,i,j\n" + body), DAVIS)
+    assert len(refusals) == (body != "\n")
+
+
 @st.composite
 def event_streams(draw):
     m = draw(st.integers(1, 30))
@@ -425,12 +450,24 @@ def test_csv_io_peak_memory_is_a_block_not_the_stream(tmp_path, scale):
         2 * tensor_ops.BLOCK_BYTES + (1 << 20))
     parsed = peak_bytes(lambda: parse_events(path, DAVIS))
     assert parsed < peak_bytes(lambda: oracles.parse_events_readlines(path, DAVIS))
-    # at its peak the parse holds the decoded (n, 4) body and the columns
-    # copied out of it, not the text beside them
+    # at its peak the parse holds the text and the decoded (n, 4) body, whose
+    # columns the stream keeps as views
     assert parsed < 2 * 8 * 4 * len(stream) + (1 << 16)
     again = parse_events(path, DAVIS)
     for name in ("t", "i", "j", "labels"):
         np.testing.assert_array_equal(getattr(again, name), getattr(stream, name))
+
+
+def test_a_clean_davis_sized_csv_parses_as_readlines_into_views_of_one_body(tmp_path):
+    path = tmp_path / "events.csv"
+    write_events_csv(davis_like_stream(57_843), path)
+    parsed, oracle = parse_events(path, DAVIS), oracles.parse_events_readlines(path, DAVIS)
+    for name in ("t", "i", "j", "labels", "t_min", "t_max"):
+        np.testing.assert_array_equal(getattr(parsed, name), getattr(oracle, name))
+    # the stream's columns are the decoded body's, not copies out of it
+    body = parsed.t.base
+    assert body is not None and body.shape == (len(parsed), 4)
+    assert all(getattr(parsed, name).base is body for name in ("i", "j", "labels"))
 
 
 def test_bin_to_tensor_peak_memory_is_event_sized_not_sensor_sized():
