@@ -36,7 +36,7 @@ from .solver import (
     save_checkpoint,
     solve,
 )
-from .synth import ObjectSpec, SceneSpec, describe, generate, load_scene_spec, two_object_scene
+from .synth import ObjectSpec, SceneSpec, describe, generate, load_scene_spec
 from .tensor_ops import FactorTriple, f3tn_contract, frob_norm
 
 __all__ = [
@@ -72,6 +72,5 @@ __all__ = [
     "temporal_split",
     "tensor_density",
     "train_svm",
-    "two_object_scene",
     "write_events_csv",
 ]

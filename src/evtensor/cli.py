@@ -4,15 +4,15 @@ One executable, subcommand style. All randomness flows from explicit seeds
 (the scene seed for generation, the solver seed for decomposition); every run
 writes a JSON echo of its fully resolved configuration next to its first
 output, and reruns with identical flags produce byte-identical data files
-(wall-clock timing goes to stderr, never into data outputs, except for the
-sweep results CSV whose schema includes a seconds column).
+(wall-clock time goes to stderr, save the sweep CSV's seconds column).
 
 Every file flag takes a path, read or written as UTF-8. BLAS worker threads
 are capped through the environment (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``
 set before the command starts); the CLI has no thread flag of its own. Each
 flag is used, and only under its full name, never a prefix of it: ``denoise``
 takes ``--tau`` or ``--quantile``, not both, and ``sweep`` its lambdas from
-its grids alone.
+its grids alone. A flag argparse refuses exits 2; every other refusal is
+raised to ``main``, which logs it and exits 1.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .denoise import (
     score_events,
     write_report_csv,
 )
+from .errors import ProtocolError
 from .evaluation import (
     TASK_NOISE,
     TASK_OBJECTS,
@@ -152,8 +153,7 @@ def cmd_classify(args) -> int:
     factors = load_checkpoint(args.checkpoint)
     stream = parse_events(args.events, factors.dims[:2])
     if not stream.has_labels:
-        logger.error("classification needs a label column in %s", args.events)
-        return 1
+        raise ProtocolError(f"classification needs a label column in {args.events}")
     tensor = bin_to_tensor(stream, factors.dims[2])
     value, model, n_train, n_test = classify_factors(stream, tensor, factors, args.task)
     report = "\n".join([
@@ -192,9 +192,8 @@ def cmd_denoise(args) -> int:
 def cmd_sweep(args) -> int:
     stream = parse_events(args.events, args.geometry)
     tensor = bin_to_tensor(stream, args.frames)
-    base = _solver_config(args)
     grid = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
-    result = sweep_lambdas(tensor, stream, grid, base, task=args.task)
+    result = sweep_lambdas(tensor, stream, grid, _solver_config(args), task=args.task)
     write_results_csv(result, args.out)
     _echo_config(args, args.out)
     print(f"cells: {len(result.cells)}")
@@ -212,6 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="-v for info, -vv for debug (logs go to stderr)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
+    # the inputs that subcommands share, each declared once
+    binned = argparse.ArgumentParser(add_help=False)
+    binned.add_argument("--events", required=True)
+    binned.add_argument("--geometry", type=_parse_geometry, required=True, metavar="IxJ")
+    binned.add_argument("--frames", type=int, required=True)
+    fitted = argparse.ArgumentParser(add_help=False)
+    fitted.add_argument("--events", required=True)
+    fitted.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("gen", help="generate a labeled synthetic scene CSV")
     p.add_argument("--spec", required=True, help="INI scene file")
@@ -219,38 +226,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scene seed")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bin", help="bin a CSV into the tensor dump format")
-    p.add_argument("--events", required=True)
-    p.add_argument("--geometry", type=_parse_geometry, required=True, metavar="IxJ")
-    p.add_argument("--frames", type=int, required=True)
+    p = sub.add_parser("bin", parents=[binned], help="bin a CSV into the tensor dump format")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bin)
 
-    p = sub.add_parser("decompose", help="fit the factor triple to a binned stream")
-    p.add_argument("--events", required=True)
-    p.add_argument("--geometry", type=_parse_geometry, required=True, metavar="IxJ")
-    p.add_argument("--frames", type=int, required=True)
+    p = sub.add_parser("decompose", parents=[binned],
+                       help="fit the factor triple to a binned stream")
     p.add_argument("--checkpoint", required=True, help="output factor checkpoint")
     p.add_argument("--trace", required=True, help="output trace CSV")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser(
-        "classify", help="AUC of a linear SVM on latent features",
+        "classify", parents=[fitted], help="AUC of a linear SVM on latent features",
         description=f"Train a linear SVM on the events of the first {TRAIN_FRACTION:.0%} of the "
-                    "frames and report its AUC on the rest. The split is fixed, so test events "
-                    "sit at frames, and for moving objects mostly at pixels, that no training "
-                    "event had: the objects AUC measures extrapolation.")
-    p.add_argument("--events", required=True, help="labeled event CSV")
-    p.add_argument("--checkpoint", required=True)
+                    "frames of a labeled event CSV and report its AUC on the rest. The split is "
+                    "fixed, so test events sit at frames, and for moving objects mostly at "
+                    "pixels, that no training event had: the objects AUC measures extrapolation.")
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)
     p.add_argument("--report", required=True, help="output report file")
     p.add_argument("--model", default=None, help="optional output model file")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("denoise", help="filter low-reconstruction events")
-    p.add_argument("--events", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("denoise", parents=[fitted], help="filter low-reconstruction events")
     threshold = p.add_mutually_exclusive_group()
     threshold.add_argument("--tau", type=float, default=None, help="absolute score threshold")
     threshold.add_argument("--quantile", type=float, default=DEFAULT_QUANTILE,
@@ -259,10 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="per-event report CSV")
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("sweep", help="AUC over a (lambda1, lambda2) grid")
-    p.add_argument("--events", required=True, help="labeled event CSV")
-    p.add_argument("--geometry", type=_parse_geometry, required=True, metavar="IxJ")
-    p.add_argument("--frames", type=int, required=True)
+    p = sub.add_parser("sweep", parents=[binned], help="AUC over a (lambda1, lambda2) grid",
+                       description="AUC over a (lambda1, lambda2) grid on a labeled event CSV.")
     p.add_argument("--lambda1-grid", type=_parse_grid, required=True, metavar="A,B,...")
     p.add_argument("--lambda2-grid", type=_parse_grid, required=True, metavar="A,B,...")
     p.add_argument("--task", choices=[TASK_OBJECTS, TASK_NOISE], default=TASK_OBJECTS)

@@ -10,7 +10,6 @@ distribution -- are dropped.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .errors import ConsistencyError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text, write_rows
 from .tensor_ops import FactorTriple, cell_values
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_QUANTILE = 0.2  # drop the lowest-scoring 20% by default
 

@@ -394,28 +394,29 @@ class SweepResult:
 def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
                   base_cfg: SolverConfig, task: str = TASK_OBJECTS) -> SweepResult:
     """Run the full pipeline per (lambda1, lambda2) grid point, seeded
-    identically; per-cell failures are recorded without aborting the sweep.
-    Each point makes one SweepCell: one whose solve or classify raised reads
-    auc nan, not converged, 0 iters and the error's text. A stream without
-    labels, or with none that pose `task`, raises ProtocolError before any solve."""
-    grid = list(grid)
-    if not grid:
+    identically. Each point makes one SweepCell; one whose solve or classify
+    raised reads auc nan, not converged, 0 iters and the error's text, and the
+    sweep goes on. Before any solve, a point SolverConfig refuses raises its
+    ValueError, and a stream without labels, or with none that pose `task`,
+    raises ProtocolError."""
+    configs = [replace(base_cfg, lambda1=lambda1, lambda2=lambda2) for lambda1, lambda2 in grid]
+    if not configs:
         raise ValueError("sweep grid is empty")
     if not stream.has_labels:
         raise ProtocolError("a sweep needs a labeled stream")
     binary_task(stream.labels, task)
     cells = []
-    for lambda1, lambda2 in grid:
+    for cfg in configs:
         start = time.perf_counter()
         value, converged, iters, error = float("nan"), False, 0, None
         try:
-            factors, state = solve(tensor, replace(base_cfg, lambda1=lambda1, lambda2=lambda2))
+            factors, state = solve(tensor, cfg)
             value = classify_factors(stream, tensor, factors, task)[0]
             converged, iters = state.converged, state.s
         except Exception as exc:  # record and continue; sweeps must not abort
-            logger.warning("sweep cell (%g, %g) failed: %s", lambda1, lambda2, exc)
+            logger.warning("sweep cell (%g, %g) failed: %s", cfg.lambda1, cfg.lambda2, exc)
             error = str(exc)
-        cells.append(SweepCell(lambda1=lambda1, lambda2=lambda2, auc=value, converged=converged,
+        cells.append(SweepCell(cfg.lambda1, cfg.lambda2, auc=value, converged=converged,
                                iters=iters, seconds=time.perf_counter() - start, error=error))
     return SweepResult(cells=cells)
 
@@ -425,12 +426,12 @@ def write_results_csv(result: SweepResult, path_or_fh) -> None:
     with open_text(path_or_fh, "w") as fh:
         fh.write("lambda1,lambda2,auc,converged,iters,seconds\n")
         for c in result.cells:
-            fh.write("%g,%g,%.17g,%s,%d,%.3f\n"
+            fh.write("%.17g,%.17g,%.17g,%s,%d,%.3f\n"
                      % (c.lambda1, c.lambda2, c.auc, str(c.converged).lower(), c.iters, c.seconds))
         fh.write("# overall_gap_percent: %.6g\n" % result.overall_gap())
         for axis, held in (("lambda1", "lambda2"), ("lambda2", "lambda1")):
             for value, gap in result.axis_gaps(axis):
-                fh.write("# gap_percent_varying_%s[%s=%g]: %.6g\n" % (axis, held, value, gap))
+                fh.write("# gap_percent_varying_%s[%s=%.17g]: %.6g\n" % (axis, held, value, gap))
 
 
 def save_model(model: SvmModel, path_or_fh) -> None:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import logging
 import math
 import os
 import warnings
@@ -57,10 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError
+from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError, check_fields
 from .tensor_ops import CooPlan, row_blocks
-
-logger = logging.getLogger(__name__)
 
 NOISE_LABEL = -1
 
@@ -121,6 +118,7 @@ class EventStream:
             raise ValueError("i, j, t arrays must have equal length")
         if len(self.t) == 0:
             raise EmptyStreamError("a stream with zero events cannot be processed")
+        check_fields(self, integers=("geometry",))
         rows, cols = self.geometry
         if self.i.min() < 0 or self.i.max() >= rows:
             raise GeometryError(f"row index outside [0, {rows})")

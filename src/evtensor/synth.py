@@ -195,7 +195,7 @@ def describe(spec: SceneSpec) -> SceneSummary:
 
 
 # ---------------------------------------------------------------------------
-# scene file I/O and the frozen reference scene
+# scene file I/O
 
 
 def _ini_keys(cls, defaults: dict, **keys) -> dict:
@@ -296,24 +296,3 @@ def scene_spec_to_ini(spec: SceneSpec) -> str:
             text = ", ".join(f"{v}" for v in value) if typing.get_args(hint) else f"{value}"
             lines.append(f"{key} = {text}")
     return "\n".join(lines[1:]) + "\n"
-
-
-def two_object_scene(noise_fraction: float = 0.2, seed: int = 7) -> SceneSpec:
-    """The desk-scale reference scene: 64x48 sensor, 60 frames, one object
-    sweeping along a row and one orbiting in the lower half, with background
-    noise sized to the requested fraction of total events. Emission parameters
-    were tuned once so the binned density lands near 0.6%."""
-    if not 0.0 <= noise_fraction < 1.0:
-        raise ValueError("noise fraction must be in [0, 1)")
-    objects = (
-        ObjectSpec(kind="linear", start=(14.0, 6.0), velocity=(0.05, 0.58),
-                   footprint=1, prob=0.8),
-        ObjectSpec(kind="circular", start=(44.0, 24.0), radius=10.0,
-                   freq=1.0 / 60.0, phase=0.0, footprint=1, prob=0.8),
-    )
-    object_rate = sum(o.prob * (2 * o.footprint + 1) ** 2 for o in objects)
-    noise_rate = noise_fraction / (1.0 - noise_fraction) * object_rate
-    return SceneSpec(
-        geometry=(64, 48), n_frames=60, duration_us=1_000_000,
-        objects=objects, noise_per_frame=noise_rate, seed=seed,
-    )

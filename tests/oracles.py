@@ -4,10 +4,16 @@ Everything here is deliberately naive -- literal loops over the defining
 formulas, or explicit unfoldings and partial contractions that the library
 no longer builds -- and shares no code with the library paths it checks.
 The readers of the tensor dump and the model file live here too: only the
-tests read those files back, to check the writers' formats.
+tests read those files back, to check the writers' formats. So do the paths
+of the benchmark's scene files, ref.cfg being the reference scene.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes"
+REF_SCENE = SCENES / "ref.cfg"
 
 
 def contract_bruteforce(g_i, g_j, g_n):

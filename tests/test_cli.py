@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtensor import cli
+from evtensor import cli, evaluation
 from evtensor.denoise import filter_events, write_report_csv
 from evtensor.evaluation import (
     SweepCell,
@@ -24,6 +24,7 @@ from evtensor.evaluation import (
     train_svm,
     write_results_csv,
 )
+from evtensor.errors import ProtocolError
 from evtensor.events import (
     EventStream,
     bin_to_tensor,
@@ -32,9 +33,9 @@ from evtensor.events import (
     write_tensor_dump,
 )
 from evtensor.solver import SolverConfig, load_checkpoint, save_checkpoint, solve, write_trace_csv
-from evtensor.synth import load_scene_spec, scene_spec_to_ini, two_object_scene
+from evtensor.synth import load_scene_spec
 
-from oracles import load_model, random_factors, read_tensor_dump
+from oracles import REF_SCENE, load_model, random_factors, read_tensor_dump
 
 SMALL_SOLVE = ["--s-max", "4", "--f-max", "2"]
 
@@ -42,13 +43,12 @@ SMALL_SOLVE = ["--s-max", "4", "--f-max", "2"]
 def run_pipeline(work: Path) -> dict[str, int]:
     """All six subcommands on the reference scene; returns each exit code."""
     p = {name: str(work / name) for name in (
-        "scene.cfg", "events.csv", "tensor.txt", "ckpt.txt", "trace.csv", "objects.txt",
+        "events.csv", "tensor.txt", "ckpt.txt", "trace.csv", "objects.txt",
         "model.txt", "filtered.csv", "report.csv", "sweep.csv")}
     binning = ["--events", p["events.csv"], "--geometry", "64x48", "--frames", "60"]
     fitted = ["--events", p["events.csv"], "--checkpoint", p["ckpt.txt"]]
-    Path(p["scene.cfg"]).write_text(scene_spec_to_ini(two_object_scene()), encoding="utf-8")
     argvs = {
-        "gen": ["gen", "--spec", p["scene.cfg"], "--out", p["events.csv"]],
+        "gen": ["gen", "--spec", str(REF_SCENE), "--out", p["events.csv"]],
         "bin": ["bin", *binning, "--out", p["tensor.txt"]],
         "decompose": ["decompose", *binning, "--checkpoint", p["ckpt.txt"],
                       "--trace", p["trace.csv"], *SMALL_SOLVE],
@@ -137,10 +137,15 @@ def test_classify_exits_1_on_an_unlabeled_stream(tmp_path, caplog):
     ckpt = tmp_path / "ckpt.txt"
     save_checkpoint(random_factors(np.random.default_rng(1), (3, 2, 4), 2), ckpt)
     report = tmp_path / "objects.txt"
-    assert cli.main(["classify", "--events", str(events), "--checkpoint", str(ckpt),
-                     "--report", str(report)]) == 1
+    argv = ["classify", "--events", str(events), "--checkpoint", str(ckpt),
+            "--report", str(report)]
+    assert cli.main(argv) == 1
     assert f"classification needs a label column in {events}" in caplog.text
     assert not report.exists()
+    # the command raises; main is the one place that logs an error and exits 1
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ProtocolError, match="classification needs a label column"):
+        args.func(args)
 
 
 def test_the_cli_runs_as_a_program(tmp_path):
@@ -200,7 +205,8 @@ ARTIFACTS = {
     "results": (lambda p: write_results_csv(SweepResult([SweepCell(0.1, 0.1, 0.75, True, 3, 0.0)]),
                                             p),
                 _text, lambda got: got.startswith("lambda1,lambda2,auc,converged,iters,seconds\n"
-                                                  "0.1,0.1,0.75,true,3,0.000\n")),
+                                                  "0.10000000000000001,0.10000000000000001,"
+                                                  "0.75,true,3,0.000\n")),
     "model": (lambda p: save_model(MODEL, p), load_model,
               lambda got: np.array_equal(got.weights, MODEL.weights)),
     "report": (lambda p: write_report_csv(
@@ -208,8 +214,8 @@ ARTIFACTS = {
                _text, lambda got: got.splitlines()[1:] == ["0,0,0,0,0.29999999999999999,1",
                                                           "50,1,1,1,0.20000000000000001,1",
                                                           "100,2,0,-1,0.10000000000000001,0"]),
-    "scene": (lambda p: Path(p).write_text(scene_spec_to_ini(two_object_scene())),
-              load_scene_spec, lambda got: got == two_object_scene()),
+    "scene": (lambda p: Path(p).write_text(_text(REF_SCENE)),
+              load_scene_spec, lambda got: got == load_scene_spec(REF_SCENE)),
 }
 
 # (function under test, artifact, which side of the round trip gets a pathlib.Path)
@@ -358,6 +364,24 @@ def test_non_finite_solver_setting_exits_1(tmp_path, caplog, command):
                      "--lambda2", "nan"]) == 1
     assert "lambda2 must be finite" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grids, named", [
+    (["--lambda1-grid", "0.1", "--lambda2-grid", "0,0.1"], "lambda2 must be > 0"),
+    (["--lambda1-grid", "nan", "--lambda2-grid", "0.1"], "lambda1 must be finite"),
+], ids=["lambda2-0", "lambda1-nan"])
+def test_sweep_refuses_a_bad_grid_point_before_the_first_solve(tmp_path, caplog, monkeypatch,
+                                                               grids, named):
+    # such a point once became a failed cell or a nan row, and the sweep exited 0
+    events = str(tmp_path / "events.csv")
+    write_events_csv(STREAM, events)
+    solves = []
+    monkeypatch.setattr(evaluation, "solve", lambda *args: solves.append(args))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--events", events, "--geometry", "3x2", "--frames", "4", *grids,
+                     "--out", str(out)]) == 1
+    assert named in caplog.text
+    assert solves == [] and not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--lambda1", "5"), ("--lambda2", "5"),

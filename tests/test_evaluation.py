@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import evtensor
 from evtensor import evaluation
-from evtensor.errors import ConsistencyError, ProtocolError, ShapeError
+from evtensor.errors import ConsistencyError, NumericalError, ProtocolError, ShapeError
 from evtensor.evaluation import (
     TASK_OBJECTS,
     FeatureMatrix,
     GatheredFeatures,
+    SweepCell,
+    SweepResult,
     auc,
     auc_gap,
     binary_task,
@@ -30,7 +32,7 @@ from evtensor.evaluation import (
 from evtensor.denoise import filter_events
 from evtensor.events import NOISE_LABEL, EventStream, bin_to_tensor
 from evtensor.solver import SolverConfig, solve
-from evtensor.synth import generate, two_object_scene
+from evtensor.synth import generate, load_scene_spec
 from evtensor.tensor_ops import matricize_factor
 
 import oracles
@@ -378,7 +380,7 @@ def test_model_file_with_a_short_std_row_is_rejected(tmp_path):
 
 @pytest.fixture(scope="module")
 def ref_scene_fit():
-    spec = two_object_scene()
+    spec = load_scene_spec(oracles.REF_SCENE)
     stream = generate(spec)
     tensor = bin_to_tensor(stream, spec.n_frames)
     factors, _ = solve(tensor, SolverConfig(s_max=100))
@@ -680,15 +682,37 @@ def test_sweep_internal_consistency():
     assert len(result.axis_gaps("lambda2")) == 2
 
 
-def test_sweep_records_cell_failures_without_aborting():
+def test_sweep_records_cell_failures_without_aborting(monkeypatch):
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)
-    # lambda2 = 0 is invalid config: the cell must fail, the sweep must not
-    result = sweep_lambdas(tensor, stream, [(0.1, 0.0), (0.1, 0.1)], small_cfg())
+
+    def solve_or_fail(tensor, cfg):
+        if cfg.lambda1 == 0.2:
+            raise NumericalError(3, "non-finite factor")
+        return solve(tensor, cfg)
+
+    # the first point's solve fails: the cell must fail, the sweep must not
+    monkeypatch.setattr(evaluation, "solve", solve_or_fail)
+    result = sweep_lambdas(tensor, stream, [(0.2, 0.1), (0.1, 0.1)], small_cfg())
     assert len(result.cells) == 2
     assert np.isnan(result.cells[0].auc)
-    assert result.cells[0].error
+    assert result.cells[0].error == "iteration 3: non-finite factor"
     assert not np.isnan(result.cells[1].auc)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([(0.1, 0.1), (0.1, 0.0)], "lambda2 must be > 0"),
+    ([(0.1, 0.1), (float("nan"), 0.1)], "lambda1 must be finite"),
+], ids=["lambda2-0", "lambda1-nan"])
+def test_a_grid_point_the_solver_config_refuses_fails_before_the_first_solve(monkeypatch, grid,
+                                                                            message):
+    # such a point once became a failed cell, and a NaN lambda1 a nan row
+    stream = labeled_stream()
+    solves = []
+    monkeypatch.setattr(evaluation, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match=message):
+        sweep_lambdas(bin_to_tensor(stream, 10), stream, grid, small_cfg())
+    assert solves == []
 
 
 def test_a_sweep_point_whose_classify_fails_after_its_solve_records_a_failed_cell():
@@ -747,6 +771,23 @@ def test_results_csv_layout(tmp_path):
     assert lines[0] == "lambda1,lambda2,auc,converged,iters,seconds"
     assert len([l for l in lines if not l.startswith("#")]) == 3
     assert any(l.startswith("# overall_gap_percent:") for l in lines)
+
+
+def test_results_csv_writes_each_lambda_exactly(tmp_path):
+    # %g once wrote both lambda1 values as 0.123457, one row and one gap key twice
+    lambda1s = (0.1234567, 0.1234568)
+    result = SweepResult([SweepCell(l1, l2, 0.5 + l1 + l2, True, 3, 0.0)
+                          for l1 in lambda1s for l2 in (0.1, 0.2)])
+    path = tmp_path / "results.csv"
+    write_results_csv(result, path)
+    lines = path.read_text().splitlines()
+    rows = [line.rsplit(",", 4)[0] for line in lines[1:] if not line.startswith("#")]
+    assert rows == ["%.17g,%.17g" % (l1, l2) for l1 in lambda1s for l2 in (0.1, 0.2)]
+    assert len(set(rows)) == 4
+    keys = [line.split(":")[0] for line in lines
+            if line.startswith("# gap_percent_varying_lambda2")]
+    assert keys == ["# gap_percent_varying_lambda2[lambda1=%.17g]" % l1 for l1 in lambda1s]
+    assert [float(key.split("=")[1].rstrip("]")) for key in keys] == list(lambda1s)
 
 
 def test_auc_gap_edge_cases():

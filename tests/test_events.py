@@ -490,6 +490,15 @@ def test_declared_range_must_cover_events():
         EventStream(i=[2], j=[3], t=[50], geometry=(5, 5), t_min=60, t_max=100)
 
 
+@pytest.mark.parametrize("geometry", [(2.5, 3), (True, 3), (3,), (3, 3, 1)],
+                         ids=["fractional", "bool", "one-entry", "three-entry"])
+def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry):
+    # unchecked, 2.5 rows failed later in bin_to_tensor, True was read as
+    # one row, and a wrong entry count failed on tuple unpacking
+    with pytest.raises(ValueError, match=r"^geometry must "):
+        EventStream(i=[0], j=[0], t=[0], geometry=geometry)
+
+
 def test_a_time_sorted_stream_is_not_sorted_again(monkeypatch):
     i, j, t = (np.array(v, dtype=np.int64) for v in ([0, 1, 2, 1], [1, 0, 1, 1], [5, 5, 7, 9]))
 
@@ -629,13 +638,13 @@ def test_the_pipeline_never_builds_the_dense_tensor(monkeypatch, tmp_path):
     from evtensor.denoise import score_events
     from evtensor.evaluation import classify_factors
     from evtensor.solver import SolverConfig, solve
-    from evtensor.synth import generate, two_object_scene
+    from evtensor.synth import generate, load_scene_spec
 
     def refuse(self):
         raise AssertionError("EventTensor.data was read")
 
     monkeypatch.setattr(EventTensor, "data", property(refuse))
-    spec = two_object_scene()
+    spec = load_scene_spec(oracles.REF_SCENE)
     stream = generate(spec)
     tensor = bin_to_tensor(stream, spec.n_frames)
     factors, _ = solve(tensor, SolverConfig(s_max=5))

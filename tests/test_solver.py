@@ -22,7 +22,7 @@ from evtensor.solver import (
     update_factor,
     write_trace_csv,
 )
-from evtensor.synth import ObjectSpec, SceneSpec, generate, two_object_scene
+from evtensor.synth import ObjectSpec, SceneSpec, generate, load_scene_spec
 from evtensor.tensor_ops import (
     FactorTriple,
     f3tn_contract,
@@ -752,7 +752,7 @@ def _holey(seed, dims=(12, 10, 9), density=0.2):
 
 
 def test_solve_matches_dense_on_the_reference_scene():
-    spec = two_object_scene()
+    spec = load_scene_spec(oracles.REF_SCENE)
     tensor = bin_to_tensor(generate(spec), spec.n_frames)
     state, _ = _assert_same_run(tensor, SolverConfig(s_max=200))
     assert state.s == 200 and any(r.grew for r in state.trace)

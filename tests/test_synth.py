@@ -2,7 +2,6 @@ import io
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +16,10 @@ from evtensor.synth import (
     generate,
     load_scene_spec,
     scene_spec_to_ini,
-    two_object_scene,
 )
 
-from oracles import generate_loop
+from oracles import REF_SCENE, SCENES, generate_loop
 
-SCENES = Path(__file__).resolve().parents[1] / "perfbench" / "scenes"
 DAVIS_SCENE = SCENES / "davis.cfg"
 
 
@@ -73,7 +70,7 @@ def test_zero_probability_scene_raises_on_empty_output():
 
 
 def test_generation_is_byte_deterministic():
-    spec = two_object_scene(noise_fraction=0.2, seed=9)
+    spec = replace(load_scene_spec(REF_SCENE), seed=9)
     a, b = io.StringIO(), io.StringIO()
     write_events_csv(generate(spec), a)
     write_events_csv(generate(spec), b)
@@ -214,21 +211,14 @@ def test_describe_matches_a_per_pixel_brute_force():
 
 
 def test_reference_scene_density_in_band():
-    spec = two_object_scene(noise_fraction=0.2, seed=7)
+    spec = load_scene_spec(REF_SCENE)
     stream = generate(spec)
     density = tensor_density(bin_to_tensor(stream, spec.n_frames))
     assert 0.004 <= density <= 0.008
 
 
-def test_reference_scene_noise_fraction_tracks_request():
-    spec = two_object_scene(noise_fraction=0.3, seed=1)
-    stream = generate(spec)
-    frac = float((stream.labels == NOISE_LABEL).mean())
-    assert 0.2 <= frac <= 0.4
-
-
 def test_scene_ini_roundtrip():
-    spec = two_object_scene(noise_fraction=0.25, seed=11)
+    spec = replace(load_scene_spec(REF_SCENE), seed=11)
     text = scene_spec_to_ini(spec)
     loaded = load_scene_spec(io.StringIO(text))
     assert loaded.geometry == spec.geometry
@@ -311,11 +301,6 @@ def test_a_value_the_spec_refuses_is_named_with_its_section(old, new, named):
     assert text.count(old) == 1
     with pytest.raises(ValueError, match=re.escape(named)):
         load_scene_spec(io.StringIO(text.replace(old, new)))
-
-
-def test_the_ref_scene_file_is_the_reference_scene():
-    # the benchmark's ref.cfg writes two_object_scene()'s values out in full
-    assert load_scene_spec(SCENES / "ref.cfg") == two_object_scene()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -494,7 +479,7 @@ SINUSOIDAL_SCENE = SceneSpec(
 
 @pytest.mark.parametrize("scene", ["two_objects", "davis", "clipped", "sinusoidal"])
 def test_generate_equals_the_event_loop_oracle(scene):
-    spec = {"two_objects": two_object_scene,
+    spec = {"two_objects": lambda: load_scene_spec(REF_SCENE),
             "davis": lambda: load_scene_spec(DAVIS_SCENE),
             "clipped": lambda: CLIPPED_SCENE,
             "sinusoidal": lambda: SINUSOIDAL_SCENE}[scene]()
