@@ -11,8 +11,9 @@ are capped through the environment (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``
 set before the command starts); the CLI has no thread flag of its own. Each
 flag is used, and only under its full name, never a prefix of it: ``denoise``
 takes ``--tau`` or ``--quantile``, not both, and ``sweep`` its lambdas from
-its grids alone. A flag argparse refuses exits 2; every other refusal is
-raised to ``main``, which logs it and exits 1.
+its grids alone. The commands return nothing: ``main`` alone sets the exit
+code, 2 for a flag argparse refuses and 1 for any other refusal, raised to it
+and logged (a ``denoise`` threshold that keeps no event is one), else 0.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _add_solver_flags(p: argparse.ArgumentParser, skip=()) -> None:
                        help=SOLVER_FLAG_HELP[f.name] + " (default %(default)s)")
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     spec = load_scene_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -115,20 +116,18 @@ def cmd_gen(args) -> int:
     echo_path.write_text(scene_spec_to_ini(spec), encoding="utf-8")
     _echo_config(args, args.out)
     logger.info("wrote %d events to %s (spec echo %s)", len(stream), args.out, echo_path)
-    return 0
 
 
-def cmd_bin(args) -> int:
+def cmd_bin(args) -> None:
     stream = parse_events(args.events, args.geometry)
     tensor = bin_to_tensor(stream, args.frames)
     write_tensor_dump(tensor, args.out)
     _echo_config(args, args.out)
     print(f"dims: {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}")
     print(f"density: {tensor_density(tensor):.6f}")
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     cfg = _solver_config(args)
     stream = parse_events(args.events, args.geometry)
     tensor = bin_to_tensor(stream, args.frames)
@@ -146,10 +145,9 @@ def cmd_decompose(args) -> int:
     print(f"final fit: {last.fit:.6g}")
     print(f"converged: {str(state.converged).lower()}")
     logger.info("decomposition took %.2f s", elapsed)
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     factors = load_checkpoint(args.checkpoint)
     stream = parse_events(args.events, factors.dims[:2])
     if not stream.has_labels:
@@ -169,10 +167,9 @@ def cmd_classify(args) -> int:
         save_model(model, args.model)
     _echo_config(args, args.report)
     sys.stdout.write(report)
-    return 0
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args) -> None:
     factors = load_checkpoint(args.checkpoint)
     stream = parse_events(args.events, factors.dims[:2])
     tensor = bin_to_tensor(stream, factors.dims[2])
@@ -181,15 +178,14 @@ def cmd_denoise(args) -> int:
     filtered, report = filter_events(stream, scores, tau)
     if filtered is not None:
         write_events_csv(filtered, args.out)
-    else:
-        logger.warning("threshold %.6g removed every event; no filtered CSV written", tau)
     write_report_csv(stream, report, args.report)
     _echo_config(args, args.report)
     print(report.summary())
-    return 0 if filtered is not None else 1
+    if filtered is None:
+        raise ProtocolError(f"threshold {tau:.6g} removed every event; no filtered CSV written")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     stream = parse_events(args.events, args.geometry)
     tensor = bin_to_tensor(stream, args.frames)
     grid = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
@@ -198,7 +194,6 @@ def cmd_sweep(args) -> int:
     _echo_config(args, args.out)
     print(f"cells: {len(result.cells)}")
     print(f"overall gap: {result.overall_gap():.4f}%")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,12 +270,13 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        args.func(args)
     except BrokenPipeError:
-        return 0
+        pass
     except Exception as exc:
         logger.error("%s", exc)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

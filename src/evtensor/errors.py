@@ -41,14 +41,16 @@ class ConsistencyError(ValueError):
     """Event coordinates do not match the factor/tensor dimensions they are paired with."""
 
 
-def check_fields(spec, integers=(), finite=()):
+def check_fields(spec, integers=(), finite=(), **values):
     """Raise a ValueError naming the first field of the dataclass `spec` that
     breaks its rule: in `integers`, an int or np.integer but not a bool; in
     `finite`, neither inf nor NaN. A field typed ``tuple[int, int]`` must
-    hold two entries, each held to the rule."""
-    hints = typing.get_type_hints(type(spec))
+    hold two entries, each held to the rule. A field named in `values` is
+    checked at that value, so `spec` may be the dataclass, before one is built."""
+    hints = typing.get_type_hints(spec if isinstance(spec, type) else type(spec))
     for name in (*integers, *finite):
-        value, size = getattr(spec, name), len(typing.get_args(hints[name]))
+        value = values[name] if name in values else getattr(spec, name)
+        size = len(typing.get_args(hints[name]))
         entries = value if size and isinstance(value, (tuple, list)) else (value,)
         if size and len(entries) != size:
             raise ValueError(f"{name} must hold {size} entries, got {value!r}")

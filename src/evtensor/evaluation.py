@@ -317,14 +317,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ProtocolError("AUC needs both classes present")
     if np.isnan(scores).any():
         return float("nan")
-    # average ranks: each run of tied sorted scores at positions [start, end)
-    # shares the rank (start + 1 + end) / 2
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(scores)]
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    # average ranks: the c tied scores of a run that ends at sorted position e rank e - (c - 1) / 2
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -8,7 +8,8 @@ range into N near-equal integer-width bins and setting entry (i, j, n) to 1
 when at least one event hit pixel (i, j) during bin n. An EventTensor holds
 only those 1-cells, as sorted flat indices: events are sparse in space, and
 at DAVIS scale the 57.8k cells stand for 9 million entries. Its dense array
-is built only when `EventTensor.data` is read, which no function here does.
+is built only when `EventTensor.data` is read: by no function here, but by
+perfbench/child.py's ``fit_rel_err`` and neighbour baseline.
 It is the one form of E that the solver and :func:`write_tensor_dump` take.
 
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
@@ -175,8 +176,8 @@ class EventTensor:
 
     @property
     def data(self) -> np.ndarray:
-        """The dense uint8 (I, J, N) array, built anew on each read; nothing
-        in the package reads it, nor makes cells from a dense array."""
+        """The dense uint8 (I, J, N) array, built anew on each read; no package
+        code reads it, but perfbench/child.py's fit_rel_err and neighbour baseline do."""
         data = np.zeros(self.dims, dtype=np.uint8)
         data.reshape(-1)[self.cells] = 1
         return data
@@ -188,8 +189,9 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     `source` is a path or a text stream (wrap inline text in io.StringIO).
     Raises EventParseError with the offending line number on malformed
     records, GeometryError on out-of-bounds coordinates, EmptyStreamError
-    when no events are present. t_min and t_max are the first and last
-    timestamps, as the file holds no recording window.
+    when no events are present; a geometry EventStream refuses raises its
+    ValueError before the source is read. t_min and t_max are the first and
+    last timestamps, as the file holds no recording window.
 
     The body is read as its UTF-8 bytes and decoded with one ``np.loadtxt``
     call, so no list of lines is made; its columns make the EventStream. Where
@@ -200,6 +202,7 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     ``readlines()`` gives, split at line endings only: ``str.splitlines``
     would also split at a form feed or ``\\u2028`` and miscount the lines.
     """
+    check_fields(EventStream, integers=("geometry",), geometry=geometry)
     with open_text(source) as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -239,6 +242,7 @@ def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
     first bad line, counted from the header's line 1, raises its typed error."""
     idx = {c: k for k, c in enumerate(columns)}
     want_label = "label" in idx
+    rows, cols = geometry
     tt, ii, jj, labels = [], [], [], []
     for line_no, line in enumerate(lines, start=2):
         line = line.strip()
@@ -259,7 +263,6 @@ def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:
         for name, value in (("t", t), ("label", label)):
             if value is not None and not -2 ** 63 <= value < 2 ** 63:
                 raise EventParseError(line_no, f"{name}={value} does not fit in int64")
-        rows, cols = geometry
         if not (0 <= i < rows):
             raise GeometryError(f"line {line_no}: i={i} outside geometry rows [0, {rows})")
         if not (0 <= j < cols):

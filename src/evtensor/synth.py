@@ -268,7 +268,10 @@ def load_scene_spec(path_or_fh) -> SceneSpec:
     """
     parser = configparser.ConfigParser(interpolation=None)  # a '%' is read as written
     with open_text(path_or_fh) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # a duplicate key or section, a line without '='
+            raise ValueError(str(exc)) from None
     if "scene" not in parser:
         raise ValueError("scene file lacks a [scene] section")
     if parser.defaults():  # configparser would copy its keys into every section

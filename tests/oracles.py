@@ -211,6 +211,22 @@ def auc_bruteforce(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def auc_by_tie_runs(scores, labels):
+    """The rank-sum AUC with average ranks found by scanning the sorted scores
+    for runs of ties: a run at sorted positions [start, end) shares the rank
+    (start + 1 + end) / 2. Assumes both classes and no NaN."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def objective_bruteforce(x, g_i, g_j, g_n):
     """Half the squared error, accumulated entry by entry."""
     recon = contract_bruteforce(g_i, g_j, g_n)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib
 import io
+import logging
 import os
 import re
 import subprocess
@@ -145,6 +146,36 @@ def test_classify_exits_1_on_an_unlabeled_stream(tmp_path, caplog):
     # the command raises; main is the one place that logs an error and exits 1
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(ProtocolError, match="classification needs a label column"):
+        args.func(args)
+
+
+def test_denoise_that_keeps_no_event_writes_its_report_and_exits_1(pipeline_dir, tmp_path,
+                                                                   capsys, caplog):
+    work, _ = pipeline_dir
+    binning = ["--events", str(work / "events.csv"), "--geometry", "64x48", "--frames", "60"]
+    ckpt = str(tmp_path / "ckpt.txt")
+    assert cli.main(["decompose", *binning, "--checkpoint", ckpt,
+                     "--trace", str(tmp_path / "trace.csv"), "--s-max", "3"]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    out, report = tmp_path / "filtered.csv", tmp_path / "report.csv"
+    argv = ["denoise", "--events", str(work / "events.csv"), "--checkpoint", ckpt,
+            "--tau", "1e9", "--out", str(out), "--report", str(report)]
+    assert cli.main(argv) == 1
+    message = "threshold 1e+09 removed every event; no filtered CSV written"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.levelno >= logging.WARNING] == [("ERROR", message)]
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[0] == "threshold: 1e+09"
+    assert summary[-1] == "warning: threshold removed every event"
+    rows = report.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + len(parse_events(work / "events.csv", (64, 48)))
+    assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"0"}
+    assert (tmp_path / "report.config.json").stat().st_size > 0
+    assert not out.exists()
+    # the command raises; main is the one place that logs an error and exits 1
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ProtocolError, match=re.escape(message)):
         args.func(args)
 
 

@@ -602,12 +602,29 @@ def test_auc_one_class_raises():
 @pytest.mark.parametrize("seed", range(20))
 def test_auc_matches_bruteforce_with_ties(seed):
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(5, 60))
+    m = int(rng.integers(5, 400))
     scores = rng.integers(0, 6, size=m).astype(float)  # heavy ties
     labels = rng.integers(0, 2, size=m)
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
     assert auc(scores, labels) == auc_bruteforce(scores, labels)
+
+
+def test_auc_is_bit_identical_to_the_tie_run_scan():
+    # the ranks of one np.unique call are exactly the tie-run scan's: a run of
+    # c ties ending at sorted position e ranks e - (c - 1) / 2 = (start + end + 1) / 2
+    rng = np.random.default_rng(31)
+    for case in range(300):
+        m = int(rng.integers(2, 2000))
+        if case % 3 == 0:
+            scores = np.full(m, rng.normal())
+        elif case % 3 == 1:
+            scores = rng.integers(0, int(rng.integers(1, 20)), size=m) * rng.normal()
+        else:
+            scores = rng.normal(size=m)
+        labels = rng.integers(0, 2, size=m)
+        labels[:2] = 0, 1
+        assert auc(scores, labels) == oracles.auc_by_tie_runs(scores, labels), case
 
 
 @given(st.integers(0, 2**31))

@@ -227,15 +227,16 @@ def test_a_body_event_stream_refuses_is_named_by_the_line_path(monkeypatch, body
     # columns to EventStream, whose checks refuse them; the empty body fails
     # the column count. The line path then names the line
     refusals = []
+    post_init = EventStream.__post_init__
 
-    def event_stream(*args, **kwargs):
+    def checked(stream):
         try:
-            return EventStream(*args, **kwargs)
+            post_init(stream)
         except ValueError as exc:
             refusals.append(exc)
             raise
 
-    monkeypatch.setattr(events, "EventStream", event_stream)
+    monkeypatch.setattr(EventStream, "__post_init__", checked)
     with pytest.raises(error, match=re.escape(message)):
         parse_events(io.StringIO("t,i,j\n" + body), DAVIS)
     assert len(refusals) == (body != "\n")
@@ -497,6 +498,21 @@ def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry
     # one row, and a wrong entry count failed on tuple unpacking
     with pytest.raises(ValueError, match=r"^geometry must "):
         EventStream(i=[0], j=[0], t=[0], geometry=geometry)
+
+
+@pytest.mark.parametrize("geometry, message", [
+    ((3,), "geometry must hold 2 entries, got (3,)"),
+    ((2.5, 3), "geometry must be integers, got (2.5, 3)"),
+], ids=["one-entry", "fractional"])
+def test_parse_events_refuses_a_bad_geometry_before_it_reads_the_body(monkeypatch, geometry,
+                                                                      message):
+    # one was Python's bare "not enough values to unpack", the other was named
+    # only after the line path had read every line of the body again
+    lines = []
+    monkeypatch.setattr(events, "_parse_lines", lambda *args: lines.append(args))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_events(io.StringIO("t,i,j\n0,0,0\n1,1,1\n"), geometry)
+    assert lines == []
 
 
 def test_a_time_sorted_stream_is_not_sorted_again(monkeypatch):

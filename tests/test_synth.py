@@ -254,6 +254,21 @@ def test_scene_file_errors():
 
 
 @pytest.mark.parametrize("old, new, named", [
+    ("\nseed = 7", "\nseed = 7\nseed = 8",
+     "[line 16]: option 'seed' in section 'scene' already exists"),
+    ("\n[object.1]", "\n[object.0]", "[line 24]: section 'object.0' already exists"),
+    ("[scene]\n", "", "File contains no section headers.\nfile: '<???>', line: 9\n"),
+    ("\nseed = 7", "\nseed", "[line 15]: 'seed\\n'"),
+], ids=["duplicate-key", "duplicate-section", "no-section-header", "no-equals"])
+def test_a_file_configparser_refuses_raises_a_value_error_naming_the_line(old, new, named):
+    # each raised configparser's own Error, which is no ValueError
+    text = (SCENES / "davis.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_scene_spec(io.StringIO(text.replace(old, new)))
+
+
+@pytest.mark.parametrize("old, new, named", [
     ("\nnoise_per_frame =", "\nnoise_per_frme =", "'noise_per_frme' in [scene]"),
     ("\nvelocity =", "\nvelocty =", "'velocty' in [object.0]"),
     ("\n[object.1]", "\n[obect.1]", "[obect.1]"),
