@@ -266,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig adds a stderr handler only where the root logger has none
+    # (an embedding application keeps its own); the level is set on each call
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logger.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
         args.func(args)
     except BrokenPipeError:

@@ -10,6 +10,7 @@ distribution -- are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,25 @@ def filter_events(stream: EventStream, scores: np.ndarray,
 
 
 def quantile_threshold(scores: np.ndarray, quantile: float = DEFAULT_QUANTILE) -> float:
-    """Score value at the given quantile (default keeps the top 80%)."""
+    """Score value at the given quantile (default keeps the top 80%), as
+    ``np.quantile``'s linear rule gives it bit for bit, without the numpy.ma
+    import that np.quantile makes: h = (n - 1) q falls between the sorted
+    scores a and b at floor(h) and the next (both the largest when h reaches
+    n - 1, from index -1 as numpy's), weighted by g = h - floor(h); any NaN
+    gives NaN."""
     if not 0.0 <= quantile <= 1.0:
         raise ValueError("quantile must be in [0, 1]")
-    return float(np.quantile(np.asarray(scores, dtype=np.float64), quantile))
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        return float("nan")
+    h = (len(scores) - 1) * quantile
+    below = math.floor(h) if h < len(scores) - 1 else -1
+    above = below + 1 if below >= 0 else -1
+    # partitioned at np.quantile's own indices, so that of tied -0.0 and 0.0
+    # the one numpy reads lands at each
+    a, b = np.partition(scores, sorted({0, -1, below, above}))[[below, above]]
+    g = h - below
+    return float(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
 
 
 def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> None:

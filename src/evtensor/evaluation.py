@@ -158,11 +158,11 @@ def binary_task(labels: np.ndarray, task: str) -> tuple[np.ndarray, np.ndarray]:
         return mask, (labels != NOISE_LABEL).astype(np.int64)
     if task == TASK_OBJECTS:
         mask = labels != NOISE_LABEL
-        classes = np.unique(labels[mask])
+        # distinct by a sort: np.unique's hash path imports numpy.ma
+        objects = np.sort(labels[mask])
+        classes = objects[:1].tolist() + objects[1:][np.diff(objects) != 0].tolist()
         if len(classes) != 2:
-            raise ProtocolError(
-                f"object task needs exactly two object classes, found {classes.tolist()}"
-            )
+            raise ProtocolError(f"object task needs exactly two object classes, found {classes}")
         return mask, (labels[mask] == classes[1]).astype(np.int64)
     raise ValueError(f"unknown task {task!r}")
 
@@ -277,10 +277,9 @@ def train_svm(features: GatheredFeatures | np.ndarray, targets: np.ndarray) -> S
     targets = np.asarray(targets)
     if len(targets) != len(features):
         raise ShapeError(f"{len(features)} feature rows but {len(targets)} targets")
-    classes = np.unique(targets)
-    if len(classes) < 2:
+    if not len(targets) or targets.min() == targets.max():
         raise ProtocolError("training set contains a single class")
-    positive = targets == classes.max()  # y = +1, else -1
+    positive = targets == targets.max()  # y = +1, else -1
 
     mean, std = _column_stats(features)
     std[std == 0.0] = 1.0  # constant dims carry no signal; avoid divide-by-zero

@@ -18,15 +18,20 @@ accepted and ignored. The CSV does not carry the recording window, so a
 parsed stream bins over its first to last timestamp: perfbench's davis scene
 at seed 7 has 57,778 cells binned in memory over 0 to 1,000,000 us and 57,738
 read back from its CSV, over 22 to 999,973 us. :func:`parse_events` reads the
-body as its UTF-8 bytes and decodes them with one ``np.loadtxt`` call into an
-int64 array, whose columns, as views, make the :class:`EventStream`: its
-checks are the one statement of the event rules. Input that this decode or
-those checks refuse is read line by line instead: any malformed,
-negative-time or out-of-geometry record, and also whitespace-only lines,
-spellings that only Python's ``int()`` takes (``1_000``) and a polarity field
-that is not an integer, which that path accepts. Only then is the body
-decoded back to text and split into lines, as ``readlines()`` splits it, so
-the line numbers it reports are the file's.
+body as its UTF-8 bytes. With every digit, sign and blank (space, tab,
+carriage return) deleted, they must be n lines of the header's commas: that
+skeleton proves the line structure and counts the events. ``np.fromstring``
+then fills one (n, columns) int64 array a block of whole lines at a time,
+and its columns, as views, make the :class:`EventStream`: its checks are the
+one statement of the event rules. Input that this decode or those checks
+refuse is read line by line instead: any malformed, negative-time or
+out-of-geometry record; a field that fromstring reads otherwise than
+``int()`` (blanks or a sign alone, a sign apart from its digits, a value at
+or beyond an int64 bound); and also blank lines, spellings that only
+``int()`` takes (``1_000``) and a polarity field that is not an integer,
+which that path accepts. Only then is the body decoded back to text and
+split into lines, as ``readlines()`` splits it, so the line numbers it
+reports are the file's.
 
 The event CSV, the checkpoint, the trace and the denoise report are written
 by :func:`write_rows`, a :func:`tensor_ops.row_blocks` block of rows at a
@@ -68,6 +73,10 @@ _KNOWN_COLUMNS = ("t", "i", "j", "label", "polarity")
 # 20-60 for an integer, 140-170 for a float)
 _INT_CELL_BYTES = 32
 _FLOAT_CELL_BYTES = 160
+# body text parse_events decodes per np.fromstring call: its peak is the raw
+# text, the (n, columns) body and a few copies of one block
+_DECODE_BLOCK_BYTES = 1 << 15
+_INT64 = np.iinfo(np.int64)
 
 
 @contextlib.contextmanager
@@ -119,7 +128,7 @@ class EventStream:
             raise ValueError("i, j, t arrays must have equal length")
         if len(self.t) == 0:
             raise EmptyStreamError("a stream with zero events cannot be processed")
-        check_fields(self, integers=("geometry",))
+        _check_geometry(self.geometry)
         rows, cols = self.geometry
         if self.i.min() < 0 or self.i.max() >= rows:
             raise GeometryError(f"row index outside [0, {rows})")
@@ -147,6 +156,14 @@ class EventStream:
     @property
     def has_labels(self) -> bool:
         return self.labels is not None
+
+
+def _check_geometry(geometry) -> None:
+    """The one geometry rule, of EventStream, parse_events and synth.SceneSpec:
+    two integers (EventStream's ``tuple[int, int]`` hint), each at least 1."""
+    check_fields(EventStream, integers=("geometry",), geometry=geometry)
+    if min(geometry) < 1:
+        raise ValueError(f"geometry {geometry} needs at least one row and one column")
 
 
 @dataclass
@@ -193,16 +210,17 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
     ValueError before the source is read. t_min and t_max are the first and
     last timestamps, as the file holds no recording window.
 
-    The body is read as its UTF-8 bytes and decoded with one ``np.loadtxt``
-    call, so no list of lines is made; its columns make the EventStream. Where
-    the decode, the column count or EventStream's checks refuse the body,
-    :func:`_parse_lines` reads it line by line. That path is kept because it
-    is the only one that runs on such input: it names the offending line, and
-    it accepts the inputs the module docstring lists. Its lines are those
-    ``readlines()`` gives, split at line endings only: ``str.splitlines``
-    would also split at a form feed or ``\\u2028`` and miscount the lines.
+    The body is read as its UTF-8 bytes and decoded by :func:`_decode_body`,
+    so no list of lines is made; its columns make the EventStream. Where the
+    decode (its line skeleton, a field it would read otherwise than ``int()``)
+    or EventStream's checks refuse the body, :func:`_parse_lines` reads it
+    line by line. That path is kept because it is the only one that runs on
+    such input: it names the offending line, and it accepts the inputs the
+    module docstring lists. Its lines are those ``readlines()`` gives, split
+    at line endings only: ``str.splitlines`` would also split at a form feed
+    or ``\\u2028`` and miscount the lines.
     """
-    check_fields(EventStream, integers=("geometry",), geometry=geometry)
+    _check_geometry(geometry)
     with open_text(source) as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -222,19 +240,53 @@ def parse_events(source, geometry: tuple[int, int]) -> EventStream:
         raw = fh.read().encode("utf-8", "surrogatepass")
 
     try:
-        with warnings.catch_warnings():
-            # a body without events is reported by _parse_lines as EmptyStreamError
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # older numpy parses a float such as 1.5 into an int64 with only a
-            # DeprecationWarning; the line-by-line path rejects it
-            warnings.simplefilter("error", DeprecationWarning)
-            body = np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=np.int64, comments=None,
-                              ndmin=2, encoding="utf-8")
-        fields = dict(zip(columns, body.T, strict=True))  # views; a wrong column count raises
+        fields = dict(zip(columns, _decode_body(raw, len(columns)).T))  # views of the body
         return EventStream(fields["i"], fields["j"], fields["t"], geometry, fields.get("label"))
     except (ValueError, DeprecationWarning):
         text = raw.decode("utf-8", "surrogatepass")
     return _parse_lines(io.StringIO(text).readlines(), columns, geometry)
+
+
+def _decode_body(raw: bytes, ncols: int) -> np.ndarray:
+    """The (n, ncols) int64 body of the CSV body `raw`, decoded by
+    ``np.fromstring`` a block of whole lines at a time; ValueError (or, from
+    older numpy, DeprecationWarning) where it is not n lines of `ncols`
+    fields, each an optional sign straight before its digits, with spaces,
+    tabs or carriage returns around it, as Python's ``int()`` reads it."""
+    lines = raw.translate(None, b"0123456789+- \t\r")
+    if not lines.endswith(b"\n"):
+        lines += b"\n"  # a last line without its newline
+    unit = b"," * (ncols - 1) + b"\n"
+    n = len(lines) // len(unit)
+    if lines != unit * n:  # also when n is 0: lines holds at least a newline
+        raise ValueError("the body is not one record of integer fields per line")
+    del lines
+    body = np.empty((n, ncols), dtype=np.int64)
+    flat = body.reshape(-1)
+    done = start = 0
+    with warnings.catch_warnings():
+        # older numpy only warns where fromstring stops at unmatched text
+        warnings.simplefilter("error", DeprecationWarning)
+        while start < len(raw):
+            end = raw.find(b"\n", start + _DECODE_BLOCK_BYTES) + 1 or len(raw)
+            block = raw[start:end]
+            values = np.fromstring(block.replace(b"\n", b","), dtype=np.int64, sep=",")
+            # fromstring reads a field of blanks or a lone sign as 0, and a
+            # sign apart from its digits as a number, where int() refuses
+            # both: each value needs a run of digits, each sign a digit after it
+            code = np.frombuffer(block, dtype=np.uint8)
+            digit = code >= ord("0")  # the skeleton leaves no other byte above "0"
+            sign = (code == ord("-")) | (code == ord("+"))
+            if (np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != len(values)
+                    or np.any(sign[:-1] > digit[1:]) or sign[-1]):
+                raise ValueError("a field is not one integer")
+            flat[done:done + len(values)] = values  # too many values raise
+            done += len(values)
+            start = end
+    # an overflowing field reads as an int64 bound, whatever its sign
+    if done != flat.size or flat.min() == _INT64.min or flat.max() == _INT64.max:
+        raise ValueError("a field is missing or does not fit in int64")
+    return body
 
 
 def _parse_lines(lines, columns, geometry: tuple[int, int]) -> EventStream:

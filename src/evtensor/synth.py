@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, field
 import numpy as np
 
 from .errors import check_fields
-from .events import NOISE_LABEL, EventStream, compute_bin_edges, open_text
+from .events import NOISE_LABEL, EventStream, _check_geometry, compute_bin_edges, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -85,12 +85,11 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        """Types by check_fields (a fractional count or geometry generates, a
-        one-entry geometry or a bool seed fails inside generate), then ranges."""
-        check_fields(self, integers=("geometry", "n_frames", "duration_us", "seed"),
-                     finite=("noise_per_frame",))
-        if min(self.geometry) < 1:
-            raise ValueError(f"geometry {self.geometry} needs at least one row and one column")
+        """The geometry by the events module's one rule, the other types by
+        check_fields (a fractional count generates, a bool seed fails inside
+        generate), then ranges."""
+        _check_geometry(self.geometry)
+        check_fields(self, integers=("n_frames", "duration_us", "seed"), finite=("noise_per_frame",))
         if self.n_frames < 1:
             raise ValueError("a scene needs at least one frame")
         if self.duration_us < self.n_frames:

@@ -202,6 +202,57 @@ def test_the_cli_runs_as_a_program(tmp_path):
     assert not out.exists()
 
 
+# numpy 2.4 imports numpy.ma lazily, for np.unique's hash path and inside
+# np.quantile: 9-12 ms and about 0.45 MB that no stage of a run needs. Each
+# script runs in an interpreter of its own, on the reference scene
+_IN_MEMORY = """
+import sys
+from evtensor import (SolverConfig, bin_to_tensor, filter_events, generate, load_scene_spec,
+                      quantile_threshold, score_events, solve)
+from evtensor.evaluation import classify_factors
+
+spec = load_scene_spec(sys.argv[1])
+stream = generate(spec)
+tensor = bin_to_tensor(stream, spec.n_frames)
+factors, _ = solve(tensor, SolverConfig(s_max=3))
+for task in ("objects", "noise"):
+    classify_factors(stream, tensor, factors, task)
+scores = score_events(stream, tensor, factors)
+filter_events(stream, scores, quantile_threshold(scores))
+assert "numpy.ma" not in sys.modules
+"""
+_SUBCOMMANDS = """
+import sys
+from evtensor import cli
+
+scene, work = sys.argv[1:]
+events, ckpt = f"{work}/events.csv", f"{work}/ckpt.txt"
+binning = ["--events", events, "--geometry", "64x48", "--frames", "60"]
+fitted = ["--events", events, "--checkpoint", ckpt]
+for argv in (["gen", "--spec", scene, "--out", events],
+             ["bin", *binning, "--out", f"{work}/tensor.txt"],
+             ["decompose", *binning, "--checkpoint", ckpt, "--trace", f"{work}/trace.csv",
+              "--s-max", "3"],
+             ["classify", *fitted, "--task", "objects", "--report", f"{work}/objects.txt"],
+             ["classify", *fitted, "--task", "noise", "--report", f"{work}/noise.txt"],
+             ["denoise", *fitted, "--out", f"{work}/filtered.csv", "--report", f"{work}/report.csv"],
+             ["sweep", *binning, "--lambda1-grid", "0", "--lambda2-grid", "0.1", "--s-max", "3",
+              "--out", f"{work}/sweep.csv"]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv[0]
+"""
+
+
+@pytest.mark.parametrize("script", [_IN_MEMORY, _SUBCOMMANDS], ids=["in-memory", "subcommands"])
+def test_no_stage_imports_numpy_ma(tmp_path, script):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run([sys.executable, "-c", script, str(REF_SCENE), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+
+
 # ---------------------------------------------------------------------------
 # readers and writers: str paths, pathlib.Path and odd file names
 
@@ -455,6 +506,22 @@ def test_no_flag_answers_to_a_prefix_of_its_name(capsys, command):
         cli.build_parser().parse_args([command, *argv, prefix, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {prefix} {value}" in capsys.readouterr().err
+
+
+def test_verbosity_takes_effect_on_every_main_call_in_one_process(tmp_path, caplog):
+    # basicConfig does nothing once the root logger has a handler, as it has
+    # after a first call (and under pytest), so its level= held for no later call
+    argv = ["gen", "--spec", str(REF_SCENE), "--out", str(tmp_path / "events.csv")]
+    evtensor_logger = logging.getLogger("evtensor")
+    level = evtensor_logger.level
+    try:
+        for verbose, info in ([], False), (["-vv"], True), ([], False), (["-v"], True):
+            caplog.clear()
+            assert cli.main([*verbose, *argv]) == 0
+            assert any(r.levelno == logging.INFO and r.getMessage().startswith("wrote ")
+                       for r in caplog.records) == info, verbose
+    finally:
+        evtensor_logger.setLevel(level)
 
 
 def test_the_top_parser_takes_no_prefix_and_counts_repeated_v(capsys):

@@ -130,6 +130,25 @@ def test_quantile_threshold():
         quantile_threshold(scores, 1.5)
 
 
+def test_quantile_threshold_is_np_quantile_bit_for_bit():
+    # np.quantile's linear rule without the numpy.ma import np.quantile makes;
+    # a third of the cases are rounded into long tie runs
+    rng = np.random.default_rng(32)
+    for case in range(3000):
+        scores = rng.normal(size=int(rng.integers(1, 501))) * 10.0 ** rng.integers(-3, 4)
+        if case % 3 == 0:
+            scores = np.round(scores, 0)
+        for q in (rng.random(), 0.0, 0.2, 0.5, 1.0):
+            expected = np.quantile(scores, q)
+            assert np.float64(quantile_threshold(scores, q)).tobytes() == expected.tobytes(), (
+                case, q)
+    # any NaN gives NaN; an infinite end reads as numpy reads it
+    with np.errstate(invalid="ignore"):
+        for scores in ([np.nan, 1.0], [1.0, 2.0, np.nan], [1.0, np.inf], [-np.inf, 1.0, 2.0]):
+            for q in (0.0, 0.3, 0.5, 1.0):
+                np.testing.assert_equal(quantile_threshold(scores, q), np.quantile(scores, q))
+
+
 def test_denoise_beats_baseline_on_structured_scene():
     # one coherent object + uniform noise at low density; reconstruction
     # scores must rank object events above noise (frozen seed, values

@@ -1,7 +1,10 @@
 import io
+import os
 import re
+import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,8 +227,8 @@ def test_parse_header_only_raises_without_warning(text):
 ], ids=["negative-t", "i-outside", "j-outside", "header-only"])
 def test_a_body_event_stream_refuses_is_named_by_the_line_path(monkeypatch, body, error, message):
     # each body but the empty one decodes as int64, so the fast path hands its
-    # columns to EventStream, whose checks refuse them; the empty body fails
-    # the column count. The line path then names the line
+    # columns to EventStream, whose checks refuse them; the empty body has no
+    # record for the decode. The line path then names the line
     refusals = []
     post_init = EventStream.__post_init__
 
@@ -240,6 +243,110 @@ def test_a_body_event_stream_refuses_is_named_by_the_line_path(monkeypatch, body
     with pytest.raises(error, match=re.escape(message)):
         parse_events(io.StringIO("t,i,j\n" + body), DAVIS)
     assert len(refusals) == (body != "\n")
+
+
+SMALL = (8, 9)
+# spellings of a decimal that int() reads and so must the block decode: the
+# digits, perhaps with a sign and leading zeros, inside these blanks
+_BLANKS = ["{}", " {} ", "\t{}", "{}\r", "{} \t"]
+# 19-digit values a label or polarity field may hold on the decode's path
+_WIDE = [10 ** 18, -(10 ** 18), 2 ** 63 - 2, -(2 ** 63) + 1]
+# fields the decode must leave to the line path. np.fromstring reads the
+# first group as numbers: a field of blanks or a lone sign as 0, a sign
+# apart from its digits as signed, a field beyond int64 as one of its bounds
+_MISREAD = [" ", "\t", "-", "+", " - ", "- 5", "+\t5", str(2 ** 63 - 1), str(-(2 ** 63)),
+            str(2 ** 63), str(-(2 ** 63) - 1), str(10 ** 19)]
+_REFUSED = ["", "1-2", "1 2", "--5", "+-5", "5-", "1.5", "1_0", "on", str(SMALL[0]), "-1"]
+
+
+@st.composite
+def csv_bodies(draw, perturb=True, blanks=tuple(_BLANKS)):
+    """(columns, body, clean): rows of events inside SMALL, each field spelled
+    as int() reads it, inside one of `blanks`, with CRLF or LF endings and
+    perhaps no final newline; then, if `perturb`, perhaps one perturbation:
+    an odd field, a blank line, or blanks after the last newline. A `clean`
+    body has none, so the line path must not run on it."""
+    columns = ["t", "i", "j"] + draw(st.sampled_from(
+        [[], ["label"], ["polarity"], ["label", "polarity"]]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        fields = []
+        for c in columns:
+            value = draw({"t": st.integers(0, 10 ** 6), "i": st.integers(0, SMALL[0] - 1),
+                          "j": st.integers(0, SMALL[1] - 1)}.get(c, st.integers(-2, 2)))
+            if c in ("label", "polarity") and draw(st.integers(0, 4)) == 0:
+                value = draw(st.sampled_from(_WIDE))
+            sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+            digits = sign + "0" * draw(st.integers(0, 2)) + str(abs(value))
+            fields.append(draw(st.sampled_from(blanks)).format(digits))
+        rows.append(fields)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from([end, ""]))
+    perturbation = draw(st.sampled_from(["", "", "field", "field", "field", "line", "tail"]
+                                        if perturb else [""]))
+    if perturbation == "field":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, len(columns) - 1))] = draw(st.sampled_from(_MISREAD * 2 + _REFUSED))
+    lines = [",".join(row) for row in rows]
+    if perturbation == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    return columns, end.join(lines) + final + ("  " if perturbation == "tail" else ""), \
+        not perturbation
+
+
+def parse_outcome(parse):
+    """The stream's arrays and window, or the type and text of the refusal."""
+    try:
+        stream = parse()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    labels = stream.labels.tolist() if stream.has_labels else None
+    return stream.t.tolist(), stream.i.tolist(), stream.j.tolist(), labels, stream.t_min, stream.t_max
+
+
+@given(csv_bodies())
+@settings(max_examples=400, deadline=None)
+def test_the_block_decode_reads_every_body_as_the_line_path_does(case):
+    # the line path is the one statement of what a body means; the decode
+    # must give its stream or its error (type, line number, text), and take
+    # every clean body itself
+    columns, body, clean = case
+    expected = parse_outcome(
+        lambda: events._parse_lines(io.StringIO(body).readlines(), columns, SMALL))
+    with mock.patch.object(events, "_parse_lines", wraps=events._parse_lines) as line_path:
+        got = parse_outcome(lambda: parse_events(io.StringIO(",".join(columns) + "\n" + body),
+                                                 SMALL))
+    assert got == expected
+    assert not (clean and line_path.called)
+
+
+@pytest.mark.parametrize("body", [
+    "1, ,3\n", "1,2,\t\n", "1,-,3\n", "1,2, + \n", "1,- 2,3\n", "1,2,+\t3\n", "1,2,3\n4,5,",
+    "1,2,3\n   ", f"1,2,3\n{2 ** 63},1,1\n", f"{-(2 ** 63) - 1},1,1\n",
+], ids=["blank", "tab", "minus", "plus", "minus-blank", "plus-tab", "empty-last-field",
+        "blanks-after-the-last-line", "2^63", "-2^63-1"])
+def test_the_decode_leaves_what_fromstring_misreads_to_the_line_path(body):
+    # np.fromstring reads a field of blanks or a lone sign as 0 and a sign
+    # apart from its digits as signed, drops an empty last field, reads the
+    # blanks after the last newline as one more 0, and an overflow as a bound
+    expected = parse_outcome(
+        lambda: events._parse_lines(io.StringIO(body).readlines(), ["t", "i", "j"], DAVIS))
+    with mock.patch.object(events, "_parse_lines", wraps=events._parse_lines) as line_path:
+        assert parse_outcome(lambda: parse_events(io.StringIO("t,i,j\n" + body), DAVIS)) == expected
+    assert line_path.called
+
+
+# read from a file, a carriage return that ends no "\r\n" ends a line
+@given(csv_bodies(perturb=False, blanks=[b for b in _BLANKS if "\r" not in b]))
+@settings(max_examples=100, deadline=None)
+def test_a_clean_body_parses_as_readlines_and_loadtxt_read_it(case):
+    columns, body, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(columns) + "\n" + body)
+        assert parse_outcome(lambda: parse_events(path, SMALL)) == parse_outcome(
+            lambda: oracles.parse_events_readlines(path, SMALL))
 
 
 @st.composite
@@ -500,14 +607,25 @@ def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry
         EventStream(i=[0], j=[0], t=[0], geometry=geometry)
 
 
+@pytest.mark.parametrize("geometry", [(0, 3), (3, 0), (-2, 3)])
+def test_a_geometry_side_below_1_is_refused_at_construction(geometry):
+    # the geometry is named, not an event outside it
+    with pytest.raises(ValueError, match=re.escape(
+            f"geometry {geometry} needs at least one row and one column")):
+        EventStream(i=[0], j=[0], t=[0], geometry=geometry)
+
+
 @pytest.mark.parametrize("geometry, message", [
     ((3,), "geometry must hold 2 entries, got (3,)"),
     ((2.5, 3), "geometry must be integers, got (2.5, 3)"),
-], ids=["one-entry", "fractional"])
+    ((0, 3), "geometry (0, 3) needs at least one row and one column"),
+    ((-2, 3), "geometry (-2, 3) needs at least one row and one column"),
+], ids=["one-entry", "fractional", "no-row", "negative"])
 def test_parse_events_refuses_a_bad_geometry_before_it_reads_the_body(monkeypatch, geometry,
                                                                       message):
-    # one was Python's bare "not enough values to unpack", the other was named
-    # only after the line path had read every line of the body again
+    # one was Python's bare "not enough values to unpack", the others were
+    # named only after the line path had read every line of the body again,
+    # a side below 1 as an event outside the geometry
     lines = []
     monkeypatch.setattr(events, "_parse_lines", lambda *args: lines.append(args))
     with pytest.raises(ValueError, match=re.escape(message)):
