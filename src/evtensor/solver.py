@@ -77,10 +77,11 @@ Each sweep also records the fit ||R - E|| / ||E|| from ||R||^2 - 2 <R, E> +
 is in X, and from one more mode-n tensor_ops.coo_rhs after.
 
 The cost grows with the memory. On the 64x48x60 reference scene (200
-sweeps; 2 vCPUs, 2 BLAS threads, medians of 3) a dense-X solve took 0.30,
-0.27, 0.29 and 0.36 s at lambda2 = 0.1, 0.3, 1 and 3, this one 0.26, 0.25,
-0.70 and 1.55 s. On the 260x346x100 DAVIS-scale scene (15 sweeps) it was
-faster at each of them: 0.70 -> 0.21 s at lambda2 = 0.1.
+sweeps; 2 vCPUs, 2 BLAS threads, numpy 2.4, medians of 3, October 2026) the
+dense-X solve of the tests' oracles took 0.71, 0.61, 0.73 and 0.89 s at
+lambda2 = 0.1, 0.3, 1 and 3, this one 0.19, 0.18, 0.59 and 1.86 s. On the
+260x346x100 DAVIS-scale scene (15 sweeps) it was faster at each of them:
+1.97 -> 0.15 s at lambda2 = 0.1.
 
 The package imports no SciPy at all, so the linear algebra is numpy's only
 and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
@@ -104,6 +105,7 @@ from .tensor_ops import (
     CooPlan,
     FactorStack,
     FactorTriple,
+    _first_nonfinite,
     coo_rhs,
     frob_norm,
     history_rhs,
@@ -250,13 +252,16 @@ def update_factor(state: SolverState, mode: str, cfg: SolverConfig, product: np.
     triple and the solve residual ||G A - rhs||_F / (1 + ||rhs||_F)."""
     factors = state.factors
     g_old = matricize_factor(factors.factor(mode), mode)
+    # both diagonal edits add along a strided view of the flattened array:
+    # np.diag_indices' index arrays took three times as long
     a = gram.copy()
-    a[np.diag_indices_from(a)] += cfg.lambda2
+    a.reshape(-1)[::len(a) + 1] += cfg.lambda2
     rhs = product + cfg.lambda2 * g_old
     if cfg.lambda1 != 0.0:
         # lambda1 Q, with Q the rectangular quasi-identity (ones where row == column)
-        rhs[np.diag_indices(min(rhs.shape))] += cfg.lambda1
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(rhs)):
+        width = rhs.shape[1]
+        rhs.reshape(-1)[:min(rhs.shape) * width:width + 1] += cfg.lambda1
+    if _first_nonfinite(a, rhs) is not None:
         raise NumericalError(state.s, f"non-finite values entering the mode-{mode} solve")
 
     try:

@@ -75,6 +75,7 @@ their scores: it holds a few cell-sized vectors beside one or two blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,16 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _first_nonfinite(*arrays: np.ndarray) -> int | None:
+    """The position of the first array with a NaN or an infinite entry, or
+    None. One sum over all the entries is finite exactly when every entry is,
+    unless it overflows; only a sum that is not finite has each array scanned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(sum(float(a.sum()) for a in arrays)):
+            return None
+    return next((k for k, a in enumerate(arrays) if not np.isfinite(a).all()), None)
+
+
 @dataclass(frozen=True)
 class FactorTriple:
     """The three latent factors of a rank-f network."""
@@ -111,9 +122,9 @@ class FactorTriple:
             raise ShapeError("latent rank must be >= 1")
         if (g_i.shape[2], *g_j.shape[::2], *g_n.shape[:2]) != (f,) * 5:
             raise ShapeError(f"rank mismatch: g_i {g_i.shape}, g_j {g_j.shape}, g_n {g_n.shape}")
-        for name, g in (("g_i", g_i), ("g_j", g_j), ("g_n", g_n)):
-            if not np.all(np.isfinite(g)):
-                raise ShapeError(f"{name} contains non-finite values")
+        bad = _first_nonfinite(g_i, g_j, g_n)
+        if bad is not None:
+            raise ShapeError(f"{('g_i', 'g_j', 'g_n')[bad]} contains non-finite values")
 
     @property
     def rank(self) -> int:
@@ -257,25 +268,33 @@ class CooPlan:
     @classmethod
     def of(cls, dims, flat, mode: str) -> CooPlan:
         """The mode's plan from the ascending, distinct C-order flat indices
-        of the 1-cells. The coordinates live only while it is made. This is
+        of the 1-cells. Of each cell's coordinates only the mode's index and
+        column are computed, and they live only while it is made. This is
         the one place a sort plan is made: the solver's three and the tensor
         dump's frames (mode n) come from here."""
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         dims = tuple(int(d) for d in dims)
+        jj, nn = dims[1:]
         # floor division by a scalar is vectorized, np.divmod is not (2.3x at DAVIS scale)
-        ij = flat // dims[2]
-        i = ij // dims[1]
-        coords = (i, ij - i * dims[1], flat - ij * dims[2])
-        axis = MODES.index(mode)
-        slow, fast = (a for a in range(3) if a != axis)
+        if mode == "i":
+            key = flat // (jj * nn)
+            cols = flat - key * (jj * nn)
+        elif mode == "n":
+            key, cols = flat % nn, flat // nn
+        else:
+            ij = flat // nn
+            i = ij // jj
+            key = ij - i * jj
+            cols = flat - (ij - i) * nn
         # a stable sort on the narrowest dtype: numpy radix-sorts 8- and
         # 16-bit keys, and a stable order does not depend on the dtype
-        order = np.argsort(coords[axis].astype(np.min_scalar_type(dims[axis])), kind="stable")
-        key = coords[axis][order]
+        order = np.argsort(key.astype(np.min_scalar_type(dims[MODES.index(mode)])), kind="stable")
+        key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        cols = (coords[slow] * dims[fast] + coords[fast])[order]
-        return cls(dims, mode, cols, starts, key[starts])
+        # the columns are gathered last: gathered beside the key, the heap's
+        # layout left davis's peak RSS 1.3 MB higher
+        return cls(dims, mode, cols[order], starts, key[starts])
 
 
 def _table_blocks(factors: FactorTriple, mode: str, row_bytes: int = 0):

@@ -283,6 +283,21 @@ def scalar_rank1_factor_update(x_mat, h_row, g_old_col, lambda1, lambda2):
     return out
 
 
+def update_factor_diag_indices(factors, mode, cfg, product, gram):
+    """The matricized factor and residual of `update_factor`, with both
+    diagonal edits addressed by np.diag_indices index arrays: lambda2 on
+    the Gram's diagonal and lambda1 on the right-hand side's leading one."""
+    from evtensor.tensor_ops import frob_norm, matricize_factor
+
+    a = gram.copy()
+    a[np.diag_indices_from(a)] += cfg.lambda2
+    rhs = product + cfg.lambda2 * matricize_factor(factors.factor(mode), mode)
+    if cfg.lambda1 != 0.0:
+        rhs[np.diag_indices(min(rhs.shape))] += cfg.lambda1
+    g_new = np.linalg.solve(a, rhs.T).T
+    return g_new, frob_norm(g_new @ a - rhs) / (1.0 + frob_norm(rhs))
+
+
 def random_factors(rng, dims, f, lo=-1.0, hi=1.0):
     ii, jj, nn = dims
     from evtensor.tensor_ops import FactorTriple
@@ -829,3 +844,24 @@ def load_model(path_or_fh):
         raise ShapeError(f"model file has {len(model.weights)} weights, {len(model.mean)} "
                          f"means and {len(model.std)} stds")
     return model
+
+
+def line_search_full_sort(slack, step, w, dw) -> float:
+    """The SVM's exact line search as a binary search over every kink ahead,
+    all of them sorted first: the t >= 0 minimizing the squared-hinge primal
+    at w + t dw, along which each slack 1 - margin falls by t * step."""
+    from bisect import bisect_left
+
+    from evtensor.evaluation import SVM_LAMBDA
+
+    n = len(slack)
+    kinks = np.divide(slack, step, out=np.zeros(n), where=step != 0)
+    kinks = np.sort(kinks[kinks > 0])
+    # the root's piece ends at the first kink where the derivative is >= 0
+    lo = bisect_left(kinks, True, key=lambda t: SVM_LAMBDA * (w + t * dw) @ dw
+                     - step @ np.maximum(slack - t * step, 0.0) / n >= 0)
+    start = kinks[lo - 1] if lo else 0.0
+    live = slack - (0.5 * (start + kinks[lo]) if lo < len(kinks) else start + 1.0) * step > 0
+    offset = SVM_LAMBDA * (w @ dw) - step[live] @ slack[live] / n
+    rate = SVM_LAMBDA * (dw @ dw) + step[live] @ step[live] / n
+    return max(start, -offset / rate) if rate > 0 else start

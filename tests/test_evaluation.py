@@ -449,6 +449,57 @@ def test_svm_is_the_same_under_event_order_and_duplication(ref_scene_fit, task):
         assert other.bias == pytest.approx(model.bias, rel=1e-10)
 
 
+_SEARCH_KINDS = ("generic", "no_kink_ahead", "every_kink_ahead", "tied_kinks", "zero_steps",
+                 "root_past_the_first_window")
+
+
+def _line_search_case(kind, seed):
+    """Seeded (slack, step, w, dw) inputs of a line search, of one kind."""
+    rng = np.random.default_rng([_SEARCH_KINDS.index(kind), seed])
+    n, d = int(rng.integers(1, 2000)), int(rng.integers(1, 12))
+    slack, step = rng.normal(size=n), rng.normal(size=n)
+    w, dw = rng.normal(size=d), rng.normal(size=d)
+    if kind == "no_kink_ahead":  # each slack moves away from 0
+        step = -np.sign(slack) * np.abs(step)
+    elif kind == "every_kink_ahead":
+        slack, step = np.abs(slack), np.abs(step)
+    elif kind == "tied_kinks":  # a few distinct (slack, step) pairs, each repeated
+        slack, step = rng.normal(size=(2, 5))[:, rng.integers(0, 5, n)]
+    elif kind == "zero_steps":
+        step[rng.random(n) < 0.5] = 0.0
+        slack[rng.random(n) < 0.1] = 0.0
+    elif kind == "root_past_the_first_window":
+        # every kink ahead and a step too small to pay for its regularizer
+        # until nearly every slack has crossed 0
+        slack, step = np.abs(slack), np.abs(step)
+        w, dw = np.zeros(d), 1e-3 * dw
+    return slack, step, w, dw
+
+
+@pytest.mark.parametrize("kind", _SEARCH_KINDS)
+def test_the_kink_window_line_search_equals_the_full_sort(kind):
+    roots_past = 0  # roots past the first window of 16 kinks and its first growth to 64
+    for seed in range(60):
+        slack, step, w, dw = _line_search_case(kind, seed)
+        t = evaluation._line_search(slack, step, w, dw)
+        assert t == oracles.line_search_full_sort(slack, step, w, dw), seed
+        kinks = np.divide(slack, step, out=np.zeros(len(slack)), where=step != 0)
+        roots_past += np.count_nonzero((kinks > 0) & (kinks < t)) > 64
+    if kind == "root_past_the_first_window":
+        assert roots_past >= 50
+
+
+@pytest.mark.parametrize("task", ["objects", "noise"])
+def test_svm_is_the_same_with_the_full_sort_line_search(ref_scene_fit, task, monkeypatch):
+    features, y, _ = _train_and_test_features(*ref_scene_fit, task)
+    model = train_svm(features, y)
+    monkeypatch.setattr(evaluation, "_line_search", oracles.line_search_full_sort)
+    oracle = train_svm(features, y)
+    np.testing.assert_array_equal(model.weights, oracle.weights)
+    assert (model.bias, model.iterations) == (oracle.bias, oracle.iterations)
+    assert model.iterations > 1
+
+
 def test_svm_reaching_its_iteration_cap_warns(monkeypatch, caplog):
     x, y = _random_svm_data(0)
     monkeypatch.setattr(evaluation, "SVM_MAX_ITERATIONS", 1)

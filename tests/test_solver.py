@@ -258,6 +258,39 @@ def test_update_factor_nonfinite_raises_with_iteration():
     assert err.value.iteration == 17
 
 
+def update_inputs(state, mode):
+    """The product and Gram a solve's loop hands update_factor."""
+    return state.target.product(state.factors, mode)[0], pair_gram(state.factors, mode)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["product", "gram"])
+def test_update_factor_refuses_each_non_finite_value_in_either_input(value, where):
+    cfg = SolverConfig(seed=0)
+    state = init_state(binary(0, (3, 3, 3)), cfg)
+    inputs = dict(zip(("product", "gram"), update_inputs(state, "j")))
+    inputs[where][-1, 0] = value
+    with pytest.raises(NumericalError, match="non-finite values entering the mode-j solve"):
+        update_factor(state, "j", cfg, **inputs)
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("lambda1", [0.0, 0.3])
+@pytest.mark.parametrize("mode", "ijn")
+def test_update_factor_diagonal_edits_are_bit_identical_to_diag_indices(mode, lambda1, f):
+    # dims (3, 9, 5): at f = 2 the right-hand side is 3 x 4 in mode i (fewer
+    # rows than f^2), 9 x 4 and 5 x 4 in modes j and n (more); at f = 3 it is
+    # 3 x 9, 9 x 9 (square) and 5 x 9
+    cfg = SolverConfig(f_max=f, lambda1=lambda1, lambda2=0.2, seed=6)
+    state = init_state(binary(6, (3, 9, 5), 0.4), cfg)
+    state.factors = random_factors(np.random.default_rng(7), (3, 9, 5), f, lo=0.0)
+    product, gram = update_inputs(state, mode)
+    updated, residual = update_factor(state, mode, cfg, product, gram)
+    g_new, want = oracles.update_factor_diag_indices(state.factors, mode, cfg, product, gram)
+    np.testing.assert_array_equal(matricize_factor(updated.factor(mode), mode), g_new)
+    assert residual == want
+
+
 def test_update_factor_singular_system_raises_with_iteration_and_mode():
     # a Gram of -lambda2 Id leaves A = 0, which no solve can factor
     cfg = SolverConfig(f_max=2, seed=0)

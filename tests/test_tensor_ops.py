@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from evtensor import tensor_ops
 from evtensor.errors import ShapeError
+from evtensor.events import bin_to_tensor
+from evtensor.synth import generate, load_scene_spec
 from evtensor.tensor_ops import (
     MODES,
     CooPlan,
@@ -24,6 +27,7 @@ from evtensor.tensor_ops import (
 )
 
 from oracles import (
+    SCENES,
     cell_values_unblocked,
     contract_bruteforce,
     coo_cells,
@@ -104,6 +108,27 @@ def test_nonfinite_factor_rejected():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ShapeError):
         FactorTriple(g_i=bad, g_j=np.zeros((1, 2, 1)), g_n=np.zeros((1, 1, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["g_i", "g_j", "g_n"])
+def test_each_non_finite_value_in_each_factor_is_refused_by_name(name, value):
+    g = dict(g_i=np.ones((3, 2, 2)), g_j=np.ones((2, 4, 2)), g_n=np.ones((2, 2, 5)))
+    g[name][-1, 1, 0] = value
+    with pytest.raises(ShapeError, match=f"^{name} contains non-finite values$"):
+        FactorTriple(**g)
+
+
+def test_finite_factors_whose_sum_overflows_are_accepted():
+    # one sum over the three factors overflows to inf here (or, from -1e308
+    # entries too, to nan); every entry is finite, and no warning is raised
+    g = dict(g_i=np.full((3, 2, 2), 1e308), g_j=np.full((2, 4, 2), 1e308),
+             g_n=np.full((2, 2, 5), -1e308))
+    g["g_j"][0, 0, 0] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = FactorTriple(**g)
+    assert factors.rank == 2
 
 
 def test_unfold_layouts_match_hand_enumeration():
@@ -339,15 +364,23 @@ def test_coo_plans_of_any_dtype_and_values_equal_the_sorted_ones(data):
     _assert_plans_equal(data.shape, flat, coo_plans(data))
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(12))
 def test_coo_plans_with_empty_rows_and_frames_equal_the_sorted_ones(seed):
-    # seeds 3-5 give one axis 300 rows, past the 8-bit sort keys
+    # seeds 3-11 give one axis 300 rows, past the 8-bit sort keys
     rng = np.random.default_rng(seed)
     dims = [int(d) for d in rng.integers(4, 12, 3)]
     if seed >= 3:
         dims[seed % 3] = 300
     x = _holey(rng, dims).astype([np.uint8, np.float64][seed % 2])
     _assert_plans_equal(dims, event_tensor(x).cells, coo_plans(x))
+
+
+def test_each_plan_equals_the_three_coordinate_construction_on_the_davis_scene():
+    # each plan computes only its mode's index and column from the flat
+    # indices; the oracle takes all three coordinates of every cell
+    spec = load_scene_spec(SCENES / "davis.cfg")
+    tensor = bin_to_tensor(generate(spec), spec.n_frames)
+    _assert_plans_equal(tensor.dims, tensor.cells, coo_plans(tensor.data))
 
 
 @pytest.mark.parametrize("dense", [True, False])
