@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError
-from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, open_text, write_rows
+from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, write_rows
 from .tensor_ops import FactorTriple, cell_values
 
 DEFAULT_QUANTILE = 0.2  # drop the lowest-scoring 20% by default
@@ -122,14 +122,12 @@ def quantile_threshold(scores: np.ndarray, quantile: float = DEFAULT_QUANTILE) -
 
 def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> None:
     """Per-event report rows: t,i,j[,label],score,kept, the score as
-    ``%.17g`` and the rest as ``%d``, written by :func:`events.write_rows` a
-    block of rows at a time. A report whose scores or kept mask do not align
-    with the stream raises ConsistencyError before anything is written."""
+    ``%.17g`` and the rest as ``%d``, written by :func:`events.write_rows`.
+    A report whose scores or kept mask do not align with the stream raises
+    ConsistencyError before anything is written."""
     if len(report.scores) != len(stream) or len(report.kept) != len(stream):
         raise ConsistencyError("the report is not aligned with the event stream")
     labels = (stream.labels,) if stream.has_labels else ()
-    columns = (stream.t, stream.i, stream.j, *labels,
-               np.asarray(report.scores, dtype=np.float64), np.asarray(report.kept, dtype=bool))
-    with open_text(path_or_fh, "w") as fh:
-        fh.write("t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n")
-        write_rows(fh, columns)
+    write_rows(path_or_fh, "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n",
+               (stream.t, stream.i, stream.j, *labels,
+                np.asarray(report.scores, dtype=np.float64), np.asarray(report.kept, dtype=bool)))

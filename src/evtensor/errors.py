@@ -41,9 +41,14 @@ class ConsistencyError(ValueError):
     """Event coordinates do not match the factor/tensor dimensions they are paired with."""
 
 
+def is_integer(value) -> bool:
+    """The package's integer rule: an int or np.integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_fields(spec, integers=(), finite=(), **values):
     """Raise a ValueError naming the first field of the dataclass `spec` that
-    breaks its rule: in `integers`, an int or np.integer but not a bool; in
+    breaks its rule: in `integers`, :func:`is_integer`; in
     `finite`, neither inf nor NaN. A field typed ``tuple[int, int]`` must
     hold two entries, each held to the rule. A field named in `values` is
     checked at that value, so `spec` may be the dataclass, before one is built."""
@@ -54,8 +59,7 @@ def check_fields(spec, integers=(), finite=(), **values):
         entries = value if size and isinstance(value, (tuple, list)) else (value,)
         if size and len(entries) != size:
             raise ValueError(f"{name} must hold {size} entries, got {value!r}")
-        if name in integers and not all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+        if name in integers and not all(map(is_integer, entries)):
             raise ValueError(f"{name} must be {'integers' if size else 'an integer'}, got {value!r}")
         if name in finite and not np.all(np.isfinite(entries)):
             raise ValueError(f"{name} must be finite, got {value}")

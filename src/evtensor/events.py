@@ -15,9 +15,8 @@ It is the one form of E that the solver and :func:`write_tensor_dump` take.
 Canonical interchange format is CSV with header ``t,i,j[,label][,polarity]``
 (decimal integers, one event per line); a trailing polarity column is
 accepted and ignored. The CSV does not carry the recording window, so a
-parsed stream bins over its first to last timestamp: perfbench's davis scene
-at seed 7 has 57,778 cells binned in memory over 0 to 1,000,000 us and 57,738
-read back from its CSV, over 22 to 999,973 us. :func:`parse_events` reads the
+parsed stream bins over its first to last timestamp, which may be narrower
+than the window its events were made in. :func:`parse_events` reads the
 body as its UTF-8 bytes. With every digit, sign and blank (space, tab,
 carriage return) deleted, they must be n lines of the header's commas: that
 skeleton proves the line structure and counts the events. ``np.fromstring``
@@ -33,17 +32,18 @@ which that path accepts. Only then is the body decoded back to text and
 split into lines, as ``readlines()`` splits it, so the line numbers it
 reports are the file's.
 
-The event CSV, the checkpoint, the trace and the denoise report are written
-by :func:`write_rows`, a :func:`tensor_ops.row_blocks` block of rows at a
-time, so no writer holds event-sized text; the model file, the sweep CSV, the
-classify report and the echoes, none of them event-sized, are formatted with
-``%`` or f-strings. A block is one (units, rows) uint16 array whose two-byte
-units are each written for all rows at once from tables of digit pairs: an
-integer field is as many units as its widest ``%d``, a ``%.17g`` field 23 (a
-head of sign and ``0.000``, 18 digits each with a slot for a point, an
-exponent), a separator one; the 0 bytes a field leaves are dropped as the
-rows are read out. The tensor dump is a template of ``0`` digits with ``1``
-written at each frame's cells.
+Each data table -- the event CSV, the checkpoint, the trace and the denoise
+report -- is one :func:`write_rows` call: it opens the file, writes the
+table's header, then its rows a :func:`tensor_ops.row_blocks` block at a
+time, so no writer holds event-sized text. The model file, the sweep CSV,
+the classify report and the echoes, none of them event-sized, are formatted
+with ``%`` or f-strings. A block is one (units, rows) uint16 array whose
+two-byte units are each written for all rows at once from tables of digit
+pairs: an integer field is as many units as its widest ``%d``, a ``%.17g``
+field 23 (a head of sign and ``0.000``, 18 digits each with a slot for a
+point, an exponent), a separator one; the 0 bytes a field leaves are dropped
+as the rows are read out. The tensor dump is a template of ``0`` digits with
+``1`` written at each frame's cells.
 
 Every reader and writer in the package takes a path (``str`` or any
 ``os.PathLike``), opened as UTF-8 text, or an already open text stream, which
@@ -62,7 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, EmptyStreamError, EventParseError, GeometryError, check_fields
+from .errors import (ConsistencyError, EmptyStreamError, EventParseError, GeometryError,
+                     check_fields, is_integer)
 from .tensor_ops import CooPlan, row_blocks
 
 NOISE_LABEL = -1
@@ -88,6 +89,15 @@ def open_text(path_or_fh, mode: str = "r"):
             yield fh
     else:
         yield path_or_fh
+
+
+def _int_array(name: str, values) -> np.ndarray:
+    """`values` as int64; a non-empty array of a kind other than signed or
+    unsigned integer (bool too), which the cast would truncate, is refused."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got {values.dtype} values")
+    return values.astype(np.int64, copy=False)
 
 
 def _header_ints(fh, names: str) -> list[int]:
@@ -117,11 +127,9 @@ class EventStream:
     t_max: int = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.i = np.asarray(self.i, dtype=np.int64)
-        self.j = np.asarray(self.j, dtype=np.int64)
-        self.t = np.asarray(self.t, dtype=np.int64)
+        self.i, self.j, self.t = (_int_array(name, getattr(self, name)) for name in "ijt")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = _int_array("labels", self.labels)
             if self.labels.shape != self.t.shape:
                 raise ValueError("labels must align with events")
         if not (self.i.shape == self.j.shape == self.t.shape):
@@ -145,6 +153,7 @@ class EventStream:
             self.t = self.t[order]
             if self.labels is not None:
                 self.labels = self.labels[order]
+        check_fields(self, integers=[k for k in ("t_min", "t_max") if getattr(self, k) is not None])
         self.t_min = int(self.t[0] if self.t_min is None else self.t_min)
         self.t_max = int(self.t[-1] if self.t_max is None else self.t_max)
         if self.t_min > int(self.t[0]) or self.t_max < int(self.t[-1]):
@@ -177,11 +186,10 @@ class EventTensor:
     bin_edges: np.ndarray
 
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int64)
+        self.cells = _int_array("cells", self.cells)
+        self.bin_edges = _int_array("bin_edges", self.bin_edges)
+        check_fields(self, integers=("dims",))
         self.dims = tuple(int(d) for d in self.dims)
-        self.bin_edges = np.asarray(self.bin_edges, dtype=np.int64)
-        if len(self.dims) != 3:
-            raise ValueError("event tensor must be 3rd-order")
         cells = self.cells
         if cells.ndim != 1 or np.any(cells[1:] <= cells[:-1]) or (
                 len(cells) and (cells[0] < 0 or cells[-1] >= math.prod(self.dims))):
@@ -428,41 +436,42 @@ def _float_field(x, units) -> None:
     units[:12, rare] = text.view(np.uint16).reshape(-1, 12).T
 
 
-def write_rows(fh, columns, sep: str = ",") -> None:
-    """Write the rows of the equal-length array `columns` to the text stream
-    `fh`, `sep`-separated, each cell byte for byte ``%d`` of an integer or
-    boolean and ``%.17g`` of a float, a :func:`tensor_ops.row_blocks` block
-    at a time, as the module docstring tells."""
+def write_rows(path_or_fh, header: str, columns, sep: str = ",") -> None:
+    """Write one data table: open `path_or_fh` by :func:`open_text`, write
+    the text `header` as it is, then the rows of the equal-length arrays
+    `columns`, `sep`-separated, each cell byte for byte ``%d`` of an integer
+    or boolean and ``%.17g`` of a float, a :func:`tensor_ops.row_blocks`
+    block at a time, as the module docstring tells."""
     floats = [c.dtype.kind == "f" for c in columns]
     row_bytes = sum(_FLOAT_CELL_BYTES if f else _INT_CELL_BYTES for f in floats)
-    for rows in row_blocks(len(columns[0]), row_bytes):
-        block = [c[rows].astype(np.float64 if f else np.int64) for c, f in zip(columns, floats)]
-        sizes = [23 if f else (len(max(str(c.min(initial=0)), str(c.max(initial=0)), key=len)) + 1)
-                 // 2 for c, f in zip(block, floats)]
-        ends = np.cumsum(sizes) + np.arange(len(sizes))
-        buf = np.empty((ends[-1] + 1, len(block[0])), dtype=np.uint16)
-        for c, f, end, size in zip(block, floats, ends, sizes):
-            (_float_field if f else _int_field)(c, buf[end - size:end])
-        buf[ends] = ord(sep)
-        buf[-1] = ord("\n")
-        fh.write(buf.T.tobytes().translate(None, b"\0").decode("ascii"))
+    with open_text(path_or_fh, "w") as fh:
+        fh.write(header)
+        for rows in row_blocks(len(columns[0]), row_bytes):
+            block = [c[rows].astype(np.float64 if f else np.int64) for c, f in zip(columns, floats)]
+            sizes = [23 if f else (len(max(str(c.min(initial=0)), str(c.max(initial=0)), key=len)) + 1)
+                     // 2 for c, f in zip(block, floats)]
+            ends = np.cumsum(sizes) + np.arange(len(sizes))
+            buf = np.empty((ends[-1] + 1, len(block[0])), dtype=np.uint16)
+            for c, f, end, size in zip(block, floats, ends, sizes):
+                (_float_field if f else _int_field)(c, buf[end - size:end])
+            buf[ends] = ord(sep)
+            buf[-1] = ord("\n")
+            fh.write(buf.T.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_events_csv(stream: EventStream, path_or_fh) -> None:
-    """Write a stream in the canonical CSV format (label column when present),
-    one block of rows at a time."""
-    columns = (stream.t, stream.i, stream.j) + ((stream.labels,) if stream.has_labels else ())
-    with open_text(path_or_fh, "w") as fh:
-        fh.write("t,i,j,label\n" if stream.has_labels else "t,i,j\n")
-        write_rows(fh, columns)
+    """Write a stream in the canonical CSV format (label column when present)."""
+    labels = (stream.labels,) if stream.has_labels else ()
+    write_rows(path_or_fh, "t,i,j,label\n" if labels else "t,i,j\n",
+               (stream.t, stream.i, stream.j, *labels))
 
 
 def compute_bin_edges(t_min: int, t_max: int, n_bins: int) -> np.ndarray:
     """N+1 strictly increasing integer edges cutting [t_min, t_max] into
     near-equal widths (remainder spread over the leading bins, widths within
     one time unit of each other)."""
-    if n_bins <= 0:
-        raise ValueError(f"segment count must be positive, got {n_bins}")
+    if not is_integer(n_bins) or n_bins <= 0:
+        raise ValueError(f"segment count must be a positive integer, got {n_bins!r}")
     span = t_max - t_min
     if span < n_bins:
         raise ValueError(

@@ -76,12 +76,10 @@ Each sweep also records the fit ||R - E|| / ||E|| from ||R||^2 - 2 <R, E> +
 ||E||^2, <R, E> always as <G_n, E_n H_n^T>: from the mode-n product while E
 is in X, and from one more mode-n tensor_ops.coo_rhs after.
 
-The cost grows with the memory. On the 64x48x60 reference scene (200
-sweeps; 2 vCPUs, 2 BLAS threads, numpy 2.4, medians of 3, October 2026) the
-dense-X solve of the tests' oracles took 0.71, 0.61, 0.73 and 0.89 s at
-lambda2 = 0.1, 0.3, 1 and 3, this one 0.19, 0.18, 0.59 and 1.86 s. On the
-260x346x100 DAVIS-scale scene (15 sweeps) it was faster at each of them:
-1.97 -> 0.15 s at lambda2 = 0.1.
+The cost grows with the memory: on the reference scene this solve is faster
+than the dense-X solve of the tests' oracles up to lambda2 = 1 and slower at
+lambda2 = 3, and on the DAVIS-scale scene it is faster at each of them
+(ROADMAP, "Not worth repeating", has the timings).
 
 The package imports no SciPy at all, so the linear algebra is numpy's only
 and one OpenBLAS thread pool does it all: SciPy's linalg loads a second
@@ -346,13 +344,11 @@ def solve(e: EventTensor, cfg: SolverConfig | None = None) -> tuple[FactorTriple
 
 
 def save_checkpoint(factors: FactorTriple, path_or_fh) -> None:
-    """Text checkpoint: header ``I J N f``, then the three matricized factors
-    (one row per line, ``%.17g`` values -- exact float64 round-trip)."""
-    ii, jj, nn = factors.dims
-    with open_text(path_or_fh, "w") as fh:
-        fh.write(f"{ii} {jj} {nn} {factors.rank}\n")
-        for mode in MODES:
-            write_rows(fh, matricize_factor(factors.factor(mode), mode).T, " ")
+    """Text checkpoint: header ``I J N f``, then one (I+J+N, f^2) table, the
+    three matricized factors stacked (one row per line, ``%.17g`` values --
+    exact float64 round-trip)."""
+    table = np.concatenate([matricize_factor(factors.factor(mode), mode) for mode in MODES])
+    write_rows(path_or_fh, "%d %d %d %d\n" % (*factors.dims, factors.rank), table.T, " ")
 
 
 def load_checkpoint(path_or_fh) -> FactorTriple:
@@ -384,8 +380,5 @@ def write_trace_csv(state: SolverState, path_or_fh, metadata: dict | None = None
     preceded by optional ``# key: value`` comment headers."""
     counts = np.array([(r.s, r.f) for r in state.trace], dtype=np.int64).reshape(-1, 2)
     values = np.array([(r.objective, r.rel_change) for r in state.trace]).reshape(-1, 2)
-    with open_text(path_or_fh, "w") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}: {metadata[key]}\n")
-        fh.write("s,f,objective,rel_change\n")
-        write_rows(fh, [*counts.T, *values.T])
+    comments = "".join(f"# {key}: {metadata[key]}\n" for key in sorted(metadata or {}))
+    write_rows(path_or_fh, comments + "s,f,objective,rel_change\n", [*counts.T, *values.T])

@@ -48,13 +48,11 @@ X_m H_m^T is a weighted sum of two kinds of term, each exact:
     table entry sums the same f products in the same order as in one
     batched matmul, and each row's reduction is the same as over the whole
     gather, so the sums are bit-identical. The gather reads the block at
-    its full width: first compacting it to the columns E touches took 4.2
-    against 3.5 ms per mode-i or mode-j call. Blocks run over table rows
-    and not over nonzeros: a block of nonzeros reads columns spread over
-    the whole table, so every block streams all of it again. At DAVIS scale
-    blocks of nonzeros took 1.4-2.6x as long per mode (mode n 15.0 against
-    33.3 ms on 2 vCPUs). Gathering rows of an (nnz, f^2) layout instead
-    took 3.3x as long (6.7 against 2.0 ms).
+    its full width, as first compacting it to the columns E touches cost
+    more than it saved. Blocks run over table rows and not over nonzeros: a
+    block of nonzeros reads columns spread over the whole table, so every
+    block streams all of it again. Gathering rows of an (nnz, f^2) layout
+    instead was slower too (ROADMAP, "Not worth repeating", has the timings).
   - past reconstructions R(F_k), given as their factor triples (FactorStack).
     R(F_k)_m H_m^T = G_m^k (H_m^k H_m^T), and H_m^k H_m^T comes from
     cross-Grams of the factors in O((I+J+N) f^4 + f^6) per term;

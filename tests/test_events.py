@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtensor import events, tensor_ops
+from evtensor import events, solver, tensor_ops
 from evtensor.denoise import DenoiseReport, write_report_csv
 from evtensor.errors import EmptyStreamError, EventParseError, GeometryError
 from evtensor.events import (
@@ -389,7 +390,7 @@ def test_write_events_csv_bytes_equal_the_row_writer(labels):
 
 def rows_text(columns, sep=","):
     buf = io.StringIO()
-    write_rows(buf, columns, sep)
+    write_rows(buf, "", columns, sep)
     return buf.getvalue()
 
 
@@ -536,6 +537,32 @@ def test_write_report_csv_is_one_format_rows_at_block_boundaries(monkeypatch, la
         assert cell in buf.getvalue()
 
 
+def test_each_data_table_is_one_row_writer_pass_per_file(monkeypatch, tmp_path):
+    # the event CSV, the denoise report, the trace (also one with a header
+    # and no rows) and the checkpoint each open their file once and cut
+    # their rows into blocks once
+    calls = spy_row_blocks(monkeypatch, events)
+    stream = davis_like_stream(5)
+    record = solver.TraceRecord(s=0, f=1, objective=0.5, rel_change=1.0)
+    factors = oracles.random_factors(np.random.default_rng(0), (4, 3, 2), 2)
+    writes = {
+        "events": (lambda p: write_events_csv(stream, p), 5),
+        "report": (lambda p: write_report_csv(stream, report_for(stream), p), 5),
+        "trace": (lambda p: solver.write_trace_csv(SimpleNamespace(trace=[record] * 3), p,
+                                                   metadata={"seed": 0}), 3),
+        "empty_trace": (lambda p: solver.write_trace_csv(SimpleNamespace(trace=[]), p), 0),
+        "checkpoint": (lambda p: solver.save_checkpoint(factors, p), 4 + 3 + 2),
+    }
+    for name, (write, rows) in writes.items():
+        del calls[:]
+        with mock.patch("builtins.open", wraps=open) as opened:
+            write(tmp_path / name)
+        assert opened.call_count == 1, name
+        assert len(calls) == 1 and sum(len(range(rows)[b]) for b in calls[0][1]) == rows, name
+    text = (tmp_path / "empty_trace").read_text()
+    assert text == "s,f,objective,rel_change\n"
+
+
 def peak_bytes(call) -> int:
     tracemalloc.start()
     try:
@@ -605,6 +632,63 @@ def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry
     # one row, and a wrong entry count failed on tuple unpacking
     with pytest.raises(ValueError, match=r"^geometry must "):
         EventStream(i=[0], j=[0], t=[0], geometry=geometry)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("i", [1.7, 2.2]), ("j", [0.0, 1.0]), ("t", [5.9, 3.1]), ("labels", [0.5, -1.0]),
+    ("i", [True, False]), ("labels", [True, False]), ("t", ["5", "3"]),
+], ids=["i-float", "j-float", "t-float", "labels-float", "i-bool", "labels-bool", "t-str"])
+def test_an_event_array_that_is_not_integer_is_refused_by_name(name, value):
+    # the cast to int64 truncated these: i = [1.7, 2.2] became [1, 2], and
+    # t = [5.9, 3.1] sorted as [3, 5]
+    fields = dict(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4), labels=[0, -1])
+    with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+        EventStream(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("name,value", [("t_min", 2.5), ("t_max", 9.0), ("t_max", np.float64(9)),
+                                        ("t_min", True)],
+                         ids=["t_min-fractional", "t_max-float", "t_max-np-float", "t_min-bool"])
+def test_a_window_bound_that_is_not_an_integer_is_refused_by_name(name, value):
+    # a t_min of 2.5 became 2, and True became 1
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        EventStream(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4), **{name: value})
+
+
+@pytest.mark.parametrize("values", [[], np.array([], dtype=np.float64)], ids=["list", "float64"])
+def test_an_empty_stream_is_refused_as_empty_whatever_its_dtype(values):
+    with pytest.raises(EmptyStreamError):
+        EventStream(i=values, j=values, t=values, geometry=(4, 4), labels=values)
+
+
+@pytest.mark.parametrize("name,value", [("cells", [0.9, 3.2]), ("cells", [False, True]),
+                                        ("bin_edges", [0, 1.5, 2.7]), ("bin_edges", [0.0, 1.0, 2.0])],
+                         ids=["cells-float", "cells-bool", "edges-fractional", "edges-float"])
+def test_a_tensor_array_that_is_not_integer_is_refused_by_name(name, value):
+    # cells [0.9, 3.2] became [0, 3], and edges [0, 1.5, 2.7] became [0, 1, 2]
+    fields = dict(cells=[0, 3], dims=(2, 2, 2), bin_edges=[0, 1, 2])
+    with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+        EventTensor(**{**fields, name: value})
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2.5), (2, True, 2), (2, 2)],
+                         ids=["fractional", "bool", "two-entry"])
+def test_tensor_dims_that_are_not_three_integers_are_refused_by_name(dims):
+    # (2, 2, 2.5) became (2, 2, 2)
+    with pytest.raises(ValueError, match="^dims must "):
+        EventTensor(cells=[0], dims=dims, bin_edges=[0, 1, 2])
+
+
+@pytest.mark.parametrize("n_bins", [2.5, 2.0, True, np.float64(2)],
+                         ids=["fractional", "float", "bool", "np-float"])
+def test_a_segment_count_that_is_not_an_integer_is_refused_by_name(n_bins):
+    # 2.5 failed on the cells with a message that did not name the count,
+    # and True binned into one frame
+    stream = EventStream(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4))
+    with pytest.raises(ValueError, match="^segment count must be a positive integer"):
+        compute_bin_edges(0, 100, n_bins)
+    with pytest.raises(ValueError, match="^segment count must be a positive integer"):
+        bin_to_tensor(stream, n_bins)
 
 
 @pytest.mark.parametrize("geometry", [(0, 3), (3, 0), (-2, 3)])

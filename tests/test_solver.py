@@ -699,15 +699,19 @@ def _block_rows(row_bytes):
 
 
 def test_checkpoint_is_savetxt_at_block_boundaries(monkeypatch):
-    # each factor's rows are written a block at a time; the text is
-    # np.savetxt's, exact zeros, negative zeros and values outside the
-    # exact window (written by Python's %) included
+    # the three matricized factors are one (I+J+N)-row table, written a
+    # block at a time; block ends fall on and next to the g_i/g_j join (at
+    # row I) and the g_j/g_n join (at row I+J). The text is np.savetxt's,
+    # exact zeros, negative zeros and values outside the exact window
+    # (written by Python's %) included
     calls = _spy_row_blocks(monkeypatch)
     rng = np.random.default_rng(23)
     save_checkpoint(random_factors(rng, (2, 2, 2), 2), io.StringIO())
     block = _block_rows(calls[-1][0])
-    for rows in (block - 1, block, block + 1, 2 * block + 1):
-        factors = random_factors(rng, (rows, 3, 2), 2)
+    for dims in ((block - 1, 3, 2), (block, 3, 2), (block + 1, 3, 2),
+                 (2, block - 3, 2), (2, block - 2, 2), (2, block - 1, 2),
+                 (block + 1, block - 1, 3), (block - 1, 2, block + 1)):
+        factors = random_factors(rng, dims, 2)
         for g in (factors.g_i, factors.g_j, factors.g_n):
             flat = g.reshape(-1)
             flat[::5] = 0.0
@@ -715,10 +719,13 @@ def test_checkpoint_is_savetxt_at_block_boundaries(monkeypatch):
             flat[2::11] *= 1e-9
             flat[3::13] *= 1e20
         fast, slow = io.StringIO(), io.StringIO()
+        before = len(calls)
         save_checkpoint(factors, fast)
         oracles.save_checkpoint_savetxt(factors, slow)
-        assert fast.getvalue() == slow.getvalue(), rows
-        assert [len(b) for _, b in calls[-3:]] == [-(-rows // block), 1, 1], rows
+        assert fast.getvalue() == slow.getvalue(), dims
+        assert len(calls) == before + 1, dims
+        blocks = calls[-1][1]
+        assert blocks[-1].stop == sum(dims) and len(blocks) == -(-sum(dims) // block), dims
 
 
 def test_trace_csv_is_the_percent_rows_at_block_boundaries(monkeypatch):
