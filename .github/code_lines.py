@@ -12,15 +12,21 @@ import pathlib
 import sys
 
 
-def code_lines(source: str) -> int:
-    lines = source.splitlines()
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """The lines of each module, class and function docstring in `tree`."""
     prose = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 prose.update(range(first.lineno, first.end_lineno + 1))
+    return prose
+
+
+def code_lines(source: str) -> int:
+    lines = source.splitlines()
+    prose = docstring_lines(ast.parse(source))
     return sum(1 for k, line in enumerate(lines, start=1)
                if k not in prose and line.strip() and not line.strip().startswith("#"))
 

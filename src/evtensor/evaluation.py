@@ -113,9 +113,6 @@ class FeatureMatrix:
     n_frames: int
     is_train: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def extract_features(stream: EventStream, tensor: EventTensor,
                      factors: FactorTriple) -> FeatureMatrix:

@@ -92,11 +92,16 @@ def open_text(path_or_fh, mode: str = "r"):
 
 
 def _int_array(name: str, values) -> np.ndarray:
-    """`values` as int64; a non-empty array of a kind other than signed or
-    unsigned integer (bool too), which the cast would truncate, is refused."""
+    """`values` as int64. A non-empty array of a kind other than signed or
+    unsigned integer (bool too), which the cast would truncate, is refused;
+    so is an unsigned one holding a value above int64's largest, which the
+    cast would wrap to a negative one. Unsigned values that fit are taken as
+    their int64 equals."""
     values = np.asarray(values)
     if values.size and values.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got {values.dtype} values")
+    if values.dtype.kind == "u" and values.size and int(values.max()) > _INT64.max:
+        raise ValueError(f"{name} must hold values up to {_INT64.max}, got {int(values.max())}")
     return values.astype(np.int64, copy=False)
 
 

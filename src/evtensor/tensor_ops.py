@@ -22,9 +22,14 @@ feature extraction depend on them being mutually consistent:
     first-listed index fastest: (x,y) -> y*f + x for mode i, (x,z) -> z*f + x
     for mode j, (y,z) -> z*f + y for mode n.
 
-    Two per-mode tables state the rest, so no function branches on the mode:
-    _LAYOUT, that flattening as one transpose to (data, slow latent, fast
-    latent), and PAIRS, the other two factors with their data and shared axes.
+    Two per-mode tables state the rest: _LAYOUT, that flattening as one
+    transpose to (data, slow latent, fast latent), and PAIRS, the other two
+    factors with their data and shared axes. No function branches on the
+    mode but CooPlan.of, whose arm per mode made the DAVIS plans faster than
+    one stride formula (ROADMAP, "Not worth repeating"). The entry points,
+    FactorTriple.factor and CooPlan.of, refuse an unknown mode by name; the
+    other functions trust that theirs come from MODES, and an unknown one
+    fails at its first table lookup.
 
 With H_m the f^2 x (product of the other two dims) partial contraction of the
 two factors other than g_m, summed over their shared latent index, and R the
@@ -147,20 +152,12 @@ _BATCHED = {mode: (0, *(1 + a for a in axes)) for mode, axes in _LAYOUT.items()}
 
 def matricize_factor(g: np.ndarray, mode: str) -> np.ndarray:
     """Flatten a factor's two latent axes into columns (first-listed index fastest)."""
-    if g.ndim != 3:
-        raise ShapeError("factor must be a 3rd-order array")
-    if mode not in _LAYOUT:
-        raise ValueError(f"unknown mode {mode!r}")
     m = g.transpose(_LAYOUT[mode])
     return m.reshape(m.shape[0], m.shape[1] * m.shape[2])
 
 
 def unmatricize_factor(m: np.ndarray, mode: str, f: int) -> np.ndarray:
     """Inverse of :func:`matricize_factor`."""
-    if m.ndim != 2 or m.shape[1] != f * f:
-        raise ShapeError(f"expected a (*, {f * f}) matrix, got {m.shape}")
-    if mode not in _INVERSE:
-        raise ValueError(f"unknown mode {mode!r}")
     return np.ascontiguousarray(m.reshape(len(m), f, f).transpose(_INVERSE[mode]))
 
 
@@ -207,8 +204,6 @@ def pair_gram(factors: FactorTriple | FactorStack, mode: str,
     sum_{z,z'} Gram(g_j)[x,z,x',z'] Gram(g_n)[y,z,y',z']. With `other`, the
     cross-Gram H_m H_m(other)^T from each factor's Gram against other's;
     `factors` may then be a FactorStack of K triples, giving (K, f^2, f^2)."""
-    if mode not in PAIRS:
-        raise ValueError(f"unknown mode {mode!r}")
     if other is not None and other.rank != factors.rank:
         raise ShapeError(f"rank {factors.rank} differs from the other factors' {other.rank}")
     a, b = (_latent_gram(getattr(factors, name), data, shared,
@@ -325,8 +320,6 @@ def pair_table(factors: FactorTriple, mode: str) -> np.ndarray:
     mode n). O(f^3) per column, written in this layout directly from the
     blocks of _table_blocks, so no transient is larger than BLOCK_BYTES or
     two of its rows."""
-    if mode not in PAIRS:
-        raise ValueError(f"unknown mode {mode!r}")
     out = np.empty((factors.rank ** 2, np.prod(factors.dims) // factors.dims[MODES.index(mode)]))
     for rows, block in _table_blocks(factors, mode):
         out[rows] = block

@@ -34,7 +34,7 @@ from evtensor.events import (
     write_tensor_dump,
 )
 from evtensor.solver import SolverConfig, load_checkpoint, save_checkpoint, solve, write_trace_csv
-from evtensor.synth import load_scene_spec
+from evtensor.synth import generate, load_scene_spec, scene_spec_to_ini
 
 from oracles import REF_SCENE, load_model, random_factors, read_tensor_dump
 
@@ -564,6 +564,46 @@ def test_geometry_must_be_two_positive_integers(capsys, geometry):
     err = capsys.readouterr().err
     assert "argument --geometry: geometry must be two positive integers, rows x cols" in err
     assert cli._parse_geometry("260x346") == (260, 346)
+
+
+@pytest.mark.parametrize("grid", ["0,a", "x", "0.1;0.2"])
+def test_a_grid_that_is_not_numbers_exits_2_naming_it(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--events", "e", "--geometry", "3x2", "--frames", "4",
+                  "--lambda1-grid", "0.1", f"--lambda2-grid={grid}", "--out", "o"])
+    assert exc.value.code == 2
+    assert (f"argument --lambda2-grid: grid must be comma-separated numbers, got {grid!r}"
+            in capsys.readouterr().err)
+
+
+def test_gen_seed_overrides_the_scene_seed(tmp_path):
+    spec = load_scene_spec(REF_SCENE)
+    seeded = dataclasses.replace(spec, seed=spec.seed + 5)
+    out, own = tmp_path / "seeded.csv", tmp_path / "own.csv"
+    assert cli.main(["gen", "--spec", str(REF_SCENE), "--out", str(out),
+                     "--seed", str(seeded.seed)]) == 0
+    assert cli.main(["gen", "--spec", str(REF_SCENE), "--out", str(own)]) == 0
+    expected = io.StringIO()
+    write_events_csv(generate(seeded), expected)
+    assert out.read_text(encoding="utf-8") == expected.getvalue()
+    assert out.read_bytes() != own.read_bytes()
+    assert out.with_suffix(".scene.cfg").read_text(encoding="utf-8") == scene_spec_to_ini(seeded)
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, as under ``evtensor bin ... | head -0``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_pipe_exits_0(tmp_path, monkeypatch, caplog):
+    events, out = str(tmp_path / "events.csv"), tmp_path / "tensor.txt"
+    write_events_csv(STREAM, events)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(["bin", "--events", events, "--geometry", "3x2", "--frames", "4",
+                     "--out", str(out)]) == 0
+    assert out.exists() and not caplog.records
 
 
 def test_the_project_script_is_the_cli_main():

@@ -76,6 +76,19 @@ def test_score_dim_mismatch():
         score_events(stream, tensor, wrong)
 
 
+@pytest.mark.parametrize("t, geometry, error, message", [
+    ([50, 450], (4, 4), ValueError, "timestamp outside the binned range"),
+    ([0, 400], (6, 6), ConsistencyError, "event coordinates exceed factor dimensions"),
+], ids=["later-timestamp", "larger-sensor"])
+def test_score_events_refuses_a_stream_the_tensor_was_not_binned_from(t, geometry, error, message):
+    # the tensor and the factors' dims are those of another stream: [0, 400] on a 4 x 4 sensor
+    tensor = bin_to_tensor(EventStream(i=[0, 3], j=[0, 3], t=[0, 400], geometry=(4, 4)), 4)
+    factors = random_factors(np.random.default_rng(0), tensor.dims, 1)
+    stream = EventStream(i=[0, geometry[0] - 1], j=[0, 1], t=t, geometry=geometry)
+    with pytest.raises(error, match=f"^{message}$"):
+        score_events(stream, tensor, factors)
+
+
 def test_filter_minus_infinity_keeps_everything():
     stream, tensor, factors = small_setup()
     labeled = EventStream(i=stream.i, j=stream.j, t=stream.t,

@@ -254,6 +254,11 @@ def test_binary_task_objects_needs_exactly_two_classes():
         binary_task(np.array([0, 0, -1]), "objects")
 
 
+def test_binary_task_refuses_an_unknown_task():
+    with pytest.raises(ValueError, match="^unknown task 'objects2'$"):
+        binary_task(np.array([0, 1, -1]), "objects2")
+
+
 # ---------------------------------------------------------------------------
 # SVM
 
@@ -750,6 +755,12 @@ def test_sweep_internal_consistency():
     assert len(result.axis_gaps("lambda2")) == 2
 
 
+def test_axis_gaps_refuses_an_unknown_axis():
+    result = SweepResult([SweepCell(0.1, 0.1, 0.8, True, 3, 0.0)])
+    with pytest.raises(ValueError, match="^unknown axis 'lambda3'$"):
+        result.axis_gaps("lambda3")
+
+
 def test_sweep_records_cell_failures_without_aborting(monkeypatch):
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)
@@ -862,3 +873,5 @@ def test_auc_gap_edge_cases():
     assert auc_gap([0.5]) == 0.0
     assert auc_gap([0.8, 0.6]) == pytest.approx(25.0)
     assert np.isnan(auc_gap([float("nan")]))
+    # no AUC above 0 leaves no ratio to take: the gap is 0, not a division by 0
+    assert auc_gap([0.0, 0.0]) == 0.0

@@ -212,6 +212,14 @@ def test_parse_rejects_a_duplicate_column(header, column):
     assert str(err.value) == f"line 1: duplicate column {column!r}"
 
 
+@pytest.mark.parametrize("header, column", [("i,j", "t"), ("t,j,label", "i"), ("t,i", "j")])
+def test_parse_names_a_missing_required_column(header, column):
+    with pytest.raises(EventParseError) as err:
+        parse_events(io.StringIO(f"{header}\n5,1\n"), DAVIS)
+    assert err.value.line_no == 1
+    assert str(err.value) == f"line 1: missing required column {column!r}"
+
+
 @pytest.mark.parametrize("text", ["t,i,j\n", "t,i,j", "t,i,j\n\n\n", "t,i,j\n  \n"])
 def test_parse_header_only_raises_without_warning(text):
     with warnings.catch_warnings():
@@ -625,6 +633,19 @@ def test_declared_range_must_cover_events():
         EventStream(i=[2], j=[3], t=[50], geometry=(5, 5), t_min=60, t_max=100)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("labels", [0], "labels must align with events"),
+    ("labels", [0, -1, 1], "labels must align with events"),
+    ("i", [1], "i, j, t arrays must have equal length"),
+    ("j", [0, 1, 2], "i, j, t arrays must have equal length"),
+    ("t", [5], "i, j, t arrays must have equal length"),
+], ids=["labels-short", "labels-long", "i-short", "j-long", "t-short"])
+def test_event_arrays_of_unequal_length_are_refused(name, value, message):
+    fields = dict(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EventStream(**{**fields, name: value})
+
+
 @pytest.mark.parametrize("geometry", [(2.5, 3), (True, 3), (3,), (3, 3, 1)],
                          ids=["fractional", "bool", "one-entry", "three-entry"])
 def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry):
@@ -661,6 +682,31 @@ def test_an_empty_stream_is_refused_as_empty_whatever_its_dtype(values):
         EventStream(i=values, j=values, t=values, geometry=(4, 4), labels=values)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("i", [1, 2 ** 63]), ("j", [2 ** 64 - 1, 1]), ("t", [5, 2 ** 63]), ("labels", [2 ** 64 - 1, 0]),
+], ids=["i", "j", "t", "labels"])
+def test_an_unsigned_event_array_beyond_int64_is_refused_by_name(name, value):
+    # the cast to int64 wrapped these: labels [2**64 - 1, 0] became [-1, 0],
+    # the noise label, and t = 2**63 was refused only as a negative timestamp
+    fields = dict(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4), labels=[0, -1])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must hold values up to {2 ** 63 - 1}, got {max(value)}")):
+        EventStream(**{**fields, name: np.array(value, dtype=np.uint64)})
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+def test_unsigned_arrays_that_fit_int64_are_taken_as_their_int64_values(dtype):
+    top = min(int(np.iinfo(dtype).max), 2 ** 63 - 1)  # the largest value each dtype fits
+    fields = dict(i=[1, 2], j=[0, 1], t=[5, top], labels=[0, 3])
+    stream = EventStream(**{k: np.array(v, dtype=dtype) for k, v in fields.items()},
+                         geometry=(4, 4))
+    tensor = EventTensor(cells=np.array([0, 3], dtype=dtype), dims=(2, 2, 2),
+                         bin_edges=np.array([0, 1, top], dtype=dtype))
+    for name, value in [*fields.items(), ("cells", [0, 3]), ("bin_edges", [0, 1, top])]:
+        got = getattr(tensor if name in ("cells", "bin_edges") else stream, name)
+        assert got.dtype == np.int64 and got.tolist() == value, name
+
+
 @pytest.mark.parametrize("name,value", [("cells", [0.9, 3.2]), ("cells", [False, True]),
                                         ("bin_edges", [0, 1.5, 2.7]), ("bin_edges", [0.0, 1.0, 2.0])],
                          ids=["cells-float", "cells-bool", "edges-fractional", "edges-float"])
@@ -671,12 +717,34 @@ def test_a_tensor_array_that_is_not_integer_is_refused_by_name(name, value):
         EventTensor(**{**fields, name: value})
 
 
+@pytest.mark.parametrize("name,value", [("cells", [0, 2 ** 63 + 1]), ("bin_edges", [0, 1, 2 ** 63])],
+                         ids=["cells", "bin_edges"])
+def test_an_unsigned_tensor_array_beyond_int64_is_refused_by_name(name, value):
+    # the cast wrapped these too: the cells were refused as not ascending,
+    # and the edges as not strictly increasing
+    fields = dict(cells=[0, 3], dims=(2, 2, 2), bin_edges=[0, 1, 2])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must hold values up to {2 ** 63 - 1}, got {max(value)}")):
+        EventTensor(**{**fields, name: np.array(value, dtype=np.uint64)})
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2.5), (2, True, 2), (2, 2)],
                          ids=["fractional", "bool", "two-entry"])
 def test_tensor_dims_that_are_not_three_integers_are_refused_by_name(dims):
     # (2, 2, 2.5) became (2, 2, 2)
     with pytest.raises(ValueError, match="^dims must "):
         EventTensor(cells=[0], dims=dims, bin_edges=[0, 1, 2])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([0, 1], "bin_edges must have N+1 entries"),
+    ([0, 1, 2, 3], "bin_edges must have N+1 entries"),
+    ([0, 2, 2], "bin_edges must be strictly increasing"),
+    ([0, 3, 2], "bin_edges must be strictly increasing"),
+], ids=["short", "long", "repeated", "descending"])
+def test_bin_edges_that_do_not_cut_n_frames_are_refused(edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EventTensor(cells=[0], dims=(2, 2, 2), bin_edges=edges)
 
 
 @pytest.mark.parametrize("n_bins", [2.5, 2.0, True, np.float64(2)],

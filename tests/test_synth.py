@@ -69,6 +69,35 @@ def test_zero_probability_scene_raises_on_empty_output():
         generate(spec)
 
 
+@pytest.mark.parametrize("changes, message", [
+    (dict(n_frames=5, duration_us=4), "duration too short for the frame count"),
+    (dict(noise_per_frame=-0.5), "noise rate must be >= 0"),
+], ids=["short-duration", "negative-noise"])
+def test_a_scene_duration_or_noise_out_of_range_is_refused(changes, message):
+    fields = dict(geometry=(8, 8), n_frames=5, duration_us=5000, objects=(static_object(),))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SceneSpec(**{**fields, **changes})
+
+
+def test_an_object_wholly_off_the_sensor_draws_nothing_in_that_frame(caplog):
+    # at the frames' midpoints the object sits at column 6, then 16, 26 and
+    # 36 of an 8-column sensor: only frame 0 fires. The noise that follows
+    # in each frame's draws matches the event loop oracle's, which makes no
+    # draw for an object with no pixel on the sensor
+    spec = SceneSpec(geometry=(8, 8), n_frames=4, duration_us=4000, seed=4, noise_per_frame=3.0,
+                     objects=(ObjectSpec(kind="linear", start=(1.0, 1.0), velocity=(0.0, 10.0),
+                                         footprint=0, prob=1.0),))
+    with caplog.at_level("WARNING", logger="evtensor.synth"):
+        stream = generate(spec)
+    assert "object 0 footprint leaves the sensor at frame 1; clipping" in caplog.text
+    obj = stream.labels == 0
+    assert (stream.i[obj].tolist(), stream.j[obj].tolist()) == ([1], [6])
+    assert 0 <= stream.t[obj][0] < 1000 and (stream.t[~obj] >= 1000).any()
+    expected = generate_loop(spec)
+    for name in ("t", "i", "j", "labels"):
+        np.testing.assert_array_equal(getattr(stream, name), getattr(expected, name))
+
+
 def test_generation_is_byte_deterministic():
     spec = replace(load_scene_spec(REF_SCENE), seed=9)
     a, b = io.StringIO(), io.StringIO()

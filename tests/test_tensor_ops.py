@@ -102,6 +102,22 @@ def test_factor_rank_mismatch_raises():
         )
 
 
+@pytest.mark.parametrize("shapes, message", [
+    (((3, 2), (2, 4, 2), (2, 2, 5)), "factors must be 3rd-order arrays"),
+    (((3, 2, 2), (2, 4, 2), (2, 2, 5, 1)), "factors must be 3rd-order arrays"),
+    (((3, 0, 0), (0, 4, 0), (0, 0, 5)), "latent rank must be >= 1"),
+], ids=["2d-g_i", "4d-g_n", "rank-0"])
+def test_factors_not_3rd_order_or_of_rank_0_are_refused(shapes, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        FactorTriple(*(np.ones(shape) for shape in shapes))
+
+
+def test_a_factor_of_an_unknown_mode_is_refused_by_name():
+    factors = random_factors(np.random.default_rng(0), (3, 4, 5), 2)
+    with pytest.raises(ValueError, match="^unknown mode 'k'$"):
+        factors.factor("k")
+
+
 def test_nonfinite_factor_rejected():
     g = np.zeros((2, 1, 1))
     bad = g.copy()
