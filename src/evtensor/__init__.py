@@ -12,7 +12,6 @@ from .denoise import DenoiseReport, filter_events, quantile_threshold, score_eve
 from .evaluation import (
     FeatureMatrix,
     SvmModel,
-    SweepResult,
     auc,
     auc_gap,
     extract_features,
@@ -36,7 +35,7 @@ from .solver import (
     save_checkpoint,
     solve,
 )
-from .synth import ObjectSpec, SceneSpec, describe, generate, load_scene_spec
+from .synth import ObjectSpec, SceneSpec, generate, load_scene_spec
 from .tensor_ops import FactorTriple, f3tn_contract, frob_norm
 
 __all__ = [
@@ -51,11 +50,9 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SvmModel",
-    "SweepResult",
     "auc",
     "auc_gap",
     "bin_to_tensor",
-    "describe",
     "extract_features",
     "f3tn_contract",
     "filter_events",

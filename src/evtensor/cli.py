@@ -40,6 +40,7 @@ from .evaluation import (
     TASK_NOISE,
     TASK_OBJECTS,
     TRAIN_FRACTION,
+    auc_gap,
     classify_factors,
     save_model,
     sweep_lambdas,
@@ -189,11 +190,11 @@ def cmd_sweep(args) -> None:
     stream = parse_events(args.events, args.geometry)
     tensor = bin_to_tensor(stream, args.frames)
     grid = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
-    result = sweep_lambdas(tensor, stream, grid, _solver_config(args), task=args.task)
-    write_results_csv(result, args.out)
+    cells = sweep_lambdas(tensor, stream, grid, _solver_config(args), task=args.task)
+    write_results_csv(cells, args.out)
     _echo_config(args, args.out)
-    print(f"cells: {len(result.cells)}")
-    print(f"overall gap: {result.overall_gap():.4f}%")
+    print(f"cells: {len(cells)}")
+    print(f"overall gap: {auc_gap(c.auc for c in cells):.4f}%")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ShapeError
 from .events import NOISE_LABEL, EventStream, EventTensor, event_frames, write_rows
 from .tensor_ops import FactorTriple, cell_values
 
@@ -73,7 +73,7 @@ def filter_events(stream: EventStream, scores: np.ndarray,
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != stream.t.shape:
-        raise ConsistencyError("scores are not aligned with the event stream")
+        raise ShapeError("scores are not aligned with the event stream")
     kept = scores >= threshold
     report = DenoiseReport(threshold=float(threshold), scores=scores, kept=kept)
 
@@ -124,9 +124,9 @@ def write_report_csv(stream: EventStream, report: DenoiseReport, path_or_fh) -> 
     """Per-event report rows: t,i,j[,label],score,kept, the score as
     ``%.17g`` and the rest as ``%d``, written by :func:`events.write_rows`.
     A report whose scores or kept mask do not align with the stream raises
-    ConsistencyError before anything is written."""
+    ShapeError before anything is written."""
     if len(report.scores) != len(stream) or len(report.kept) != len(stream):
-        raise ConsistencyError("the report is not aligned with the event stream")
+        raise ShapeError("the report is not aligned with the event stream")
     labels = (stream.labels,) if stream.has_labels else ()
     write_rows(path_or_fh, "t,i,j,label,score,kept\n" if labels else "t,i,j,score,kept\n",
                (stream.t, stream.i, stream.j, *labels,

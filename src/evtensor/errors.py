@@ -22,7 +22,9 @@ class EmptyStreamError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Tensor/factor dimensions are inconsistent."""
+    """Paired arrays do not agree: factors with each other or with a tensor,
+    event coordinates with factor dims, features with targets or a model,
+    scores or a report with their event stream."""
 
 
 class NumericalError(RuntimeError):
@@ -35,10 +37,6 @@ class NumericalError(RuntimeError):
 
 class ProtocolError(ValueError):
     """The evaluation protocol cannot proceed (empty split, single class, missing labels)."""
-
-
-class ConsistencyError(ValueError):
-    """Event coordinates do not match the factor/tensor dimensions they are paired with."""
 
 
 def is_integer(value) -> bool:

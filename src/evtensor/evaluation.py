@@ -74,8 +74,7 @@ class GatheredFeatures:
     is the concatenation of ``tables[k][rows[k][m]]`` over k.
 
     Indexing by a bool mask, an int array or a slice selects events and
-    returns another `GatheredFeatures`; an int returns that event's dense
-    row. ``np.asarray`` builds the dense matrix.
+    returns another `GatheredFeatures`.
     """
 
     def __init__(self, tables, rows):
@@ -90,15 +89,7 @@ class GatheredFeatures:
         return len(self), sum(t.shape[1] for t in self.tables)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return np.concatenate([t[r[key]] for t, r in zip(self.tables, self.rows)])
         return GatheredFeatures(self.tables, [r[key] for r in self.rows])
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("gathered features have no dense array to view")
-        dense = np.hstack([t[r] for t, r in zip(self.tables, self.rows)])
-        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 @dataclass
@@ -378,32 +369,8 @@ class SweepCell:
     error: str | None = None
 
 
-@dataclass
-class SweepResult:
-    cells: list[SweepCell]
-
-    def aucs(self) -> list[float]:
-        return [c.auc for c in self.cells]
-
-    def overall_gap(self) -> float:
-        return auc_gap(self.aucs())
-
-    def axis_gaps(self, axis: str) -> list[tuple[float, float]]:
-        """Gap per grid line along `axis` ('lambda1' varies lambda1 holding
-        lambda2 fixed, and vice versa). Returns (held value, gap) pairs."""
-        if axis not in ("lambda1", "lambda2"):
-            raise ValueError(f"unknown axis {axis!r}")
-        held = "lambda2" if axis == "lambda1" else "lambda1"
-        out = []
-        for value in sorted({getattr(c, held) for c in self.cells}):
-            line = [c.auc for c in self.cells if getattr(c, held) == value]
-            if len(line) > 1:
-                out.append((value, auc_gap(line)))
-        return out
-
-
 def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
-                  base_cfg: SolverConfig, task: str = TASK_OBJECTS) -> SweepResult:
+                  base_cfg: SolverConfig, task: str = TASK_OBJECTS) -> list[SweepCell]:
     """Run the full pipeline per (lambda1, lambda2) grid point, seeded
     identically. Each point makes one SweepCell; one whose solve or classify
     raised reads auc nan, not converged, 0 iters and the error's text, and the
@@ -429,20 +396,25 @@ def sweep_lambdas(tensor: EventTensor, stream: EventStream, grid,
             error = str(exc)
         cells.append(SweepCell(cfg.lambda1, cfg.lambda2, auc=value, converged=converged,
                                iters=iters, seconds=time.perf_counter() - start, error=error))
-    return SweepResult(cells=cells)
+    return cells
 
 
-def write_results_csv(result: SweepResult, path_or_fh) -> None:
-    """Results CSV: one row per grid cell plus gap summary comment lines."""
+def write_results_csv(cells: list[SweepCell], path_or_fh) -> None:
+    """Results CSV: one row per grid cell, then comment lines with the AUC gap
+    over all cells and over each grid line of more than one cell, lambda1
+    varying at each lambda2, then lambda2 varying at each lambda1."""
     with open_text(path_or_fh, "w") as fh:
         fh.write("lambda1,lambda2,auc,converged,iters,seconds\n")
-        for c in result.cells:
+        for c in cells:
             fh.write("%.17g,%.17g,%.17g,%s,%d,%.3f\n"
                      % (c.lambda1, c.lambda2, c.auc, str(c.converged).lower(), c.iters, c.seconds))
-        fh.write("# overall_gap_percent: %.6g\n" % result.overall_gap())
+        fh.write("# overall_gap_percent: %.6g\n" % auc_gap(c.auc for c in cells))
         for axis, held in (("lambda1", "lambda2"), ("lambda2", "lambda1")):
-            for value, gap in result.axis_gaps(axis):
-                fh.write("# gap_percent_varying_%s[%s=%.17g]: %.6g\n" % (axis, held, value, gap))
+            for value in sorted({getattr(c, held) for c in cells}):
+                line = [c.auc for c in cells if getattr(c, held) == value]
+                if len(line) > 1:
+                    fh.write("# gap_percent_varying_%s[%s=%.17g]: %.6g\n"
+                             % (axis, held, value, auc_gap(line)))
 
 
 def save_model(model: SvmModel, path_or_fh) -> None:

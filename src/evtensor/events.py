@@ -62,8 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConsistencyError, EmptyStreamError, EventParseError, GeometryError,
-                     check_fields, is_integer)
+from .errors import (EmptyStreamError, EventParseError, GeometryError, ShapeError, check_fields,
+                     is_integer)
 from .tensor_ops import CooPlan, row_blocks
 
 NOISE_LABEL = -1
@@ -96,13 +96,21 @@ def _int_array(name: str, values) -> np.ndarray:
     unsigned integer (bool too), which the cast would truncate, is refused;
     so is an unsigned one holding a value above int64's largest, which the
     cast would wrap to a negative one. Unsigned values that fit are taken as
-    their int64 equals."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers, got {values.dtype} values")
-    if values.dtype.kind == "u" and values.size and int(values.max()) > _INT64.max:
-        raise ValueError(f"{name} must hold values up to {_INT64.max}, got {int(values.max())}")
-    return values.astype(np.int64, copy=False)
+    their int64 equals. A list of integers that numpy stores as float or
+    object values, one of them being outside int64, is refused naming it."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        items = [] if isinstance(values, np.ndarray) else (
+            np.asarray(values, dtype=object).ravel().tolist())
+        if items and all(map(is_integer, items)):
+            if max(items) > _INT64.max:
+                raise ValueError(f"{name} must hold values up to {_INT64.max}, got {max(items)}")
+            if min(items) < _INT64.min:
+                raise ValueError(f"{name} must hold values down to {_INT64.min}, got {min(items)}")
+        raise ValueError(f"{name} must hold integers, got {array.dtype} values")
+    if array.dtype.kind == "u" and array.size and int(array.max()) > _INT64.max:
+        raise ValueError(f"{name} must hold values up to {_INT64.max}, got {int(array.max())}")
+    return array.astype(np.int64, copy=False)
 
 
 def _header_ints(fh, names: str) -> list[int]:
@@ -520,10 +528,10 @@ def event_frames(stream: EventStream, tensor: EventTensor, dims) -> np.ndarray:
     """Bin index of each event, after checking that the tensor and every event
     coordinate fit factors of the given (I, J, N) dims."""
     if tensor.dims != dims:
-        raise ConsistencyError(f"factor dims {dims} disagree with tensor dims {tensor.dims}")
+        raise ShapeError(f"factor dims {dims} disagree with tensor dims {tensor.dims}")
     frames = bin_indices(stream.t, tensor.bin_edges)
     if stream.i.max() >= dims[0] or stream.j.max() >= dims[1]:
-        raise ConsistencyError("event coordinates exceed factor dimensions")
+        raise ShapeError("event coordinates exceed factor dimensions")
     return frames
 
 

@@ -164,35 +164,6 @@ def generate(spec: SceneSpec) -> EventStream:
     )
 
 
-@dataclass(frozen=True)
-class SceneSummary:
-    expected_events: float
-    expected_density: float
-
-
-def describe(spec: SceneSpec) -> SceneSummary:
-    """Closed-form expectations: total emitted events, and the expected
-    fraction of distinct (i, j, frame) cells activated (duplicates collapse
-    under binarization, so density is below the raw event rate). A frame's
-    `miss` holds each pixel's product of 1 - prob over the objects covering it;
-    the frame adds n_pix - sum(miss) * (1 - p_noise) expected active cells."""
-    n_pix = spec.geometry[0] * spec.geometry[1]
-    # probability a given pixel sees >= 1 noise event in one frame
-    p_noise = 1.0 - math.exp(-spec.noise_per_frame / n_pix)
-
-    expected_events = spec.noise_per_frame * spec.n_frames
-    expected_active = 0.0
-    for n in range(spec.n_frames):
-        miss = np.ones(spec.geometry)
-        for obj in spec.objects:
-            pix_i, pix_j, _ = _footprint_pixels(obj.position(n + 0.5), obj.footprint,
-                                                spec.geometry)
-            expected_events += obj.prob * pix_i.size
-            miss[pix_i, pix_j] *= 1.0 - obj.prob  # an object's pixels are distinct
-        expected_active += n_pix - float(miss.sum()) * (1.0 - p_noise)
-    return SceneSummary(expected_events, expected_active / (n_pix * spec.n_frames))
-
-
 # ---------------------------------------------------------------------------
 # scene file I/O
 

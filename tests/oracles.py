@@ -563,6 +563,11 @@ def extract_features(stream, tensor, factors):
     )
 
 
+def dense(features) -> np.ndarray:
+    """The (M, d) matrix of `GatheredFeatures`: each table's gathered rows, side by side."""
+    return np.hstack([t[r] for t, r in zip(features.tables, features.rows)])
+
+
 def svm_primal_gradient(model, x, targets):
     """The gradient in (w, b) of the squared-hinge primal that `train_svm`
     minimizes, at the model's weights and bias, from the dense standardized

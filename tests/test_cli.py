@@ -20,7 +20,6 @@ from evtensor import cli, evaluation
 from evtensor.denoise import filter_events, write_report_csv
 from evtensor.evaluation import (
     SweepCell,
-    SweepResult,
     save_model,
     train_svm,
     write_results_csv,
@@ -284,8 +283,7 @@ ARTIFACTS = {
     "trace": (lambda p: write_trace_csv(solve(TENSOR, SolverConfig(f_max=1, s_max=2))[1], p,
                                         {"model": "ENTN"}),
               _text, lambda got: got.startswith("# model: ENTN\ns,f,objective,rel_change\n")),
-    "results": (lambda p: write_results_csv(SweepResult([SweepCell(0.1, 0.1, 0.75, True, 3, 0.0)]),
-                                            p),
+    "results": (lambda p: write_results_csv([SweepCell(0.1, 0.1, 0.75, True, 3, 0.0)], p),
                 _text, lambda got: got.startswith("lambda1,lambda2,auc,converged,iters,seconds\n"
                                                   "0.10000000000000001,0.10000000000000001,"
                                                   "0.75,true,3,0.000\n")),

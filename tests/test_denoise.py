@@ -10,7 +10,7 @@ from evtensor.denoise import (
     score_events,
     write_report_csv,
 )
-from evtensor.errors import ConsistencyError
+from evtensor.errors import ShapeError
 from evtensor import tensor_ops
 from evtensor.events import NOISE_LABEL, EventStream, bin_indices, bin_to_tensor
 from evtensor.solver import SolverConfig, solve
@@ -72,13 +72,13 @@ def test_scores_equal_full_contraction_entries(seed):
 def test_score_dim_mismatch():
     stream, tensor, _ = small_setup()
     wrong = random_factors(np.random.default_rng(0), (4, 4, 3), 1)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ShapeError):
         score_events(stream, tensor, wrong)
 
 
 @pytest.mark.parametrize("t, geometry, error, message", [
     ([50, 450], (4, 4), ValueError, "timestamp outside the binned range"),
-    ([0, 400], (6, 6), ConsistencyError, "event coordinates exceed factor dimensions"),
+    ([0, 400], (6, 6), ShapeError, "event coordinates exceed factor dimensions"),
 ], ids=["later-timestamp", "larger-sensor"])
 def test_score_events_refuses_a_stream_the_tensor_was_not_binned_from(t, geometry, error, message):
     # the tensor and the factors' dims are those of another stream: [0, 400] on a 4 x 4 sensor
@@ -131,7 +131,7 @@ def test_filter_monotone_in_threshold():
 
 def test_filter_misaligned_scores():
     stream, tensor, factors = small_setup()
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ShapeError):
         filter_events(stream, np.zeros(3), 0.0)
 
 
@@ -220,7 +220,7 @@ def test_report_csv_rejects_a_misaligned_report(tmp_path, field, resize):
     _, report = filter_events(stream, score_events(stream, tensor, factors), 0.0)
     setattr(report, field, resize(getattr(report, field)))
     path = tmp_path / "report.csv"
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ShapeError):
         write_report_csv(stream, report, path)
     assert not path.exists()
 

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 import evtensor
 from evtensor import evaluation
-from evtensor.errors import ConsistencyError, NumericalError, ProtocolError, ShapeError
+from evtensor.errors import NumericalError, ProtocolError, ShapeError
 from evtensor.evaluation import (
     TASK_OBJECTS,
     FeatureMatrix,
     GatheredFeatures,
     SweepCell,
-    SweepResult,
     auc,
     auc_gap,
     binary_task,
@@ -75,7 +74,7 @@ def test_features_f1_are_factor_scalars():
     k = 5
     i, j, n = stream.i[k], stream.j[k], feats.frames[k]
     expected = [factors.g_i[i, 0, 0], factors.g_j[0, j, 0], factors.g_n[0, 0, n]]
-    np.testing.assert_allclose(feats.features[k], expected)
+    np.testing.assert_allclose(oracles.dense(feats.features)[k], expected)
 
 
 def test_features_shared_coordinates_identical():
@@ -83,8 +82,8 @@ def test_features_shared_coordinates_identical():
                          labels=[0, 1], t_min=0, t_max=100)
     tensor = bin_to_tensor(stream, 4)
     factors = random_factors(np.random.default_rng(1), tensor.dims, 2)
-    feats = extract_features(stream, tensor, factors)
-    np.testing.assert_array_equal(feats.features[0], feats.features[1])
+    dense = oracles.dense(extract_features(stream, tensor, factors).features)
+    np.testing.assert_array_equal(dense[0], dense[1])
 
 
 def test_features_f2_event_at_origin_matches_hand_read():
@@ -99,7 +98,7 @@ def test_features_f2_event_at_origin_matches_hand_read():
         matricize_factor(factors.g_j, "j")[0],
         matricize_factor(factors.g_n, "n")[0],
     ])
-    np.testing.assert_array_equal(feats.features[0], expected)
+    np.testing.assert_array_equal(oracles.dense(feats.features)[0], expected)
 
 
 def test_features_require_labels():
@@ -113,7 +112,7 @@ def test_features_require_labels():
 def test_features_dim_mismatch():
     stream, tensor, _ = fitted_pieces()
     wrong = random_factors(np.random.default_rng(0), (6, 6, 3), 2)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ShapeError):
         extract_features(stream, tensor, wrong)
 
 
@@ -128,7 +127,7 @@ def test_unrelated_factor_rows_leave_features_unchanged():
 
     perturbed = extract_features(stream, tensor,
                                  FactorTriple(g_i=g_i, g_j=factors.g_j, g_n=factors.g_n))
-    np.testing.assert_array_equal(perturbed.features, feats.features)
+    np.testing.assert_array_equal(oracles.dense(perturbed.features), oracles.dense(feats.features))
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])
@@ -139,7 +138,7 @@ def test_gathered_features_densify_to_the_dense_oracle(f):
     assert isinstance(feats.features, GatheredFeatures)
     assert feats.features.shape == dense.shape
     assert len(feats.features) == len(dense)
-    np.testing.assert_array_equal(np.asarray(feats.features), dense)
+    np.testing.assert_array_equal(oracles.dense(feats.features), dense)
 
 
 def test_gathered_features_index_like_the_dense_array():
@@ -152,17 +151,9 @@ def test_gathered_features_index_like_the_dense_array():
         picked = gathered[key]
         assert isinstance(picked, GatheredFeatures)
         assert picked.shape == dense[key].shape
-        np.testing.assert_array_equal(np.asarray(picked), dense[key])
-    for key in (0, 7, -1, np.int64(m - 2)):
-        np.testing.assert_array_equal(gathered[key], dense[key])
-    np.testing.assert_array_equal(gathered[mask][3], dense[mask][3])
-    assert np.asarray(gathered, dtype=np.float32).dtype == np.float32
-    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-        # numpy 2 passes copy= to __array__; the suite errors on the
-        # DeprecationWarning it gives for an __array__ without that keyword
-        np.testing.assert_array_equal(np.array(gathered, copy=True), dense)
-        with pytest.raises(ValueError):
-            np.asarray(gathered, copy=False)
+        np.testing.assert_array_equal(oracles.dense(picked), dense[key])
+    twice = np.array([3, 0, 3])
+    np.testing.assert_array_equal(oracles.dense(gathered[mask][twice]), dense[mask][twice])
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +297,13 @@ def test_svm_shape_mismatches_name_both_sizes():
     stream, tensor, factors = fitted_pieces(f=3)
     gathered = extract_features(stream, tensor, factors).features
     y = np.arange(len(gathered)) % 2
-    for features in (gathered, np.asarray(gathered)):
+    for features in (gathered, oracles.dense(gathered)):
         with pytest.raises(ShapeError, match=f"{len(y)} feature rows but {len(y) - 1} targets"):
             train_svm(features, y[:-1])
     narrower = extract_features(stream, tensor,
                                 random_factors(np.random.default_rng(3), tensor.dims, 2))
     model = train_svm(narrower.features, y)
-    for features in (gathered, np.asarray(gathered)):
+    for features in (gathered, oracles.dense(gathered)):
         with pytest.raises(ShapeError, match="27 columns, the model has 12 weights"):
             model.decision_scores(features)
 
@@ -430,7 +421,7 @@ def test_svm_stops_at_the_primal_optimum_on_the_reference_scene(ref_scene_fit, t
     features, y, _ = _train_and_test_features(*ref_scene_fit, task)
     model = train_svm(features, y)
     assert 1 < model.iterations < evaluation.SVM_MAX_ITERATIONS
-    _assert_at_the_optimum(model, np.asarray(features), y)
+    _assert_at_the_optimum(model, oracles.dense(features), y)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -735,30 +726,26 @@ def small_cfg():
 def test_sweep_single_point_gap_zero():
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)
-    result = sweep_lambdas(tensor, stream, [(0.1, 0.1)], small_cfg())
-    assert len(result.cells) == 1
-    assert result.overall_gap() == 0.0
+    cells = sweep_lambdas(tensor, stream, [(0.1, 0.1)], small_cfg())
+    assert len(cells) == 1
+    assert auc_gap(c.auc for c in cells) == 0.0
 
 
-def test_sweep_internal_consistency():
+def test_sweep_internal_consistency(tmp_path):
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)
     grid = [(l1, l2) for l1 in (0.0, 0.3) for l2 in (0.1, 0.4)]
-    result = sweep_lambdas(tensor, stream, grid, small_cfg())
-    aucs = result.aucs()
+    cells = sweep_lambdas(tensor, stream, grid, small_cfg())
+    aucs = [c.auc for c in cells]
     assert all(0.0 <= a <= 1.0 for a in aucs)
-    gap = result.overall_gap()
+    gap = auc_gap(aucs)
     assert 0.0 <= gap <= 100.0
     assert gap == pytest.approx(100.0 * (max(aucs) - min(aucs)) / max(aucs))
-    # per-axis gaps exist for both axes on a full grid
-    assert len(result.axis_gaps("lambda1")) == 2
-    assert len(result.axis_gaps("lambda2")) == 2
-
-
-def test_axis_gaps_refuses_an_unknown_axis():
-    result = SweepResult([SweepCell(0.1, 0.1, 0.8, True, 3, 0.0)])
-    with pytest.raises(ValueError, match="^unknown axis 'lambda3'$"):
-        result.axis_gaps("lambda3")
+    # the CSV holds a gap line per grid line, for both axes on a full grid
+    write_results_csv(cells, tmp_path / "results.csv")
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    for axis in ("lambda1", "lambda2"):
+        assert len([l for l in lines if l.startswith(f"# gap_percent_varying_{axis}[")]) == 2
 
 
 def test_sweep_records_cell_failures_without_aborting(monkeypatch):
@@ -772,11 +759,11 @@ def test_sweep_records_cell_failures_without_aborting(monkeypatch):
 
     # the first point's solve fails: the cell must fail, the sweep must not
     monkeypatch.setattr(evaluation, "solve", solve_or_fail)
-    result = sweep_lambdas(tensor, stream, [(0.2, 0.1), (0.1, 0.1)], small_cfg())
-    assert len(result.cells) == 2
-    assert np.isnan(result.cells[0].auc)
-    assert result.cells[0].error == "iteration 3: non-finite factor"
-    assert not np.isnan(result.cells[1].auc)
+    cells = sweep_lambdas(tensor, stream, [(0.2, 0.1), (0.1, 0.1)], small_cfg())
+    assert len(cells) == 2
+    assert np.isnan(cells[0].auc)
+    assert cells[0].error == "iteration 3: non-finite factor"
+    assert not np.isnan(cells[1].auc)
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -806,7 +793,7 @@ def test_a_sweep_point_whose_classify_fails_after_its_solve_records_a_failed_cel
     assert state.s > 0
     with pytest.raises(ProtocolError) as err:
         classify_factors(stream, tensor, factors, TASK_OBJECTS)
-    [cell] = sweep_lambdas(tensor, stream, [(0.2, 0.3)], small_cfg(), task=TASK_OBJECTS).cells
+    [cell] = sweep_lambdas(tensor, stream, [(0.2, 0.3)], small_cfg(), task=TASK_OBJECTS)
     assert np.isnan(cell.auc)
     assert (cell.lambda1, cell.lambda2, cell.converged, cell.iters, cell.error) == (
         0.2, 0.3, False, 0, str(err.value))
@@ -842,9 +829,9 @@ def test_a_sweep_its_labels_cannot_serve_fails_before_the_first_solve(monkeypatc
 def test_results_csv_layout(tmp_path):
     stream = labeled_stream()
     tensor = bin_to_tensor(stream, 10)
-    result = sweep_lambdas(tensor, stream, [(0.0, 0.1), (0.2, 0.1)], small_cfg())
+    cells = sweep_lambdas(tensor, stream, [(0.0, 0.1), (0.2, 0.1)], small_cfg())
     path = str(tmp_path / "results.csv")
-    write_results_csv(result, path)
+    write_results_csv(cells, path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "lambda1,lambda2,auc,converged,iters,seconds"
@@ -855,10 +842,10 @@ def test_results_csv_layout(tmp_path):
 def test_results_csv_writes_each_lambda_exactly(tmp_path):
     # %g once wrote both lambda1 values as 0.123457, one row and one gap key twice
     lambda1s = (0.1234567, 0.1234568)
-    result = SweepResult([SweepCell(l1, l2, 0.5 + l1 + l2, True, 3, 0.0)
-                          for l1 in lambda1s for l2 in (0.1, 0.2)])
+    cells = [SweepCell(l1, l2, 0.5 + l1 + l2, True, 3, 0.0)
+             for l1 in lambda1s for l2 in (0.1, 0.2)]
     path = tmp_path / "results.csv"
-    write_results_csv(result, path)
+    write_results_csv(cells, path)
     lines = path.read_text().splitlines()
     rows = [line.rsplit(",", 4)[0] for line in lines[1:] if not line.startswith("#")]
     assert rows == ["%.17g,%.17g" % (l1, l2) for l1 in lambda1s for l2 in (0.1, 0.2)]

@@ -657,8 +657,9 @@ def test_a_geometry_that_is_not_two_integers_is_refused_at_construction(geometry
 
 @pytest.mark.parametrize("name,value", [
     ("i", [1.7, 2.2]), ("j", [0.0, 1.0]), ("t", [5.9, 3.1]), ("labels", [0.5, -1.0]),
-    ("i", [True, False]), ("labels", [True, False]), ("t", ["5", "3"]),
-], ids=["i-float", "j-float", "t-float", "labels-float", "i-bool", "labels-bool", "t-str"])
+    ("i", [True, False]), ("labels", [True, False]), ("t", ["5", "3"]), ("t", [5, 2 ** 63, 2.5]),
+], ids=["i-float", "j-float", "t-float", "labels-float", "i-bool", "labels-bool", "t-str",
+        "t-float-beyond-int64"])
 def test_an_event_array_that_is_not_integer_is_refused_by_name(name, value):
     # the cast to int64 truncated these: i = [1.7, 2.2] became [1, 2], and
     # t = [5.9, 3.1] sorted as [3, 5]
@@ -726,6 +727,24 @@ def test_an_unsigned_tensor_array_beyond_int64_is_refused_by_name(name, value):
     with pytest.raises(ValueError, match=re.escape(
             f"{name} must hold values up to {2 ** 63 - 1}, got {max(value)}")):
         EventTensor(**{**fields, name: np.array(value, dtype=np.uint64)})
+
+
+@pytest.mark.parametrize("value,message", [
+    ([1, 2 ** 63], f"must hold values up to {2 ** 63 - 1}, got {2 ** 63}"),
+    ([1, 2 ** 64], f"must hold values up to {2 ** 63 - 1}, got {2 ** 64}"),
+    ([-2 ** 63 - 1, 0], f"must hold values down to {-2 ** 63}, got {-2 ** 63 - 1}"),
+    ([1, 2.5], "must hold integers, got float64 values"),
+], ids=["2**63", "2**64", "below-int64", "float"])
+@pytest.mark.parametrize("name", ["i", "j", "t", "labels", "cells"])
+def test_a_list_of_ints_outside_int64_is_refused_by_its_range(name, value, message):
+    # numpy stores the first list as float64 and the next two as object
+    # values, and each was refused as not holding integers
+    fields = dict(i=[1, 2], j=[0, 1], t=[5, 3], geometry=(4, 4), labels=[0, -1])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+        if name == "cells":
+            EventTensor(cells=value, dims=(2, 2, 2), bin_edges=[0, 1, 2])
+        else:
+            EventStream(**{**fields, name: value})
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2.5), (2, True, 2), (2, 2)],

@@ -12,7 +12,6 @@ from evtensor.events import NOISE_LABEL, bin_to_tensor, tensor_density, write_ev
 from evtensor.synth import (
     ObjectSpec,
     SceneSpec,
-    describe,
     generate,
     load_scene_spec,
     scene_spec_to_ini,
@@ -143,16 +142,6 @@ def test_out_of_bounds_trajectory_clips_and_warns(caplog):
     assert stream.j.min() >= 0 and stream.j.max() < 16
 
 
-def test_describe_closed_forms():
-    spec = SceneSpec(geometry=(16, 16), n_frames=10, duration_us=10_000,
-                     objects=(static_object(),), noise_per_frame=0.0, seed=1)
-    assert describe(spec).expected_events == pytest.approx(10.0)
-
-    noisy = SceneSpec(geometry=(16, 16), n_frames=10, duration_us=10_000,
-                      noise_per_frame=2.5, seed=1)
-    assert describe(noisy).expected_events == pytest.approx(25.0)
-
-
 def test_describe_matches_monte_carlo_mean():
     spec = SceneSpec(
         geometry=(16, 12), n_frames=20, duration_us=20_000,
@@ -170,11 +159,11 @@ def test_describe_matches_monte_carlo_mean():
         stream = generate(replace(spec, seed=seed))
         counts.append(len(stream))
         densities.append(tensor_density(bin_to_tensor(stream, spec.n_frames)))
-    summary = describe(spec)
+    events, density = describe_bruteforce(spec)
     sem_count = np.std(counts) / math.sqrt(len(counts))
     sem_dens = np.std(densities) / math.sqrt(len(densities))
-    assert abs(np.mean(counts) - summary.expected_events) <= 3 * sem_count
-    assert abs(np.mean(densities) - summary.expected_density) <= 3 * sem_dens
+    assert abs(np.mean(counts) - events) <= 3 * sem_count
+    assert abs(np.mean(densities) - density) <= 3 * sem_dens
 
 
 def describe_bruteforce(spec):
@@ -195,48 +184,6 @@ def describe_bruteforce(spec):
             miss = np.where(covered, miss * (1.0 - obj.prob), miss)
         active += (1.0 - miss * (1.0 - p_noise)).sum()
     return events, active / (n_pix * spec.n_frames)
-
-
-def random_scene(rng):
-    """A small scene: up to four objects of any kind, placed so that they
-    overlap and leave the sensor, or none and noise alone."""
-    rows, cols = (int(x) for x in rng.integers(1, 13, size=2))
-    objects = []
-    for _ in range(int(rng.integers(0, 5))):
-        objects.append(ObjectSpec(
-            kind=str(rng.choice(["linear", "circular", "sinusoidal"])),
-            start=(float(rng.uniform(-3, rows + 3)), float(rng.uniform(-3, cols + 3))),
-            velocity=(float(rng.normal(0, 1.5)), float(rng.normal(0, 1.5))),
-            radius=float(rng.uniform(0, 6)), freq=float(rng.uniform(0, 0.3)),
-            phase=float(rng.uniform(0, 6.3)), footprint=int(rng.integers(0, 4)),
-            prob=float(rng.choice([0.0, 1.0, rng.uniform()]))))
-    noise = float(rng.choice([0.0, rng.uniform(0.1, 20.0)])) if objects else 3.0
-    return SceneSpec(geometry=(rows, cols), n_frames=int(rng.integers(1, 7)),
-                     duration_us=1000, objects=tuple(objects), noise_per_frame=noise)
-
-
-def _clipped(obj, spec, n):
-    """Whether the object's footprint leaves the sensor at frame n."""
-    ci, cj = (round(x) for x in obj.position(n + 0.5))
-    fp = obj.footprint
-    return ci - fp < 0 or cj - fp < 0 or ci + fp >= spec.geometry[0] or cj + fp >= spec.geometry[1]
-
-
-def test_describe_matches_a_per_pixel_brute_force():
-    rng = np.random.default_rng(2024)
-    kinds = {"overlap": 0, "clipped": 0, "noise_only": 0}
-    for _ in range(300):
-        spec = random_scene(rng)
-        summary = describe(spec)
-        events, density = describe_bruteforce(spec)
-        assert summary.expected_events == pytest.approx(events, rel=1e-12, abs=1e-300)
-        assert summary.expected_density == pytest.approx(density, rel=1e-12, abs=1e-300)
-        assert type(summary.expected_density) is float
-        kinds["noise_only"] += not spec.objects
-        kinds["overlap"] += len(spec.objects) > 1
-        kinds["clipped"] += any(
-            any(_clipped(obj, spec, n) for obj in spec.objects) for n in range(spec.n_frames))
-    assert min(kinds.values()) >= 20, kinds
 
 
 def test_reference_scene_density_in_band():
@@ -436,7 +383,6 @@ def test_a_footprint_beyond_the_sensor_is_the_sensor(footprint, caplog):
     b = generate(covering)
     for name in ("t", "i", "j", "labels"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert describe(big) == describe(covering)
 
 
 def test_object_spec_validation():
